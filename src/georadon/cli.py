@@ -47,31 +47,6 @@ _MODELS.update({"euclidean": Model.EuclideanAffine,
                 "ball": Model.BeltramiKlein,
                 "hyperbolic": Model.Hyperboloid})
 
-#: profile coordinate used by each model's forward / dual zonal transform
-_TRANSFORM_KIND = {
-    Model.EuclideanAffine: (ArgKind.EuclideanRadius, ArgKind.EuclideanRadius),
-    Model.BeltramiKlein: (ArgKind.BallRadius, ArgKind.BallRadius),
-    Model.Hyperboloid: (ArgKind.CoshDistance, ArgKind.SinhDistance),
-    Model.Elliptic: (ArgKind.CosAngle, ArgKind.SinAngle),
-    Model.Projective: (ArgKind.Angle, ArgKind.Angle),
-}
-
-_FORWARD = {
-    Model.EuclideanAffine: R.radon_affine_radial,
-    Model.BeltramiKlein: R.radon_chord_radial,
-    Model.Hyperboloid: R.radon_hyper_zonal,
-    Model.Elliptic: R.radon_elliptic_zonal,
-    Model.Projective: R.radon_projective_zonal,
-}
-
-_DUAL = {
-    Model.EuclideanAffine: R.dual_affine_radial,
-    Model.BeltramiKlein: R.dual_chord_radial,
-    Model.Hyperboloid: R.dual_hyper_zonal,
-    Model.Elliptic: R.dual_elliptic_zonal,
-    Model.Projective: R.dual_projective_zonal,
-}
-
 
 class JobError(GeoradonError, ValueError):
     """The job document is malformed or inconsistent."""
@@ -80,6 +55,27 @@ class JobError(GeoradonError, ValueError):
 def _require(cond, msg):
     if not cond:
         raise JobError(msg)
+
+
+_MISSING = object()
+
+
+def _field(doc: dict, key: str, cast=float, default=_MISSING):
+    """doc[key] through ``cast``; a missing or malformed field is a JobError."""
+    if key not in doc:
+        _require(default is not _MISSING, f"missing field {key!r}")
+        return default
+    try:
+        return cast(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise JobError(f"bad field {key!r}: {exc}") from exc
+
+
+def _finite_array(doc: dict, key: str) -> np.ndarray:
+    x = _field(doc, key, lambda v: np.asarray(v, dtype=float))
+    _require(x.ndim == 1 and np.all(np.isfinite(x)),
+             f"field {key!r} must be a list of finite numbers")
+    return x
 
 
 def load_job(path: str, overrides: dict) -> dict:
@@ -101,10 +97,9 @@ def load_job(path: str, overrides: dict) -> dict:
 
 def parse_params(job) -> R.TransformParams:
     p = job.get("params")
-    _require(isinstance(p, dict) and {"n", "j", "k"} <= set(p),
-             "job needs params {n, j, k}")
+    _require(isinstance(p, dict), "job needs params {n, j, k}")
     try:
-        return R.TransformParams(int(p["n"]), int(p["j"]), int(p["k"]))
+        return R.TransformParams(*(_field(p, key, int) for key in "njk"))
     except DomainError as exc:
         raise JobError(str(exc)) from exc
 
@@ -123,7 +118,7 @@ def parse_quadrature(job) -> QuadratureSpec:
             abs_tol=float(q.get("abs_tol", 1e-12)),
             max_subdivisions=int(q.get("max_subdivisions", 200)),
             truncation_tail_tol=float(q.get("truncation_tail_tol", 1e-12)))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise JobError(f"bad quadrature spec: {exc}") from exc
 
 
@@ -133,7 +128,7 @@ def parse_mc(job) -> MC.McSpec:
         return MC.McSpec(seed=int(m.get("seed", 0)),
                          n_samples=int(m.get("n_samples", 100000)),
                          stream_id=int(m.get("stream_id", 0)))
-    except (ValueError, DomainError) as exc:
+    except (TypeError, ValueError) as exc:
         raise JobError(f"bad mc spec: {exc}") from exc
 
 
@@ -143,21 +138,20 @@ def parse_profile(spec: dict, kind: ArgKind) -> Profile1D:
     fam = spec["family"]
     lo = 1.0 if kind is ArgKind.CoshDistance else 0.0
     if fam == "gaussian":
-        g = gaussian(float(spec.get("sigma", 1.0)), arg_kind=kind, lo=lo)
-        return g
+        return gaussian(_field(spec, "sigma", float, 1.0), arg_kind=kind, lo=lo)
     if fam == "power":
-        return power(float(spec["p"]), lo=max(lo, 1e-12), arg_kind=kind)
+        return power(_field(spec, "p"), lo=max(lo, 1e-12), arg_kind=kind)
     if fam == "bump":
-        return bump(float(spec["a"]), arg_kind=kind, lo=lo)
+        return bump(_field(spec, "a"), arg_kind=kind, lo=lo)
     if fam == "closed_form":
         cf = _closed_form_by_name(str(spec.get("id", "")))
         pair = R.closed_form_pair(cf, alpha=spec.get("alpha"), a=spec.get("a"))
         return pair.input
     if fam == "grid":
-        return from_grid(np.asarray(spec["x"], dtype=float),
-                         np.asarray(spec["y"], dtype=float), kind,
-                         order=int(spec.get("order", 3)),
-                         decay_hint=spec.get("decay_hint"))
+        x, y = _finite_array(spec, "x"), _finite_array(spec, "y")
+        _require(x.shape == y.shape, "grid profile needs x and y of one length")
+        return from_grid(x, y, kind, order=_field(spec, "order", int, 3),
+                         decay_hint=_field(spec, "decay_hint", float, None))
     raise JobError(f"unknown profile family {fam!r}")
 
 
@@ -174,8 +168,9 @@ def parse_grid(job, default_kind: ArgKind) -> tuple[np.ndarray, ArgKind]:
     _require(isinstance(g, dict), "job needs a grid {lo, hi, count}")
     kind = _KIND_ALIASES.get(str(g.get("kind", default_kind.value)).lower())
     _require(kind is not None, f"unknown grid kind {g.get('kind')!r}")
-    lo, hi, count = float(g["lo"]), float(g["hi"]), int(g["count"])
-    _require(hi > lo and count >= 2, "grid needs hi > lo and count >= 2")
+    lo, hi, count = _field(g, "lo"), _field(g, "hi"), _field(g, "count", int)
+    _require(math.isfinite(lo) and math.isfinite(hi) and hi > lo
+             and count >= 2, "grid needs finite hi > lo and count >= 2")
     return np.linspace(lo, hi, count), kind
 
 
@@ -210,46 +205,26 @@ def _out_of(job, default_path: str):
 
 # -- command handlers --------------------------------------------------------------
 
-def _cmd_transform(job, dual: bool) -> int:
+def _cmd_transform(job, command: str) -> int:
+    """transform, dual and invert: one row of the model's transform table."""
     model = parse_model(job)
     p = parse_params(job)
     spec = parse_quadrature(job)
-    fkind, dkind = _TRANSFORM_KIND[model]
-    kind = dkind if dual else fkind
-    prof = parse_profile(job["profile"], kind)
-    coords, gkind = parse_grid(job, _output_kind(model, dual))
-    op = (_DUAL if dual else _FORWARD)[model]
-    vals = np.asarray(op(p, prof, coords, spec))
-    path, fmt = _out_of(job, "transform.csv")
-    write_table(path, fmt,
-                {"model": model.value, "variable": gkind.value,
-                 "arg_kind": kind.value, "n": p.n, "j": p.j, "k": p.k},
-                {"coordinate": coords, "value": vals})
-    print(f"wrote {path}")
-    return EXIT_OK
-
-
-def _output_kind(model: Model, dual: bool) -> ArgKind:
-    f, d = _TRANSFORM_KIND[model]
-    # forward results live in the k-side coordinate, duals on the j-side;
-    # zonally both share the model's coordinate convention
-    return d if dual else f
-
-
-def _cmd_invert(job) -> int:
-    model = parse_model(job)
-    p = parse_params(job)
-    spec = parse_quadrature(job)
-    dual = bool(job.get("dual", False))
-    fkind, dkind = _TRANSFORM_KIND[model]
-    kind = dkind if dual else fkind
-    prof = parse_profile(job["profile"], kind)
+    invert = command == "invert"
+    dual = command == "dual" or (invert and bool(job.get("dual", False)))
+    kind = R.TRANSFORMS[model, dual].kind
+    prof = parse_profile(job.get("profile"), kind)
     coords, gkind = parse_grid(job, kind)
-    rec = R.invert_radial(model, p, prof, dual=dual, spec=spec,
-                          out_range=(float(coords[0]), float(coords[-1])),
-                          check_residual=bool(job.get("check_residual", True)))
-    vals = rec(coords)
-    path, fmt = _out_of(job, "invert.csv")
+    if invert:
+        rec = R.invert_radial(
+            model, p, prof, dual=dual, spec=spec,
+            out_range=(float(coords[0]), float(coords[-1])),
+            check_residual=bool(job.get("check_residual", True)))
+        vals = rec(coords)
+    else:
+        vals = np.asarray(R.transform_function(model, dual)(p, prof, coords,
+                                                            spec))
+    path, fmt = _out_of(job, "invert.csv" if invert else "transform.csv")
     write_table(path, fmt,
                 {"model": model.value, "variable": gkind.value,
                  "arg_kind": kind.value, "n": p.n, "j": p.j, "k": p.k},
@@ -284,7 +259,7 @@ def _cmd_table(job) -> int:
     model = parse_model(job) if "model" in job else Model.EuclideanAffine
     kind_default = CANONICAL_KIND[model]
     coords, gkind = parse_grid(job, kind_default)
-    prof = parse_profile(job["profile"], gkind)
+    prof = parse_profile(job.get("profile"), gkind)
     vals = prof(coords)
     path, fmt = _out_of(job, "table.csv")
     write_table(path, fmt,
@@ -327,14 +302,14 @@ def _cmd_mc_duality(job) -> int:
     which = str(job.get("duality", {}).get("which", "affine")).lower()
     if which == "hyper":
         fkind, dkind = ArgKind.CoshDistance, ArgKind.SinhDistance
-        f = MC.zonal_function(parse_profile(job["profile"], fkind))
-        phi = MC.zonal_function(parse_profile(job.get("phi", job["profile"]),
+        f = MC.zonal_function(parse_profile(job.get("profile"), fkind))
+        phi = MC.zonal_function(parse_profile(job.get("phi", job.get("profile")),
                                               dkind))
     else:
         f = MC.radial_plane_function(
-            parse_profile(job["profile"], ArgKind.EuclideanRadius))
+            parse_profile(job.get("profile"), ArgKind.EuclideanRadius))
         phi = MC.radial_plane_function(
-            parse_profile(job.get("phi", job["profile"]),
+            parse_profile(job.get("phi", job.get("profile")),
                           ArgKind.EuclideanRadius))
     lhs, rhs = MC.duality_check_mc(which, f, phi, p, mcspec)
     combined = math.hypot(lhs.std_error, rhs.std_error)
@@ -392,9 +367,9 @@ def run(job: dict, command: str) -> int:
         _require(str(job["command"]) == command,
                  f"job document says {job['command']!r}, invoked as {command!r}")
     handler = {
-        "transform": lambda: _cmd_transform(job, dual=False),
-        "dual": lambda: _cmd_transform(job, dual=True),
-        "invert": lambda: _cmd_invert(job),
+        "transform": lambda: _cmd_transform(job, command),
+        "dual": lambda: _cmd_transform(job, command),
+        "invert": lambda: _cmd_transform(job, command),
         "convert": lambda: _cmd_convert(job),
         "verify": lambda: _cmd_verify(job),
         "mc-duality": lambda: _cmd_mc_duality(job),

@@ -22,7 +22,7 @@ from .errors import DomainError, GeoradonError, SmoothnessError
 from .mc import (GeodesicElement, McSpec, dual_sine_mc, radon_hyper_mc,
                  zonal_function)
 from .models import Model, integrate_radial
-from .profiles import ArgKind, Profile1D
+from .profiles import ArgKind, Profile1D, reparametrize
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import log_gamma
 
@@ -83,13 +83,10 @@ def zonal_bump(a: float) -> ZonalFunction:
 def as_cosh_profile(h: ZonalFunction, support: Optional[float] = None,
                     decay_hint: float = math.inf) -> Profile1D:
     """View a zonal function as a profile of the cosh of the distance."""
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        return h(np.arccosh(np.maximum(s, 1.0)))
-
-    sup = math.cosh(support) if support is not None else None
-    return Profile1D(lo=1.0, hi=math.inf, fn=fn, arg_kind=ArgKind.CoshDistance,
-                     decay_hint=decay_hint, support=sup, label=h.label)
+    return reparametrize(
+        Profile1D(lo=0.0, hi=math.inf, fn=h, arg_kind=ArgKind.GeodesicDistance,
+                  decay_hint=decay_hint, support=support, label=h.label),
+        ArgKind.CoshDistance)
 
 
 # -- differential operators -----------------------------------------------------

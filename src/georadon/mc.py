@@ -30,10 +30,15 @@ KERNEL_FLOOR = 1e-3
 
 
 def worker_threads() -> int:
+    """Monte Carlo worker threads: GEORADON_THREADS, else the CPU count."""
     env = os.environ.get("GEORADON_THREADS", "").strip()
-    if env:
+    if not env:
+        return max(1, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return max(1, os.cpu_count() or 1)
+    except ValueError:
+        raise DomainError(
+            f"GEORADON_THREADS must be an integer, got {env!r}") from None
 
 
 @dataclass(frozen=True)
@@ -69,48 +74,49 @@ def _rng(spec: McSpec, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _chunk_sums(terms: Callable, spec: McSpec, chunk: int = CHUNK) -> list:
+    """(count, sum, sum of squares) of each chunk of the sample budget.
+
+    ``terms(rng, count, start)`` returns the terms of the samples
+    start..start+count-1: a vector, or one row per estimate.  Each chunk
+    draws from its own generator and the chunks run on the worker pool.
+    """
+    starts = range(0, spec.n_samples, chunk)
+    counts = [min(chunk, spec.n_samples - s) for s in starts]
+
+    def run(i):
+        t = np.asarray(terms(_rng(spec, i), counts[i], starts[i]), dtype=float)
+        return counts[i], np.sum(t, axis=-1), np.sum(t * t, axis=-1)
+
+    threads = min(worker_threads(), len(counts))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, range(len(counts))))
+    return [run(i) for i in range(len(counts))]
+
+
+def _mean_stderr(parts: list):
+    """Mean and standard error from chunk sums, added pairwise in chunk
+    order so that they do not depend on the thread count."""
+    n = sum(c for c, _, _ in parts)
+    mean = _pairwise([s for _, s, _ in parts]) / n
+    var = np.maximum(_pairwise([q for _, _, q in parts]) - n * mean * mean,
+                     0.0) / max(n - 1, 1)
+    return mean, np.sqrt(var / n)
+
+
 def _estimate(term_fn: Callable, spec: McSpec,
               warn_convergence: bool = True) -> McEstimate:
     """Mean/stderr of term_fn(rng, count) over the seeded sample budget."""
-    counts = []
-    left = spec.n_samples
-    while left > 0:
-        counts.append(min(CHUNK, left))
-        left -= counts[-1]
-
-    def run(idx_count):
-        idx, count = idx_count
-        vals = np.asarray(term_fn(_rng(spec, idx), count), dtype=float)
-        return float(np.sum(vals)), float(np.sum(vals * vals))
-
-    jobs = list(enumerate(counts))
-    threads = worker_threads()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, jobs))
-    else:
-        partials = [run(j) for j in jobs]
-
-    sums = _pairwise([s for s, _ in partials])
-    sqs = _pairwise([q for _, q in partials])
-    n = spec.n_samples
-    mean = sums / n
-    var = max(sqs - n * mean * mean, 0.0) / max(n - 1, 1)
-    stderr = math.sqrt(var / n)
-
-    if warn_convergence and len(partials) >= 4:
-        quarter = max(1, len(partials) // 4)
-        s_q = _pairwise([s for s, _ in partials[:quarter]])
-        q_q = _pairwise([q for _, q in partials[:quarter]])
-        n_q = sum(counts[:quarter])
-        m_q = s_q / n_q
-        v_q = max(q_q - n_q * m_q * m_q, 0.0) / max(n_q - 1, 1)
-        se_q = math.sqrt(v_q / n_q)
+    parts = _chunk_sums(lambda rng, count, _: term_fn(rng, count), spec)
+    mean, stderr = _mean_stderr(parts)
+    if warn_convergence and len(parts) >= 4:
+        _, se_q = _mean_stderr(parts[:max(1, len(parts) // 4)])
         if se_q > 0 and stderr / se_q > 0.8:
             warnings.warn(
                 "running standard error is not shrinking at the n^-1/2 rate",
                 McConvergenceWarning, stacklevel=3)
-    return McEstimate(mean, stderr, n)
+    return McEstimate(float(mean), float(stderr), spec.n_samples)
 
 
 def _pairwise(vals):
@@ -317,10 +323,7 @@ class GeodesicBatch:
 
     def distance_to_origin(self) -> np.ndarray:
         """Geodesic distance of each element to the base point."""
-        n, d = self.n, self.dim
-        last = self.matrices[:, n, :]
-        pn2 = last[:, n] ** 2 - np.sum(last[:, n - d:n] ** 2, axis=1)
-        return np.arccosh(np.maximum(np.sqrt(np.maximum(pn2, 1.0)), 1.0))
+        return _distance_to_base(self.matrices[:, self.n, :], self.n, self.dim)
 
 
 def zonal_function(profile: Profile1D) -> Callable:
@@ -520,44 +523,13 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
             out[i] = cst * w * vals * ker
         return out
 
-    counts = []
-    left = mc.n_samples
-    while left > 0:
-        counts.append(min(CHUNK, left))
-        left -= counts[-1]
-
-    def run(idx_count):
-        idx, count = idx_count
-        t = chunk_terms(_rng(mc, idx), count)
-        return np.sum(t, axis=1), np.sum(t * t, axis=1)
-
-    jobs = list(enumerate(counts))
-    threads = worker_threads()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, jobs))
-    else:
-        partials = [run(j) for j in jobs]
+    parts = _chunk_sums(lambda rng, count, _: chunk_terms(rng, count), mc)
     if clamped:
         warnings.warn("sampled distances approach the singular kernel; "
                       "clamped", KernelSingularityWarning, stacklevel=2)
-
-    ns = mc.n_samples
-    sums = _pairwise_rows([s for s, _ in partials])
-    sqs = _pairwise_rows([q for _, q in partials])
-    means = sums / ns
-    var = np.maximum(sqs - ns * means * means, 0.0) / max(ns - 1, 1)
-    errs = np.sqrt(var / ns)
-    return [McEstimate(float(means[i]), float(errs[i]), ns)
+    means, errs = _mean_stderr(parts)
+    return [McEstimate(float(means[i]), float(errs[i]), mc.n_samples)
             for i in range(n_pts)]
-
-
-def _pairwise_rows(arrays):
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    while len(arrays) > 1:
-        arrays = [arrays[i] + arrays[i + 1] if i + 1 < len(arrays)
-                  else arrays[i] for i in range(0, len(arrays), 2)]
-    return arrays[0]
 
 
 def _pseudo_inverse_apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -741,30 +713,8 @@ def _nested_estimate(term_fn, mc: McSpec, n_out: int, stream_base: int
                      ) -> McEstimate:
     """Outer-sample estimate where each term launches inner estimators on
     disjoint substreams (kept deterministic by global outer indexing)."""
-    counts = []
-    left = n_out
-    chunk = max(1, min(64, n_out))
-    while left > 0:
-        counts.append(min(chunk, left))
-        left -= counts[-1]
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(int)
-
-    def run(idx):
-        rng = _rng(mc.substream(stream_base), idx)
-        vals = np.asarray(
-            term_fn(rng, counts[idx], stream_base + int(offsets[idx])),
-            dtype=float)
-        return float(np.sum(vals)), float(np.sum(vals * vals))
-
-    threads = worker_threads()
-    jobs = list(range(len(counts)))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, jobs))
-    else:
-        partials = [run(i) for i in jobs]
-    sums = _pairwise([s for s, _ in partials])
-    sqs = _pairwise([q for _, q in partials])
-    mean = sums / n_out
-    var = max(sqs - n_out * mean * mean, 0.0) / max(n_out - 1, 1)
-    return McEstimate(mean, math.sqrt(var / n_out), n_out)
+    parts = _chunk_sums(
+        lambda rng, count, start: term_fn(rng, count, stream_base + start),
+        mc.substream(stream_base, n_out), chunk=64)
+    mean, stderr = _mean_stderr(parts)
+    return McEstimate(float(mean), float(stderr), n_out)

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError
-from .profiles import ArgKind, Profile1D
+from .profiles import SAME_VALUE_KINDS, ArgKind, Profile1D
 from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
                          integrate_to_infinity, integrate_weighted)
 from .special import sphere_area
@@ -57,8 +57,7 @@ CANONICAL_RANGE = {
 
 def _to_hub(kind: ArgKind, v):
     v = np.asarray(v, dtype=float)
-    if kind is ArgKind.EuclideanRadius or kind is ArgKind.BallRadius \
-            or kind is ArgKind.TanhDistance:
+    if kind in SAME_VALUE_KINDS:
         return v
     if kind is ArgKind.GeodesicDistance:
         return np.tanh(v)
@@ -77,8 +76,7 @@ def _to_hub(kind: ArgKind, v):
 
 def _from_hub(kind: ArgKind, r):
     r = np.asarray(r, dtype=float)
-    if kind is ArgKind.EuclideanRadius or kind is ArgKind.BallRadius \
-            or kind is ArgKind.TanhDistance:
+    if kind in SAME_VALUE_KINDS:
         return r
     if kind is ArgKind.GeodesicDistance:
         return np.arctanh(r)
@@ -338,12 +336,8 @@ def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
     # kinds sharing the hub coordinate are interchangeable; this lets the
     # affine<->elliptic weights act on ball profiles (landing in the
     # projective angle range) and vice versa
-    equivalent = {ArgKind.EuclideanRadius: {ArgKind.BallRadius,
-                                            ArgKind.TanhDistance},
-                  ArgKind.BallRadius: {ArgKind.EuclideanRadius,
-                                       ArgKind.TanhDistance}}
     if f.arg_kind is not src_kind \
-            and f.arg_kind not in equivalent.get(src_kind, ()):
+            and not {f.arg_kind, src_kind} <= SAME_VALUE_KINDS:
         raise DomainError(
             f"{op.value} expects a profile in {src_kind} (canonical for "
             f"{s.source}), got {f.arg_kind}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -168,6 +168,86 @@ class Profile1D:
                          label=f"{c}*{self.label}" if self.label else "")
 
 
+# -- changes of coordinate ----------------------------------------------------
+
+@dataclass(frozen=True)
+class _Reparam:
+    """One elementwise change of coordinate between two argument kinds.
+
+    ``pull`` takes new coordinates to old ones (arrays, guarded against
+    float noise at the ends); ``push`` takes one old coordinate to the new
+    one (domain ends and support radius).  A support is kept only where
+    ``push`` is increasing and below ``top``, past which it saturates.
+    ``pad`` widens the half-open domain to take in a closed image end.
+    """
+
+    pull: Callable[[np.ndarray], np.ndarray]
+    push: Callable[[float], float]
+    increasing: bool = True
+    top: float = math.inf
+    pad: float = 0.0
+
+
+_REPARAM = {
+    (ArgKind.GeodesicDistance, ArgKind.CoshDistance):
+        _Reparam(lambda s: np.arccosh(np.maximum(s, 1.0)), math.cosh),
+    (ArgKind.GeodesicDistance, ArgKind.SinhDistance):
+        _Reparam(np.arcsinh, math.sinh),
+    (ArgKind.CoshDistance, ArgKind.GeodesicDistance):
+        _Reparam(np.cosh, lambda s: math.acosh(max(s, 1.0))),
+    (ArgKind.SinhDistance, ArgKind.GeodesicDistance):
+        _Reparam(np.sinh, math.asinh),
+    (ArgKind.Angle, ArgKind.CosAngle):
+        _Reparam(lambda t: np.arccos(np.clip(t, -1.0, 1.0)),
+                 lambda th: max(math.cos(min(th, math.pi / 2)), 0.0),
+                 increasing=False, pad=1e-12),
+    (ArgKind.Angle, ArgKind.SinAngle):
+        _Reparam(lambda t: np.arcsin(np.clip(t, -1.0, 1.0)),
+                 lambda th: math.sin(min(th, math.pi / 2)),
+                 top=math.pi / 2, pad=1e-12),
+    (ArgKind.CosAngle, ArgKind.Angle):
+        _Reparam(np.cos, lambda t: math.acos(min(t, 1.0)), increasing=False),
+    (ArgKind.SinAngle, ArgKind.Angle):
+        _Reparam(np.sin, lambda t: math.asin(min(t, 1.0)), top=1.0),
+}
+
+#: kinds whose coordinates are the same number (the models' hub variable)
+SAME_VALUE_KINDS = frozenset({ArgKind.EuclideanRadius, ArgKind.BallRadius,
+                              ArgKind.TanhDistance})
+
+
+def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
+    """The profile f as a function of another coordinate kind.
+
+    Kinds that share values (plane distance, ball radius, tanh of distance)
+    are re-tagged with all metadata kept.  Otherwise the new profile lives
+    on the image of [least coordinate, f.hi), maps f's support where the
+    map is increasing, keeps the decay and smoothness hints and the label,
+    and evaluates f (with its own domain and support) at the pulled-back
+    coordinate; origin and edge exponents and breakpoints are not carried.
+    """
+    if f.arg_kind is kind:
+        return f
+    if {f.arg_kind, kind} <= SAME_VALUE_KINDS:
+        return replace(f, arg_kind=kind)
+    m = _REPARAM.get((f.arg_kind, kind))
+    if m is None:
+        raise DomainError(f"cannot reparametrize {f.arg_kind} as {kind}")
+    floor = 1.0 if f.arg_kind is ArgKind.CoshDistance else 0.0
+    ends = (m.push(floor), m.push(f.hi))
+    lo, hi = ends if m.increasing else ends[::-1]
+    support = None
+    if m.increasing and f.support is not None and f.support < m.top:
+        support = m.push(f.support)
+
+    def fn(x):
+        return f(m.pull(np.asarray(x, dtype=float)))
+
+    return Profile1D(lo=lo, hi=hi + m.pad, fn=fn, arg_kind=kind,
+                     decay_hint=f.decay_hint, smoothness_hint=f.smoothness_hint,
+                     support=support, label=f.label)
+
+
 def from_grid(x: np.ndarray, y: np.ndarray, arg_kind: ArgKind,
               order: int = 3, decay_hint: Optional[float] = None) -> Profile1D:
     """Profile from a sampled grid with spline interpolation of given order."""
@@ -208,7 +288,7 @@ def tabulate(fn, lo: float, hi: float, arg_kind: ArgKind, n: int = 128,
         ylo, yhi = lo * lo, hi * hi
 
         def sample(y):
-            return _scaled_sample(fn, scale_fn, np.sqrt(np.maximum(y, 0.0)))
+            return _scaled_sample(fn, scale_fn, np.sqrt(np.clip(y, ylo, yhi)))
 
         interp = ChebInterpolant.fit(sample, ylo, yhi, n)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import DivergenceError, DomainError, GeoradonError
 from .fracint import (check_decay, ek_deriv_left, ek_deriv_right, ek_left,
                       ek_right)
 from .models import Model, WeightOp, apply_weight
-from .profiles import ArgKind, Profile1D
+from .profiles import ArgKind, Profile1D, reparametrize
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import beta as beta_fn
 from .special import lambda1, lambda2, sphere_area
@@ -62,119 +62,167 @@ def _maybe_scalar(vals, scalar):
     return float(vals[0]) if scalar else vals
 
 
-# -- forward transforms --------------------------------------------------------
+# -- the transform table -----------------------------------------------------------
 
-def radon_affine_radial(p: TransformParams, f0: Profile1D, s,
-                        spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Forward transform of a radial function on affine planes.
+@dataclass(frozen=True)
+class Transform:
+    """One (model, direction) as a weighted fractional integral of order
+    (k-j)/2, in one coordinate for input and output:
 
-    F(s) = sigma_{k-j-1} * int_s^inf f0(r) (r^2-s^2)^((k-j)/2-1) r dr.
-    Raises ``DivergenceError`` when the tail criterion fails (the transform
-    would then be identically infinite).
+        out(x) = c * x^post * EK[y^pre f(y)](x),
+
+    EK left-sided (``left``) or right-sided, ``weights`` = (c, pre, post) as
+    functions of the index triple.  A projective row instead runs the
+    hyperboloid row of the same direction: ``route`` = (j-side, k-side)
+    weight operators from the hyperboloid, whose inverses bring the input
+    there and the output back.
     """
-    if f0.arg_kind is not ArgKind.EuclideanRadius:
-        raise DomainError("radon_affine_radial expects a plane-distance profile")
+
+    name: str                      # the public function
+    kind: ArgKind                  # coordinate of the input and the output
+    dual: bool
+    left: bool = False
+    weights: tuple = ()
+    domain: Optional[tuple] = None     # (x -> invalid mask, message)
+    cap: Optional[float] = None        # the integral stops at this radius
+    window: Optional[Callable] = None  # default inversion range of the data
+    route: Optional[tuple] = None
+
+
+_PLANE = (lambda p: math.pi ** p.half_gap, lambda p: 0.0, lambda p: 0.0)
+_HYPER = (lambda p: math.pi ** p.half_gap, lambda p: p.j - 1.0,
+          lambda p: 1.0 - p.k)
+_ELLIPTIC = (lambda p: sphere_area(p.j) * math.pi ** p.half_gap
+             / sphere_area(p.k), lambda p: p.j - 1.0, lambda p: 1.0 - p.k)
+#: every dual shares one left-sided kernel:
+#: (c / r^(n-j-2)) int_0^r phi(s)(r^2-s^2)^((k-j)/2-1) s^(n-k-1) ds
+_DUAL = (lambda p: math.pi ** p.half_gap * sphere_area(p.n - p.k - 1)
+         / sphere_area(p.n - p.j - 1), lambda p: p.n - p.k - 2.0,
+         lambda p: p.j + 2.0 - p.n)
+
+_CHORD = "chord coordinate must lie in [0, 1)"
+_PROJECTIVE = (lambda x: (x < 0.0) | (x >= math.pi / 4),
+               "projective angle must lie in [0, pi/4)")
+
+
+def _plane_window(f):
+    return max(f.lo, 0.05), 4.0
+
+
+def _ball_window(f):
+    return max(f.lo, 0.02), min(0.97, 0.999 * f.upper_limit)
+
+
+def _cosh_window(f):
+    top = f.upper_limit
+    return max(f.lo, 1.0 + 1e-6), 4.0 if not math.isfinite(top) else 0.999 * top
+
+
+def _sinh_window(f):
+    return max(f.lo, 0.02), 4.0
+
+
+def _angle_window(f):
+    return max(f.lo, 0.02), min(f.hi, 1.0) * 0.999
+
+
+def _projective_window(f):
+    # the residual window; the inversion itself runs on the hyperboloid
+    return 0.02, math.pi / 4 - 0.05
+
+
+TRANSFORMS = {(m, t.dual): t for m, t in (
+    (Model.EuclideanAffine,
+     Transform("radon_affine_radial", ArgKind.EuclideanRadius, False,
+               weights=_PLANE, window=_plane_window)),
+    (Model.BeltramiKlein,
+     Transform("radon_chord_radial", ArgKind.BallRadius, False,
+               weights=_PLANE, cap=1.0, window=_ball_window,
+               domain=(lambda x: (x < 0.0) | (x >= 1.0), _CHORD))),
+    (Model.Hyperboloid,
+     Transform("radon_hyper_zonal", ArgKind.CoshDistance, False,
+               weights=_HYPER, window=_cosh_window,
+               domain=(lambda x: x < 1.0,
+                       "cosh-distance coordinate must be >= 1"))),
+    (Model.Elliptic,
+     Transform("radon_elliptic_zonal", ArgKind.CosAngle, False, left=True,
+               weights=_ELLIPTIC, window=_angle_window,
+               domain=(lambda x: (x <= 0.0) | (x > 1.0),
+                       "cos-angle coordinate must lie in (0, 1]"))),
+    (Model.Projective,
+     Transform("radon_projective_zonal", ArgKind.Angle, False,
+               domain=_PROJECTIVE, window=_projective_window,
+               route=(WeightOp.M1, WeightOp.N1))),
+    (Model.EuclideanAffine,
+     Transform("dual_affine_radial", ArgKind.EuclideanRadius, True,
+               left=True, weights=_DUAL, window=_plane_window)),
+    (Model.BeltramiKlein,
+     Transform("dual_chord_radial", ArgKind.BallRadius, True, left=True,
+               weights=_DUAL, window=_ball_window,
+               domain=(lambda x: x >= 1.0, _CHORD))),
+    (Model.Hyperboloid,
+     Transform("dual_hyper_zonal", ArgKind.SinhDistance, True, left=True,
+               weights=_DUAL, window=_sinh_window)),
+    (Model.Elliptic,
+     Transform("dual_elliptic_zonal", ArgKind.SinAngle, True, left=True,
+               weights=_DUAL, window=_angle_window,
+               domain=(lambda x: x > 1.0,
+                       "sin-angle coordinate must lie in [0, 1]"))),
+    (Model.Projective,
+     Transform("dual_projective_zonal", ArgKind.Angle, True,
+               domain=_PROJECTIVE, window=_projective_window,
+               route=(WeightOp.P1, WeightOp.Q1))),
+)}
+
+
+def transform_function(model: Model, dual: bool = False) -> Callable:
+    """The public forward (or dual) transform of a model."""
+    return globals()[TRANSFORMS[model, dual].name]
+
+
+def _transform(model: Model, dual: bool, p: TransformParams, f: Profile1D,
+               x, spec: QuadratureSpec):
+    t = TRANSFORMS[model, dual]
+    if f.arg_kind is not t.kind:
+        raise DomainError(f"{t.name} expects a {t.kind.value} profile")
+    xv, scalar = _as_array(x)
+    if t.domain is not None and np.any(t.domain[0](xv)):
+        raise DomainError(t.domain[1])
+    if t.route is not None:
+        vals = np.atleast_1d(_routed(t, p, f, spec)(xv))
+    elif t.dual:
+        vals = _dual_kernel(t, p, f, xv, spec)
+    else:
+        vals = _forward_kernel(t, p, f, xv, spec)
+    return _maybe_scalar(vals, scalar)
+
+
+def _forward_kernel(t: Transform, p: TransformParams, f: Profile1D, sv,
+                    spec: QuadratureSpec):
+    c, pre, post = t.weights
     a = p.half_gap
-    if not check_decay(f0, a, 1.0, spec):
+    g = (f if t.cap is None else _cap_support(f, t.cap)).with_power(pre(p))
+    # a right-sided integral over an unbounded range needs the tail criterion
+    if not t.left and t.cap is None and not check_decay(g, a, 1.0, spec):
         raise DivergenceError(
             "forward transform diverges: the input fails the tail criterion")
-    sv, scalar = _as_array(s)
-    vals = math.pi ** a * np.asarray(ek_right(a, f0, sv, spec))
-    return _maybe_scalar(vals, scalar)
+    ek = ek_left if t.left else ek_right
+    return c(p) * sv ** post(p) * np.asarray(ek(a, g, sv, spec))
 
 
-def radon_chord_radial(p: TransformParams, f0: Profile1D, s,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Forward chord transform on the unit ball; the integral stops at 1."""
-    if f0.arg_kind is not ArgKind.BallRadius:
-        raise DomainError("radon_chord_radial expects a ball-radius profile")
-    sv, scalar = _as_array(s)
-    if np.any(sv < 0.0) or np.any(sv >= 1.0):
-        raise DomainError("chord coordinate must lie in [0, 1)")
-    capped = _cap_support(f0, 1.0)
+def _dual_kernel(t: Transform, p: TransformParams, phi: Profile1D, rv,
+                 spec: QuadratureSpec):
+    c, pre, post = t.weights
     a = p.half_gap
-    vals = math.pi ** a * np.asarray(ek_right(a, capped, sv, spec))
-    return _maybe_scalar(vals, scalar)
-
-
-def radon_hyper_zonal(p: TransformParams, f1: Profile1D, s,
-                      spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Forward zonal transform on the hyperboloid, in the variable
-    s = cosh(distance) >= 1:
-
-    F(s) = sigma_{k-j-1} s^(1-k) int_s^inf f1(r)(r^2-s^2)^((k-j)/2-1) r^j dr.
-    """
-    if f1.arg_kind is not ArgKind.CoshDistance:
-        raise DomainError("radon_hyper_zonal expects a cosh-distance profile")
-    sv, scalar = _as_array(s)
-    if np.any(sv < 1.0):
-        raise DomainError("cosh-distance coordinate must be >= 1")
-    a = p.half_gap
-    g = f1.with_power(p.j - 1.0)
-    if not check_decay(g, a, 1.0, spec):
-        raise DivergenceError(
-            "zonal transform diverges: the input fails the tail criterion")
-    vals = math.pi ** a * sv ** (1.0 - p.k) * np.asarray(ek_right(a, g, sv, spec))
-    return _maybe_scalar(vals, scalar)
-
-
-def radon_elliptic_zonal(p: TransformParams, f1: Profile1D, s,
-                         spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Forward zonal transform on the compact Grassmannian, in the variable
-    s = cos(angle) in (0, 1]:
-
-    F(s) = [sig_j sig_{k-j-1} / (sig_k s^(k-1))]
-           * int_0^s f1(t)(s^2-t^2)^((k-j)/2-1) t^j dt.
-    """
-    if f1.arg_kind is not ArgKind.CosAngle:
-        raise DomainError("radon_elliptic_zonal expects a cos-angle profile")
-    sv, scalar = _as_array(s)
-    if np.any(sv <= 0.0) or np.any(sv > 1.0):
-        raise DomainError("cos-angle coordinate must lie in (0, 1]")
-    a = p.half_gap
-    g = f1.with_power(p.j - 1.0)
-    c = sphere_area(p.j) * math.pi ** a / sphere_area(p.k)
-    vals = c * sv ** (1.0 - p.k) * np.asarray(ek_left(a, g, sv, spec))
-    return _maybe_scalar(vals, scalar)
-
-
-def radon_projective_zonal(p: TransformParams, f: Profile1D, theta,
-                           spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Forward zonal transform in the projective model, computed through the
-    hyperboloid: strip the projective weights, transform there, restore."""
-    if f.arg_kind is not ArgKind.Angle:
-        raise DomainError("radon_projective_zonal expects an angle profile")
-    tv, scalar = _as_array(theta)
-    if np.any(tv < 0.0) or np.any(tv >= math.pi / 4):
-        raise DomainError("projective angle must lie in [0, pi/4)")
-    g = apply_weight(WeightOp.M1_INV, p, f)       # projective -> hyperboloid
-    g_cosh = _as_cosh_profile(g)
-    mid = radon_hyper_zonal_profile(p, g_cosh, spec)
-    out = apply_weight(WeightOp.N1_INV, p, _as_geodesic_profile(mid))
-    vals = out(tv)
-    return _maybe_scalar(np.atleast_1d(vals), scalar)
-
-
-# -- dual transforms -------------------------------------------------------------
-
-def _dual_kernel(p: TransformParams, phi: Profile1D, r, spec: QuadratureSpec):
-    """Shared left-sided kernel of every dual transform:
-
-    (c / r^(n-j-2)) int_0^r phi(s)(r^2-s^2)^((k-j)/2-1) s^(n-k-1) ds,
-    c = sig_{k-j-1} sig_{n-k-1} / sig_{n-j-1}.
-    """
-    a = p.half_gap
-    g = phi.with_power(p.n - p.k - 2.0)
+    g = phi.with_power(pre(p))
     if g.origin_power <= -2.0:
         raise DivergenceError(
             "dual transform diverges: the input is not locally integrable "
             f"against s^{p.n - p.k - 1} near 0")
-    c = math.pi ** a * sphere_area(p.n - p.k - 1) / sphere_area(p.n - p.j - 1)
-    rv, scalar = _as_array(r)
     vals = np.empty_like(rv)
     tiny = rv < 1e-7
     if np.any(~tiny):
-        vals[~tiny] = c * rv[~tiny] ** (p.j + 2.0 - p.n) \
+        vals[~tiny] = c(p) * rv[~tiny] ** post(p) \
             * np.asarray(ek_left(a, g, rv[~tiny], spec))
     if np.any(tiny):
         # r -> 0 limit of the kernel: the powers cancel exactly and the Beta
@@ -187,61 +235,103 @@ def _dual_kernel(p: TransformParams, phi: Profile1D, r, spec: QuadratureSpec):
         lim = cfull * 0.5 * beta_fn((p.n - p.k) / 2.0, a) \
             * float(phi(np.array([max(phi.lo, 1e-9)]))[0])
         vals[tiny] = lim
-    return _maybe_scalar(vals, scalar)
+    return vals
 
+
+def _inverse(op: WeightOp) -> WeightOp:
+    """The inverse weight operator ("M1" -> "M1inv")."""
+    return WeightOp(op.value + "inv")
+
+
+def _routed(t: Transform, p: TransformParams, f: Profile1D,
+            spec: QuadratureSpec) -> Profile1D:
+    """A projective transform computed through the hyperboloid: strip the
+    projective weights, transform there, restore."""
+    j_op, k_op = t.route
+    via = TRANSFORMS[Model.Hyperboloid, t.dual]
+    g = reparametrize(apply_weight(_inverse(j_op), p, f), via.kind)
+    lazy = dual_hyper_zonal_profile if t.dual else radon_hyper_zonal_profile
+    mid = reparametrize(lazy(p, g, spec), ArgKind.GeodesicDistance)
+    return apply_weight(_inverse(k_op), p, mid)
+
+
+# -- forward transforms --------------------------------------------------------
+
+def radon_affine_radial(p: TransformParams, f0: Profile1D, s,
+                        spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Forward transform of a radial function on affine planes.
+
+    F(s) = sigma_{k-j-1} * int_s^inf f0(r) (r^2-s^2)^((k-j)/2-1) r dr.
+    Raises ``DivergenceError`` when the tail criterion fails (the transform
+    would then be identically infinite).
+    """
+    return _transform(Model.EuclideanAffine, False, p, f0, s, spec)
+
+
+def radon_chord_radial(p: TransformParams, f0: Profile1D, s,
+                       spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Forward chord transform on the unit ball; the integral stops at 1."""
+    return _transform(Model.BeltramiKlein, False, p, f0, s, spec)
+
+
+def radon_hyper_zonal(p: TransformParams, f1: Profile1D, s,
+                      spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Forward zonal transform on the hyperboloid, in the variable
+    s = cosh(distance) >= 1:
+
+    F(s) = sigma_{k-j-1} s^(1-k) int_s^inf f1(r)(r^2-s^2)^((k-j)/2-1) r^j dr.
+    """
+    return _transform(Model.Hyperboloid, False, p, f1, s, spec)
+
+
+def radon_elliptic_zonal(p: TransformParams, f1: Profile1D, s,
+                         spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Forward zonal transform on the compact Grassmannian, in the variable
+    s = cos(angle) in (0, 1]:
+
+    F(s) = [sig_j sig_{k-j-1} / (sig_k s^(k-1))]
+           * int_0^s f1(t)(s^2-t^2)^((k-j)/2-1) t^j dt.
+    """
+    return _transform(Model.Elliptic, False, p, f1, s, spec)
+
+
+def radon_projective_zonal(p: TransformParams, f: Profile1D, theta,
+                           spec: QuadratureSpec = DEFAULT_QUADRATURE):
+    """Forward zonal transform in the projective model, computed through the
+    hyperboloid: strip the projective weights, transform there, restore."""
+    return _transform(Model.Projective, False, p, f, theta, spec)
+
+
+# -- dual transforms -------------------------------------------------------------
 
 def dual_affine_radial(p: TransformParams, phi0: Profile1D, r,
                        spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual transform of a radial function on affine k-planes."""
-    if phi0.arg_kind is not ArgKind.EuclideanRadius:
-        raise DomainError("dual_affine_radial expects a plane-distance profile")
-    return _dual_kernel(p, phi0, r, spec)
+    return _transform(Model.EuclideanAffine, True, p, phi0, r, spec)
 
 
 def dual_chord_radial(p: TransformParams, phi0: Profile1D, r,
                       spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual chord transform on the unit ball (same kernel, r < 1)."""
-    if phi0.arg_kind is not ArgKind.BallRadius:
-        raise DomainError("dual_chord_radial expects a ball-radius profile")
-    rv, _ = _as_array(r)
-    if np.any(rv >= 1.0):
-        raise DomainError("chord coordinate must lie in [0, 1)")
-    return _dual_kernel(p, phi0, r, spec)
+    return _transform(Model.BeltramiKlein, True, p, phi0, r, spec)
 
 
 def dual_elliptic_zonal(p: TransformParams, phi1: Profile1D, r,
                         spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual zonal transform on the compact Grassmannian, r = sin(angle)."""
-    if phi1.arg_kind is not ArgKind.SinAngle:
-        raise DomainError("dual_elliptic_zonal expects a sin-angle profile")
-    rv, _ = _as_array(r)
-    if np.any(rv > 1.0):
-        raise DomainError("sin-angle coordinate must lie in [0, 1]")
-    return _dual_kernel(p, phi1, r, spec)
+    return _transform(Model.Elliptic, True, p, phi1, r, spec)
 
 
 def dual_hyper_zonal(p: TransformParams, phi1: Profile1D, r,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual zonal transform on the hyperboloid, r = sinh(distance)."""
-    if phi1.arg_kind is not ArgKind.SinhDistance:
-        raise DomainError("dual_hyper_zonal expects a sinh-distance profile")
-    return _dual_kernel(p, phi1, r, spec)
+    return _transform(Model.Hyperboloid, True, p, phi1, r, spec)
 
 
 def dual_projective_zonal(p: TransformParams, phi: Profile1D, theta,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual zonal transform in the projective model via the hyperboloid."""
-    if phi.arg_kind is not ArgKind.Angle:
-        raise DomainError("dual_projective_zonal expects an angle profile")
-    tv, scalar = _as_array(theta)
-    if np.any(tv < 0.0) or np.any(tv >= math.pi / 4):
-        raise DomainError("projective angle must lie in [0, pi/4)")
-    g = apply_weight(WeightOp.P1_INV, p, phi)     # projective -> hyperboloid
-    g_sinh = _as_sinh_profile(g)
-    mid = dual_hyper_zonal_profile(p, g_sinh, spec)
-    out = apply_weight(WeightOp.Q1_INV, p, _as_geodesic_profile(mid))
-    vals = out(tv)
-    return _maybe_scalar(np.atleast_1d(vals), scalar)
+    return _transform(Model.Projective, True, p, phi, theta, spec)
 
 
 # -- profile wrappers (lazy transform results) ----------------------------------
@@ -256,143 +346,6 @@ def _cap_support(f: Profile1D, cap: float) -> Profile1D:
                      support=cap, edge_exponent=e if s is not None else 0.0,
                      core=core if (o != 0.0 or e != 0.0) else None,
                      breakpoints=f.breakpoints, label=f.label)
-
-
-def _as_cosh_profile(g: Profile1D) -> Profile1D:
-    """Reparametrize a geodesic-distance profile to the cosh variable."""
-    if g.arg_kind is ArgKind.CoshDistance:
-        return g
-    if g.arg_kind is not ArgKind.GeodesicDistance:
-        raise DomainError("expected a geodesic-distance profile")
-    sup = None if g.support is None else math.cosh(g.support)
-    hi = math.cosh(g.hi) if math.isfinite(g.hi) else math.inf
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        return g(np.arccosh(np.maximum(s, 1.0)))
-
-    return Profile1D(lo=1.0, hi=hi, fn=fn, arg_kind=ArgKind.CoshDistance,
-                     decay_hint=g.decay_hint, smoothness_hint=g.smoothness_hint,
-                     support=sup, label=g.label)
-
-
-def _as_sinh_profile(g: Profile1D) -> Profile1D:
-    if g.arg_kind is ArgKind.SinhDistance:
-        return g
-    if g.arg_kind is not ArgKind.GeodesicDistance:
-        raise DomainError("expected a geodesic-distance profile")
-    sup = None if g.support is None else math.sinh(g.support)
-    hi = math.sinh(g.hi) if math.isfinite(g.hi) else math.inf
-
-    def fn(s):
-        s = np.asarray(s, dtype=float)
-        return g(np.arcsinh(s))
-
-    return Profile1D(lo=0.0, hi=hi, fn=fn, arg_kind=ArgKind.SinhDistance,
-                     decay_hint=g.decay_hint, smoothness_hint=g.smoothness_hint,
-                     support=sup, label=g.label)
-
-
-_HUB_IDENTICAL = {ArgKind.EuclideanRadius, ArgKind.BallRadius,
-                  ArgKind.TanhDistance}
-
-
-def retag(g: Profile1D, kind: ArgKind) -> Profile1D:
-    """Re-tag a profile between coordinate kinds that share values
-    (plane distance, ball radius, tanh of distance)."""
-    if g.arg_kind is kind:
-        return g
-    if g.arg_kind not in _HUB_IDENTICAL or kind not in _HUB_IDENTICAL:
-        raise DomainError(f"cannot retag {g.arg_kind} as {kind}")
-    o, e, s, core = g.factored()
-    return Profile1D(lo=g.lo, hi=g.hi, fn=g.fn, arg_kind=kind,
-                     decay_hint=g.decay_hint, smoothness_hint=g.smoothness_hint,
-                     derivatives=g.derivatives, origin_power=o, support=s,
-                     edge_exponent=e, core=g.core, breakpoints=g.breakpoints,
-                     limit_at_infinity=g.limit_at_infinity, label=g.label)
-
-
-def _as_cos_angle_profile(g: Profile1D) -> Profile1D:
-    """Reparametrize an angle profile to the cos(angle) variable."""
-    if g.arg_kind is ArgKind.CosAngle:
-        return g
-    if g.arg_kind is not ArgKind.Angle:
-        raise DomainError("expected an angle profile")
-    cos_lo = math.cos(min(g.hi, math.pi / 2))
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return g(np.arccos(np.clip(t, -1.0, 1.0)))
-
-    return Profile1D(lo=max(cos_lo, 0.0), hi=1.0 + 1e-12, fn=fn,
-                     arg_kind=ArgKind.CosAngle,
-                     smoothness_hint=g.smoothness_hint, label=g.label)
-
-
-def _as_sin_angle_profile(g: Profile1D) -> Profile1D:
-    if g.arg_kind is ArgKind.SinAngle:
-        return g
-    if g.arg_kind is not ArgKind.Angle:
-        raise DomainError("expected an angle profile")
-    sin_hi = math.sin(min(g.hi, math.pi / 2))
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return g(np.arcsin(np.clip(t, -1.0, 1.0)))
-
-    sup = None
-    if g.support is not None and g.support < math.pi / 2:
-        sup = math.sin(g.support)
-    return Profile1D(lo=0.0, hi=min(sin_hi, 1.0) + 1e-12, fn=fn,
-                     arg_kind=ArgKind.SinAngle, support=sup,
-                     smoothness_hint=g.smoothness_hint, label=g.label)
-
-
-def _as_angle_profile(g: Profile1D, hi: float = math.pi / 2) -> Profile1D:
-    """Reparametrize a cos- or sin-angle profile to the angle itself."""
-    if g.arg_kind is ArgKind.Angle:
-        return g
-    if g.arg_kind is ArgKind.CosAngle:
-        conv = np.cos
-    elif g.arg_kind is ArgKind.SinAngle:
-        conv = np.sin
-    else:
-        raise DomainError(f"cannot lift {g.arg_kind} to an angle")
-
-    def fn(th):
-        return g(conv(np.asarray(th, dtype=float)))
-
-    sup = None
-    if g.support is not None and g.arg_kind is ArgKind.SinAngle \
-            and g.support < 1.0:
-        sup = math.asin(g.support)
-    return Profile1D(lo=0.0, hi=hi, fn=fn, arg_kind=ArgKind.Angle, support=sup,
-                     smoothness_hint=g.smoothness_hint, label=g.label)
-
-
-def _as_geodesic_profile(g: Profile1D) -> Profile1D:
-    """Reparametrize a cosh- or sinh-variable profile to plain distance."""
-    if g.arg_kind is ArgKind.GeodesicDistance:
-        return g
-    if g.arg_kind is ArgKind.CoshDistance:
-        conv = np.cosh
-    elif g.arg_kind is ArgKind.SinhDistance:
-        conv = np.sinh
-    else:
-        raise DomainError(f"cannot lift {g.arg_kind} to geodesic distance")
-    back = math.acosh if conv is np.cosh else math.asinh
-    sup = None
-    if g.support is not None and math.isfinite(g.support):
-        sup = back(max(g.support, 1.0) if conv is np.cosh else g.support)
-    hi = back(max(g.hi, 1.0)) if math.isfinite(g.hi) else math.inf
-
-    def fn(rho):
-        return g(conv(np.asarray(rho, dtype=float)))
-
-    return Profile1D(lo=0.0, hi=hi, fn=fn,
-                     arg_kind=ArgKind.GeodesicDistance, decay_hint=g.decay_hint,
-                     smoothness_hint=g.smoothness_hint, support=sup,
-                     label=g.label)
 
 
 def radon_hyper_zonal_profile(p: TransformParams, f1: Profile1D,
@@ -673,17 +626,11 @@ def truncated_forward_values(p: TransformParams, f: Profile1D, s: float,
     A divergence witness shows monotone growth across the cutoffs; a
     convergent input shows stabilization.
     """
-    out = []
-    a = p.half_gap
-    base = math.pi ** a
-    for cut in cutoffs:
-        capped = _cap_support(f, float(cut))
-        if f.arg_kind is ArgKind.CoshDistance:
-            g = capped.with_power(p.j - 1.0)
-            out.append(base * s ** (1.0 - p.k) * ek_right(a, g, s, spec))
-        else:
-            out.append(base * ek_right(a, capped, s, spec))
-    return np.asarray(out)
+    model = Model.Hyperboloid if f.arg_kind is ArgKind.CoshDistance \
+        else Model.EuclideanAffine
+    t = TRANSFORMS[model, False]
+    return np.asarray([_forward_kernel(t, p, _cap_support(f, float(cut)), s,
+                                       spec) for cut in cutoffs])
 
 
 def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
@@ -691,6 +638,7 @@ def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual-transform integrals truncated below at shrinking cutoffs."""
     out = []
+    rv, scalar = _as_array(r)
     for eps in lower_cutoffs:
         def fn(s, eps=float(eps)):
             s = np.asarray(s, dtype=float)
@@ -699,7 +647,9 @@ def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
         masked = Profile1D(lo=0.0, hi=phi.hi, fn=fn, arg_kind=phi.arg_kind,
                            decay_hint=phi.decay_hint, breakpoints=(float(eps),),
                            label="masked")
-        out.append(_dual_kernel(p, masked, r, spec))
+        vals = _dual_kernel(TRANSFORMS[Model.EuclideanAffine, True], p,
+                            masked, rv, spec)
+        out.append(_maybe_scalar(vals, scalar))
     return np.asarray(out)
 
 
@@ -720,80 +670,34 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
     reconstruction and a residual above 10x ``rel_tol`` raises
     ``ReconstructionError``.
     """
-    a = p.half_gap
-    n, j, k = p.n, p.j, p.k
-
-    if model is Model.Projective:
-        return _invert_projective(p, transformed, out_range, dual, spec,
-                                  rel_tol, n_nodes, check_residual,
-                                  deriv_noise_rel)
-
-    if not dual:
-        if model in (Model.EuclideanAffine, Model.BeltramiKlein):
-            kindc = ArgKind.EuclideanRadius if model is Model.EuclideanAffine \
-                else ArgKind.BallRadius
-            if transformed.arg_kind is not kindc:
-                raise DomainError(f"expected a {kindc} profile")
-            stripped = transformed.scaled(math.pi ** (-a))
-            lo, hi = _default_range(model, transformed, out_range)
-            grid = cheb_nodes(n_nodes, lo, hi)
-            vals = ek_deriv_right(a, stripped, grid, spec, noise_rel=deriv_noise_rel)
-            rec = _grid_profile(grid, vals, kindc, transformed)
-            if check_residual:
-                fwd = (radon_affine_radial if model is Model.EuclideanAffine
-                       else radon_chord_radial)
-                _residual_check(lambda x: fwd(p, rec, x, spec), transformed,
-                                lo, hi, rel_tol)
-            return rec
-        if model is Model.Hyperboloid:
-            if transformed.arg_kind is not ArgKind.CoshDistance:
-                raise DomainError("expected a cosh-distance profile")
-            stripped = transformed.with_power(k - 1.0).scaled(math.pi ** (-a))
-            lo, hi = _default_range(model, transformed, out_range)
-            grid = cheb_nodes(n_nodes, lo, hi)
-            vals = grid ** (1.0 - j) * ek_deriv_right(a, stripped, grid, spec, noise_rel=deriv_noise_rel)
-            rec = _grid_profile(grid, vals, ArgKind.CoshDistance, transformed)
-            if check_residual:
-                _residual_check(lambda x: radon_hyper_zonal(p, rec, x, spec),
-                                transformed, lo, hi, rel_tol)
-            return rec
-        if model is Model.Elliptic:
-            if transformed.arg_kind is not ArgKind.CosAngle:
-                raise DomainError("expected a cos-angle profile")
-            c = sphere_area(j) * math.pi ** a / sphere_area(k)
-            stripped = transformed.with_power(k - 1.0).scaled(1.0 / c)
-            lo, hi = _default_range(model, transformed, out_range)
-            grid = cheb_nodes(n_nodes, lo, hi)
-            vals = grid ** (1.0 - j) * ek_deriv_left(a, stripped, grid, spec, noise_rel=deriv_noise_rel)
-            rec = _grid_profile(grid, vals, ArgKind.CosAngle, transformed)
-            if check_residual:
-                _residual_check(lambda x: radon_elliptic_zonal(p, rec, x, spec),
-                                transformed, lo, hi, rel_tol)
-            return rec
-        raise DomainError(f"no radial inversion for model {model}")
-
-    # dual transforms share one left-sided kernel
-    kind = transformed.arg_kind
-    c = math.pi ** a * sphere_area(n - k - 1) / sphere_area(n - j - 1)
-    stripped = transformed.with_power(n - j - 2.0).scaled(1.0 / c)
-    lo, hi = _default_range(model, transformed, out_range)
-    grid = cheb_nodes(n_nodes, lo, hi)
-    vals = grid ** (k + 2.0 - n) * ek_deriv_left(a, stripped, grid, spec, noise_rel=deriv_noise_rel)
-    rec = _grid_profile(grid, vals, kind, transformed)
+    t = TRANSFORMS[model, dual]
+    if transformed.arg_kind is not t.kind:
+        raise DomainError(f"expected a {t.kind.value} profile")
+    if t.route is not None:
+        rec = _invert_routed(t, p, transformed, out_range, spec, rel_tol,
+                             n_nodes, deriv_noise_rel)
+        lo, hi = t.window(transformed)
+    else:
+        c, pre, post = t.weights
+        stripped = transformed.with_power(-post(p)).scaled(1.0 / c(p))
+        lo, hi = t.window(transformed) if out_range is None \
+            else (float(out_range[0]), float(out_range[1]))
+        grid = cheb_nodes(n_nodes, lo, hi)
+        deriv = ek_deriv_left if t.left else ek_deriv_right
+        vals = grid ** (-pre(p)) * deriv(p.half_gap, stripped, grid, spec,
+                                         noise_rel=deriv_noise_rel)
+        rec = _grid_profile(grid, vals, t.kind, transformed)
     if check_residual:
-        dual_map = {Model.EuclideanAffine: dual_affine_radial,
-                    Model.BeltramiKlein: dual_chord_radial,
-                    Model.Hyperboloid: dual_hyper_zonal,
-                    Model.Elliptic: dual_elliptic_zonal}[model]
-        _residual_check(lambda x: dual_map(p, rec, x, spec), transformed,
-                        lo, hi, rel_tol)
+        fwd = transform_function(model, dual)
+        _residual_check(lambda x: np.asarray(fwd(p, rec, x, spec)),
+                        transformed, lo, hi, rel_tol)
     return rec
 
 
-def _invert_projective(p, transformed, out_range, dual, spec, rel_tol,
-                       n_nodes, check_residual, deriv_noise_rel=1e-6):
-    if transformed.arg_kind is not ArgKind.Angle:
-        raise DomainError("expected a projective-angle profile")
+def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
+                   out_range, spec, rel_tol, n_nodes, deriv_noise_rel):
+    """Invert a projective transform on the hyperboloid: apply the route's
+    k-side operator, invert there, apply its j-side operator."""
     # pull the output window back to the hyperboloid; stay inside the image
     # of the angle domain, where pulled-back data is genuine
     if out_range is not None:
@@ -801,50 +705,18 @@ def _invert_projective(p, transformed, out_range, dual, spec, rel_tol,
     else:
         th_top = min(transformed.upper_limit, math.pi / 4 - 1e-9)
         rho_rng = (0.02, 0.9 * math.atanh(math.tan(th_top)))
-    if not dual:
-        w = apply_weight(WeightOp.N1, p, transformed)
-        rec_h = invert_radial(Model.Hyperboloid, p, _as_cosh_profile(w),
-                              out_range=(math.cosh(max(rho_rng[0], 1e-3)),
-                                         math.cosh(rho_rng[1])),
-                              spec=spec, rel_tol=rel_tol,
-                              n_nodes=n_nodes, check_residual=False,
-                              deriv_noise_rel=deriv_noise_rel)
-        out = apply_weight(WeightOp.M1, p, _as_geodesic_profile(rec_h))
-    else:
-        w = apply_weight(WeightOp.Q1, p, transformed)
-        rec_h = invert_radial(Model.Hyperboloid, p, _as_sinh_profile(w),
-                              dual=True,
-                              out_range=(math.sinh(max(rho_rng[0], 1e-3)),
-                                         math.sinh(rho_rng[1])),
-                              spec=spec, rel_tol=rel_tol, n_nodes=n_nodes,
-                              check_residual=False,
-                              deriv_noise_rel=deriv_noise_rel)
-        out = apply_weight(WeightOp.P1, p, _as_geodesic_profile(rec_h))
-    if check_residual:
-        fwd = radon_projective_zonal if not dual else dual_projective_zonal
-        lo, hi = 0.02, math.pi / 4 - 0.05
-        _residual_check(lambda x: np.asarray(fwd(p, out, x, spec)), transformed,
-                        lo, hi, rel_tol)
-    return out
-
-
-def _default_range(model: Model, transformed: Profile1D, out_range):
-    if out_range is not None:
-        return float(out_range[0]), float(out_range[1])
-    if model is Model.EuclideanAffine:
-        return max(transformed.lo, 0.05), 4.0
-    if model is Model.BeltramiKlein:
-        top = transformed.upper_limit
-        return max(transformed.lo, 0.02), min(0.97, 0.999 * top)
-    if model is Model.Hyperboloid:
-        if transformed.arg_kind is ArgKind.CoshDistance:
-            top = transformed.upper_limit
-            hi = 4.0 if not math.isfinite(top) else 0.999 * top
-            return max(transformed.lo, 1.0 + 1e-6), hi
-        return max(transformed.lo, 0.02), 4.0
-    if model is Model.Elliptic:
-        return max(transformed.lo, 0.02), min(transformed.hi, 1.0) * 0.999
-    raise DomainError(f"no default range for {model}")
+    j_op, k_op = t.route
+    via = TRANSFORMS[Model.Hyperboloid, t.dual]
+    lift = math.sinh if t.dual else math.cosh
+    w = reparametrize(apply_weight(k_op, p, transformed), via.kind)
+    rec_h = invert_radial(Model.Hyperboloid, p, w, dual=t.dual,
+                          out_range=(lift(max(rho_rng[0], 1e-3)),
+                                     lift(rho_rng[1])),
+                          spec=spec, rel_tol=rel_tol, n_nodes=n_nodes,
+                          check_residual=False,
+                          deriv_noise_rel=deriv_noise_rel)
+    return apply_weight(j_op, p,
+                        reparametrize(rec_h, ArgKind.GeodesicDistance))
 
 
 def _grid_profile(grid, vals, kind: ArgKind, transformed: Profile1D) -> Profile1D:

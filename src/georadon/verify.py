@@ -18,7 +18,7 @@ from . import radial as R
 from .fracint import ek_right
 from .models import Model, WeightOp, apply_weight, convert_distance, \
     integrate_radial
-from .profiles import ArgKind, Profile1D, bump, gaussian
+from .profiles import ArgKind, Profile1D, bump, gaussian, reparametrize
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import gamma as gamma_fn
 from .special import lambda1, lambda2, sphere_area
@@ -105,12 +105,12 @@ def transition_affine_via_elliptic(spec: QuadratureSpec) -> IdentityResult:
     f = gaussian()
     r = np.linspace(0.1, 2.2, 24)
     lhs = R.radon_affine_radial(p, f, r, spec)
-    m0f = R._as_cos_angle_profile(apply_weight(WeightOp.M0, p, f))
+    m0f = reparametrize(apply_weight(WeightOp.M0, p, f), ArgKind.CosAngle)
     r0 = Profile1D(lo=0.0, hi=1.0 + 1e-12,
                    fn=lambda s: np.asarray(
                        R.radon_elliptic_zonal(p, m0f, np.atleast_1d(s), spec)),
                    arg_kind=ArgKind.CosAngle)
-    rhs = apply_weight(WeightOp.N0, p, R._as_angle_profile(r0))(r)
+    rhs = apply_weight(WeightOp.N0, p, reparametrize(r0, ArgKind.Angle))(r)
     return IdentityResult("transition_affine_via_elliptic", _rel(lhs, rhs), 1e-8)
 
 
@@ -125,7 +125,7 @@ def transition_hyper_via_projective(spec: QuadratureSpec) -> IdentityResult:
 
     m1f = apply_weight(WeightOp.M1, p, f_geo)          # projective angle
     g_ball = apply_weight(WeightOp.M0_INV, p, m1f)     # -> ball chords
-    g_ball = R.retag(g_ball, ArgKind.BallRadius)
+    g_ball = reparametrize(g_ball, ArgKind.BallRadius)
     rb = Profile1D(lo=0.0, hi=1.0,
                    fn=lambda b: np.asarray(
                        R.radon_chord_radial(p, g_ball, np.atleast_1d(b), spec)),

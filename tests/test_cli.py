@@ -50,15 +50,29 @@ def test_json_format_mirror(tmp_path):
     assert abs(doc["columns"]["value"][0] - 1.0) < 1e-12
 
 
-def test_invalid_params_exit_2(tmp_path):
-    job = _write_job(tmp_path, "bad.json", {
-        "command": "transform", "model": "hyperboloid",
-        "params": {"n": 3, "j": 1, "k": 1},
-        "profile": {"family": "gaussian"},
-        "grid": {"lo": 1.0, "hi": 2.0, "count": 5},
-        "output": {"path": str(tmp_path / "x.csv")},
-    })
+_GOOD_JOB = {
+    "command": "transform", "model": "euclidean",
+    "params": {"n": 4, "j": 0, "k": 2},
+    "profile": {"family": "gaussian"},
+    "grid": {"lo": 0.5, "hi": 2.0, "count": 5},
+}
+_X = np.linspace(0.0, 2.0, 12).tolist()
+
+
+@pytest.mark.parametrize("change", [
+    {"model": "hyperboloid", "params": {"n": 3, "j": 1, "k": 1},
+     "grid": {"lo": 1.0, "hi": 2.0, "count": 5}},
+    {"profile": {"family": "power"}},
+    {"grid": {"lo": "zero", "hi": 2.0, "count": 5}},
+    {"profile": {"family": "grid", "x": _X,
+                 "y": [1.0] * 5 + [math.nan] + [1.0] * 6}},
+], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
+        "nan-in-grid-profile"])
+def test_invalid_params_exit_2(tmp_path, change):
+    doc = dict(_GOOD_JOB, output={"path": str(tmp_path / "x.csv")}, **change)
+    job = _write_job(tmp_path, "bad.json", doc)
     assert main(["transform", "--job", job]) == 2
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_divergent_profile_exit_3(tmp_path):

@@ -9,6 +9,7 @@ from georadon import mc as MC
 from georadon import profiles as P
 from georadon import radial as R
 from georadon.errors import SmoothnessError
+from georadon.quadrature import DEFAULT_QUADRATURE
 
 
 def _eigenfunction(lam):
@@ -119,6 +120,19 @@ def test_chain_identity_zero():
     lhs, rhs = IV.chain_identity(p, zero, z, MC.McSpec(seed=3, n_samples=2000),
                                  support=1.0)
     assert lhs.value == 0.0 and rhs == 0.0
+
+
+@pytest.mark.parametrize("a", [1.18, 1.19, 1.29])
+def test_tabulated_forward_of_bump_supports(a):
+    # the lowest Chebyshev node of the squared-variable tabulation used to
+    # land just below cosh-distance 1 for these supports
+    p = R.TransformParams(3, 0, 1)
+    h = IV.as_cosh_profile(IV.zonal_bump(a), support=a)
+    tab = IV._tabulated_forward(p, h, DEFAULT_QUADRATURE)
+    s = np.linspace(1.0, 0.999 * math.cosh(a), 7)
+    want = R.radon_hyper_zonal(p, h, s)
+    assert float(np.max(np.abs(tab(s) - want))) < 1e-10 * float(
+        np.max(np.abs(want)))
 
 
 def test_fit_even_spline_recovers_polynomial():

@@ -9,7 +9,7 @@ from conftest import TIGHT
 from georadon import mc as MC
 from georadon import profiles as P
 from georadon import radial as R
-from georadon.errors import KernelSingularityWarning
+from georadon.errors import DomainError, KernelSingularityWarning
 from georadon.models import integrate_radial, Model
 from georadon.quadrature import _Budget, integrate_weighted
 from georadon.special import gamma_nk, sphere_area
@@ -64,6 +64,46 @@ def test_estimator_determinism_and_thread_independence():
     e1 = MC.radon_affine_mc(p, f, plane, spec)
     e2 = MC.radon_affine_mc(p, f, plane, spec)
     assert e1.value == e2.value
+
+
+def test_bad_thread_count_is_a_domain_error(monkeypatch):
+    monkeypatch.setenv("GEORADON_THREADS", "abc")
+    with pytest.raises(DomainError, match="GEORADON_THREADS"):
+        MC.worker_threads()
+    # an estimator fails before it starts a pool
+    monkeypatch.setattr(MC, "ThreadPoolExecutor", None)
+    with pytest.raises(DomainError, match="GEORADON_THREADS"):
+        MC._estimate(lambda rng, count: rng.standard_normal(count),
+                     MC.McSpec(seed=1, n_samples=3 * MC.CHUNK))
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Stands in for the thread pool; runs the chunks in this thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(MC, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setenv("GEORADON_THREADS", "64")
+    spec = MC.McSpec(seed=1, n_samples=2 * MC.CHUNK + 5)
+    est = MC._estimate(lambda rng, count: rng.standard_normal(count), spec)
+    assert sizes == [3]
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+    assert MC._estimate(lambda rng, count: rng.standard_normal(count),
+                        spec) == est
+    assert type(est.value) is float and type(est.std_error) is float
 
 
 def test_convergence_rate():

@@ -190,8 +190,8 @@ def test_projective_against_chord_route(hyper_gauss_cosh):
     f_pi = apply_weight(WeightOp.M1, p, geo)
     th = np.linspace(0.05, 0.6, 9)
     got = np.asarray(R.radon_projective_zonal(p, f_pi, th))
-    g_ball = R.retag(apply_weight(WeightOp.M0_INV, p, f_pi),
-                     P.ArgKind.BallRadius)
+    g_ball = P.reparametrize(apply_weight(WeightOp.M0_INV, p, f_pi),
+                             P.ArgKind.BallRadius)
     rb = P.Profile1D(lo=0.0, hi=1.0,
                      fn=lambda b: np.asarray(
                          R.radon_chord_radial(p, g_ball, np.atleast_1d(b))),
