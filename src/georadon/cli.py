@@ -71,6 +71,13 @@ def _field(doc: dict, key: str, cast=float, default=_MISSING):
         raise JobError(f"bad field {key!r}: {exc}") from exc
 
 
+def _section(job: dict, key: str) -> dict:
+    """The object job[key], added empty when absent; a JobError otherwise."""
+    sec = job.setdefault(key, {})
+    _require(isinstance(sec, dict), f"field {key!r} must be an object")
+    return sec
+
+
 def _finite_array(doc: dict, key: str) -> np.ndarray:
     x = _field(doc, key, lambda v: np.asarray(v, dtype=float))
     _require(x.ndim == 1 and np.all(np.isfinite(x)),
@@ -83,15 +90,15 @@ def load_job(path: str, overrides: dict) -> dict:
         job = json.load(fh)
     _require(isinstance(job, dict), "job document must be a JSON object")
     if overrides.get("seed") is not None:
-        job.setdefault("mc", {})["seed"] = overrides["seed"]
+        _section(job, "mc")["seed"] = overrides["seed"]
     if overrides.get("samples") is not None:
-        job.setdefault("mc", {})["n_samples"] = overrides["samples"]
+        _section(job, "mc")["n_samples"] = overrides["samples"]
     if overrides.get("rel_tol") is not None:
-        job.setdefault("quadrature", {})["rel_tol"] = overrides["rel_tol"]
+        _section(job, "quadrature")["rel_tol"] = overrides["rel_tol"]
     if overrides.get("out") is not None:
-        job.setdefault("output", {})["path"] = overrides["out"]
+        _section(job, "output")["path"] = overrides["out"]
     if overrides.get("format") is not None:
-        job.setdefault("output", {})["format"] = overrides["format"]
+        _section(job, "output")["format"] = overrides["format"]
     return job
 
 
@@ -111,24 +118,24 @@ def parse_model(job) -> Model:
 
 
 def parse_quadrature(job) -> QuadratureSpec:
-    q = job.get("quadrature", {})
+    q = _section(job, "quadrature")
     try:
         return QuadratureSpec(
-            rel_tol=float(q.get("rel_tol", 1e-10)),
-            abs_tol=float(q.get("abs_tol", 1e-12)),
-            max_subdivisions=int(q.get("max_subdivisions", 200)),
-            truncation_tail_tol=float(q.get("truncation_tail_tol", 1e-12)))
-    except (TypeError, ValueError) as exc:
+            rel_tol=_field(q, "rel_tol", float, 1e-10),
+            abs_tol=_field(q, "abs_tol", float, 1e-12),
+            max_subdivisions=_field(q, "max_subdivisions", int, 200),
+            truncation_tail_tol=_field(q, "truncation_tail_tol", float, 1e-12))
+    except ValueError as exc:
         raise JobError(f"bad quadrature spec: {exc}") from exc
 
 
 def parse_mc(job) -> MC.McSpec:
-    m = job.get("mc", {})
+    m = _section(job, "mc")
     try:
-        return MC.McSpec(seed=int(m.get("seed", 0)),
-                         n_samples=int(m.get("n_samples", 100000)),
-                         stream_id=int(m.get("stream_id", 0)))
-    except (TypeError, ValueError) as exc:
+        return MC.McSpec(seed=_field(m, "seed", int, 0),
+                         n_samples=_field(m, "n_samples", int, 100000),
+                         stream_id=_field(m, "stream_id", int, 0))
+    except ValueError as exc:
         raise JobError(f"bad mc spec: {exc}") from exc
 
 
@@ -145,7 +152,8 @@ def parse_profile(spec: dict, kind: ArgKind) -> Profile1D:
         return bump(_field(spec, "a"), arg_kind=kind, lo=lo)
     if fam == "closed_form":
         cf = _closed_form_by_name(str(spec.get("id", "")))
-        pair = R.closed_form_pair(cf, alpha=spec.get("alpha"), a=spec.get("a"))
+        pair = R.closed_form_pair(cf, alpha=_field(spec, "alpha", float, None),
+                                  a=_field(spec, "a", float, None))
         return pair.input
     if fam == "grid":
         x, y = _finite_array(spec, "x"), _finite_array(spec, "y")
@@ -199,7 +207,7 @@ def write_table(path: str, fmt: str, header_meta: dict, columns: dict):
 
 
 def _out_of(job, default_path: str):
-    out = job.get("output", {})
+    out = _section(job, "output")
     return str(out.get("path", default_path)), str(out.get("format", "csv"))
 
 
@@ -234,7 +242,7 @@ def _cmd_transform(job, command: str) -> int:
 
 
 def _cmd_convert(job) -> int:
-    conv = job.get("convert", {})
+    conv = _section(job, "convert")
     _require({"from", "to"} <= set(conv), "convert needs {from, to}")
     src = _MODELS.get(str(conv["from"]).lower()) \
         or _KIND_ALIASES.get(str(conv["from"]).lower())
@@ -299,7 +307,7 @@ def _cmd_verify(job) -> int:
 def _cmd_mc_duality(job) -> int:
     p = parse_params(job)
     mcspec = parse_mc(job)
-    which = str(job.get("duality", {}).get("which", "affine")).lower()
+    which = str(_section(job, "duality").get("which", "affine")).lower()
     if which == "hyper":
         fkind, dkind = ArgKind.CoshDistance, ArgKind.SinhDistance
         f = MC.zonal_function(parse_profile(job.get("profile"), fkind))
@@ -331,21 +339,18 @@ def _cmd_mc_duality(job) -> int:
 def _cmd_chain(job) -> int:
     p = parse_params(job)
     mcspec = parse_mc(job)
-    ch = job.get("chain", {})
+    ch = _section(job, "chain")
     h_spec = ch.get("h", {"family": "bump", "a": 1.2})
-    if h_spec["family"] == "bump":
-        h = IV.zonal_bump(float(h_spec.get("a", 1.2)))
-        support = float(h_spec.get("a", 1.2))
-    elif h_spec["family"] == "gaussian":
-        h = IV.zonal_gaussian(float(h_spec.get("sigma", 1.0)))
-        support = None
-    else:
-        raise JobError("chain h family must be 'bump' or 'gaussian'")
-    rho = float(ch.get("rho", 0.6))
+    _require(isinstance(h_spec, dict)
+             and h_spec.get("family") in ("bump", "gaussian"),
+             "chain h family must be 'bump' or 'gaussian'")
+    h = parse_profile(h_spec, ArgKind.GeodesicDistance)
+    rho = _field(ch, "rho", float, 0.6)
+    _require(math.isfinite(rho), "chain rho must be finite")
     rng = MC._rng(MC.McSpec(mcspec.seed, 1, mcspec.stream_id + 999), 0)
     rot = MC.sample_rotation(p.n, rng)
     z = MC.GeodesicElement(p.n, p.k, rot, rho)
-    lhs, rhs = IV.chain_identity(p, h, z, mcspec, support=support)
+    lhs, rhs = IV.chain_identity(p, h, z, mcspec)
     path, fmt = _out_of(job, "chain.csv")
     write_table(path, fmt,
                 {"variable": "side", "arg_kind": "estimate",

@@ -7,22 +7,26 @@ The reconstruction is Monte-Carlo-limited by design: the weighted dual
 transform is estimated on a distance grid, smoothed by an even
 least-squares quintic spline chosen by generalized cross-validation, and
 only then differentiated.
+
+Zonal functions are ``Profile1D`` instances of geodesic distance
+(``ArgKind.GeodesicDistance``) on [0, inf).  The Laplacian and its
+polynomial combine the unmasked ``fn`` and ``derivatives`` of their
+inputs; only the outermost call applies the domain and support mask.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import LSQUnivariateSpline
 
 from . import radial as R
 from .errors import DomainError, GeoradonError, SmoothnessError
 from .mc import (GeodesicElement, McSpec, dual_sine_mc, radon_hyper_mc,
                  zonal_function)
 from .models import Model, integrate_radial
-from .profiles import ArgKind, Profile1D, reparametrize
+from .profiles import ArgKind, Profile1D, bump, reparametrize, tabulate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import log_gamma
 
@@ -31,39 +35,20 @@ class SmoothingResidualError(GeoradonError, ArithmeticError):
     """The smoothing fit cannot explain the Monte Carlo data."""
 
 
-@dataclass(frozen=True)
-class ZonalFunction:
-    """A zonal function of geodesic distance with an analytic derivative
-    chain when available; even extension at 0 is assumed smooth."""
-
-    fn: Callable
-    derivatives: Sequence[Callable] = ()
-    label: str = ""
-
-    def __call__(self, rho):
-        return self.fn(np.asarray(rho, dtype=float))
-
-    def derivative(self, order: int, rho):
-        if len(self.derivatives) < order:
-            raise SmoothnessError(
-                f"zonal function {self.label or '<anon>'} has no derivative "
-                f"of order {order}")
-        return self.derivatives[order - 1](np.asarray(rho, dtype=float))
-
-    @property
-    def depth(self) -> int:
-        return len(self.derivatives)
+def _zonal(fn: Callable, derivatives: Sequence[Callable],
+           label: str) -> Profile1D:
+    """A zonal function of geodesic distance on [0, inf) with the given
+    derivative chain; its even extension at 0 is assumed smooth.  The decay
+    is declared super-polynomial: the chain only integrates these functions
+    inside a support."""
+    return Profile1D(lo=0.0, hi=math.inf, fn=fn,
+                     arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf,
+                     derivatives=tuple(derivatives), label=label)
 
 
-def zonal_gaussian(sigma: float = 1.0) -> ZonalFunction:
-    from .profiles import gaussian
-    g = gaussian(sigma, arg_kind=ArgKind.GeodesicDistance)
-    return ZonalFunction(g.fn, g.derivatives, label=f"gaussian({sigma})")
-
-
-def zonal_bump(a: float) -> ZonalFunction:
-    """Smooth bump supported on [0, a] with derivatives by quotient rule."""
-    from .profiles import bump
+def zonal_bump(a: float) -> Profile1D:
+    """The bump of ``profiles.bump`` in geodesic distance, with the second
+    derivative (by the quotient rule) that the Laplacian needs."""
     b = bump(a, arg_kind=ArgKind.GeodesicDistance)
 
     def d2(x):
@@ -77,16 +62,15 @@ def zonal_bump(a: float) -> ZonalFunction:
         out[inside] = np.exp(1.0 - a * a / den) * (g1 * g1 + g2)
         return out
 
-    return ZonalFunction(b.fn, (b.derivatives[0], d2), label=f"bump({a})")
+    return replace(b, derivatives=b.derivatives + (d2,))
 
 
-def as_cosh_profile(h: ZonalFunction, support: Optional[float] = None,
-                    decay_hint: float = math.inf) -> Profile1D:
-    """View a zonal function as a profile of the cosh of the distance."""
-    return reparametrize(
-        Profile1D(lo=0.0, hi=math.inf, fn=h, arg_kind=ArgKind.GeodesicDistance,
-                  decay_hint=decay_hint, support=support, label=h.label),
-        ArgKind.CoshDistance)
+def as_cosh_profile(h: Profile1D, support: Optional[float] = None
+                    ) -> Profile1D:
+    """View a zonal function as a profile of the cosh of the distance, cut
+    at ``support`` when one is given and at its own support otherwise."""
+    return reparametrize(h if support is None else replace(h, support=support),
+                         ArgKind.CoshDistance)
 
 
 # -- differential operators -----------------------------------------------------
@@ -102,31 +86,26 @@ def _coth_minus_inv(rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def beltrami_laplace_zonal(n: int, h: ZonalFunction) -> ZonalFunction:
+def beltrami_laplace_zonal(n: int, h: Profile1D) -> Profile1D:
     """Radial Laplace-Beltrami operator: h'' + (n-1) coth(rho) h'.
 
     The rho -> 0 limit is n * h''(0) by the even extension.  The returned
     function carries a derivative chain two orders shallower than h's,
     valid on rho > 0.
     """
-    if h.depth < 2:
+    depth = len(h.derivatives or ())
+    if depth < 2:
         raise SmoothnessError("the Laplacian needs two derivatives")
 
     def fn(rho):
-        scalar = np.ndim(rho) == 0
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
         h1 = h.derivative(1, rho)
         h2 = h.derivative(2, rho)
         # h'(rho)/rho is stable down to rho = 0 where it tends to h''(0)
         ratio = np.where(rho > 0.0, h1 / np.where(rho > 0, rho, 1.0), h2)
-        out = h2 + (n - 1.0) * (ratio + _coth_minus_inv(rho) * h1)
-        return float(out[0]) if scalar else out
+        return h2 + (n - 1.0) * (ratio + _coth_minus_inv(rho) * h1)
 
-    derivs = []
-    max_q = h.depth - 2
-    for q in range(1, max_q + 1):
-        derivs.append(_laplacian_derivative(n, h, q))
-    return ZonalFunction(fn, tuple(derivs), label=f"lap[{h.label}]")
+    return _zonal(fn, [_laplacian_derivative(n, h, q)
+                       for q in range(1, depth - 1)], f"lap[{h.label}]")
 
 
 def _coth_derivatives(rho: np.ndarray, order: int):
@@ -143,7 +122,7 @@ def _coth_derivatives(rho: np.ndarray, order: int):
     return [np.polynomial.polynomial.polyval(c, p) for p in polys]
 
 
-def _laplacian_derivative(n: int, h: ZonalFunction, q: int) -> Callable:
+def _laplacian_derivative(n: int, h: Profile1D, q: int) -> Callable:
     def d(rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         # the coth recursion is singular at 0; use the even extension there
@@ -155,22 +134,20 @@ def _laplacian_derivative(n: int, h: ZonalFunction, q: int) -> Callable:
         for i in range(q + 1):
             out = out + (n - 1.0) * math.comb(q, i) * cths[q - i] \
                 * h.derivative(i + 1, safe)
-        if np.any(small):
-            if q % 2 == 1:
-                out = np.where(small, out * rho / 1e-4, out)
-            else:
-                out = np.where(small, out, out)
+        if q % 2 == 1 and np.any(small):
+            out = np.where(small, out * rho / 1e-4, out)
         return out
     return d
 
 
-def poly_laplace(m: int, n: int, h: ZonalFunction) -> ZonalFunction:
+def poly_laplace(m: int, n: int, h: Profile1D) -> Profile1D:
     """Product of the m factors (-Laplacian + (2i-n)(2i-1)), i = 1..m."""
     if m < 0:
         raise DomainError("m must be nonnegative")
-    if h.depth < 2 * m:
+    depth = len(h.derivatives or ())
+    if depth < 2 * m:
         raise SmoothnessError(
-            f"poly_laplace needs {2 * m} derivatives, have {h.depth}")
+            f"poly_laplace needs {2 * m} derivatives, have {depth}")
     out = h
     for i in range(1, m + 1):
         lap = beltrami_laplace_zonal(n, out)
@@ -179,23 +156,22 @@ def poly_laplace(m: int, n: int, h: ZonalFunction) -> ZonalFunction:
     return out
 
 
-def _combine(lap: ZonalFunction, h: ZonalFunction, shift: float) -> ZonalFunction:
+def _combine(lap: Profile1D, h: Profile1D, shift: float) -> Profile1D:
+    """-lap + shift * h; lap, the Laplacian of h, is the shallower chain."""
     def fn(rho):
-        return -lap(rho) + shift * h(rho)
+        return -lap.fn(rho) + shift * h.fn(rho)
 
-    depth = min(lap.depth, max(h.depth - 2, 0))
-    derivs = tuple(
-        (lambda q: (lambda rho: -lap.derivative(q, rho)
-                    + shift * h.derivative(q, rho)))(q)
-        for q in range(1, depth + 1))
-    return ZonalFunction(fn, derivs, label=f"(-lap+{shift})[{h.label}]")
+    derivs = [(lambda q: (lambda rho: -lap.derivative(q, rho)
+                          + shift * h.derivative(q, rho)))(q)
+              for q in range(1, len(lap.derivatives) + 1)]
+    return _zonal(fn, derivs, f"(-lap+{shift})[{h.label}]")
 
 
 # -- smoothing -------------------------------------------------------------------
 
 def fit_even_spline(rho: np.ndarray, values: np.ndarray,
                     std_errors: Optional[np.ndarray] = None,
-                    residual_guard: float = 8.0) -> ZonalFunction:
+                    residual_guard: float = 8.0) -> Profile1D:
     """Even least-squares quintic spline through noisy grid data.
 
     The data is mirrored through 0 to enforce the even extension, fitted
@@ -204,6 +180,8 @@ def fit_even_spline(rho: np.ndarray, values: np.ndarray,
     ``SmoothingResidualError`` when even the best fit leaves residuals far
     above the reported Monte Carlo noise.
     """
+    from scipy.interpolate import LSQUnivariateSpline
+
     rho = np.asarray(rho, dtype=float)
     values = np.asarray(values, dtype=float)
     order = np.argsort(rho)
@@ -239,20 +217,20 @@ def fit_even_spline(rho: np.ndarray, values: np.ndarray,
                 f"smoothing residual {rms:.3e} far exceeds the Monte Carlo "
                 f"noise level {noise:.3e}")
 
-    derivs = tuple((lambda q: (lambda r: spl.derivative(q)(
-        np.asarray(r, dtype=float))))(q) for q in range(1, 5))
-    return ZonalFunction(lambda r: spl(np.asarray(r, dtype=float)),
-                         derivs, label="spline")
+    derivs = [(lambda q: (lambda r: spl.derivative(q)(
+        np.asarray(r, dtype=float))))(q) for q in range(1, 5)]
+    return _zonal(lambda r: spl(np.asarray(r, dtype=float)), derivs, "spline")
 
 
 # -- the inversion chain ----------------------------------------------------------
 
-def chain_identity(p: R.TransformParams, h: ZonalFunction,
+def chain_identity(p: R.TransformParams, h: Profile1D,
                    z: GeodesicElement, mc: McSpec,
                    support: Optional[float] = None,
                    spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Monte Carlo check of the composition identity: the j-to-k transform
-    of the point transform of h equals the k-point transform of h.
+    of the point transform of h equals the k-point transform of h.  A
+    ``support`` replaces h's own (see ``as_cosh_profile``).
 
     Returns (lhs estimate, exact rhs value).
     """
@@ -270,7 +248,6 @@ def chain_identity(p: R.TransformParams, h: ZonalFunction,
 
 def _tabulated_forward(p: R.TransformParams, f: Profile1D,
                        spec: QuadratureSpec, s_hi: float = 12.0) -> Profile1D:
-    from .profiles import tabulate
     top = f.upper_limit
     if math.isfinite(top):
         return tabulate(lambda s: R.radon_hyper_zonal(p, f, s, spec),
@@ -284,7 +261,7 @@ def _tabulated_forward(p: R.TransformParams, f: Profile1D,
 
 def d_m(phi: Profile1D, m: int, p: R.TransformParams, mc: McSpec,
         rho_grid=None, spec: QuadratureSpec = DEFAULT_QUADRATURE
-        ) -> ZonalFunction:
+        ) -> Profile1D:
     """The inversion operator: weighted dual transform of the zonal function
     phi, smoothed, then hit with the Laplacian polynomial.
 
@@ -321,11 +298,11 @@ def d_m(phi: Profile1D, m: int, p: R.TransformParams, mc: McSpec,
         * integrate_radial(Model.Hyperboloid, n, k, phi, spec)
 
     def fn(rho):
-        return -np.asarray(lead(rho)) + mean_term
+        return -lead.fn(rho) + mean_term
 
-    derivs = tuple((lambda q: (lambda r: -np.asarray(lead.derivative(q, r))))(q)
-                   for q in range(1, lead.depth + 1))
-    return ZonalFunction(fn, derivs, label="dm-log")
+    derivs = [(lambda q: (lambda r: -np.asarray(lead.derivative(q, r))))(q)
+              for q in range(1, len(lead.derivatives) + 1)]
+    return _zonal(fn, derivs, "dm-log")
 
 
 def reconstruct(phi: Profile1D, p: R.TransformParams, m: int, mc: McSpec,
@@ -336,7 +313,7 @@ def reconstruct(phi: Profile1D, p: R.TransformParams, m: int, mc: McSpec,
     h_rec = d_m(phi, m, p, mc, rho_grid, spec)
     rho_max = 2.6 if rho_grid is None else float(np.max(rho_grid))
     if p.j == 0:
-        return Profile1D(lo=0.0, hi=rho_max, fn=lambda r: np.asarray(h_rec(r)),
+        return Profile1D(lo=0.0, hi=rho_max, fn=h_rec.fn,
                          arg_kind=ArgKind.GeodesicDistance,
                          label="reconstructed")
     pj = R.TransformParams(p.n, 0, p.j)
@@ -357,7 +334,7 @@ class SupportReport:
     reconstruction_sup_beyond: float # inverted profile past the radius
 
 
-def support_demo(p: R.TransformParams, h: ZonalFunction, a: float,
+def support_demo(p: R.TransformParams, h: Profile1D, a: float,
                  mc: McSpec, spec: QuadratureSpec = DEFAULT_QUADRATURE
                  ) -> SupportReport:
     """Numerical demonstration of support locality for compactly supported
@@ -383,7 +360,6 @@ def support_demo(p: R.TransformParams, h: ZonalFunction, a: float,
         fwd_j = np.zeros(1)
         chain = np.abs(np.asarray(R.radon_hyper_zonal(pk, h_prof, far, spec)))
 
-    from .profiles import tabulate
     transformed = tabulate(
         lambda s: R.radon_hyper_zonal(pk, h_prof, s, spec), 1.0,
         math.cosh(1.9 * a), ArgKind.CoshDistance, n=220, decay_hint=math.inf,

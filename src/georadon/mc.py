@@ -52,6 +52,8 @@ class McSpec:
     def __post_init__(self):
         if self.n_samples <= 0:
             raise DomainError("n_samples must be positive")
+        if self.seed < 0 or self.stream_id < 0:
+            raise DomainError("seed and stream_id must be nonnegative")
 
     def substream(self, offset: int, n_samples: Optional[int] = None) -> "McSpec":
         return McSpec(self.seed, n_samples or self.n_samples,
@@ -392,10 +394,7 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
 
 
 def _with_marked_axis(frame: np.ndarray, u: np.ndarray, gauge: int) -> np.ndarray:
-    n, k = frame.shape
-    cols = np.concatenate([u[:, None], frame], axis=1)
-    g = complete_rotation(cols, gauge)
-    return g
+    return complete_rotation(np.concatenate([u[:, None], frame], axis=1), gauge)
 
 
 def dual_affine_mc(p, phi: Callable, tau: AffinePlane, mc: McSpec,
@@ -534,7 +533,6 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
 
 def _pseudo_inverse_apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A^{-1} x for A in SO_0(n,1): A^{-1} = G A^T G with G = diag(-I_n, 1)."""
-    n1 = mats.shape[-1]
     gx = x.copy()
     gx[:-1] *= -1.0
     out = np.einsum("bji,j->bi", mats, gx)    # A^T (G x)
@@ -556,7 +554,7 @@ def _outer_split(n_samples: int):
 
 
 def duality_check_mc(which: str, f: Callable, phi: Callable, p,
-                     mc: McSpec, ball_only: bool = False):
+                     mc: McSpec):
     """Estimate both sides of a forward/dual pairing identity.
 
     ``which`` selects the geometry: "affine" or "chord" (planes; ``f`` and
@@ -564,13 +562,16 @@ def duality_check_mc(which: str, f: Callable, phi: Callable, p,
     (lhs, rhs) McEstimates computed by nested sampling: the outer element
     from the invariant measure, the inner transform by the estimators above.
     """
-    if which == "affine":
-        return _duality_planes(f, phi, p, mc, ball=False)
-    if which == "chord":
-        return _duality_planes(f, phi, p, mc, ball=True)
-    if which == "hyper":
-        return _duality_hyper(f, phi, p, mc)
-    raise DomainError(f"unknown duality geometry {which!r}")
+    if which in ("affine", "chord"):
+        lhs_terms, rhs_terms = _plane_sides(f, phi, p, mc, which == "chord")
+    elif which == "hyper":
+        lhs_terms, rhs_terms = _hyper_sides(f, phi, p, mc)
+    else:
+        raise DomainError(f"unknown duality geometry {which!r}")
+    n_out = _outer_split(mc.n_samples)[0]
+    lhs = _nested_estimate(lhs_terms, mc, n_out, stream_base=1)
+    rhs = _nested_estimate(rhs_terms, mc, n_out, stream_base=1 + 2 * n_out)
+    return lhs, rhs
 
 
 def _gaussian_offsets(rng, count, dim, sigma):
@@ -588,74 +589,53 @@ def _ball_offsets(rng, count, dim):
     return z * radii[:, None], np.full(count, vol)
 
 
-def _duality_planes(f, phi, p, mc: McSpec, ball: bool):
+def _plane_sides(f, phi, p, mc: McSpec, ball: bool):
+    """Outer-sample terms of both sides of the plane duality: the lhs
+    weights the forward estimate of f at an outer k-plane by phi there,
+    the rhs the dual estimate of phi at an outer j-plane by f."""
     n, j, k = p.n, p.j, p.k
-    n_out, n_in = _outer_split(mc.n_samples)
+    n_in = _outer_split(mc.n_samples)[1]
 
-    def lhs_terms(rng, count, base_stream):
-        rot = sample_rotations(n, count, rng)
-        frames = rot[:, :, n - k:]
-        perp = rot[:, :, :n - k]
-        if ball:
-            z, w = _ball_offsets(rng, count, n - k)
-        else:
-            z, w = _gaussian_offsets(rng, count, n - k, 1.0)
-        offs = np.einsum("bnl,bl->bn", perp, z)
-        inner = np.empty(count)
-        for i in range(count):
-            plane = AffinePlane(Frame(frames[i]), offs[i])
-            inner[i] = radon_affine_mc(
-                p, f, plane, mc.substream(base_stream + i, n_in)).value
-        outer_vals = np.asarray(phi(PlaneBatch(frames, offs)), dtype=float)
-        return inner * outer_vals * w
+    def side(d, inner, inner_arg, outer):
+        def terms(rng, count, base_stream):
+            rot = sample_rotations(n, count, rng)
+            frames = rot[:, :, n - d:] if d > 0 else np.zeros((count, n, 0))
+            perp = rot[:, :, :n - d]
+            if ball:
+                z, w = _ball_offsets(rng, count, n - d)
+            else:
+                z, w = _gaussian_offsets(rng, count, n - d, 1.0)
+            offs = np.einsum("bnl,bl->bn", perp, z)
+            vals = np.empty(count)
+            for i in range(count):
+                plane = AffinePlane(Frame(frames[i]), offs[i])
+                vals[i] = inner(p, inner_arg, plane,
+                                mc.substream(base_stream + i, n_in)).value
+            outer_vals = np.asarray(outer(PlaneBatch(frames, offs)),
+                                    dtype=float)
+            return vals * outer_vals * w
+        return terms
 
-    def rhs_terms(rng, count, base_stream):
-        rot = sample_rotations(n, count, rng)
-        frames = rot[:, :, n - j:] if j > 0 else np.zeros((count, n, 0))
-        perp = rot[:, :, :n - j]
-        if ball:
-            z, w = _ball_offsets(rng, count, n - j)
-        else:
-            z, w = _gaussian_offsets(rng, count, n - j, 1.0)
-        offs = np.einsum("bnl,bl->bn", perp, z)
-        inner = np.empty(count)
-        for i in range(count):
-            plane = AffinePlane(Frame(frames[i]), offs[i])
-            inner[i] = dual_affine_mc(
-                p, phi, plane, mc.substream(base_stream + i, n_in)).value
-        outer_vals = np.asarray(f(PlaneBatch(frames, offs)), dtype=float)
-        return inner * outer_vals * w
-
-    lhs = _nested_estimate(lhs_terms, mc, n_out, stream_base=1)
-    rhs = _nested_estimate(rhs_terms, mc, n_out, stream_base=1 + 2 * n_out)
-    return lhs, rhs
+    return (side(k, radon_affine_mc, f, phi), side(j, dual_affine_mc, phi, f))
 
 
-def _duality_hyper(f, phi, p, mc: McSpec):
+def _hyper_sides(f, phi, p, mc: McSpec):
+    """As ``_plane_sides`` for k- and j-geodesics of the hyperboloid."""
     n, j, k = p.n, p.j, p.k
-    n_out, n_in = _outer_split(mc.n_samples)
+    n_in = _outer_split(mc.n_samples)[1]
 
-    def lhs_terms(rng, count, base_stream):
-        batch, w, rot, rho = sample_hyper_elements(n, k, rng, count)
-        inner = np.empty(count)
-        for i in range(count):
-            el = GeodesicElement(n, k, rot[i], float(rho[i]))
-            inner[i] = radon_hyper_mc(
-                p, f, el, mc.substream(base_stream + i, n_in)).value
-        return inner * np.asarray(phi(batch), dtype=float) * w
+    def side(d, inner, inner_arg, outer):
+        def terms(rng, count, base_stream):
+            batch, w, rot, rho = sample_hyper_elements(n, d, rng, count)
+            vals = np.empty(count)
+            for i in range(count):
+                el = GeodesicElement(n, d, rot[i], float(rho[i]))
+                vals[i] = inner(p, inner_arg, el,
+                                mc.substream(base_stream + i, n_in)).value
+            return vals * np.asarray(outer(batch), dtype=float) * w
+        return terms
 
-    def rhs_terms(rng, count, base_stream):
-        batch, w, rot, rho = sample_hyper_elements(n, j, rng, count)
-        inner = np.empty(count)
-        for i in range(count):
-            el = GeodesicElement(n, j, rot[i], float(rho[i]))
-            inner[i] = dual_hyper_mc(
-                p, phi, el, mc.substream(base_stream + i, n_in)).value
-        return inner * np.asarray(f(batch), dtype=float) * w
-
-    lhs = _nested_estimate(lhs_terms, mc, n_out, stream_base=1)
-    rhs = _nested_estimate(rhs_terms, mc, n_out, stream_base=1 + 2 * n_out)
-    return lhs, rhs
+    return (side(k, radon_hyper_mc, f, phi), side(j, dual_hyper_mc, phi, f))
 
 
 def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimate:

@@ -28,8 +28,10 @@ class QuadratureSpec:
     truncation_tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol, self.truncation_tail_tol) <= 0:
-            raise ValueError("QuadratureSpec: tolerances must be positive")
+        tols = (self.rel_tol, self.abs_tol, self.truncation_tail_tol)
+        if not all(math.isfinite(t) and t > 0 for t in tols):
+            raise ValueError(
+                "QuadratureSpec: tolerances must be finite and positive")
         if self.max_subdivisions <= 0:
             raise ValueError("QuadratureSpec: max_subdivisions must be positive")
 

@@ -6,7 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+from georadon import inversion as IV
+from georadon import mc as MC
+from georadon import radial as R
 from georadon.cli import main
+from georadon.profiles import ArgKind, gaussian
 
 
 def _write_job(tmp_path, name, doc):
@@ -56,22 +60,53 @@ _GOOD_JOB = {
     "profile": {"family": "gaussian"},
     "grid": {"lo": 0.5, "hi": 2.0, "count": 5},
 }
+_CHAIN_JOB = {
+    "command": "chain",
+    "params": {"n": 3, "j": 1, "k": 2},
+    "chain": {"h": {"family": "bump", "a": 1.2}, "rho": 0.6},
+    "mc": {"seed": 9, "n_samples": 30000},
+}
+_DUALITY_JOB = {
+    "command": "mc-duality",
+    "params": {"n": 3, "j": 0, "k": 1},
+    "duality": {"which": "affine"},
+    "profile": {"family": "gaussian"},
+    "mc": {"seed": 5, "n_samples": 20000},
+}
 _X = np.linspace(0.0, 2.0, 12).tolist()
 
 
-@pytest.mark.parametrize("change", [
-    {"model": "hyperboloid", "params": {"n": 3, "j": 1, "k": 1},
-     "grid": {"lo": 1.0, "hi": 2.0, "count": 5}},
-    {"profile": {"family": "power"}},
-    {"grid": {"lo": "zero", "hi": 2.0, "count": 5}},
-    {"profile": {"family": "grid", "x": _X,
-                 "y": [1.0] * 5 + [math.nan] + [1.0] * 6}},
+@pytest.mark.parametrize("command, doc", [
+    ("transform", dict(_GOOD_JOB, model="hyperboloid",
+                       params={"n": 3, "j": 1, "k": 1},
+                       grid={"lo": 1.0, "hi": 2.0, "count": 5})),
+    ("transform", dict(_GOOD_JOB, profile={"family": "power"})),
+    ("transform", dict(_GOOD_JOB, grid={"lo": "zero", "hi": 2.0,
+                                        "count": 5})),
+    ("transform", dict(_GOOD_JOB, profile={
+        "family": "grid", "x": _X,
+        "y": [1.0] * 5 + [math.nan] + [1.0] * 6})),
+    ("chain", dict(_CHAIN_JOB, chain={"h": {"a": 1.2}})),
+    ("chain", dict(_CHAIN_JOB, chain={"h": {"family": "bump", "a": "wide"}})),
+    ("chain", dict(_CHAIN_JOB, chain={"rho": "far"})),
+    ("mc-duality", dict(_DUALITY_JOB, duality="hyper")),
+    ("transform", dict(_GOOD_JOB, model="hyperboloid",
+                       params={"n": 3, "j": 0, "k": 1},
+                       profile={"family": "closed_form", "id": "hyper_cap",
+                                "alpha": "two", "a": 2.0},
+                       grid={"kind": "cosh", "lo": 1.0, "hi": 2.0,
+                             "count": 5})),
+    ("transform", dict(_GOOD_JOB, quadrature={"rel_tol": "nan"})),
+    ("chain", dict(_CHAIN_JOB, mc={"seed": -1, "n_samples": 2000})),
 ], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
-        "nan-in-grid-profile"])
-def test_invalid_params_exit_2(tmp_path, change):
-    doc = dict(_GOOD_JOB, output={"path": str(tmp_path / "x.csv")}, **change)
+        "nan-in-grid-profile", "chain-h-without-family",
+        "chain-h-non-numeric-a", "chain-non-numeric-rho",
+        "duality-not-an-object", "closed-form-non-numeric-alpha",
+        "nan-rel-tol", "negative-mc-seed"])
+def test_invalid_params_exit_2(tmp_path, command, doc):
+    doc = dict(doc, output={"path": str(tmp_path / "x.csv")})
     job = _write_job(tmp_path, "bad.json", doc)
-    assert main(["transform", "--job", job]) == 2
+    assert main([command, "--job", job]) == 2
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -121,14 +156,8 @@ def test_invert_job(tmp_path):
 
 
 def test_mc_duality_job(tmp_path):
-    job = _write_job(tmp_path, "dual.json", {
-        "command": "mc-duality",
-        "params": {"n": 3, "j": 0, "k": 1},
-        "duality": {"which": "affine"},
-        "profile": {"family": "gaussian"},
-        "mc": {"seed": 5, "n_samples": 20000},
-        "output": {"path": str(tmp_path / "d.csv")},
-    })
+    job = _write_job(tmp_path, "dual.json", dict(
+        _DUALITY_JOB, output={"path": str(tmp_path / "d.csv")}))
     assert main(["mc-duality", "--job", job]) == 0
     rows = (tmp_path / "d.csv").read_text().splitlines()
     lhs = float(rows[2].split(",")[1])
@@ -138,19 +167,31 @@ def test_mc_duality_job(tmp_path):
 
 
 def test_chain_job(tmp_path):
-    job = _write_job(tmp_path, "chain.json", {
-        "command": "chain",
-        "params": {"n": 3, "j": 1, "k": 2},
-        "chain": {"m": 1, "h": {"family": "bump", "a": 1.2}, "rho": 0.6},
-        "mc": {"seed": 9, "n_samples": 30000},
-        "output": {"path": str(tmp_path / "ch.csv")},
-    })
+    job = _write_job(tmp_path, "chain.json", dict(
+        _CHAIN_JOB, output={"path": str(tmp_path / "ch.csv")}))
     assert main(["chain", "--job", job]) == 0
     rows = (tmp_path / "ch.csv").read_text().splitlines()
     lhs = float(rows[2].split(",")[1])
     rhs = float(rows[3].split(",")[1])
     se = float(rows[2].split(",")[2])
     assert abs(lhs - rhs) <= 4 * se
+
+
+def test_chain_job_gaussian(tmp_path):
+    job = _write_job(tmp_path, "chain.json", dict(
+        _CHAIN_JOB, chain={"h": {"family": "gaussian", "sigma": 0.8},
+                           "rho": 0.6},
+        output={"path": str(tmp_path / "ch.csv")}))
+    assert main(["chain", "--job", job]) == 0
+    rows = [[float(c) for c in row.split(",")]
+            for row in (tmp_path / "ch.csv").read_text().splitlines()[2:]]
+    # the job's geodesic: one rotation drawn on the job's stream + 999
+    rot = MC.sample_rotation(3, MC._rng(MC.McSpec(9, 1, 999), 0))
+    lhs, rhs = IV.chain_identity(
+        R.TransformParams(3, 1, 2),
+        gaussian(0.8, arg_kind=ArgKind.GeodesicDistance),
+        MC.GeodesicElement(3, 2, rot, 0.6), MC.McSpec(9, 30000))
+    assert rows == [[0.0, lhs.value, lhs.std_error], [1.0, rhs, 0.0]]
 
 
 def test_verify_job_writes_report(tmp_path):
@@ -175,3 +216,13 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "georadon.cli", "table",
                            "--job", job], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    # only the smoothing spline of the reconstruction chain needs it
+    code = ("import sys, georadon.cli; "
+            "print('scipy.interpolate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

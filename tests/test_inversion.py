@@ -12,6 +12,15 @@ from georadon.errors import SmoothnessError
 from georadon.quadrature import DEFAULT_QUADRATURE
 
 
+def _zonal(fn, *derivatives):
+    return P.Profile1D(0.0, math.inf, fn, P.ArgKind.GeodesicDistance,
+                       decay_hint=math.inf, derivatives=derivatives)
+
+
+def _gaussian():
+    return P.gaussian(arg_kind=P.ArgKind.GeodesicDistance)
+
+
 def _eigenfunction(lam):
     # sin(lam rho) / (lam sinh rho): zonal eigenfunction with
     # eigenvalue -(1 + lam^2) of the radial Laplacian in dimension 3
@@ -33,22 +42,22 @@ def _eigenfunction(lam):
     def v2(r):
         return (2 * np.cosh(r) ** 2 - np.sinh(r) ** 2) / (lam * np.sinh(r) ** 3)
 
-    return IV.ZonalFunction(
+    return _zonal(
         lambda r: u(r) * v(r),
-        (lambda r: u1(r) * v(r) + u(r) * v1(r),
-         lambda r: u2(r) * v(r) + 2 * u1(r) * v1(r) + u(r) * v2(r)))
+        lambda r: u1(r) * v(r) + u(r) * v1(r),
+        lambda r: u2(r) * v(r) + 2 * u1(r) * v1(r) + u(r) * v2(r))
 
 
 def test_laplacian_of_constant_is_zero():
-    h = IV.ZonalFunction(lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                         (lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                          lambda r: np.zeros_like(np.asarray(r, dtype=float))))
+    h = _zonal(lambda r: np.ones_like(np.asarray(r, dtype=float)),
+               lambda r: np.zeros_like(np.asarray(r, dtype=float)),
+               lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     rho = np.linspace(0.0, 2.0, 9)
     assert float(np.max(np.abs(IV.beltrami_laplace_zonal(4, h)(rho)))) == 0.0
 
 
 def test_laplacian_of_cosh():
-    h = IV.ZonalFunction(np.cosh, (np.sinh, np.cosh, np.sinh, np.cosh))
+    h = _zonal(np.cosh, np.sinh, np.cosh, np.sinh, np.cosh)
     rho = np.linspace(0.0, 2.5, 21)
     for n in (3, 4, 5):
         lap = IV.beltrami_laplace_zonal(n, h)
@@ -66,7 +75,7 @@ def test_laplacian_eigenfunction():
 
 
 def test_laplacian_limit_at_origin():
-    h = IV.zonal_gaussian()
+    h = _gaussian()
     for n in (3, 4):
         lap = IV.beltrami_laplace_zonal(n, h)
         # h''(0) = -2 for exp(-rho^2), so the limit is -2n
@@ -74,21 +83,18 @@ def test_laplacian_limit_at_origin():
 
 
 def test_laplacian_needs_two_derivatives():
-    h = IV.ZonalFunction(lambda r: np.asarray(r) ** 2)
+    h = _zonal(lambda r: np.asarray(r) ** 2)
     with pytest.raises(SmoothnessError):
         IV.beltrami_laplace_zonal(3, h)
 
 
 def test_poly_laplace_identity_and_linearity():
-    h = IV.zonal_gaussian()
+    h = _gaussian()
     rho = np.linspace(0.1, 2.0, 9)
     ident = IV.poly_laplace(0, 3, h)
     assert np.array_equal(ident(rho), h(rho))
     p1 = IV.poly_laplace(1, 3, h)
-    scaled = IV.poly_laplace(
-        1, 3, IV.ZonalFunction(lambda r: 3.0 * h(r),
-                               tuple((lambda d: (lambda r: 3.0 * d(r)))(d)
-                                     for d in h.derivatives)))
+    scaled = IV.poly_laplace(1, 3, h.scaled(3.0))
     assert float(np.max(np.abs(scaled(rho) - 3.0 * p1(rho)))) < 1e-12
 
 
@@ -114,7 +120,7 @@ def test_chain_identity_small():
 
 
 def test_chain_identity_zero():
-    zero = IV.ZonalFunction(lambda r: np.zeros_like(np.asarray(r, dtype=float)))
+    zero = _zonal(lambda r: np.zeros_like(np.asarray(r, dtype=float)))
     p = R.TransformParams(3, 1, 2)
     z = MC.GeodesicElement(3, 2, np.eye(3), 0.6)
     lhs, rhs = IV.chain_identity(p, zero, z, MC.McSpec(seed=3, n_samples=2000),
@@ -181,8 +187,7 @@ def test_support_demo_gaussian_forward_decay():
     # non-compact input admissible under the tail-weight condition: the
     # forward transform simply decays; nothing vanishes exactly
     p = R.TransformParams(3, 0, 1)
-    h = IV.zonal_gaussian()
-    h_prof = IV.as_cosh_profile(h)
+    h_prof = IV.as_cosh_profile(_gaussian())
     far = R.radon_hyper_zonal(p, h_prof, np.array([math.cosh(3.2)]))
     near = R.radon_hyper_zonal(p, h_prof, np.array([1.0]))
     assert 0 < far[0] < 1e-3 * near[0]

@@ -128,7 +128,7 @@ def test_hyper_zonal_example_value():
     assert abs(got - math.sqrt(3.0)) < 1e-10
 
 
-def test_hyper_zonal_gaussian_identity():
+def test_radon_hyper_zonal_of_gaussian_identity():
     # f1 = e^{-r^2} r^{1-j} maps to pi^((k-j)/2) s^(1-k) e^{-s^2}
     for (n, j, k) in ((3, 0, 1), (5, 1, 3)):
         p = R.TransformParams(n, j, k)
