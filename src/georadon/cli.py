@@ -60,7 +60,21 @@ def _require(cond, msg):
 _MISSING = object()
 
 
-def _field(doc: dict, key: str, cast=float, default=_MISSING):
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value!r} is not a finite number")
+    return x
+
+
+def _not_nan(value) -> float:
+    x = float(value)
+    if math.isnan(x):
+        raise ValueError("NaN is not a number")
+    return x
+
+
+def _field(doc: dict, key: str, cast=_finite, default=_MISSING):
     """doc[key] through ``cast``; a missing or malformed field is a JobError."""
     if key not in doc:
         _require(default is not _MISSING, f"missing field {key!r}")
@@ -145,21 +159,21 @@ def parse_profile(spec: dict, kind: ArgKind) -> Profile1D:
     fam = spec["family"]
     lo = 1.0 if kind is ArgKind.CoshDistance else 0.0
     if fam == "gaussian":
-        return gaussian(_field(spec, "sigma", float, 1.0), arg_kind=kind, lo=lo)
+        return gaussian(_field(spec, "sigma", default=1.0), arg_kind=kind, lo=lo)
     if fam == "power":
         return power(_field(spec, "p"), lo=max(lo, 1e-12), arg_kind=kind)
     if fam == "bump":
         return bump(_field(spec, "a"), arg_kind=kind, lo=lo)
     if fam == "closed_form":
         cf = _closed_form_by_name(str(spec.get("id", "")))
-        pair = R.closed_form_pair(cf, alpha=_field(spec, "alpha", float, None),
-                                  a=_field(spec, "a", float, None))
+        pair = R.closed_form_pair(cf, alpha=_field(spec, "alpha", default=None),
+                                  a=_field(spec, "a", default=None))
         return pair.input
     if fam == "grid":
         x, y = _finite_array(spec, "x"), _finite_array(spec, "y")
         _require(x.shape == y.shape, "grid profile needs x and y of one length")
         return from_grid(x, y, kind, order=_field(spec, "order", int, 3),
-                         decay_hint=_field(spec, "decay_hint", float, None))
+                         decay_hint=_field(spec, "decay_hint", _not_nan, None))
     raise JobError(f"unknown profile family {fam!r}")
 
 
@@ -177,8 +191,7 @@ def parse_grid(job, default_kind: ArgKind) -> tuple[np.ndarray, ArgKind]:
     kind = _KIND_ALIASES.get(str(g.get("kind", default_kind.value)).lower())
     _require(kind is not None, f"unknown grid kind {g.get('kind')!r}")
     lo, hi, count = _field(g, "lo"), _field(g, "hi"), _field(g, "count", int)
-    _require(math.isfinite(lo) and math.isfinite(hi) and hi > lo
-             and count >= 2, "grid needs finite hi > lo and count >= 2")
+    _require(hi > lo and count >= 2, "grid needs hi > lo and count >= 2")
     return np.linspace(lo, hi, count), kind
 
 
@@ -345,8 +358,7 @@ def _cmd_chain(job) -> int:
              and h_spec.get("family") in ("bump", "gaussian"),
              "chain h family must be 'bump' or 'gaussian'")
     h = parse_profile(h_spec, ArgKind.GeodesicDistance)
-    rho = _field(ch, "rho", float, 0.6)
-    _require(math.isfinite(rho), "chain rho must be finite")
+    rho = _field(ch, "rho", default=0.6)
     rng = MC._rng(MC.McSpec(mcspec.seed, 1, mcspec.stream_id + 999), 0)
     rot = MC.sample_rotation(p.n, rng)
     z = MC.GeodesicElement(p.n, p.k, rot, rho)

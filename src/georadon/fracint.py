@@ -96,13 +96,19 @@ def _split_weighted(u_core, lo: float, hi: float, p_lo: float, p_hi: float,
 
 # -- integrals ---------------------------------------------------------------
 
+def _pointwise(name: str, scalar, alpha: float, f: Profile1D, t,
+               spec: QuadratureSpec):
+    """scalar(alpha, f, t_i, spec) at each t_i (scalar or array t)."""
+    if alpha <= 0:
+        raise DomainError(f"{name}: alpha must be positive, got {alpha}")
+    tv = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.array([scalar(alpha, f, float(ti), spec) for ti in tv])
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
 def ek_left(alpha: float, f: Profile1D, t, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Left-sided fractional integral of order alpha at t (scalar or array)."""
-    if alpha <= 0:
-        raise DomainError(f"ek_left: alpha must be positive, got {alpha}")
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_ek_left_scalar(alpha, f, float(ti), spec) for ti in tv])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _pointwise("ek_left", _ek_left_scalar, alpha, f, t, spec)
 
 
 def _ek_left_scalar(alpha: float, f: Profile1D, t: float,
@@ -164,11 +170,7 @@ def _ek_left_scalar(alpha: float, f: Profile1D, t: float,
 
 def ek_right(alpha: float, f: Profile1D, t, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Right-sided fractional integral of order alpha at t (scalar or array)."""
-    if alpha <= 0:
-        raise DomainError(f"ek_right: alpha must be positive, got {alpha}")
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([_ek_right_scalar(alpha, f, float(ti), spec) for ti in tv])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    return _pointwise("ek_right", _ek_right_scalar, alpha, f, t, spec)
 
 
 def _ek_right_scalar(alpha: float, f: Profile1D, t: float,
@@ -291,23 +293,15 @@ def radial_derivative(f: Profile1D, t, order: int, sign: float = 1.0):
     return sign ** order * out
 
 
-def _window_in_y(f: Profile1D, t: np.ndarray, positive_floor: bool = False):
-    """A y = t^2 window containing all targets, clipped to the domain.
-
-    ``positive_floor`` keeps the window away from y = 0, needed when the
-    sampled function has a singularity there.
-    """
+def _window_in_y(f: Profile1D, t: np.ndarray):
+    """A y = t^2 window containing all targets, clipped to the domain."""
     y = t * t
     y_min, y_max = float(np.min(y)), float(np.max(y))
     dom_lo = f.lo * f.lo
-    top = min(f.hi, f.support if f.support is not None else math.inf)
+    top = f.upper_limit
     dom_hi = top * top if math.isfinite(top) else math.inf
     span = max(y_max - y_min, 0.3 * max(y_max, 1.0))
     a = max(dom_lo, y_min - 0.35 * span)
-    if positive_floor:
-        if y_min <= 0.0:
-            raise DomainError("right-sided spectral window needs t > 0")
-        a = max(a, 0.35 * y_min)
     b = y_max + 0.35 * span
     if math.isfinite(dom_hi):
         b = min(b, dom_hi)
@@ -317,22 +311,21 @@ def _window_in_y(f: Profile1D, t: np.ndarray, positive_floor: bool = False):
     return a, b
 
 
-def _spectral_D_pow(sample_fn, domain_of: Profile1D, t: np.ndarray, order: int,
-                    sign: float, n_nodes: int = 128,
-                    noise_rel: float = DERIV_NOISE_REL):
-    """(sign*D)^order of sample_fn at t, spectrally in y = t^2.
+def _ladder(sample_y, a: float, b: float, y: np.ndarray, order: int,
+            n_nodes: int, noise_rel: float) -> np.ndarray:
+    """d^order/dy^order of ``sample_y`` at y, spectrally on [a, b].
 
     The noise estimate compares the full-resolution derivative with the one
-    from every other node; if it exceeds ``DERIV_NOISE_REL`` relative to the
-    derivative scale on the window, the result is rejected.
+    through every other node, relative to the derivative scale on the
+    window (at y and at 9 points across it).  It can be limited by
+    interpolant truncation (more nodes help) or by amplified sample noise
+    (fewer nodes help), so node counts n, 3n/2, 3n/4 and 2n are tried in
+    turn; past ``noise_rel`` at all of them the result is rejected.
     """
-    a, b = _window_in_y(domain_of, t)
-    y = t * t
     noise = math.inf
-    for n in _node_ladder(n_nodes):
-        ynodes = cheb_nodes(n, a, b)
-        vals = np.asarray(sample_fn(np.sqrt(np.maximum(ynodes, 0.0))), dtype=float)
-        interp = ChebInterpolant(a, b, vals)
+    for n in (n_nodes, (3 * n_nodes) // 2, (3 * n_nodes) // 4, 2 * n_nodes):
+        n += n % 2
+        interp = ChebInterpolant(a, b, sample_y(cheb_nodes(n, a, b)))
         deriv = interp.derivative(order)
         d_full = np.atleast_1d(deriv(y))
         d_half = np.atleast_1d(interp.decimated().derivative(order)(y))
@@ -341,18 +334,52 @@ def _spectral_D_pow(sample_fn, domain_of: Profile1D, t: np.ndarray, order: int,
                     1e-300)
         noise = float(np.max(np.abs(d_full - d_half))) / scale
         if noise <= noise_rel:
-            return sign ** order * np.asarray(d_full, dtype=float)
+            return d_full
     raise DifferentiationInstabilityError(
         f"spectral differentiation noise {noise:.2e} exceeds "
         f"{noise_rel:.0e} (order {order}, window [{a:.3g}, {b:.3g}])")
 
 
-def _node_ladder(n_nodes: int):
-    """Node counts to try in turn.  The noise estimate can be limited by
-    interpolant truncation (more nodes help) or by amplified sample noise
-    (fewer nodes help), so both directions are probed before giving up."""
-    for n in (n_nodes, (3 * n_nodes) // 2, (3 * n_nodes) // 4, 2 * n_nodes):
-        yield n + (n % 2)
+def _spectral_D_pow(sample_fn, domain_of: Profile1D, t: np.ndarray, order: int,
+                    sign: float, n_nodes: int, noise_rel: float):
+    """(sign*D)^order of sample_fn at t, spectrally in y = t^2 on the window
+    of t in the domain of ``domain_of``."""
+    a, b = _window_in_y(domain_of, t)
+    d = _ladder(lambda y: sample_fn(np.sqrt(np.maximum(y, 0.0))), a, b, t * t,
+                order, n_nodes, noise_rel)
+    return sign ** order * d
+
+
+def _integer_order(phi: Profile1D, t: np.ndarray, m: int, sign: float,
+                   n_nodes: int, noise_rel: float):
+    """(sign*D)^m phi at t: the analytic chain when phi has m derivatives,
+    else spectral."""
+    if phi.derivatives and len(phi.derivatives) >= m:
+        return radial_derivative(phi, t, m, sign=sign)
+    return _spectral_D_pow(phi, phi, t, m, sign, n_nodes, noise_rel)
+
+
+def _psi_sampler(integral, beta: float, g: Profile1D, fixed,
+                 spec: QuadratureSpec):
+    """Sampler t -> integral(beta, g, t) for the fractional derivatives.
+
+    ``fixed`` is a fixed-grid sampler of the same integral (None when the
+    profile rules one out; it may also return None at single points).
+    Missing values come from the adaptive ``integral`` at tightened
+    tolerances, in one vector call when there is no fixed grid at all.
+    """
+    tight = _tighten(spec)
+
+    def psi(ts):
+        if fixed is None:
+            return np.asarray(integral(beta, g, ts, tight))
+        out = np.empty_like(ts)
+        for i, ti in enumerate(ts):
+            v = fixed(float(ti))
+            out[i] = v if v is not None else integral(beta, g, float(ti), tight)
+        return out
+
+    return psi
 
 
 def _psi_left_fixed_sampler(beta: float, g: Profile1D):
@@ -389,40 +416,24 @@ def _psi_left_fixed_sampler(beta: float, g: Profile1D):
 
 def ek_deriv_left(alpha: float, phi: Profile1D, t,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                  n_nodes: int | None = None,
                   noise_rel: float = DERIV_NOISE_REL):
     """Left EK derivative; inverts ``ek_left`` on its range."""
     if alpha <= 0:
         raise DomainError("ek_deriv_left: alpha must be positive")
     tv = np.atleast_1d(np.asarray(t, dtype=float))
     m, a0 = _alpha_split(alpha)
-    if n_nodes is None:
-        n_nodes = 96 if m < 2 else 128
+    n_nodes = 96 if m < 2 else 128
     if a0 == 0.0:
-        if phi.derivatives and len(phi.derivatives) >= m:
-            out = radial_derivative(phi, tv, m, sign=1.0)
-        else:
-            out = _spectral_D_pow(phi, phi, tv, m, 1.0, n_nodes, noise_rel)
+        out = _integer_order(phi, tv, m, 1.0, n_nodes, noise_rel)
     else:
-        tight = _tighten(spec)
-        sampler = _psi_left_fixed_sampler(1.0 - a0, phi)
-
-        def psi(ts):
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            out_v = np.empty_like(ts)
-            for i, ti in enumerate(ts):
-                v = sampler(float(ti)) if sampler is not None else None
-                out_v[i] = v if v is not None \
-                    else ek_left(1.0 - a0, phi, float(ti), tight)
-            return out_v
-
+        psi = _psi_sampler(ek_left, 1.0 - a0, phi,
+                           _psi_left_fixed_sampler(1.0 - a0, phi), spec)
         out = _spectral_D_pow(psi, phi, tv, m + 1, 1.0, n_nodes, noise_rel)
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
 def ek_deriv_right(alpha: float, phi: Profile1D, t,
                    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                   n_nodes: int | None = None,
                    noise_rel: float = DERIV_NOISE_REL):
     """Right EK derivative; inverts ``ek_right`` on its range.
 
@@ -434,20 +445,16 @@ def ek_deriv_right(alpha: float, phi: Profile1D, t,
         raise DomainError("ek_deriv_right: alpha must be positive")
     tv = np.atleast_1d(np.asarray(t, dtype=float))
     m, a0 = _alpha_split(alpha)
-    if n_nodes is None:
-        n_nodes = 96 if (a0 > 0.0 or m < 1) else 128
+    n_nodes = 96 if (a0 > 0.0 or m < 1) else 128
 
-    top = min(phi.hi, phi.support if phi.support is not None else math.inf)
+    top = phi.upper_limit
     inside = tv < top * (1 - 1e-12) if math.isfinite(top) \
         else np.ones_like(tv, dtype=bool)
     out = np.zeros_like(tv)
     if np.any(inside):
         ti = tv[inside]
         if a0 == 0.0:
-            if phi.derivatives and len(phi.derivatives) >= m:
-                vals = radial_derivative(phi, ti, m, sign=-1.0)
-            else:
-                vals = _spectral_D_pow(phi, phi, ti, m, -1.0, n_nodes, noise_rel)
+            vals = _integer_order(phi, ti, m, -1.0, n_nodes, noise_rel)
         else:
             vals = _deriv_right_fractional(alpha, m, a0, phi, ti, spec,
                                            n_nodes, noise_rel)
@@ -537,8 +544,7 @@ def _psi_fixed_sampler(beta: float, g: Profile1D, y_probe: float):
 
 def _deriv_right_fractional(alpha: float, m: int, a0: float, phi: Profile1D,
                             ti: np.ndarray, spec: QuadratureSpec,
-                            n_nodes: int,
-                            noise_rel: float = DERIV_NOISE_REL) -> np.ndarray:
+                            n_nodes: int, noise_rel: float) -> np.ndarray:
     """t^(2(1-a0)) (-d/dy)^(m+1) [y^alpha psi(y)] with psi smooth in y.
 
     psi = I^(1-a0)_right [r^(-2m-2) phi] carries no singularity on y > 0, so
@@ -550,29 +556,25 @@ def _deriv_right_fractional(alpha: float, m: int, a0: float, phi: Profile1D,
     if np.min(y_all) <= 0.0:
         raise DomainError("fractional right derivative needs t > 0")
     dom_lo = phi.lo * phi.lo
-    top = min(phi.hi, phi.support if phi.support is not None else math.inf)
+    top = phi.upper_limit
     dom_hi = top * top if math.isfinite(top) else math.inf
-    m1 = m + 1
-    out = np.empty_like(y_all)
-    tight = _tighten(spec)
+    psi = _psi_sampler(ek_right, 1.0 - a0, shifted,
+                       _psi_fixed_sampler(1.0 - a0, shifted, float(np.min(y_all))),
+                       spec)
+
+    def chi(y):
+        return y ** alpha * psi(np.sqrt(y))
 
     # chi = y^alpha psi is O(1)-varying but has a fractional power at y = 0;
     # geometric blocks keep each Chebyshev window away from that point.
-    order_idx = np.argsort(y_all)
     blocks: list[list[int]] = []
-    for idx in order_idx:
+    for idx in np.argsort(y_all):
         if blocks and y_all[idx] <= 4.0 * y_all[blocks[-1][0]]:
             blocks[-1].append(idx)
         else:
             blocks.append([idx])
 
-    sampler = _psi_fixed_sampler(1.0 - a0, shifted, float(np.min(y_all)))
-
-    def psi_values(ynodes):
-        if sampler is not None:
-            return np.array([sampler(t) for t in np.sqrt(ynodes)])
-        return np.asarray(ek_right(1.0 - a0, shifted, np.sqrt(ynodes), tight))
-
+    out = np.empty_like(y_all)
     for block in blocks:
         yb = y_all[block]
         a = max(dom_lo, 0.65 * float(np.min(yb)))
@@ -580,22 +582,5 @@ def _deriv_right_fractional(alpha: float, m: int, a0: float, phi: Profile1D,
         if math.isfinite(dom_hi):
             b = min(b, dom_hi)
             a = min(a, 0.98 * b)
-        noise = math.inf
-        done = False
-        for n in _node_ladder(n_nodes):
-            ynodes = cheb_nodes(n, a, b)
-            psi = psi_values(ynodes)
-            interp = ChebInterpolant(a, b, ynodes ** alpha * psi)
-            d_full = np.atleast_1d(interp.derivative(m1)(yb))
-            d_half = np.atleast_1d(interp.decimated().derivative(m1)(yb))
-            scale = max(float(np.max(np.abs(d_full))), 1e-300)
-            noise = float(np.max(np.abs(d_full - d_half))) / scale
-            if noise <= noise_rel:
-                out[block] = d_full
-                done = True
-                break
-        if not done:
-            raise DifferentiationInstabilityError(
-                f"spectral differentiation noise {noise:.2e} exceeds "
-                f"{noise_rel:.0e} in the weighted right derivative")
-    return (-1.0) ** m1 * ti ** (2.0 * (1.0 - a0)) * out
+        out[block] = _ladder(chi, a, b, yb, m + 1, n_nodes, noise_rel)
+    return (-1.0) ** (m + 1) * ti ** (2.0 * (1.0 - a0)) * out

@@ -170,15 +170,14 @@ def _combine(lap: Profile1D, h: Profile1D, shift: float) -> Profile1D:
 # -- smoothing -------------------------------------------------------------------
 
 def fit_even_spline(rho: np.ndarray, values: np.ndarray,
-                    std_errors: Optional[np.ndarray] = None,
-                    residual_guard: float = 8.0) -> Profile1D:
+                    std_errors: Optional[np.ndarray] = None) -> Profile1D:
     """Even least-squares quintic spline through noisy grid data.
 
     The data is mirrored through 0 to enforce the even extension, fitted
     with candidate interior knot counts, and the generalized
     cross-validation score picks the smoothing level.  Raises
-    ``SmoothingResidualError`` when even the best fit leaves residuals far
-    above the reported Monte Carlo noise.
+    ``SmoothingResidualError`` when even the best fit leaves residuals more
+    than 8x above the reported Monte Carlo noise.
     """
     from scipy.interpolate import LSQUnivariateSpline
 
@@ -212,7 +211,7 @@ def fit_even_spline(rho: np.ndarray, values: np.ndarray,
     if std_errors is not None:
         noise = float(np.median(std_errors)) + 1e-300
         rms = math.sqrt(float(np.mean((spl(rho) - values) ** 2)))
-        if rms > residual_guard * max(noise, 1e-12 * float(np.max(np.abs(values)))):
+        if rms > 8.0 * max(noise, 1e-12 * float(np.max(np.abs(values)))):
             raise SmoothingResidualError(
                 f"smoothing residual {rms:.3e} far exceeds the Monte Carlo "
                 f"noise level {noise:.3e}")
@@ -247,14 +246,14 @@ def chain_identity(p: R.TransformParams, h: Profile1D,
 
 
 def _tabulated_forward(p: R.TransformParams, f: Profile1D,
-                       spec: QuadratureSpec, s_hi: float = 12.0) -> Profile1D:
+                       spec: QuadratureSpec) -> Profile1D:
     top = f.upper_limit
     if math.isfinite(top):
         return tabulate(lambda s: R.radon_hyper_zonal(p, f, s, spec),
                         1.0, top, ArgKind.CoshDistance, n=200, support=top,
                         square_variable=True)
     return tabulate(lambda s: R.radon_hyper_zonal(p, f, s, spec),
-                    1.0, s_hi, ArgKind.CoshDistance, n=200,
+                    1.0, 12.0, ArgKind.CoshDistance, n=200,
                     decay_hint=math.inf, scale_fn=lambda s: np.exp(-s * s),
                     square_variable=True)
 

@@ -30,12 +30,14 @@ KERNEL_FLOOR = 1e-3
 
 
 def worker_threads() -> int:
-    """Monte Carlo worker threads: GEORADON_THREADS, else the CPU count."""
+    """Monte Carlo worker threads: GEORADON_THREADS capped at the CPU count,
+    else the CPU count."""
+    cpus = max(1, os.cpu_count() or 1)
     env = os.environ.get("GEORADON_THREADS", "").strip()
     if not env:
-        return max(1, os.cpu_count() or 1)
+        return cpus
     try:
-        return max(1, int(env))
+        return min(max(1, int(env)), cpus)
     except ValueError:
         raise DomainError(
             f"GEORADON_THREADS must be an integer, got {env!r}") from None
@@ -107,12 +109,11 @@ def _mean_stderr(parts: list):
     return mean, np.sqrt(var / n)
 
 
-def _estimate(term_fn: Callable, spec: McSpec,
-              warn_convergence: bool = True) -> McEstimate:
+def _estimate(term_fn: Callable, spec: McSpec) -> McEstimate:
     """Mean/stderr of term_fn(rng, count) over the seeded sample budget."""
     parts = _chunk_sums(lambda rng, count, _: term_fn(rng, count), spec)
     mean, stderr = _mean_stderr(parts)
-    if warn_convergence and len(parts) >= 4:
+    if len(parts) >= 4:
         _, se_q = _mean_stderr(parts[:max(1, len(parts) // 4)])
         if se_q > 0 and stderr / se_q > 0.8:
             warnings.warn(
@@ -309,11 +310,6 @@ class GeodesicElement:
     rotation: np.ndarray       # (n, n) spatial rotation
     distance: float
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return embed_rotation(self.rotation) @ hyperbolic_rotation(
-            self.n, self.dim, self.distance)
-
 
 @dataclass(frozen=True)
 class GeodesicBatch:
@@ -354,12 +350,13 @@ def radial_plane_function(profile: Profile1D) -> Callable:
 # -- estimators -------------------------------------------------------------------
 
 def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
-                    gauge: int = 0, importance_sigma: float = 1.0) -> McEstimate:
+                    gauge: int = 0) -> McEstimate:
     """Unbiased estimate of the forward transform of f at the plane zeta.
 
     Direction frames are sampled Haar over the rotations of the plane, the
-    transverse offset from a Gaussian envelope with importance correction.
-    ``f`` receives a PlaneBatch and must return one value per plane.
+    transverse offset from a standard Gaussian envelope with importance
+    correction.  ``f`` receives a PlaneBatch and must return one value per
+    plane.
     """
     n, j, k = p.n, p.j, p.k
     eta = zeta.frame.columns
@@ -370,13 +367,12 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
     u = v / vnorm if vnorm > 0 else None
     g = complete_rotation(eta, gauge) if u is None else _with_marked_axis(
         eta, u, gauge)
-    sig = importance_sigma
-    log_norm = 0.5 * (k - j) * math.log(2 * math.pi * sig * sig)
+    log_norm = 0.5 * (k - j) * math.log(2 * math.pi)
 
     def terms(rng, count):
         gam = sample_rotations(k, count, rng)
-        z = sig * rng.standard_normal((count, k - j))
-        w = np.exp(log_norm + np.sum(z * z, axis=1) / (2 * sig * sig))
+        z = rng.standard_normal((count, k - j))
+        w = np.exp(log_norm + np.sum(z * z, axis=1) / 2)
         # local coordinates inside the k-block: offset = |v| e_{n-k} + z
         local = np.zeros((count, n))
         local[:, n - k - 1] = vnorm

@@ -316,7 +316,7 @@ def _inversion_weight_profile(op: WeightOp, params, f: Profile1D) -> Profile1D:
         dec = -p          # f(1/x) -> f(0) bounded; the power rules the tail
     return Profile1D(lo=1e-300, hi=math.inf, fn=fn,
                      arg_kind=ArgKind.EuclideanRadius, decay_hint=dec,
-                     smoothness_hint=f.smoothness_hint, origin_power=0.0,
+                     origin_power=0.0,
                      label=f"{op.value}[{f.label}]")
 
 
@@ -371,7 +371,7 @@ def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
     else:
         decay = None
     return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=tgt_kind, decay_hint=decay,
-                     smoothness_hint=f.smoothness_hint, support=support,
+                     support=support,
                      label=f"{op.value}[{f.label}]")
 
 

@@ -19,7 +19,7 @@ from .errors import DomainError, SmoothnessError
 from .spectral import ChebInterpolant
 
 #: Arguments larger than this are treated as "at infinity" by re-parametrized
-#: profiles; decaying profiles evaluate to their limit there.
+#: profiles; every profile evaluates to 0 there.
 HUGE_ARG = 1e12
 
 
@@ -56,14 +56,12 @@ class Profile1D:
     fn: Callable[[np.ndarray], np.ndarray]
     arg_kind: ArgKind = ArgKind.EuclideanRadius
     decay_hint: Optional[float] = None
-    smoothness_hint: int = 0
     derivatives: Optional[Sequence[Callable]] = None
     origin_power: float = 0.0
     support: Optional[float] = None
     edge_exponent: float = 0.0
     core: Optional[Callable[[np.ndarray], np.ndarray]] = None
     breakpoints: tuple = ()
-    limit_at_infinity: float = 0.0
     label: str = ""
 
     def __post_init__(self):
@@ -83,11 +81,9 @@ class Profile1D:
         inside = (x >= self.lo - eps) & (x < self.hi)
         if self.support is not None:
             inside &= x < self.support
-        far = x >= HUGE_ARG
-        inside &= ~far
+        inside &= x < HUGE_ARG
         if np.any(inside):
             out[inside] = self.fn(np.maximum(x[inside], self.lo))
-        out[far] = self.limit_at_infinity
         return float(out[0]) if scalar else out
 
     def derivative(self, order: int, x):
@@ -140,10 +136,8 @@ class Profile1D:
         dec = None if self.decay_hint is None else self.decay_hint - shift
         return Profile1D(
             lo=self.lo, hi=self.hi, fn=fn, arg_kind=self.arg_kind,
-            decay_hint=dec, smoothness_hint=self.smoothness_hint,
-            derivatives=None, origin_power=o + shift, support=s,
+            decay_hint=dec, derivatives=None, origin_power=o + shift, support=s,
             edge_exponent=e, core=core, breakpoints=self.breakpoints,
-            limit_at_infinity=0.0,
             label=f"x^{shift}*{self.label}" if self.label else "")
 
     def scaled(self, c: float) -> "Profile1D":
@@ -160,11 +154,9 @@ class Profile1D:
         if self.derivatives:
             derivs = tuple((lambda d: (lambda x: c * d(x)))(d) for d in self.derivatives)
         return Profile1D(lo=self.lo, hi=self.hi, fn=fn, arg_kind=self.arg_kind,
-                         decay_hint=self.decay_hint,
-                         smoothness_hint=self.smoothness_hint, derivatives=derivs,
+                         decay_hint=self.decay_hint, derivatives=derivs,
                          origin_power=o, support=s, edge_exponent=e, core=core2,
                          breakpoints=self.breakpoints,
-                         limit_at_infinity=c * self.limit_at_infinity,
                          label=f"{c}*{self.label}" if self.label else "")
 
 
@@ -222,9 +214,9 @@ def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
     Kinds that share values (plane distance, ball radius, tanh of distance)
     are re-tagged with all metadata kept.  Otherwise the new profile lives
     on the image of [least coordinate, f.hi), maps f's support where the
-    map is increasing, keeps the decay and smoothness hints and the label,
-    and evaluates f (with its own domain and support) at the pulled-back
-    coordinate; origin and edge exponents and breakpoints are not carried.
+    map is increasing, keeps the decay hint and the label, and evaluates f
+    (with its own domain and support) at the pulled-back coordinate; origin
+    and edge exponents and breakpoints are not carried.
     """
     if f.arg_kind is kind:
         return f
@@ -244,8 +236,7 @@ def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
         return f(m.pull(np.asarray(x, dtype=float)))
 
     return Profile1D(lo=lo, hi=hi + m.pad, fn=fn, arg_kind=kind,
-                     decay_hint=f.decay_hint, smoothness_hint=f.smoothness_hint,
-                     support=support, label=f.label)
+                     decay_hint=f.decay_hint, support=support, label=f.label)
 
 
 def from_grid(x: np.ndarray, y: np.ndarray, arg_kind: ArgKind,
@@ -267,8 +258,7 @@ def from_grid(x: np.ndarray, y: np.ndarray, arg_kind: ArgKind,
     derivs = tuple(spl.derivative(q) for q in range(1, order))
     return Profile1D(lo=float(x[0]), hi=float(x[-1]) * (1 + 1e-12) + 1e-300,
                      fn=fn, arg_kind=arg_kind, decay_hint=decay_hint,
-                     smoothness_hint=order - 1, derivatives=derivs,
-                     label="grid")
+                     derivatives=derivs, label="grid")
 
 
 def tabulate(fn, lo: float, hi: float, arg_kind: ArgKind, n: int = 128,
@@ -318,8 +308,8 @@ def tabulate(fn, lo: float, hi: float, arg_kind: ArgKind, n: int = 128,
 
         derivs = None
     return Profile1D(lo=lo, hi=hi * (1 + 1e-12), fn=ev, arg_kind=arg_kind,
-                     decay_hint=decay_hint, smoothness_hint=4,
-                     derivatives=derivs, support=support, label=label or "cheb")
+                     decay_hint=decay_hint, derivatives=derivs, support=support,
+                     label=label or "cheb")
 
 
 def _scaled_sample(fn, scale_fn, x):
@@ -357,8 +347,7 @@ def gaussian(sigma: float = 1.0, arg_kind: ArgKind = ArgKind.EuclideanRadius,
         return np.exp(-(x / sigma) ** 2)
 
     return Profile1D(lo=lo, hi=math.inf, fn=fn, arg_kind=arg_kind,
-                     decay_hint=math.inf, smoothness_hint=64,
-                     derivatives=_hermite_chain(sigma),
+                     decay_hint=math.inf, derivatives=_hermite_chain(sigma),
                      label=f"gaussian({sigma})")
 
 
@@ -386,8 +375,7 @@ def gaussian_power(p: float, sigma: float = 1.0,
 
         derivs = tuple(deriv(q) for q in range(1, 7))
     return Profile1D(lo=lo, hi=math.inf, fn=fn, arg_kind=arg_kind,
-                     decay_hint=math.inf, smoothness_hint=6 if derivs else 0,
-                     derivatives=derivs, origin_power=p,
+                     decay_hint=math.inf, derivatives=derivs, origin_power=p,
                      label=f"x^{p}*gaussian({sigma})")
 
 
@@ -412,8 +400,8 @@ def bump(a: float, arg_kind: ArgKind = ArgKind.EuclideanRadius,
         return out
 
     return Profile1D(lo=lo, hi=math.inf, fn=fn, arg_kind=arg_kind,
-                     decay_hint=math.inf, smoothness_hint=64,
-                     derivatives=(d1,), support=a, label=f"bump({a})")
+                     decay_hint=math.inf, derivatives=(d1,), support=a,
+                     label=f"bump({a})")
 
 
 def power(p: float, lo: float = 0.0, hi: float = math.inf,
@@ -431,8 +419,8 @@ def power(p: float, lo: float = 0.0, hi: float = math.inf,
 
     derivs = tuple(_falling(q) for q in range(1, 5))
     return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=arg_kind,
-                     decay_hint=-p, smoothness_hint=4, derivatives=derivs,
-                     origin_power=p, support=support, label=f"power({p})")
+                     decay_hint=-p, derivatives=derivs, origin_power=p,
+                     support=support, label=f"power({p})")
 
 
 def truncated_power_pair(alpha: float, a: float, inner_power: float,
@@ -452,6 +440,6 @@ def truncated_power_pair(alpha: float, a: float, inner_power: float,
         return out
 
     return Profile1D(lo=lo, hi=math.inf, fn=fn, arg_kind=arg_kind,
-                     decay_hint=math.inf, smoothness_hint=0,
-                     origin_power=inner_power, support=a, edge_exponent=e,
-                     core=core, label=f"x^{inner_power}(a2-x2)^{e}")
+                     decay_hint=math.inf, origin_power=inner_power, support=a,
+                     edge_exponent=e, core=core,
+                     label=f"x^{inner_power}(a2-x2)^{e}")

@@ -342,8 +342,8 @@ def _cap_support(f: Profile1D, cap: float) -> Profile1D:
     o, e, s, core = f.factored()
     return Profile1D(lo=f.lo, hi=max(f.hi, cap * (1 + 1e-12)), fn=f.fn,
                      arg_kind=f.arg_kind, decay_hint=f.decay_hint,
-                     smoothness_hint=f.smoothness_hint, origin_power=o,
-                     support=cap, edge_exponent=e if s is not None else 0.0,
+                     origin_power=o, support=cap,
+                     edge_exponent=e if s is not None else 0.0,
                      core=core if (o != 0.0 or e != 0.0) else None,
                      breakpoints=f.breakpoints, label=f.label)
 
@@ -399,18 +399,15 @@ class ClosedFormPair:
     input: Profile1D
     expected: Profile1D
     constant: float
-    route: str            # "chord_forward" | "chord_dual" | "hyper_forward"
-
-
-def closed_form_defaults(cf: ClosedFormId) -> dict:
-    return dict(_CF_DEFAULTS[cf])
+    model: Model          # the transform the pair belongs to
+    dual: bool
 
 
 def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
                      alpha: Optional[float] = None,
                      a: Optional[float] = None) -> ClosedFormPair:
     """Analytic (input, expected output, constant) for one catalog entry."""
-    d = closed_form_defaults(cf)
+    d = _CF_DEFAULTS[cf]
     if p is None:
         p = TransformParams(d["n"], d["j"], d["k"])
     alpha = d.get("alpha") if alpha is None else alpha
@@ -433,7 +430,7 @@ def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
             fn=lambda s: lam * (1.0 - s * s) ** eout * s ** (-alpha),
             origin_power=-alpha, support=1.0, edge_exponent=eout,
             label="expected")
-        return ClosedFormPair(p, fin, fout, lam, "chord_forward")
+        return ClosedFormPair(p, fin, fout, lam, Model.BeltramiKlein, False)
 
     if cf is ClosedFormId.CHORD_CAP:
         lam = lambda1(alpha, j, k)
@@ -450,7 +447,7 @@ def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
             fn=lambda s: lam * np.where(s < a, (a * a - s * s) ** eout, 0.0)
             if eout != 0.0 else lam * (np.asarray(s) < a).astype(float),
             support=a, edge_exponent=eout, label="expected")
-        return ClosedFormPair(p, fin, fout, lam, "chord_forward")
+        return ClosedFormPair(p, fin, fout, lam, Model.BeltramiKlein, False)
 
     if cf is ClosedFormId.DUAL_CHORD_POWER:
         lam = lambda2(alpha, n, j, k)
@@ -460,7 +457,7 @@ def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
         fout = Profile1D(lo=0.0, hi=1.0, arg_kind=ArgKind.BallRadius,
                          fn=lambda r: lam * r ** pw, origin_power=pw,
                          label="expected")
-        return ClosedFormPair(p, fin, fout, lam, "chord_dual")
+        return ClosedFormPair(p, fin, fout, lam, Model.BeltramiKlein, True)
 
     if cf is ClosedFormId.DUAL_CHORD_EDGE:
         fin = Profile1D(lo=0.0, hi=1.0, arg_kind=ArgKind.BallRadius,
@@ -469,7 +466,7 @@ def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
         fout = Profile1D(lo=0.0, hi=1.0, arg_kind=ArgKind.BallRadius,
                          fn=lambda r: (1.0 - r * r) ** ((k - n) / 2.0),
                          label="expected")
-        return ClosedFormPair(p, fin, fout, 1.0, "chord_dual")
+        return ClosedFormPair(p, fin, fout, 1.0, Model.BeltramiKlein, True)
 
     if cf is ClosedFormId.HYPER_CAP:
         if not a > 1.0:
@@ -489,7 +486,7 @@ def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
             fn=lambda s: lam * np.where(s < a, (a * a - s * s) ** eout * s ** pw,
                                         0.0),
             support=a, edge_exponent=eout, label="expected")
-        return ClosedFormPair(p, fin, fout, lam, "hyper_forward")
+        return ClosedFormPair(p, fin, fout, lam, Model.Hyperboloid, False)
 
     raise DomainError(f"unknown closed form {cf}")
 
@@ -497,13 +494,8 @@ def closed_form_pair(cf: ClosedFormId, p: Optional[TransformParams] = None,
 def evaluate_closed_form(pair: ClosedFormPair, coords,
                          spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Run the transform the pair belongs to on its input."""
-    if pair.route == "chord_forward":
-        return radon_chord_radial(pair.params, pair.input, coords, spec)
-    if pair.route == "chord_dual":
-        return dual_chord_radial(pair.params, pair.input, coords, spec)
-    if pair.route == "hyper_forward":
-        return radon_hyper_zonal(pair.params, pair.input, coords, spec)
-    raise DomainError(f"unknown route {pair.route}")
+    return transform_function(pair.model, pair.dual)(pair.params, pair.input,
+                                                     coords, spec)
 
 
 # -- existence predicates --------------------------------------------------------
@@ -658,16 +650,15 @@ def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
 def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
                   out_range=None, dual: bool = False,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                  rel_tol: float = 1e-4, n_nodes: int = 96,
-                  check_residual: bool = True,
+                  rel_tol: float = 1e-4, check_residual: bool = True,
                   deriv_noise_rel: float = 1e-6) -> Profile1D:
     """Recover the input profile from a forward (or dual) transform result.
 
     The transform is a power-weighted fractional integral, so inversion
     strips the weights, applies the matching fractional derivative on a
-    Chebyshev grid over ``out_range``, and restores the weights.  When
-    ``check_residual`` is set, the forward map is re-applied to the
-    reconstruction and a residual above 10x ``rel_tol`` raises
+    96-interval Chebyshev grid over ``out_range``, and restores the
+    weights.  When ``check_residual`` is set, the forward map is re-applied
+    to the reconstruction and a residual above 10x ``rel_tol`` raises
     ``ReconstructionError``.
     """
     t = TRANSFORMS[model, dual]
@@ -675,14 +666,14 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
         raise DomainError(f"expected a {t.kind.value} profile")
     if t.route is not None:
         rec = _invert_routed(t, p, transformed, out_range, spec, rel_tol,
-                             n_nodes, deriv_noise_rel)
+                             deriv_noise_rel)
         lo, hi = t.window(transformed)
     else:
         c, pre, post = t.weights
         stripped = transformed.with_power(-post(p)).scaled(1.0 / c(p))
         lo, hi = t.window(transformed) if out_range is None \
             else (float(out_range[0]), float(out_range[1]))
-        grid = cheb_nodes(n_nodes, lo, hi)
+        grid = cheb_nodes(96, lo, hi)
         deriv = ek_deriv_left if t.left else ek_deriv_right
         vals = grid ** (-pre(p)) * deriv(p.half_gap, stripped, grid, spec,
                                          noise_rel=deriv_noise_rel)
@@ -695,7 +686,7 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
 
 
 def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
-                   out_range, spec, rel_tol, n_nodes, deriv_noise_rel):
+                   out_range, spec, rel_tol, deriv_noise_rel):
     """Invert a projective transform on the hyperboloid: apply the route's
     k-side operator, invert there, apply its j-side operator."""
     # pull the output window back to the hyperboloid; stay inside the image
@@ -712,8 +703,7 @@ def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
     rec_h = invert_radial(Model.Hyperboloid, p, w, dual=t.dual,
                           out_range=(lift(max(rho_rng[0], 1e-3)),
                                      lift(rho_rng[1])),
-                          spec=spec, rel_tol=rel_tol, n_nodes=n_nodes,
-                          check_residual=False,
+                          spec=spec, rel_tol=rel_tol, check_residual=False,
                           deriv_noise_rel=deriv_noise_rel)
     return apply_weight(j_op, p,
                         reparametrize(rec_h, ArgKind.GeodesicDistance))
@@ -729,8 +719,8 @@ def _grid_profile(grid, vals, kind: ArgKind, transformed: Profile1D) -> Profile1
 
     sup = transformed.support
     return Profile1D(lo=lo, hi=hi * (1 + 1e-12), fn=fn, arg_kind=kind,
-                     decay_hint=transformed.decay_hint, smoothness_hint=2,
-                     support=sup, label=f"inverted[{transformed.label}]")
+                     decay_hint=transformed.decay_hint, support=sup,
+                     label=f"inverted[{transformed.label}]")
 
 
 def _residual_check(fwd, transformed: Profile1D, lo: float, hi: float,

@@ -66,8 +66,3 @@ class ChebInterpolant:
             raise ValueError("decimated: need stored values on an even-degree grid")
         return ChebInterpolant(self.a, self.b, self.values[::2])
 
-    def tail_magnitude(self) -> float:
-        """Mean magnitude of the top coefficients, a resolution diagnostic."""
-        m = max(2, len(self.coeffs) // 8)
-        return float(np.mean(np.abs(self.coeffs[-m:])))
-

@@ -98,11 +98,33 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
                              "count": 5})),
     ("transform", dict(_GOOD_JOB, quadrature={"rel_tol": "nan"})),
     ("chain", dict(_CHAIN_JOB, mc={"seed": -1, "n_samples": 2000})),
+    ("table", {"command": "table", "model": "euclidean",
+               "profile": {"family": "gaussian", "sigma": math.nan},
+               "grid": {"lo": 0.0, "hi": 2.0, "count": 5}}),
+    ("table", {"command": "table", "model": "euclidean",
+               "profile": {"family": "bump", "a": math.inf},
+               "grid": {"lo": 0.0, "hi": 2.0, "count": 5}}),
+    ("transform", dict(_GOOD_JOB, profile={"family": "power", "p": math.nan})),
+    ("transform", dict(_GOOD_JOB, model="hyperboloid",
+                       params={"n": 3, "j": 0, "k": 1},
+                       profile={"family": "closed_form", "id": "hyper_cap",
+                                "alpha": math.inf, "a": 2.0},
+                       grid={"kind": "cosh", "lo": 1.0, "hi": 2.0,
+                             "count": 5})),
+    ("transform", dict(_GOOD_JOB, model="ball",
+                       profile={"family": "closed_form", "id": "chord_cap",
+                                "alpha": 2.0, "a": math.nan},
+                       grid={"lo": 0.05, "hi": 0.5, "count": 5})),
+    ("transform", dict(_GOOD_JOB, profile={
+        "family": "grid", "x": _X, "y": np.exp(-np.square(_X)).tolist(),
+        "decay_hint": math.nan})),
 ], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
         "nan-in-grid-profile", "chain-h-without-family",
         "chain-h-non-numeric-a", "chain-non-numeric-rho",
         "duality-not-an-object", "closed-form-non-numeric-alpha",
-        "nan-rel-tol", "negative-mc-seed"])
+        "nan-rel-tol", "negative-mc-seed", "nan-gaussian-sigma",
+        "infinite-bump-a", "nan-power-p", "infinite-closed-form-alpha",
+        "nan-closed-form-a", "nan-decay-hint"])
 def test_invalid_params_exit_2(tmp_path, command, doc):
     doc = dict(doc, output={"path": str(tmp_path / "x.csv")})
     job = _write_job(tmp_path, "bad.json", doc)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import TIGHT, rel_err
 from georadon import profiles as P
-from georadon.errors import DivergenceError, DomainError
+from georadon.errors import (DifferentiationInstabilityError, DivergenceError,
+                             DomainError)
 from georadon.fracint import (check_decay, ek_deriv_left, ek_deriv_right,
                               ek_left, ek_right)
 
@@ -86,6 +87,24 @@ def test_deriv_right_gaussian():
     t = np.array([0.6, 1.2, 2.0])
     for alpha in (0.5, 1.0, 2.0):
         assert rel_err(ek_deriv_right(alpha, phi, t), np.exp(-t * t)) < 1e-7
+
+
+def test_noisy_samples_fail_the_noise_gate():
+    # a Gaussian table whose samples carry seeded 1e-3 noise: the
+    # differentiated noise stays above the gate at every node count
+    rng = np.random.default_rng(3)
+
+    def fn(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(-x * x) + 1e-3 * rng.standard_normal(x.shape)
+
+    noisy = P.Profile1D(lo=0.0, hi=math.inf, fn=fn, decay_hint=math.inf,
+                        label="noisy gaussian")
+    t = np.array([0.6, 1.2, 2.0])
+    with pytest.raises(DifferentiationInstabilityError, match="noise"):
+        ek_deriv_left(1.0, noisy, t)
+    with pytest.raises(DifferentiationInstabilityError, match="noise"):
+        ek_deriv_right(1.5, noisy, t)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5])

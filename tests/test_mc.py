@@ -77,6 +77,14 @@ def test_bad_thread_count_is_a_domain_error(monkeypatch):
                      MC.McSpec(seed=1, n_samples=3 * MC.CHUNK))
 
 
+def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(MC.os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("GEORADON_THREADS", "100000")
+    assert MC.worker_threads() == 3
+    monkeypatch.setenv("GEORADON_THREADS", "2")
+    assert MC.worker_threads() == 2
+
+
 def test_pool_is_capped_at_the_chunk_count(monkeypatch):
     sizes = []
 
@@ -96,6 +104,7 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(MC, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(MC.os, "cpu_count", lambda: 64)
     monkeypatch.setenv("GEORADON_THREADS", "64")
     spec = MC.McSpec(seed=1, n_samples=2 * MC.CHUNK + 5)
     est = MC._estimate(lambda rng, count: rng.standard_normal(count), spec)

@@ -62,12 +62,12 @@ def test_reparametrize_round_trip(src, via):
 def test_reparametrize_maps_support_and_hi(src, dst, image, pad):
     lo = 1.0 if src is K.CoshDistance else 0.0
     f = P.Profile1D(lo=lo, hi=lo + 0.9, fn=np.cos, arg_kind=src,
-                    support=lo + 0.7, decay_hint=3.0, smoothness_hint=5)
+                    support=lo + 0.7, decay_hint=3.0)
     g = P.reparametrize(f, dst)
     assert g.support == image(f.support)
     assert g.hi == image(f.hi) + pad
     assert g.lo == image(lo)
-    assert (g.decay_hint, g.smoothness_hint) == (3.0, 5)
+    assert g.decay_hint == 3.0
 
 
 def test_reparametrize_decreasing_maps_drop_support():
