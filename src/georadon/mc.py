@@ -15,6 +15,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -313,15 +314,31 @@ class GeodesicElement:
 
 @dataclass(frozen=True)
 class GeodesicBatch:
-    """Batched d-geodesics given by full matrices in SO_0(n,1)."""
+    """Batched d-geodesics in SO_0(n,1), in factored form: element b is
+    ``left @ right[b]``, with one ``left`` shared by the batch (None is the
+    identity).
+
+    A zonal read (``distance_to_origin``) forms only the base row n of each
+    product; the full matrices are formed when a caller reads ``matrices``.
+    """
 
     n: int
     dim: int
-    matrices: np.ndarray       # (B, n+1, n+1)
+    right: np.ndarray                    # (B, n+1, n+1)
+    left: Optional[np.ndarray] = None    # (n+1, n+1)
+
+    @cached_property
+    def matrices(self) -> np.ndarray:
+        """The full products, shape (B, n+1, n+1)."""
+        if self.left is None:
+            return self.right
+        return np.einsum("ij,bjl->bil", self.left, self.right)
 
     def distance_to_origin(self) -> np.ndarray:
         """Geodesic distance of each element to the base point."""
-        return _distance_to_base(self.matrices[:, self.n, :], self.n, self.dim)
+        row = self.right[:, self.n, :] if self.left is None else \
+            np.einsum("j,bjl->bl", self.left[self.n], self.right)
+        return _distance_to_base(row, self.n, self.dim)
 
 
 def zonal_function(profile: Profile1D) -> Callable:
@@ -442,10 +459,8 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
         s = np.minimum(s, 1.0 - 1e-12)
         w = sig * s ** (k - j - 1) / (1.0 - s * s) ** ((k + 1) / 2.0)
         rho = np.arctanh(s)
-        mats = np.einsum("ij,bjl->bil", left,
-                         _embed_block(alph, n, n - k) @
-                         _hyperbolic_rotations(n, j, rho))
-        vals = np.asarray(f(GeodesicBatch(n, j, mats)), dtype=float)
+        right = _embed_block(alph, n, n - k) @ _hyperbolic_rotations(n, j, rho)
+        vals = np.asarray(f(GeodesicBatch(n, j, right, left)), dtype=float)
         return vals * w
 
     return _estimate(terms, mc)
@@ -472,7 +487,10 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
     alpha + k - n), the logarithmic kernel ("log"), or the vanishing-order
     limit ("plain", the probability average over geodesics through x).
     One common sample set serves every grid point, so the returned curve is
-    smooth in rho and the whole grid costs a single sampling pass.
+    smooth in rho and the whole grid costs a single sampling pass.  In the
+    plain kernel each grid point's boost is the shared left factor of a
+    factored GeodesicBatch, so reading the zonal phi forms only row n of
+    each Lorentz product, never the full matrices.
     """
     n, k = p.n, p.k
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
@@ -501,8 +519,7 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
             rot = embed_rotation(sample_rotations(n, count, rng))
             out = np.empty((n_pts, count))
             for i in range(n_pts):
-                mats = np.einsum("ij,bjl->bil", x_mats[i], rot)
-                out[i] = cst * phi_fn(GeodesicBatch(n, k, mats))
+                out[i] = cst * phi_fn(GeodesicBatch(n, k, rot, left=x_mats[i]))
             return out
         batch, w, _, _ = sample_hyper_elements(n, k, rng, count)
         vals = phi_fn(batch)

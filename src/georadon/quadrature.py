@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import DivergenceError, QuadratureError
 
@@ -43,6 +42,8 @@ _NODE_LADDER = (16, 32, 64, 128, 256)
 
 @lru_cache(maxsize=512)
 def _jacobi_rule(n: int, a: float, b: float):
+    # imported here so that jobs without quadrature skip scipy.special
+    from scipy.special import roots_jacobi
     # scipy weight is (1-x)^a (1+x)^b on [-1, 1]
     x, w = roots_jacobi(n, a, b)
     return x, w

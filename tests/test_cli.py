@@ -241,10 +241,12 @@ def test_console_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    # only the smoothing spline of the reconstruction chain needs it
+    # only the smoothing spline of the reconstruction chain needs
+    # scipy.interpolate, and only the Gauss-Jacobi rules need scipy.special
     code = ("import sys, georadon.cli; "
-            "print('scipy.interpolate' in sys.modules)")
+            "print('scipy.interpolate' in sys.modules, "
+            "'scipy.special' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"

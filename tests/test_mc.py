@@ -12,7 +12,8 @@ from georadon import radial as R
 from georadon.errors import DomainError, KernelSingularityWarning
 from georadon.models import integrate_radial, Model
 from georadon.quadrature import _Budget, integrate_weighted
-from georadon.special import gamma_nk, sphere_area
+from georadon.special import (dual_transform_limit_constant, gamma_nk,
+                              sphere_area)
 
 
 def _rng(seed=0, chunk=0):
@@ -288,6 +289,88 @@ def test_dual_sine_grid_is_smooth(hyper_gauss_cosh):
     second = np.abs(np.diff(vals, 2))
     assert np.max(second) < 0.2 * np.max(np.abs(vals))
 
+
+
+def test_factored_batch_matches_full_products_bitwise():
+    # the row-only read and the lazily formed matrices must be the bytes of
+    # the full (n+1)x(n+1) Lorentz products they replace
+    rng = _rng(31)
+    for n in range(2, 8):
+        for d in range(n):
+            for size in (1, 257):
+                left = MC.embed_rotation(MC.sample_rotation(n, rng)) \
+                    @ MC.hyperbolic_rotation(n, d, rng.uniform(0.0, 2.5))
+                right = MC.sample_hyper_elements(n, d, rng, size)[0].matrices
+                full = np.einsum("ij,bjl->bil", left, right)
+                batch = MC.GeodesicBatch(n, d, right, left)
+                assert np.array_equal(
+                    batch.distance_to_origin(),
+                    MC._distance_to_base(full[:, n, :], n, d))
+                assert np.array_equal(batch.matrices, full)
+                plain = MC.GeodesicBatch(n, d, right)
+                assert plain.matrices is right
+                assert np.array_equal(plain.distance_to_origin(),
+                                      MC._distance_to_base(right[:, n, :],
+                                                           n, d))
+
+
+#: float.hex of (value, std_error), recorded from the estimators as they
+#: were when every grid point and sample formed the full Lorentz product
+_GOLDEN = {
+    "plain": [("0x1.45f306dc9c882p-4", "0x1.6b3f182f8a4c5p-37"),
+              ("0x1.bf5d5d3904448p-5", "0x1.6520e5461ad42p-14"),
+              ("0x1.b0afc6f9d12f2p-7", "0x1.e33b4b81d2dd8p-14")],
+    "sine": [("0x1.11b192a48c003p-3", "0x1.d8c37e11594e3p-12"),
+             ("0x1.c82ed1e26ac7bp-4", "0x1.31bfa5c7266c3p-11")],
+    "radon": [("0x1.788d192ecdf20p-2", "0x1.43e490306238ep-10")],
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_hyperbolic_estimators_keep_their_bytes(monkeypatch, threads):
+    # 20000 samples are three chunks, so the reduction order is exercised
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    p = R.TransformParams(4, 1, 2)
+    phi = P.gaussian(0.8, P.ArgKind.GeodesicDistance)
+    got = {"plain": MC.dual_sine_mc(0.0, p, phi, [0.0, 0.7, 1.6],
+                                    MC.McSpec(seed=61, n_samples=20000),
+                                    kernel="plain")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelSingularityWarning)
+        got["sine"] = MC.dual_sine_mc(1.5, p, phi, [0.0, 0.9],
+                                      MC.McSpec(seed=62, n_samples=20000))
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.eye(4)
+    rot[0, 0] = rot[2, 2] = c
+    rot[0, 2], rot[2, 0] = -s, s
+    fz = MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance, lo=1.0))
+    z = MC.GeodesicElement(4, 2, rot, 0.6)
+    got["radon"] = [MC.radon_hyper_mc(p, fz, z,
+                                      MC.McSpec(seed=63, n_samples=20000))]
+    for name, ests in got.items():
+        assert [(e.value.hex(), e.std_error.hex()) for e in ests] \
+            == _GOLDEN[name], name
+
+
+@pytest.mark.parametrize("seed,triple", [(70, (3, 1, 2)), (71, (4, 1, 2)),
+                                         (72, (5, 1, 3)), (73, (4, 1, 3))])
+def test_plain_dual_sine_matches_exact_zonal_dual(seed, triple):
+    # for zonal phi the plain kernel averages phi over the k-geodesics
+    # through x: the hyperboloid dual zonal transform of the point, scaled
+    p = R.TransformParams(*triple)
+    phi = P.gaussian(0.8, P.ArgKind.GeodesicDistance)
+    rho = np.linspace(0.0, 2.6, 33)
+    ests = MC.dual_sine_mc(0.0, p, phi, rho,
+                           MC.McSpec(seed=seed, n_samples=40000),
+                           kernel="plain")
+    exact = dual_transform_limit_constant(p.n, p.k) * np.asarray(
+        R.dual_hyper_zonal(R.TransformParams(p.n, 0, p.k),
+                           P.reparametrize(phi, P.ArgKind.SinhDistance),
+                           np.sinh(rho)))
+    for e, want in zip(ests, exact):
+        # sigma is 0 at rho = 0, where every geodesic through x sits at
+        # distance 0 and the estimate is exact up to rounding
+        assert abs(e.value - want) <= 4 * e.std_error + 1e-12 * abs(want)
 
 def test_frame_and_plane_validation():
     bad = np.ones((3, 2))
