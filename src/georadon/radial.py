@@ -72,20 +72,19 @@ class Transform:
         out(x) = c * x^post * EK[y^pre f(y)](x),
 
     EK left-sided (``left``) or right-sided, ``weights`` = (c, pre, post) as
-    functions of the index triple.  A projective row instead runs the
-    hyperboloid row of the same direction: ``route`` = (j-side, k-side)
-    weight operators from the hyperboloid, whose inverses bring the input
-    there and the output back.
+    functions of the index triple.  ``span`` = [lo, hi) is the coordinate
+    range of the input and the output; a right-sided integral stops at a
+    finite ``hi``.  A projective row instead runs the hyperboloid row of the
+    same direction: ``route`` = (j-side, k-side) weight operators from the
+    hyperboloid, whose inverses bring the input there and the output back.
     """
 
     name: str                      # the public function
     kind: ArgKind                  # coordinate of the input and the output
     dual: bool
+    span: tuple
     left: bool = False
     weights: tuple = ()
-    domain: Optional[tuple] = None     # (x -> invalid mask, message)
-    cap: Optional[float] = None        # the integral stops at this radius
-    window: Optional[Callable] = None  # default inversion range of the data
     route: Optional[tuple] = None
 
 
@@ -100,78 +99,40 @@ _DUAL = (lambda p: math.pi ** p.half_gap * sphere_area(p.n - p.k - 1)
          / sphere_area(p.n - p.j - 1), lambda p: p.n - p.k - 2.0,
          lambda p: p.j + 2.0 - p.n)
 
-_CHORD = "chord coordinate must lie in [0, 1)"
-_PROJECTIVE = (lambda x: (x < 0.0) | (x >= math.pi / 4),
-               "projective angle must lie in [0, pi/4)")
-
-
-def _plane_window(f):
-    return max(f.lo, 0.05), 4.0
-
-
-def _ball_window(f):
-    return max(f.lo, 0.02), min(0.97, 0.999 * f.upper_limit)
-
-
-def _cosh_window(f):
-    top = f.upper_limit
-    return max(f.lo, 1.0 + 1e-6), 4.0 if not math.isfinite(top) else 0.999 * top
-
-
-def _sinh_window(f):
-    return max(f.lo, 0.02), 4.0
-
-
-def _angle_window(f):
-    return max(f.lo, 0.02), min(f.hi, 1.0) * 0.999
-
-
-def _projective_window(f):
-    # the residual window; the inversion itself runs on the hyperboloid
-    return 0.02, math.pi / 4 - 0.05
-
+_HALF_LINE = (0.0, math.inf)
+_TO_ONE = math.nextafter(1.0, 2.0)       # a half-open end that takes in 1
 
 TRANSFORMS = {(m, t.dual): t for m, t in (
     (Model.EuclideanAffine,
      Transform("radon_affine_radial", ArgKind.EuclideanRadius, False,
-               weights=_PLANE, window=_plane_window)),
+               _HALF_LINE, weights=_PLANE)),
     (Model.BeltramiKlein,
-     Transform("radon_chord_radial", ArgKind.BallRadius, False,
-               weights=_PLANE, cap=1.0, window=_ball_window,
-               domain=(lambda x: (x < 0.0) | (x >= 1.0), _CHORD))),
+     Transform("radon_chord_radial", ArgKind.BallRadius, False, (0.0, 1.0),
+               weights=_PLANE)),
     (Model.Hyperboloid,
      Transform("radon_hyper_zonal", ArgKind.CoshDistance, False,
-               weights=_HYPER, window=_cosh_window,
-               domain=(lambda x: x < 1.0,
-                       "cosh-distance coordinate must be >= 1"))),
+               (1.0, math.inf), weights=_HYPER)),
     (Model.Elliptic,
-     Transform("radon_elliptic_zonal", ArgKind.CosAngle, False, left=True,
-               weights=_ELLIPTIC, window=_angle_window,
-               domain=(lambda x: (x <= 0.0) | (x > 1.0),
-                       "cos-angle coordinate must lie in (0, 1]"))),
+     Transform("radon_elliptic_zonal", ArgKind.CosAngle, False,
+               (math.ulp(0.0), _TO_ONE), left=True, weights=_ELLIPTIC)),
     (Model.Projective,
      Transform("radon_projective_zonal", ArgKind.Angle, False,
-               domain=_PROJECTIVE, window=_projective_window,
-               route=(WeightOp.M1, WeightOp.N1))),
+               (0.0, math.pi / 4), route=(WeightOp.M1, WeightOp.N1))),
     (Model.EuclideanAffine,
      Transform("dual_affine_radial", ArgKind.EuclideanRadius, True,
-               left=True, weights=_DUAL, window=_plane_window)),
+               _HALF_LINE, left=True, weights=_DUAL)),
     (Model.BeltramiKlein,
-     Transform("dual_chord_radial", ArgKind.BallRadius, True, left=True,
-               weights=_DUAL, window=_ball_window,
-               domain=(lambda x: x >= 1.0, _CHORD))),
+     Transform("dual_chord_radial", ArgKind.BallRadius, True, (0.0, 1.0),
+               left=True, weights=_DUAL)),
     (Model.Hyperboloid,
-     Transform("dual_hyper_zonal", ArgKind.SinhDistance, True, left=True,
-               weights=_DUAL, window=_sinh_window)),
+     Transform("dual_hyper_zonal", ArgKind.SinhDistance, True, _HALF_LINE,
+               left=True, weights=_DUAL)),
     (Model.Elliptic,
-     Transform("dual_elliptic_zonal", ArgKind.SinAngle, True, left=True,
-               weights=_DUAL, window=_angle_window,
-               domain=(lambda x: x > 1.0,
-                       "sin-angle coordinate must lie in [0, 1]"))),
+     Transform("dual_elliptic_zonal", ArgKind.SinAngle, True, (0.0, _TO_ONE),
+               left=True, weights=_DUAL)),
     (Model.Projective,
      Transform("dual_projective_zonal", ArgKind.Angle, True,
-               domain=_PROJECTIVE, window=_projective_window,
-               route=(WeightOp.P1, WeightOp.Q1))),
+               (0.0, math.pi / 4), route=(WeightOp.P1, WeightOp.Q1))),
 )}
 
 
@@ -186,8 +147,10 @@ def _transform(model: Model, dual: bool, p: TransformParams, f: Profile1D,
     if f.arg_kind is not t.kind:
         raise DomainError(f"{t.name} expects a {t.kind.value} profile")
     xv, scalar = _as_array(x)
-    if t.domain is not None and np.any(t.domain[0](xv)):
-        raise DomainError(t.domain[1])
+    lo, hi = t.span
+    if not np.all((xv >= lo) & (xv < hi)):
+        raise DomainError(
+            f"{t.name} needs {t.kind.value} coordinates in [{lo}, {hi})")
     if t.route is not None:
         vals = np.atleast_1d(_routed(t, p, f, spec)(xv))
     elif t.dual:
@@ -201,9 +164,12 @@ def _forward_kernel(t: Transform, p: TransformParams, f: Profile1D, sv,
                     spec: QuadratureSpec):
     c, pre, post = t.weights
     a = p.half_gap
-    g = (f if t.cap is None else _cap_support(f, t.cap)).with_power(pre(p))
+    hi = t.span[1]
+    # a right-sided integral stops at a finite end of the span
+    capped = not t.left and math.isfinite(hi)
+    g = (_cap_support(f, hi) if capped else f).with_power(pre(p))
     # a right-sided integral over an unbounded range needs the tail criterion
-    if not t.left and t.cap is None and not check_decay(g, a, 1.0, spec):
+    if not t.left and not capped and not check_decay(g, a, 1.0, spec):
         raise DivergenceError(
             "forward transform diverges: the input fails the tail criterion")
     ek = ek_left if t.left else ek_right
@@ -250,8 +216,8 @@ def _routed(t: Transform, p: TransformParams, f: Profile1D,
     j_op, k_op = t.route
     via = TRANSFORMS[Model.Hyperboloid, t.dual]
     g = reparametrize(apply_weight(_inverse(j_op), p, f), via.kind)
-    lazy = dual_hyper_zonal_profile if t.dual else radon_hyper_zonal_profile
-    mid = reparametrize(lazy(p, g, spec), ArgKind.GeodesicDistance)
+    lazy = transform_profile(Model.Hyperboloid, t.dual, p, g, spec)
+    mid = reparametrize(lazy, ArgKind.GeodesicDistance)
     return apply_weight(_inverse(k_op), p, mid)
 
 
@@ -348,28 +314,36 @@ def _cap_support(f: Profile1D, cap: float) -> Profile1D:
                      breakpoints=f.breakpoints, label=f.label)
 
 
-def radon_hyper_zonal_profile(p: TransformParams, f1: Profile1D,
-                              spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Profile1D:
-    """The forward zonal transform as a lazy cosh-variable profile."""
-    sup = f1.support
-    edge = f1.edge_exponent + p.half_gap if sup is not None else 0.0
+def transform_profile(model: Model, dual: bool, p: TransformParams,
+                      f: Profile1D,
+                      spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Profile1D:
+    """The forward (or dual) transform of ``f`` as a lazy profile on the
+    row's span.
 
-    def fn(s):
-        return np.asarray(radon_hyper_zonal(p, f1, np.atleast_1d(s), spec))
+    A right-sided kernel (not a projective route) keeps ``f``'s support,
+    cut at a finite end of the span, and raises its edge exponent by
+    (k-j)/2.  A dual decays at least like r^-(n-k); a forward transform
+    keeps ``f``'s decay hint.
+    """
+    t = TRANSFORMS[model, dual]
+    lo, hi = t.span
+    decay = f.decay_hint
+    if dual and decay is not None:
+        decay = min(decay, p.n - p.k)
+    support, edge = None, 0.0
+    if not t.left and t.route is None:
+        top = min(math.inf if f.support is None else f.support, hi)
+        if math.isfinite(top):
+            support = top
+            edge = p.half_gap + (0.0 if f.support is None else f.edge_exponent)
 
-    return Profile1D(lo=1.0, hi=math.inf, fn=fn, arg_kind=ArgKind.CoshDistance,
-                     decay_hint=f1.decay_hint, support=sup, edge_exponent=edge,
-                     label=f"fwd[{f1.label}]")
+    def fn(x):
+        fwd = transform_function(model, dual)
+        return np.asarray(fwd(p, f, np.atleast_1d(x), spec))
 
-
-def dual_hyper_zonal_profile(p: TransformParams, phi1: Profile1D,
-                             spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Profile1D:
-    def fn(r):
-        return np.asarray(dual_hyper_zonal(p, phi1, np.atleast_1d(r), spec))
-
-    return Profile1D(lo=0.0, hi=math.inf, fn=fn, arg_kind=ArgKind.SinhDistance,
-                     decay_hint=None if phi1.decay_hint is None
-                     else min(phi1.decay_hint, p.n - p.k), label=f"dual[{phi1.label}]")
+    return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=t.kind, decay_hint=decay,
+                     support=support, edge_exponent=edge,
+                     label=f"{t.name}[{f.label}]")
 
 
 # -- closed-form catalog ---------------------------------------------------------
@@ -648,31 +622,32 @@ def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
 # -- inversion --------------------------------------------------------------------
 
 def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
-                  out_range=None, dual: bool = False,
+                  out_range, dual: bool = False,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE,
                   rel_tol: float = 1e-4, check_residual: bool = True,
                   deriv_noise_rel: float = 1e-6) -> Profile1D:
-    """Recover the input profile from a forward (or dual) transform result.
+    """Recover the input profile from a forward (or dual) transform result
+    on the window ``out_range`` = (lo, hi).
 
     The transform is a power-weighted fractional integral, so inversion
     strips the weights, applies the matching fractional derivative on a
-    96-interval Chebyshev grid over ``out_range``, and restores the
-    weights.  When ``check_residual`` is set, the forward map is re-applied
-    to the reconstruction and a residual above 10x ``rel_tol`` raises
-    ``ReconstructionError``.
+    96-interval Chebyshev grid over the window, and restores the weights.
+    When ``check_residual`` is set, the forward map is re-applied to the
+    reconstruction on the same window and a residual above 10x ``rel_tol``
+    raises ``ReconstructionError``.  The reconstruction is zero past ``hi``,
+    so a forward (right-sided) map, projective rows included, fails that
+    check when the window ends before the data is negligible.
     """
     t = TRANSFORMS[model, dual]
     if transformed.arg_kind is not t.kind:
         raise DomainError(f"expected a {t.kind.value} profile")
+    lo, hi = float(out_range[0]), float(out_range[1])
     if t.route is not None:
-        rec = _invert_routed(t, p, transformed, out_range, spec, rel_tol,
+        rec = _invert_routed(t, p, transformed, (lo, hi), spec, rel_tol,
                              deriv_noise_rel)
-        lo, hi = t.window(transformed)
     else:
         c, pre, post = t.weights
         stripped = transformed.with_power(-post(p)).scaled(1.0 / c(p))
-        lo, hi = t.window(transformed) if out_range is None \
-            else (float(out_range[0]), float(out_range[1]))
         grid = cheb_nodes(96, lo, hi)
         deriv = ek_deriv_left if t.left else ek_deriv_right
         vals = grid ** (-pre(p)) * deriv(p.half_gap, stripped, grid, spec,
@@ -689,20 +664,14 @@ def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
                    out_range, spec, rel_tol, deriv_noise_rel):
     """Invert a projective transform on the hyperboloid: apply the route's
     k-side operator, invert there, apply its j-side operator."""
-    # pull the output window back to the hyperboloid; stay inside the image
-    # of the angle domain, where pulled-back data is genuine
-    if out_range is not None:
-        rho_rng = tuple(math.atanh(math.tan(th)) for th in out_range)
-    else:
-        th_top = min(transformed.upper_limit, math.pi / 4 - 1e-9)
-        rho_rng = (0.02, 0.9 * math.atanh(math.tan(th_top)))
     j_op, k_op = t.route
     via = TRANSFORMS[Model.Hyperboloid, t.dual]
     lift = math.sinh if t.dual else math.cosh
+    # the window pulled back to the hyperboloid, kept off the origin
+    window = tuple(lift(max(math.atanh(math.tan(th)), 1e-3))
+                   for th in out_range)
     w = reparametrize(apply_weight(k_op, p, transformed), via.kind)
-    rec_h = invert_radial(Model.Hyperboloid, p, w, dual=t.dual,
-                          out_range=(lift(max(rho_rng[0], 1e-3)),
-                                     lift(rho_rng[1])),
+    rec_h = invert_radial(Model.Hyperboloid, p, w, window, dual=t.dual,
                           spec=spec, rel_tol=rel_tol, check_residual=False,
                           deriv_noise_rel=deriv_noise_rel)
     return apply_weight(j_op, p,

@@ -61,27 +61,6 @@ def _hyper_gauss_cosh() -> Profile1D:
                      label="zonal gaussian")
 
 
-def _chord_profile_of(p, f, spec) -> Profile1D:
-    """Forward chord transform as a lazy profile with edge metadata."""
-    sup = min(f.support if f.support is not None else 1.0, 1.0)
-    edge = p.half_gap + (f.edge_exponent if f.support is not None else 0.0)
-
-    def fn(s):
-        return np.asarray(R.radon_chord_radial(p, f, np.atleast_1d(s), spec))
-
-    return Profile1D(lo=0.0, hi=1.0, fn=fn, arg_kind=ArgKind.BallRadius,
-                     support=sup, edge_exponent=edge, label="chord fwd")
-
-
-def _dual_profile_of(kind, p, f, spec, transform) -> Profile1D:
-    def fn(r):
-        return np.asarray(transform(p, f, np.atleast_1d(r), spec))
-
-    hi = 1.0 if kind is ArgKind.BallRadius else math.inf
-    return Profile1D(lo=0.0, hi=hi, fn=fn, arg_kind=kind,
-                     decay_hint=float(p.n - p.k), label="dual")
-
-
 # -- transition identities ----------------------------------------------------
 
 def transition_hyper_via_chord(spec: QuadratureSpec) -> IdentityResult:
@@ -92,10 +71,7 @@ def transition_hyper_via_chord(spec: QuadratureSpec) -> IdentityResult:
     rho = np.linspace(0.1, 2.0, 24)
     lhs = R.radon_hyper_zonal(p, f_cosh, np.cosh(rho), spec)
     mf = apply_weight(WeightOp.M, p, f_geo)
-    rb = Profile1D(lo=0.0, hi=1.0,
-                   fn=lambda b: np.asarray(
-                       R.radon_chord_radial(p, mf, np.atleast_1d(b), spec)),
-                   arg_kind=ArgKind.BallRadius)
+    rb = R.transform_profile(Model.BeltramiKlein, False, p, mf, spec)
     rhs = apply_weight(WeightOp.N, p, rb)(rho)
     return IdentityResult("transition_hyper_via_chord", _rel(lhs, rhs), 1e-8)
 
@@ -106,10 +82,7 @@ def transition_affine_via_elliptic(spec: QuadratureSpec) -> IdentityResult:
     r = np.linspace(0.1, 2.2, 24)
     lhs = R.radon_affine_radial(p, f, r, spec)
     m0f = reparametrize(apply_weight(WeightOp.M0, p, f), ArgKind.CosAngle)
-    r0 = Profile1D(lo=0.0, hi=1.0 + 1e-12,
-                   fn=lambda s: np.asarray(
-                       R.radon_elliptic_zonal(p, m0f, np.atleast_1d(s), spec)),
-                   arg_kind=ArgKind.CosAngle)
+    r0 = R.transform_profile(Model.Elliptic, False, p, m0f, spec)
     rhs = apply_weight(WeightOp.N0, p, reparametrize(r0, ArgKind.Angle))(r)
     return IdentityResult("transition_affine_via_elliptic", _rel(lhs, rhs), 1e-8)
 
@@ -126,10 +99,7 @@ def transition_hyper_via_projective(spec: QuadratureSpec) -> IdentityResult:
     m1f = apply_weight(WeightOp.M1, p, f_geo)          # projective angle
     g_ball = apply_weight(WeightOp.M0_INV, p, m1f)     # -> ball chords
     g_ball = reparametrize(g_ball, ArgKind.BallRadius)
-    rb = Profile1D(lo=0.0, hi=1.0,
-                   fn=lambda b: np.asarray(
-                       R.radon_chord_radial(p, g_ball, np.atleast_1d(b), spec)),
-                   arg_kind=ArgKind.BallRadius)
+    rb = R.transform_profile(Model.BeltramiKlein, False, p, g_ball, spec)
     r_pi = apply_weight(WeightOp.N0_INV, p, rb)        # projective transform
     rhs = apply_weight(WeightOp.N1, p, r_pi)(rho)
     return IdentityResult("transition_hyper_via_projective", _rel(lhs, rhs), 1e-8)
@@ -143,10 +113,7 @@ def dual_affine_via_inversion_map(spec: QuadratureSpec) -> IdentityResult:
     lhs = R.dual_affine_radial(p, phi, r, spec)
     v = apply_weight(WeightOp.V, p, phi)
     p_sw = R.TransformParams(p.n, p.n - p.k - 1, p.n - p.j - 1)
-    fwd = Profile1D(lo=1e-300, hi=math.inf,
-                    fn=lambda x: np.asarray(
-                        R.radon_affine_radial(p_sw, v, np.atleast_1d(x), spec)),
-                    arg_kind=ArgKind.EuclideanRadius)
+    fwd = R.transform_profile(Model.EuclideanAffine, False, p_sw, v, spec)
     rhs = apply_weight(WeightOp.U, p, fwd)(r)
     return IdentityResult("dual_affine_via_inversion_map", _rel(lhs, rhs), 1e-8)
 
@@ -177,8 +144,8 @@ def mass_duality_chord(spec) -> IdentityResult:
     p = R.TransformParams(4, 1, 2)
     f = gaussian(arg_kind=ArgKind.BallRadius)
     f = Profile1D(lo=0.0, hi=1.0, fn=f.fn, arg_kind=ArgKind.BallRadius)
-    lhs = integrate_radial(Model.BeltramiKlein, p.n, p.k,
-                           _chord_profile_of(p, f, spec), spec)
+    fwd = R.transform_profile(Model.BeltramiKlein, False, p, f, spec)
+    lhs = integrate_radial(Model.BeltramiKlein, p.n, p.k, fwd, spec)
     rhs = integrate_radial(Model.BeltramiKlein, p.n, p.j, f, spec)
     return IdentityResult("mass_duality_chord", _rel(lhs, rhs), 1e-8)
 
@@ -189,8 +156,8 @@ def power_weight_duality_chord(spec) -> IdentityResult:
     f = Profile1D(lo=0.0, hi=1.0, fn=lambda r: np.exp(-r * r),
                   arg_kind=ArgKind.BallRadius)
     pw = alpha + p.k - p.n
-    lhs = integrate_radial(Model.BeltramiKlein, p.n, p.k,
-                           _chord_profile_of(p, f, spec), spec,
+    fwd = R.transform_profile(Model.BeltramiKlein, False, p, f, spec)
+    lhs = integrate_radial(Model.BeltramiKlein, p.n, p.k, fwd, spec,
                            weight=lambda s: s ** pw, weight_origin_power=pw)
     rhs = lambda2(alpha, p.n, p.j, p.k) * integrate_radial(
         Model.BeltramiKlein, p.n, p.j, f, spec,
@@ -201,8 +168,9 @@ def power_weight_duality_chord(spec) -> IdentityResult:
 def boundary_weight_duality_chord(spec) -> IdentityResult:
     p = R.TransformParams(5, 1, 2)
     f = bump(0.7, arg_kind=ArgKind.BallRadius)
+    fwd = R.transform_profile(Model.BeltramiKlein, False, p, f, spec)
     lhs = integrate_radial(
-        Model.BeltramiKlein, p.n, p.k, _chord_profile_of(p, f, spec), spec,
+        Model.BeltramiKlein, p.n, p.k, fwd, spec,
         weight=lambda s: (1 - s * s) ** ((p.j - p.n) / 2.0))
     rhs = integrate_radial(
         Model.BeltramiKlein, p.n, p.j, f, spec,
@@ -216,8 +184,7 @@ def cap_weight_duality_dual_chord(spec, a: float) -> IdentityResult:
     alpha = 2.0
     phi = Profile1D(lo=0.0, hi=1.0, fn=lambda s: np.exp(-s * s),
                     arg_kind=ArgKind.BallRadius)
-    dual = _dual_profile_of(ArgKind.BallRadius, p, phi, spec,
-                            R.dual_chord_radial)
+    dual = R.transform_profile(Model.BeltramiKlein, True, p, phi, spec)
     capped = Profile1D(lo=0.0, hi=1.0, fn=dual.fn, arg_kind=ArgKind.BallRadius,
                        support=min(a, 1.0 - 1e-12) if a < 1 else None)
     if a < 1:
@@ -240,8 +207,7 @@ def singular_weight_duality_dual_chord(spec) -> IdentityResult:
     alpha = 2.0
     phi = Profile1D(lo=0.0, hi=1.0, fn=lambda s: np.exp(-s * s),
                     arg_kind=ArgKind.BallRadius)
-    dual = _dual_profile_of(ArgKind.BallRadius, p, phi, spec,
-                            R.dual_chord_radial)
+    dual = R.transform_profile(Model.BeltramiKlein, True, p, phi, spec)
     pw_l = -(alpha + p.k - p.j)
     lhs = integrate_radial(
         Model.BeltramiKlein, p.n, p.j, dual, spec,
@@ -261,8 +227,7 @@ def ball_average_duality_affine(spec) -> IdentityResult:
     """Integral of the dual transform over a ball as a weighted average."""
     p = R.TransformParams(5, 1, 2)
     phi = gaussian()
-    dual = _dual_profile_of(ArgKind.EuclideanRadius, p, phi, spec,
-                            R.dual_affine_radial)
+    dual = R.transform_profile(Model.EuclideanAffine, True, p, phi, spec)
     capped = Profile1D(lo=0.0, hi=math.inf, fn=dual.fn,
                        arg_kind=ArgKind.EuclideanRadius, support=1.0)
     lhs = integrate_radial(Model.EuclideanAffine, p.n, p.j, capped, spec)
@@ -330,8 +295,8 @@ def measure_lift_hyperboloid_projective(spec) -> IdentityResult:
 def mass_duality_hyper(spec) -> IdentityResult:
     p = R.TransformParams(4, 1, 2)
     f = _hyper_gauss_cosh()
-    lhs = integrate_radial(Model.Hyperboloid, p.n, p.k,
-                           R.radon_hyper_zonal_profile(p, f, spec), spec)
+    fwd = R.transform_profile(Model.Hyperboloid, False, p, f, spec)
+    lhs = integrate_radial(Model.Hyperboloid, p.n, p.k, fwd, spec)
     rhs = integrate_radial(Model.Hyperboloid, p.n, p.j, f, spec)
     return IdentityResult("mass_duality_hyper", _rel(lhs, rhs), 1e-8)
 
@@ -339,9 +304,10 @@ def mass_duality_hyper(spec) -> IdentityResult:
 def weighted_mass_duality_hyper(spec) -> IdentityResult:
     p = R.TransformParams(4, 1, 2)
     f = _hyper_gauss_cosh()
+    fwd = R.transform_profile(Model.Hyperboloid, False, p, f, spec)
     lhs = integrate_radial(
-        Model.Hyperboloid, p.n, p.k, R.radon_hyper_zonal_profile(p, f, spec),
-        spec, weight=lambda rho: np.cosh(rho) ** (p.j - p.n))
+        Model.Hyperboloid, p.n, p.k, fwd, spec,
+        weight=lambda rho: np.cosh(rho) ** (p.j - p.n))
     rhs = integrate_radial(
         Model.Hyperboloid, p.n, p.j, f, spec,
         weight=lambda rho: np.cosh(rho) ** (p.k - p.n))
@@ -360,8 +326,8 @@ def tangent_weight_duality_hyper(spec) -> IdentityResult:
     def v_w(rho):
         return np.tanh(rho) ** pw * np.cosh(rho) ** (p.k - p.n)
 
-    lhs = integrate_radial(Model.Hyperboloid, p.n, p.k,
-                           R.radon_hyper_zonal_profile(p, f, spec), spec,
+    fwd = R.transform_profile(Model.Hyperboloid, False, p, f, spec)
+    lhs = integrate_radial(Model.Hyperboloid, p.n, p.k, fwd, spec,
                            weight=u_w, weight_origin_power=pw)
     rhs = lambda2(alpha, p.n, p.j, p.k) * integrate_radial(
         Model.Hyperboloid, p.n, p.j, f, spec, weight=v_w,
@@ -374,7 +340,7 @@ def cap_duality_dual_hyper(spec) -> IdentityResult:
     p = R.TransformParams(4, 1, 2)
     b = 1.0
     phi = gaussian(arg_kind=ArgKind.SinhDistance)
-    dual = R.dual_hyper_zonal_profile(p, phi, spec)
+    dual = R.transform_profile(Model.Hyperboloid, True, p, phi, spec)
     capped = Profile1D(lo=0.0, hi=math.inf, fn=dual.fn,
                        arg_kind=ArgKind.SinhDistance, support=math.sinh(b))
     lhs = integrate_radial(Model.Hyperboloid, p.n, p.j, capped, spec,
@@ -400,7 +366,7 @@ def cosh_weight_duality_dual_hyper(spec) -> IdentityResult:
     p = R.TransformParams(5, 1, 2)
     alpha = 2.0
     phi = gaussian(arg_kind=ArgKind.SinhDistance)
-    dual = R.dual_hyper_zonal_profile(p, phi, spec)
+    dual = R.transform_profile(Model.Hyperboloid, True, p, phi, spec)
     w = lambda rho: np.cosh(rho) ** (-(p.k - 1.0 + alpha))
     lhs = integrate_radial(Model.Hyperboloid, p.n, p.j, dual, spec, weight=w)
     rhs = lambda1(alpha, p.j, p.k) * integrate_radial(
@@ -418,7 +384,7 @@ def tangent_weight_duality_dual_hyper(spec) -> IdentityResult:
     p = R.TransformParams(5, 1, 2)
     alpha = 2.0
     phi = gaussian(arg_kind=ArgKind.SinhDistance)
-    dual = R.dual_hyper_zonal_profile(p, phi, spec)
+    dual = R.transform_profile(Model.Hyperboloid, True, p, phi, spec)
     pw_l = p.j - p.k - alpha
     ch_pow = -(p.k - 1.0 + alpha)
     lhs = integrate_radial(

@@ -118,13 +118,15 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
     ("transform", dict(_GOOD_JOB, profile={
         "family": "grid", "x": _X, "y": np.exp(-np.square(_X)).tolist(),
         "decay_hint": math.nan})),
+    ("dual", dict(_GOOD_JOB, command="dual", params={"n": 4, "j": 1, "k": 2},
+                  grid={"lo": -1.0, "hi": 1.0, "count": 5})),
 ], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
         "nan-in-grid-profile", "chain-h-without-family",
         "chain-h-non-numeric-a", "chain-non-numeric-rho",
         "duality-not-an-object", "closed-form-non-numeric-alpha",
         "nan-rel-tol", "negative-mc-seed", "nan-gaussian-sigma",
         "infinite-bump-a", "nan-power-p", "infinite-closed-form-alpha",
-        "nan-closed-form-a", "nan-decay-hint"])
+        "nan-closed-form-a", "nan-decay-hint", "dual-negative-radius"])
 def test_invalid_params_exit_2(tmp_path, command, doc):
     doc = dict(doc, output={"path": str(tmp_path / "x.csv")})
     job = _write_job(tmp_path, "bad.json", doc)

@@ -358,7 +358,8 @@ def test_invert_projective_both_directions():
         lambda x: np.asarray(R.radon_projective_zonal(p, F, np.atleast_1d(x),
                                                       TIGHT)),
         0.0, 0.76, P.ArgKind.Angle, n=160)
-    rec = R.invert_radial(Model.Projective, p, trans, check_residual=False)
+    rec = R.invert_radial(Model.Projective, p, trans, out_range=(0.02, 0.7),
+                          check_residual=False)
     assert rel_err(rec(th), F(th)) < 1e-4
     phi = apply_weight(WeightOp.P1, p, geo)
     trans_d = P.tabulate(
@@ -366,7 +367,7 @@ def test_invert_projective_both_directions():
                                                      TIGHT)),
         0.0, 0.76, P.ArgKind.Angle, n=160)
     rec_d = R.invert_radial(Model.Projective, p, trans_d, dual=True,
-                            check_residual=False)
+                            out_range=(0.02, 0.7), check_residual=False)
     assert rel_err(rec_d(th), phi(th)) < 1e-4
 
 
@@ -385,3 +386,142 @@ def test_invert_residual_check_rejects_garbage():
                         arg_kind=P.ArgKind.EuclideanRadius, decay_hint=math.inf)
     with pytest.raises((R.ReconstructionError, Exception)):
         R.invert_radial(Model.EuclideanAffine, p, noise, out_range=(0.1, 3.0))
+
+
+# -- the coordinate span of each transform row -------------------------------------
+
+_ROWS = sorted(R.TRANSFORMS, key=lambda key: (key[0].value, key[1]))
+
+
+def _row_id(key):
+    return R.TRANSFORMS[key].name
+
+
+def _row_input(model, dual, p):
+    """A smooth input in the row's coordinate, with no support."""
+    from georadon.models import WeightOp, apply_weight
+    kind = R.TRANSFORMS[model, dual].kind
+    if model is Model.Projective:
+        geo = P.Profile1D(lo=0.0, hi=math.inf,
+                          fn=lambda rho: np.exp(-np.sinh(rho) ** 2),
+                          arg_kind=P.ArgKind.GeodesicDistance,
+                          decay_hint=math.inf)
+        return apply_weight(WeightOp.P1 if dual else WeightOp.M1, p, geo)
+    if kind is P.ArgKind.CoshDistance:
+        return P.Profile1D(lo=1.0, hi=math.inf,
+                           fn=lambda s: np.exp(1.0 - s * s), arg_kind=kind,
+                           decay_hint=math.inf)
+    return P.gaussian(0.8, arg_kind=kind)
+
+
+@pytest.mark.parametrize("key", _ROWS, ids=_row_id)
+def test_span_rejects_points_outside(key):
+    # the span [lo, hi) is half-open: the float just below lo is out, and
+    # so is a finite hi; a negative radius must not reach a dual's r = 0 limit
+    t = R.TRANSFORMS[key]
+    p = R.TransformParams(4, 1, 2)
+    f = _row_input(*key, p)
+    fwd = R.transform_function(*key)
+    lo, hi = t.span
+    outside = [math.nextafter(lo, -math.inf), lo - 1.0]
+    if math.isfinite(hi):
+        outside.append(hi)
+    for x in outside:
+        with pytest.raises(DomainError, match=t.name):
+            fwd(p, f, x)
+        with pytest.raises(DomainError):
+            fwd(p, f, np.array([0.5 * (lo + min(hi, lo + 1.0)), x]))
+
+
+def test_elliptic_spans_take_in_both_ends():
+    p = R.TransformParams(4, 1, 2)
+    cos_in = _row_input(Model.Elliptic, False, p)
+    sin_in = _row_input(Model.Elliptic, True, p)
+    assert math.isfinite(R.radon_elliptic_zonal(p, cos_in, 1.0))
+    assert math.isfinite(R.dual_elliptic_zonal(p, sin_in, 1.0))
+    assert math.isfinite(R.dual_elliptic_zonal(p, sin_in, 0.0))
+    with pytest.raises(DomainError):
+        R.radon_elliptic_zonal(p, cos_in, 0.0)
+
+
+#: (row, triple) pairs; the projective rows cost 10-25 ms a point
+_PROFILE_CASES = [(key, t) for key in _ROWS
+                  for t in ((4, 1, 2), (5, 0, 3))]
+
+
+@pytest.mark.parametrize("key, triple", _PROFILE_CASES,
+                         ids=[f"{_row_id(k)}-{t[0]}{t[1]}{t[2]}"
+                              for k, t in _PROFILE_CASES])
+def test_transform_profile_matches_transform_function(key, triple):
+    t = R.TRANSFORMS[key]
+    p = R.TransformParams(*triple)
+    f = _row_input(*key, p)
+    lo, hi = t.span
+    top = min(hi, lo + 2.0)
+    rng = np.random.default_rng(sum(triple) + 10 * key[1])
+    count = 2 if t.route is not None else 6
+    x = np.sort(lo + (top - lo) * rng.uniform(0.02, 0.98, count))
+    lazy = R.transform_profile(*key, p, f)
+    assert (lazy.arg_kind, lazy.lo, lazy.hi) == (t.kind, lo, hi)
+    got = lazy(x)
+    want = np.asarray(R.transform_function(*key)(p, f, x))
+    assert got.tobytes() == want.tobytes()
+
+
+def _hyper_cap(a, alpha):
+    return R.closed_form_pair(R.ClosedFormId.HYPER_CAP, alpha=alpha, a=a).input
+
+
+def _chord_cap(a, alpha):
+    return R.closed_form_pair(R.ClosedFormId.CHORD_CAP, alpha=alpha, a=a).input
+
+
+@pytest.mark.parametrize("triple", [(3, 0, 1), (4, 1, 2), (6, 1, 4)])
+def test_transform_profile_metadata(triple):
+    p = R.TransformParams(*triple)
+    gap = p.half_gap
+    # forward hyperboloid: the input's support, edge exponent raised by gap
+    for f in (_hyper_cap(2.0, 3.0), _hyper_cap(1.5, 2.0),
+              _row_input(Model.Hyperboloid, False, p)):
+        g = R.transform_profile(Model.Hyperboloid, False, p, f)
+        assert g.support == f.support
+        assert g.edge_exponent == (0.0 if f.support is None
+                                   else f.edge_exponent + gap)
+        assert g.decay_hint == f.decay_hint
+    # forward chord: the support is cut at the ball's edge
+    for f in (_chord_cap(0.7, 3.0), _chord_cap(0.9, 2.0),
+              P.gaussian(arg_kind=P.ArgKind.BallRadius),
+              P.bump(1.5, arg_kind=P.ArgKind.BallRadius)):
+        g = R.transform_profile(Model.BeltramiKlein, False, p, f)
+        assert g.support == min(1.0 if f.support is None else f.support, 1.0)
+        assert g.edge_exponent == gap + (0.0 if f.support is None
+                                         else f.edge_exponent)
+    # duals carry no support, and decay at least like r^-(n-k)
+    for f in (P.gaussian(arg_kind=P.ArgKind.SinhDistance),
+              P.power(-0.5, lo=0.0, arg_kind=P.ArgKind.SinhDistance),
+              P.Profile1D(lo=0.0, hi=math.inf, fn=np.exp,
+                          arg_kind=P.ArgKind.SinhDistance)):
+        g = R.transform_profile(Model.Hyperboloid, True, p, f)
+        assert (g.support, g.edge_exponent) == (None, 0.0)
+        assert g.decay_hint == (None if f.decay_hint is None
+                                else min(f.decay_hint, p.n - p.k))
+
+
+@pytest.mark.parametrize("triple, sigma", [((4, 1, 3), 0.5), ((4, 1, 3), 0.75),
+                                           ((4, 0, 2), 0.5), ((4, 0, 2), 0.75)])
+def test_invert_projective_residual_on_the_given_window(triple, sigma):
+    # grid data as a CLI invert job receives it; the residual re-applies
+    # the transform on out_range, not on a fixed window of its own
+    n, j, k = triple
+    p = R.TransformParams(*triple)
+    theta = np.linspace(0.0, 0.784, 600)
+    data = (np.cos(2 * theta) ** (-(j + 1) / 2)
+            * np.exp(-1.0 / (1.0 - np.tan(theta) ** 2) / sigma ** 2))
+    prof = P.from_grid(theta, data, P.ArgKind.Angle, order=5)
+    rec = R.invert_radial(Model.Projective, p, prof, out_range=(0.3, 0.78))
+    x = np.linspace(0.3, 0.78, 16)
+    c2 = 1.0 / (1.0 - np.tan(x) ** 2)
+    want = sphere_area(k) / sphere_area(j) * np.cos(2 * x) ** (-(k + 1) / 2) \
+        * (2 * c2 / sigma ** 2 - (k - 1)) * np.exp(-c2 / sigma ** 2) \
+        / (2 * math.pi)
+    assert sup_rel_err(rec(x), want) < 1e-4
