@@ -22,7 +22,8 @@ from . import radial as R
 from .errors import (DivergenceError, DomainError, GeoradonError,
                      McConvergenceWarning)
 from .models import CANONICAL_KIND, Model, convert_distance
-from .profiles import ArgKind, Profile1D, bump, from_grid, gaussian, power
+from .profiles import (ArgKind, Profile1D, bump, domain, from_grid, gaussian,
+                       power)
 from .quadrature import QuadratureSpec
 from .verify import identity_suite
 
@@ -157,7 +158,7 @@ def parse_profile(spec: dict, kind: ArgKind) -> Profile1D:
     _require(isinstance(spec, dict) and "family" in spec,
              "profile needs a 'family' field")
     fam = spec["family"]
-    lo = 1.0 if kind is ArgKind.CoshDistance else 0.0
+    lo = domain(kind)[0]
     if fam == "gaussian":
         return gaussian(_field(spec, "sigma", default=1.0), arg_kind=kind, lo=lo)
     if fam == "power":

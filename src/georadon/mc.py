@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import (DomainError, KernelSingularityWarning,
                      McConvergenceWarning)
-from .profiles import ArgKind, Profile1D
+from .models import _distance_to_base
+from .profiles import ArgKind, Profile1D, convert
 from .special import dual_transform_limit_constant, gamma_nk, sphere_area
 
 CHUNK = 8192
@@ -341,19 +342,21 @@ class GeodesicBatch:
         return _distance_to_base(row, self.n, self.dim)
 
 
+#: the coordinates of a zonal profile: hyperbolic distance, its cosh, sinh
+#: and tanh
+ZONAL_KINDS = frozenset({ArgKind.GeodesicDistance, ArgKind.CoshDistance,
+                         ArgKind.SinhDistance, ArgKind.TanhDistance})
+
+
 def zonal_function(profile: Profile1D) -> Callable:
     """Lift a zonal profile to a function on geodesic batches."""
+    kind = profile.arg_kind
+    if kind not in ZONAL_KINDS:
+        raise DomainError(f"profile kind {kind} is not zonal")
+
     def fn(batch: GeodesicBatch) -> np.ndarray:
-        rho = batch.distance_to_origin()
-        if profile.arg_kind is ArgKind.CoshDistance:
-            return profile(np.cosh(rho))
-        if profile.arg_kind is ArgKind.SinhDistance:
-            return profile(np.sinh(rho))
-        if profile.arg_kind is ArgKind.TanhDistance:
-            return profile(np.tanh(rho))
-        if profile.arg_kind is ArgKind.GeodesicDistance:
-            return profile(rho)
-        raise DomainError(f"profile kind {profile.arg_kind} is not zonal")
+        return profile(convert(batch.distance_to_origin(),
+                               ArgKind.GeodesicDistance, kind))
     return fn
 
 
@@ -551,11 +554,6 @@ def _pseudo_inverse_apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.einsum("bji,j->bi", mats, gx)    # A^T (G x)
     out[:, :-1] *= -1.0
     return out
-
-
-def _distance_to_base(z: np.ndarray, n: int, d: int) -> np.ndarray:
-    pn2 = z[:, n] ** 2 - np.sum(z[:, n - d:n] ** 2, axis=1)
-    return np.arccosh(np.maximum(np.sqrt(np.maximum(pn2, 1.0)), 1.0))
 
 
 # -- duality checks ----------------------------------------------------------------

@@ -2,25 +2,30 @@
 their radial measure densities, and the weight operators linking transforms
 across models.
 
-Every coordinate kind is a bijection onto a common hub variable (the
-Euclidean plane distance r), so all pairwise conversions compose exactly:
+Coordinates change through the one chart of ``profiles.convert``: directly
+inside a family (hyperbolic distance with its cosh and sinh, the angle with
+its cosine and sine), and across families through the hub, the Euclidean
+plane distance r:
 
     euclidean radius r      = tan(elliptic angle)      [lifted planes]
     ball radius b           = r            (chords are planes meeting B_n)
     hyperbolic distance rho = artanh(b)                 [ball <-> hyperboloid]
     projective angle        = elliptic angle, restricted below pi/4.
+
+Each weight operator is a power of the conformal factor of its model pair
+(``_PAIRS``), with the exponent named by its letter (``_LETTERS``).
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .profiles import SAME_VALUE_KINDS, ArgKind, Profile1D
+from .profiles import (SAME_VALUE_KINDS, ArgKind, Profile1D, base_of, convert,
+                       domain, hub_end)
 from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
                          integrate_to_infinity, integrate_weighted)
 from .special import sphere_area
@@ -55,57 +60,6 @@ CANONICAL_RANGE = {
 
 # -- coordinate conversions ---------------------------------------------------
 
-def _to_hub(kind: ArgKind, v):
-    v = np.asarray(v, dtype=float)
-    if kind in SAME_VALUE_KINDS:
-        return v
-    if kind is ArgKind.GeodesicDistance:
-        return np.tanh(v)
-    if kind is ArgKind.CoshDistance:
-        return np.sqrt(np.maximum(v * v - 1.0, 0.0)) / v
-    if kind is ArgKind.SinhDistance:
-        return v / np.sqrt(1.0 + v * v)
-    if kind is ArgKind.Angle:
-        return np.tan(v)
-    if kind is ArgKind.CosAngle:
-        return np.sqrt(np.maximum(1.0 - v * v, 0.0)) / v
-    if kind is ArgKind.SinAngle:
-        return v / np.sqrt(np.maximum(1.0 - v * v, 1e-300))
-    raise DomainError(f"unknown coordinate kind {kind}")
-
-
-def _from_hub(kind: ArgKind, r):
-    r = np.asarray(r, dtype=float)
-    if kind in SAME_VALUE_KINDS:
-        return r
-    if kind is ArgKind.GeodesicDistance:
-        return np.arctanh(r)
-    if kind is ArgKind.CoshDistance:
-        return 1.0 / np.sqrt(np.maximum(1.0 - r * r, 1e-300))
-    if kind is ArgKind.SinhDistance:
-        return r / np.sqrt(np.maximum(1.0 - r * r, 1e-300))
-    if kind is ArgKind.Angle:
-        return np.arctan(r)
-    if kind is ArgKind.CosAngle:
-        return 1.0 / np.sqrt(1.0 + r * r)
-    if kind is ArgKind.SinAngle:
-        return r / np.sqrt(1.0 + r * r)
-    raise DomainError(f"unknown coordinate kind {kind}")
-
-
-_HUB_RANGE = {
-    ArgKind.EuclideanRadius: (0.0, math.inf),
-    ArgKind.Angle: (0.0, math.inf),
-    ArgKind.CosAngle: (0.0, math.inf),
-    ArgKind.SinAngle: (0.0, math.inf),
-    ArgKind.BallRadius: (0.0, 1.0),
-    ArgKind.TanhDistance: (0.0, 1.0),
-    ArgKind.GeodesicDistance: (0.0, 1.0),
-    ArgKind.CoshDistance: (0.0, 1.0),
-    ArgKind.SinhDistance: (0.0, 1.0),
-}
-
-
 def _kind_of(which) -> ArgKind:
     if isinstance(which, ArgKind):
         return which
@@ -114,33 +68,45 @@ def _kind_of(which) -> ArgKind:
     raise DomainError(f"expected ArgKind or Model, got {which!r}")
 
 
+def _beyond(v, frm: ArgKind, to: ArgKind) -> bool:
+    """Whether a value of kind ``frm`` lies past the hub range of ``to``;
+    never inside one family."""
+    return base_of(frm) is not base_of(to) and bool(
+        np.any(convert(v, frm, ArgKind.EuclideanRadius) >= hub_end(to)))
+
+
+def _end_image(v: float, frm: ArgKind, to: ArgKind) -> Optional[float]:
+    """A domain end or support radius ``v`` of kind ``frm`` as kind ``to``
+    (NumPy on 0-d arrays), or None where it has no image short of the end
+    of ``to``'s range.  An infinite ``v`` is the end of ``frm``'s range."""
+    if math.isinf(v):
+        v, frm = hub_end(frm), ArgKind.EuclideanRadius
+    if _beyond(v, frm, to):
+        return None
+    return float(convert(v, frm, to))
+
+
 def convert_distance(value, frm, to):
     """Convert a distance coordinate between kinds/models (scalar or array).
 
-    Raises ``DomainError`` when the value leaves the source range or has no
-    representation in the target (e.g. Euclidean radius >= 1 has no ball
-    image).  Conversion cycles compose to the identity at machine precision.
+    Raises ``DomainError`` when the value leaves the domain of its kind or
+    the canonical range of its model, or has no representation in the
+    target (e.g. Euclidean radius >= 1 has no ball image).
     """
     kf, kt = _kind_of(frm), _kind_of(to)
     v = np.asarray(value, dtype=float)
+    lo, hi = domain(kf)
+    if np.any(v < lo) or np.any(v > hi):
+        raise DomainError(f"{kf} coordinate outside [{lo}, {hi}]")
     if isinstance(frm, Model):
         lo, hi = CANONICAL_RANGE[frm]
         if np.any(v < lo) or np.any(v >= hi):
             raise DomainError(f"value outside the canonical range of {frm}")
-    r = _to_hub(kf, v)
-    if np.any(r < -1e-15):
-        raise DomainError("negative distance coordinate")
-    hub_hi = _HUB_RANGE[kt][1]
-    if np.any(r >= hub_hi):
-        raise DomainError(
-            f"hub value {float(np.max(r)):.6g} not representable as {kt}")
-    if isinstance(to, Model):
-        lo, hi = CANONICAL_RANGE[to]
-        out = _from_hub(kt, r)
-        if np.any(out >= hi):
-            raise DomainError(f"converted value outside the range of {to}")
-        return out if np.ndim(value) else float(out)
-    out = _from_hub(kt, r)
+    if _beyond(v, kf, kt):
+        raise DomainError(f"value not representable as {kt}")
+    out = convert(v, kf, kt)
+    if isinstance(to, Model) and np.any(out >= CANONICAL_RANGE[to][1]):
+        raise DomainError(f"converted value outside the range of {to}")
     return out if np.ndim(value) else float(out)
 
 
@@ -201,91 +167,37 @@ class WeightOp(enum.Enum):
     V = "V"
 
 
-@dataclass(frozen=True)
-class _OpSpec:
-    source: Model
-    target: Model
-    role: str                       # "j-side" or "k-side"
-    weight: Callable                # weight(x_target, n, j, k)
-    cosh_decay: Optional[Callable] = None   # weight decay exponent in cosh
+#: the three model pairs by suffix: each side's model and its conformal
+#: factor Omega = base(x) ** power, and whether M carries sigma_k / sigma_j.
+#: Omega is cosh rho = (1 - b^2)^(-1/2), 1/cos theta = (1 + r^2)^(1/2) and
+#: cosh(2 rho)^(1/2) = cos(2 theta)^(-1/2).
+_PAIRS = {
+    "": ((Model.Hyperboloid, np.cosh, 1.0),
+         (Model.BeltramiKlein, lambda x: 1 - x * x, -0.5), False),
+    "0": ((Model.EuclideanAffine, lambda x: 1 + x * x, 0.5),
+          (Model.Elliptic, np.cos, -1.0), True),
+    "1": ((Model.Hyperboloid, lambda x: np.cosh(2 * x), 0.5),
+          (Model.Projective, lambda x: np.cos(2 * x), -0.5), True),
+}
+
+#: each letter's exponent of the target's Omega, and its role; an inverse
+#: negates the exponent
+_LETTERS = {"M": (lambda n, j, k: k + 1, "j-side"),
+            "N": (lambda n, j, k: -(j + 1), "k-side"),
+            "P": (lambda n, j, k: n - j, "k-side"),
+            "Q": (lambda n, j, k: k - n, "j-side")}
 
 
-def _pairs():
-    E, B, H, L, PJ = (Model.EuclideanAffine, Model.BeltramiKlein,
-                      Model.Hyperboloid, Model.Elliptic, Model.Projective)
-
-    def sig_ratio(a, b):
-        return lambda n, j, k: sphere_area(a(n, j, k)) / sphere_area(b(n, j, k))
-
-    table = {
-        # hyperboloid <-> ball
-        WeightOp.M: _OpSpec(H, B, "j-side",
-                            lambda x, n, j, k: (1 - x * x) ** (-(k + 1) / 2.0)),
-        WeightOp.N: _OpSpec(B, H, "k-side",
-                            lambda x, n, j, k: np.cosh(x) ** (-(j + 1.0)),
-                            cosh_decay=lambda n, j, k: j + 1.0),
-        WeightOp.M_INV: _OpSpec(B, H, "j-side",
-                                lambda x, n, j, k: np.cosh(x) ** (-(k + 1.0)),
-                                cosh_decay=lambda n, j, k: k + 1.0),
-        WeightOp.N_INV: _OpSpec(H, B, "k-side",
-                                lambda x, n, j, k: (1 - x * x) ** (-(j + 1) / 2.0)),
-        WeightOp.P: _OpSpec(H, B, "k-side",
-                            lambda x, n, j, k: (1 - x * x) ** ((j - n) / 2.0)),
-        WeightOp.Q: _OpSpec(B, H, "j-side",
-                            lambda x, n, j, k: np.cosh(x) ** (k - n + 0.0),
-                            cosh_decay=lambda n, j, k: n - k + 0.0),
-        WeightOp.P_INV: _OpSpec(B, H, "k-side",
-                                lambda x, n, j, k: np.cosh(x) ** (j - n + 0.0),
-                                cosh_decay=lambda n, j, k: n - j + 0.0),
-        WeightOp.Q_INV: _OpSpec(H, B, "j-side",
-                                lambda x, n, j, k: (1 - x * x) ** ((k - n) / 2.0)),
-        # affine <-> elliptic
-        WeightOp.M0: _OpSpec(E, L, "j-side",
-                             lambda x, n, j, k: (sphere_area(k) / sphere_area(j))
-                             * np.cos(x) ** (-(k + 1.0))),
-        WeightOp.N0: _OpSpec(L, E, "k-side",
-                             lambda x, n, j, k: (1 + x * x) ** (-(j + 1) / 2.0)),
-        WeightOp.P0: _OpSpec(E, L, "k-side",
-                             lambda x, n, j, k: np.cos(x) ** (j - n + 0.0)),
-        WeightOp.Q0: _OpSpec(L, E, "j-side",
-                             lambda x, n, j, k: (1 + x * x) ** ((k - n) / 2.0)),
-        WeightOp.M0_INV: _OpSpec(L, E, "j-side",
-                                 lambda x, n, j, k: (sphere_area(j) / sphere_area(k))
-                                 * (1 + x * x) ** (-(k + 1) / 2.0)),
-        WeightOp.N0_INV: _OpSpec(E, L, "k-side",
-                                 lambda x, n, j, k: np.cos(x) ** (-(j + 1.0))),
-        WeightOp.P0_INV: _OpSpec(L, E, "k-side",
-                                 lambda x, n, j, k: (1 + x * x) ** ((j - n) / 2.0)),
-        WeightOp.Q0_INV: _OpSpec(E, L, "j-side",
-                                 lambda x, n, j, k: np.cos(x) ** (k - n + 0.0)),
-        # hyperboloid <-> projective
-        WeightOp.M1: _OpSpec(H, PJ, "j-side",
-                             lambda x, n, j, k: (sphere_area(k) / sphere_area(j))
-                             * np.cos(2 * x) ** (-(k + 1) / 2.0)),
-        WeightOp.N1: _OpSpec(PJ, H, "k-side",
-                             lambda x, n, j, k: np.cosh(2 * x) ** (-(j + 1) / 2.0),
-                             cosh_decay=lambda n, j, k: j + 1.0),
-        WeightOp.P1: _OpSpec(H, PJ, "k-side",
-                             lambda x, n, j, k: np.cos(2 * x) ** ((j - n) / 2.0)),
-        WeightOp.Q1: _OpSpec(PJ, H, "j-side",
-                             lambda x, n, j, k: np.cosh(2 * x) ** ((k - n) / 2.0),
-                             cosh_decay=lambda n, j, k: n - k + 0.0),
-        WeightOp.M1_INV: _OpSpec(PJ, H, "j-side",
-                                 lambda x, n, j, k: (sphere_area(j) / sphere_area(k))
-                                 * np.cosh(2 * x) ** (-(k + 1) / 2.0),
-                                 cosh_decay=lambda n, j, k: k + 1.0),
-        WeightOp.N1_INV: _OpSpec(H, PJ, "k-side",
-                                 lambda x, n, j, k: np.cos(2 * x) ** (-(j + 1) / 2.0)),
-        WeightOp.P1_INV: _OpSpec(PJ, H, "k-side",
-                                 lambda x, n, j, k: np.cosh(2 * x) ** ((j - n) / 2.0),
-                                 cosh_decay=lambda n, j, k: n - j + 0.0),
-        WeightOp.Q1_INV: _OpSpec(H, PJ, "j-side",
-                                 lambda x, n, j, k: np.cos(2 * x) ** ((k - n) / 2.0)),
-    }
-    return table
-
-
-_OP_TABLE = _pairs()
+def _sides(op: WeightOp):
+    """(source side, target side, inverse, ratio) of a pair operator: M and
+    P map a pair's first side to its second, N and Q back, and an inverse
+    the other way; ratio tells whether the weight carries sphere areas."""
+    letter, suffix = op.value[0], op.value[1:]
+    inverse = suffix.endswith("inv")
+    first, second, ratio = _PAIRS[suffix.removesuffix("inv")]
+    if (letter in "MP") == inverse:
+        first, second = second, first
+    return first, second, inverse, ratio and letter == "M"
 
 
 def weight_op_signature(op: WeightOp):
@@ -293,8 +205,8 @@ def weight_op_signature(op: WeightOp):
     if op is WeightOp.U or op is WeightOp.V:
         return (Model.EuclideanAffine, Model.EuclideanAffine,
                 "j-side" if op is WeightOp.U else "k-side")
-    s = _OP_TABLE[op]
-    return (s.source, s.target, s.role)
+    src, tgt, _, _ = _sides(op)
+    return (src[0], tgt[0], _LETTERS[op.value[0]][1])
 
 
 def _inversion_weight_profile(op: WeightOp, params, f: Profile1D) -> Profile1D:
@@ -330,9 +242,9 @@ def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
     """
     if op in (WeightOp.U, WeightOp.V):
         return _inversion_weight_profile(op, params, f)
-    s = _OP_TABLE[op]
+    (source, _, _), (tgt, base, power), inverse, ratio = _sides(op)
     n, j, k = params.n, params.j, params.k
-    src_kind = CANONICAL_KIND[s.source]
+    src_kind = CANONICAL_KIND[source]
     # kinds sharing the hub coordinate are interchangeable; this lets the
     # affine<->elliptic weights act on ball profiles (landing in the
     # projective angle range) and vice versa
@@ -340,40 +252,41 @@ def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
             and not {f.arg_kind, src_kind} <= SAME_VALUE_KINDS:
         raise DomainError(
             f"{op.value} expects a profile in {src_kind} (canonical for "
-            f"{s.source}), got {f.arg_kind}")
-    src_kind = f.arg_kind if f.arg_kind is not src_kind else src_kind
-    tgt = s.target
+            f"{source}), got {f.arg_kind}")
+    src_kind = f.arg_kind
     tgt_kind = CANONICAL_KIND[tgt]
     lo, hi = CANONICAL_RANGE[tgt]
     # the target domain is the image of the source domain
-    src_top = min(f.hi, CANONICAL_RANGE[s.source][1])
-    hub_hi = float(_to_hub(src_kind, np.asarray(src_top))) \
-        if math.isfinite(src_top) else _HUB_RANGE[src_kind][1]
-    if hub_hi < _HUB_RANGE[tgt_kind][1]:
-        hi = min(hi, float(_from_hub(tgt_kind, np.asarray(hub_hi))))
-    weight = s.weight
+    src_top = min(f.hi, CANONICAL_RANGE[source][1])
+    top = _end_image(src_top, src_kind, tgt_kind)
+    if top is not None:
+        hi = min(hi, top)
+    e = _LETTERS[op.value[0]][0](n, j, k)
+    if inverse:
+        e = -e
+    c = 1.0
+    if ratio:
+        c = sphere_area(j) / sphere_area(k) if inverse \
+            else sphere_area(k) / sphere_area(j)
+    q = power * e
 
     def fn(x):
         x = np.asarray(x, dtype=float)
-        src = _from_hub(src_kind, _to_hub(tgt_kind, x))
-        return weight(x, n, j, k) * f(src)
+        return c * base(x) ** q * f(convert(x, tgt_kind, src_kind))
 
     support = None
     if f.support is not None and math.isfinite(f.support):
-        hub_s = float(_to_hub(src_kind, np.asarray(f.support)))
-        if hub_s < _HUB_RANGE[tgt_kind][1]:
-            support = float(_from_hub(tgt_kind, np.asarray(hub_s)))
+        support = _end_image(f.support, src_kind, tgt_kind)
     if f.decay_hint is not None and math.isinf(f.decay_hint):
         decay = math.inf
-    elif s.cosh_decay is not None and math.isfinite(src_top):
+    elif tgt is Model.Hyperboloid and math.isfinite(src_top):
         # bounded source domain: the weight's cosh power rules the tail
-        decay = s.cosh_decay(n, j, k)
+        decay = -float(e)
     else:
         decay = None
     return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=tgt_kind, decay_hint=decay,
                      support=support,
                      label=f"{op.value}[{f.label}]")
-
 
 
 # -- radial measures ----------------------------------------------------------
@@ -446,17 +359,14 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
         vals = measure_density(model, n, d, x, kind)
         if weight is not None:
             vals = vals * weight(x)
-        if f.arg_kind is kind:
-            return vals * f(x)
-        src = _from_hub(f.arg_kind, _to_hub(kind, np.asarray(x, dtype=float)))
-        return vals * f(src)
+        return vals * f(convert(x, kind, f.arg_kind))
 
     # support cap expressed in the canonical coordinate
     top = hi
     if f.support is not None and math.isfinite(f.support):
-        hub_s = float(_to_hub(f.arg_kind, np.asarray(f.support)))
-        if hub_s < _HUB_RANGE[kind][1]:
-            top = min(top, float(_from_hub(kind, np.asarray(hub_s))))
+        cap = _end_image(f.support, f.arg_kind, kind)
+        if cap is not None:
+            top = min(top, cap)
 
     o = float(n - d - 1) + weight_origin_power
     if o <= -1.0:
@@ -473,8 +383,7 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
         if edge != 0.0:
             # vals contains (S^2 - src^2)^e; re-express it as the Jacobi
             # weight (top - x)^e times a smooth ratio^e factor
-            src_x = x if f.arg_kind is kind \
-                else _from_hub(f.arg_kind, _to_hub(kind, x))
+            src_x = convert(x, kind, f.arg_kind)
             num = np.maximum(f.support ** 2 - src_x ** 2, 0.0)
             ratio = num / np.maximum(top - x, 1e-300)
             vals = np.where(num > 0,
@@ -505,7 +414,12 @@ def point_to_subhyperboloid_distance(z, k: int) -> float:
     q = z[..., -1] ** 2 - np.sum(z[..., :-1] ** 2, axis=-1)
     if np.any(np.abs(q - 1.0) > 1e-10) or np.any(z[..., -1] <= 0):
         raise DomainError("point does not lie on the unit hyperboloid")
-    # pseudo-norm of the projection onto the last k+1 coordinates
-    pn2 = z[..., -1] ** 2 - np.sum(z[..., n - k:n] ** 2, axis=-1)
-    out = np.arccosh(np.maximum(np.sqrt(np.maximum(pn2, 1.0)), 1.0))
+    out = _distance_to_base(z, n, k)
     return float(out) if out.ndim == 0 else out
+
+
+def _distance_to_base(z: np.ndarray, n: int, d: int) -> np.ndarray:
+    """Distance of points z of the hyperboloid to the base d-geodesic,
+    through the pseudo-norm of their projection onto its d+1 coordinates."""
+    pn2 = z[..., n] ** 2 - np.sum(z[..., n - d:n] ** 2, axis=-1)
+    return np.arccosh(np.maximum(np.sqrt(np.maximum(pn2, 1.0)), 1.0))

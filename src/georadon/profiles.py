@@ -203,9 +203,72 @@ _REPARAM = {
         _Reparam(np.sin, lambda t: math.asin(min(t, 1.0)), top=1.0),
 }
 
+# The chart: every kind reaches its family base through a direct map of
+# ``_REPARAM``, and every base reaches the hub, the plane distance.
+
+#: family base of the kinds that are not their own base
+_BASE = {ArgKind.CoshDistance: ArgKind.GeodesicDistance,
+         ArgKind.SinhDistance: ArgKind.GeodesicDistance,
+         ArgKind.CosAngle: ArgKind.Angle,
+         ArgKind.SinAngle: ArgKind.Angle}
+
+
+def _same(v):
+    return v
+
+
+#: each base's map to the hub, its inverse, and the end of its hub range
+_HUB = {
+    ArgKind.GeodesicDistance: (np.tanh, np.arctanh, 1.0),
+    ArgKind.Angle: (np.tan, np.arctan, math.inf),
+    ArgKind.EuclideanRadius: (_same, _same, math.inf),
+    ArgKind.BallRadius: (_same, _same, 1.0),
+    ArgKind.TanhDistance: (_same, _same, 1.0),
+}
+
+#: closed domain of the kinds not taking every nonnegative number
+_DOMAIN = {ArgKind.CoshDistance: (1.0, math.inf),
+           ArgKind.CosAngle: (0.0, 1.0),
+           ArgKind.SinAngle: (0.0, 1.0),
+           ArgKind.BallRadius: (0.0, 1.0),
+           ArgKind.TanhDistance: (0.0, 1.0)}
+
 #: kinds whose coordinates are the same number (the models' hub variable)
-SAME_VALUE_KINDS = frozenset({ArgKind.EuclideanRadius, ArgKind.BallRadius,
-                              ArgKind.TanhDistance})
+SAME_VALUE_KINDS = frozenset(k for k, m in _HUB.items() if m[0] is _same)
+
+
+def base_of(kind: ArgKind) -> ArgKind:
+    """The family base of a kind: geodesic distance, angle, or the kind."""
+    return _BASE.get(kind, kind)
+
+
+def hub_end(kind: ArgKind) -> float:
+    """End of the hub range (plane distance) that the kind's family covers."""
+    return _HUB[base_of(kind)][2]
+
+
+def domain(kind: ArgKind) -> tuple:
+    """Closed (least, greatest) coordinate of a kind."""
+    return _DOMAIN.get(kind, (0.0, math.inf))
+
+
+def convert(v, frm: ArgKind, to: ArgKind) -> np.ndarray:
+    """Coordinates ``v`` of kind ``frm`` as kind ``to`` (arrays, unchecked).
+
+    Inside a family the direct maps are used; across families the value
+    goes through the hub.
+    """
+    v = np.asarray(v, dtype=float)
+    if frm is to:
+        return v
+    bf, bt = base_of(frm), base_of(to)
+    if frm is not bf:
+        v = _REPARAM[bf, frm].pull(v)
+    if bf is not bt:
+        v = _HUB[bt][1](_HUB[bf][0](v))
+    if to is not bt:
+        v = _REPARAM[to, bt].pull(v)
+    return v
 
 
 def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
@@ -225,8 +288,7 @@ def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
     m = _REPARAM.get((f.arg_kind, kind))
     if m is None:
         raise DomainError(f"cannot reparametrize {f.arg_kind} as {kind}")
-    floor = 1.0 if f.arg_kind is ArgKind.CoshDistance else 0.0
-    ends = (m.push(floor), m.push(f.hi))
+    ends = (m.push(domain(f.arg_kind)[0]), m.push(f.hi))
     lo, hi = ends if m.increasing else ends[::-1]
     support = None
     if m.increasing and f.support is not None and f.support < m.top:

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from georadon.profiles import ArgKind, Profile1D, bump, gaussian, gaussian_power
 from georadon.quadrature import QuadratureSpec
+
+# the same examples on every run, at the default example count
+settings.register_profile("georadon", derandomize=True)
+settings.load_profile("georadon")
 
 #: tight spec for building reference tabulations whose values feed
 #: differentiation paths

@@ -120,13 +120,20 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
         "decay_hint": math.nan})),
     ("dual", dict(_GOOD_JOB, command="dual", params={"n": 4, "j": 1, "k": 2},
                   grid={"lo": -1.0, "hi": 1.0, "count": 5})),
+    ("convert", {"command": "convert",
+                 "convert": {"from": "cosh", "to": "distance"},
+                 "grid": {"lo": 0.2, "hi": 0.9, "count": 5}}),
+    ("convert", {"command": "convert",
+                 "convert": {"from": "sin_angle", "to": "angle"},
+                 "grid": {"lo": 0.5, "hi": 1.5, "count": 5}}),
 ], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
         "nan-in-grid-profile", "chain-h-without-family",
         "chain-h-non-numeric-a", "chain-non-numeric-rho",
         "duality-not-an-object", "closed-form-non-numeric-alpha",
         "nan-rel-tol", "negative-mc-seed", "nan-gaussian-sigma",
         "infinite-bump-a", "nan-power-p", "infinite-closed-form-alpha",
-        "nan-closed-form-a", "nan-decay-hint", "dual-negative-radius"])
+        "nan-closed-form-a", "nan-decay-hint", "dual-negative-radius",
+        "convert-cosh-below-one", "convert-sin-above-one"])
 def test_invalid_params_exit_2(tmp_path, command, doc):
     doc = dict(doc, output={"path": str(tmp_path / "x.csv")})
     job = _write_job(tmp_path, "bad.json", doc)

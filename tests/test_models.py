@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -29,6 +30,41 @@ def test_convert_cycle_is_identity(v):
     c = M.convert_distance(b, M.Model.Hyperboloid, M.Model.BeltramiKlein)
     d = M.convert_distance(c, M.Model.BeltramiKlein, M.Model.EuclideanAffine)
     assert abs(d - v) < 1e-14
+
+
+@given(st.floats(min_value=0.05, max_value=0.95),
+       st.sampled_from(list(P.ArgKind)), st.sampled_from(list(P.ArgKind)))
+def test_convert_round_trips_between_every_pair_of_kinds(r, frm, to):
+    # r is the plane distance, which every kind represents
+    v = float(P.convert(r, P.ArgKind.EuclideanRadius, frm))
+    back = M.convert_distance(M.convert_distance(v, frm, to), to, frm)
+    assert abs(back - v) <= 1e-14 * max(1.0, v)
+
+
+def test_convert_hyperbolic_tail_is_exact():
+    K = P.ArgKind
+    rho = np.linspace(0.0, 20.0, 201)
+    assert rel_err(M.convert_distance(rho, K.GeodesicDistance,
+                                      K.CoshDistance), np.cosh(rho)) <= 1e-15
+    assert rel_err(M.convert_distance(rho, K.GeodesicDistance,
+                                      K.SinhDistance), np.sinh(rho)) <= 1e-15
+    back = M.convert_distance(np.cosh(rho), K.CoshDistance,
+                              K.GeodesicDistance)
+    assert float(np.max(np.abs(back - rho))) <= 1e-15
+
+
+@pytest.mark.parametrize("value, frm", [
+    (0.5, P.ArgKind.CoshDistance), (1.5, P.ArgKind.CosAngle),
+    (1.5, P.ArgKind.SinAngle), (1.5, P.ArgKind.BallRadius),
+    (1.5, P.ArgKind.TanhDistance), (-0.1, P.ArgKind.GeodesicDistance),
+    (-0.1, P.ArgKind.CosAngle)])
+def test_convert_rejects_values_outside_their_kind(value, frm):
+    to = P.ArgKind.Angle if frm is P.ArgKind.GeodesicDistance \
+        else P.ArgKind.EuclideanRadius
+    with pytest.raises(DomainError):
+        M.convert_distance(value, frm, to)
+    with pytest.raises(DomainError):
+        M.convert_distance(value, frm, P.base_of(frm))
 
 
 def test_convert_between_argument_kinds():
@@ -88,19 +124,70 @@ def test_weight_op_signatures():
     assert M.weight_op_signature(M.WeightOp.U)[2] == "j-side"
 
 
-def test_weight_op_inverse_pairs_pointwise():
+#: (operator, its inverse), each pair led by the one acting on the
+#: hyperboloid or on affine planes
+_INVERSE_PAIRS = [(M.WeightOp(f"{a}{s}{'' if a in 'MP' else 'inv'}"),
+                   M.WeightOp(f"{a}{s}{'inv' if a in 'MP' else ''}"))
+                  for s in ("", "0", "1") for a in "MNPQ"]
+
+
+@pytest.mark.parametrize("fwd, inv", _INVERSE_PAIRS,
+                         ids=lambda op: op.value)
+def test_weight_op_inverse_pairs_pointwise(fwd, inv):
     p = TransformParams(5, 1, 2)
-    geo = P.Profile1D(lo=0.0, hi=math.inf,
-                      fn=lambda rho: np.exp(-np.sinh(rho) ** 2),
-                      arg_kind=P.ArgKind.GeodesicDistance, decay_hint=math.inf)
-    x = np.linspace(0.01, 2.5, 64)
-    for fwd, inv in ((M.WeightOp.M, M.WeightOp.M_INV),
-                     (M.WeightOp.N_INV, M.WeightOp.N),
-                     (M.WeightOp.P, M.WeightOp.P_INV),
-                     (M.WeightOp.M1, M.WeightOp.M1_INV),
-                     (M.WeightOp.Q1_INV, M.WeightOp.Q1)):
-        back = M.apply_weight(inv, p, M.apply_weight(fwd, p, geo))
-        assert float(np.max(np.abs(back(x) - geo(x)))) < 1e-14
+    if M.weight_op_signature(fwd)[0] is M.Model.Hyperboloid:
+        f = P.Profile1D(lo=0.0, hi=math.inf,
+                        fn=lambda rho: np.exp(-np.sinh(rho) ** 2),
+                        arg_kind=P.ArgKind.GeodesicDistance,
+                        decay_hint=math.inf)
+        x = np.linspace(0.01, 2.5, 64)
+    else:
+        f = P.gaussian()
+        x = np.linspace(0.01, 4.0, 64)
+    back = M.apply_weight(inv, p, M.apply_weight(fwd, p, f))
+    assert float(np.max(np.abs(back(x) - f(x)))) < 1e-14
+
+
+#: grid in the target model's canonical coordinate
+_WEIGHT_GRID = {M.Model.BeltramiKlein: (0.05, 0.3, 0.6, 0.9, 0.99),
+                M.Model.Hyperboloid: (0.0, 0.4, 1.3, 3.0, 8.0),
+                M.Model.EuclideanAffine: (0.0, 0.3, 1.0, 4.0, 30.0),
+                M.Model.Elliptic: (0.0, 0.2, 0.7, 1.2, 1.55),
+                M.Model.Projective: (0.0, 0.1, 0.4, 0.7, 0.78)}
+
+#: first 16 hex digits of the SHA-256 of the float.hex of (lo, hi, values)
+#: and the decay hint of apply_weight(op, p, power(0.0)) in the source
+#: model's coordinate, over three triples, recorded from one hand-written
+#: weight function per operator
+_WEIGHT_GOLDEN = {
+    "M": "b1b0b92ec70c3a66", "N": "748753f467e23ff9",
+    "P": "4c0df7cf11da5742", "Q": "f164b5d4b3aefff6",
+    "Minv": "97e46cf2f0202477", "Ninv": "22588654d00714db",
+    "Pinv": "8ab35bb12a5a34ef", "Qinv": "95a7c520f8e6bb7d",
+    "M0": "658af5b4725ab2e2", "N0": "2d70e21524230f9c",
+    "P0": "264d386aaae18ec8", "Q0": "537e2266dd921baa",
+    "M0inv": "ba965b99de41b3f7", "N0inv": "3f8232cce1647e39",
+    "P0inv": "95540c466127416c", "Q0inv": "40f12ac9a4b0a107",
+    "M1": "77537485e7513e5a", "N1": "cf8dcfc2447d2f15",
+    "P1": "ae50dafdfa40e879", "Q1": "e243cf2d5be1ea2b",
+    "M1inv": "caa53bd139a088c3", "N1inv": "35fb8da9611b0698",
+    "P1inv": "82a8fd6178737b47", "Q1inv": "b8005454f54fdeb3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WEIGHT_GOLDEN))
+def test_weight_ops_keep_their_bytes(name):
+    op = M.WeightOp(name)
+    src, tgt, _ = M.weight_op_signature(op)
+    h = hashlib.sha256()
+    for t in ((3, 0, 1), (5, 1, 2), (7, 2, 5)):
+        g = M.apply_weight(op, TransformParams(*t),
+                           P.power(0.0, arg_kind=M.CANONICAL_KIND[src]))
+        vals = g(np.array(_WEIGHT_GRID[tgt]))
+        h.update(" ".join(float(v).hex()
+                          for v in (g.lo, g.hi, *vals)).encode())
+        h.update(repr(g.decay_hint).encode())
+    assert h.hexdigest()[:16] == _WEIGHT_GOLDEN[name]
 
 
 def test_apply_weight_example_values():
