@@ -75,6 +75,18 @@ def _not_nan(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    """An integral number: 32 and 32.0 pass; 2.7 and booleans do not."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
+    if isinstance(value, int):
+        return value
+    x = float(value)
+    if not x.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(x)
+
+
 def _field(doc: dict, key: str, cast=_finite, default=_MISSING):
     """doc[key] through ``cast``; a missing or malformed field is a JobError."""
     if key not in doc:
@@ -121,7 +133,7 @@ def parse_params(job) -> R.TransformParams:
     p = job.get("params")
     _require(isinstance(p, dict), "job needs params {n, j, k}")
     try:
-        return R.TransformParams(*(_field(p, key, int) for key in "njk"))
+        return R.TransformParams(*(_field(p, key, _integer) for key in "njk"))
     except DomainError as exc:
         raise JobError(str(exc)) from exc
 
@@ -138,7 +150,7 @@ def parse_quadrature(job) -> QuadratureSpec:
         return QuadratureSpec(
             rel_tol=_field(q, "rel_tol", float, 1e-10),
             abs_tol=_field(q, "abs_tol", float, 1e-12),
-            max_subdivisions=_field(q, "max_subdivisions", int, 200),
+            max_subdivisions=_field(q, "max_subdivisions", _integer, 200),
             truncation_tail_tol=_field(q, "truncation_tail_tol", float, 1e-12))
     except ValueError as exc:
         raise JobError(f"bad quadrature spec: {exc}") from exc
@@ -147,9 +159,9 @@ def parse_quadrature(job) -> QuadratureSpec:
 def parse_mc(job) -> MC.McSpec:
     m = _section(job, "mc")
     try:
-        return MC.McSpec(seed=_field(m, "seed", int, 0),
-                         n_samples=_field(m, "n_samples", int, 100000),
-                         stream_id=_field(m, "stream_id", int, 0))
+        return MC.McSpec(seed=_field(m, "seed", _integer, 0),
+                         n_samples=_field(m, "n_samples", _integer, 100000),
+                         stream_id=_field(m, "stream_id", _integer, 0))
     except ValueError as exc:
         raise JobError(f"bad mc spec: {exc}") from exc
 
@@ -173,7 +185,7 @@ def parse_profile(spec: dict, kind: ArgKind) -> Profile1D:
     if fam == "grid":
         x, y = _finite_array(spec, "x"), _finite_array(spec, "y")
         _require(x.shape == y.shape, "grid profile needs x and y of one length")
-        return from_grid(x, y, kind, order=_field(spec, "order", int, 3),
+        return from_grid(x, y, kind, order=_field(spec, "order", _integer, 3),
                          decay_hint=_field(spec, "decay_hint", _not_nan, None))
     raise JobError(f"unknown profile family {fam!r}")
 
@@ -191,7 +203,8 @@ def parse_grid(job, default_kind: ArgKind) -> tuple[np.ndarray, ArgKind]:
     _require(isinstance(g, dict), "job needs a grid {lo, hi, count}")
     kind = _KIND_ALIASES.get(str(g.get("kind", default_kind.value)).lower())
     _require(kind is not None, f"unknown grid kind {g.get('kind')!r}")
-    lo, hi, count = _field(g, "lo"), _field(g, "hi"), _field(g, "count", int)
+    lo, hi = _field(g, "lo"), _field(g, "hi")
+    count = _field(g, "count", _integer)
     _require(hi > lo and count >= 2, "grid needs hi > lo and count >= 2")
     return np.linspace(lo, hi, count), kind
 

@@ -28,9 +28,10 @@ import numpy as np
 from .errors import (DifferentiationInstabilityError, DivergenceError,
                      DomainError)
 from .profiles import Profile1D
-from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
-                         _weighted_fixed, integrate_to_infinity,
-                         integrate_weighted, weighted_nodes)
+from .quadrature import (_NODE_LADDER, DEFAULT_QUADRATURE, QuadratureSpec,
+                         _Budget, _fixed_rule, _integrate_known,
+                         integrate_to_infinity, integrate_weighted,
+                         weighted_nodes)
 from .spectral import ChebInterpolant, cheb_nodes
 
 __all__ = ["QuadratureSpec", "check_decay", "ek_left", "ek_right",
@@ -38,6 +39,9 @@ __all__ = ["QuadratureSpec", "check_decay", "ek_left", "ek_right",
 
 #: Relative spectral-differentiation noise beyond which results are rejected.
 DERIV_NOISE_REL = 1e-6
+
+#: the ladder rungs that ``_split_weighted`` evaluates in one call
+_RUNGS = _NODE_LADDER[:2]
 
 
 def check_decay(f: Profile1D, alpha: float, a: float,
@@ -70,28 +74,47 @@ def check_decay(f: Profile1D, alpha: float, a: float,
 
 def _split_weighted(u_core, lo: float, hi: float, p_lo: float, p_hi: float,
                     interior, spec: QuadratureSpec, budget: _Budget) -> float:
-    """Integral of (u-lo)^p_lo (hi-u)^p_hi u_core(u), split at breakpoints."""
+    """Integral of (u-lo)^p_lo (hi-u)^p_hi u_core(u), split at breakpoints.
+
+    ``u_core`` is called once on the nodes of the first two ladder rungs of
+    every segment; each segment then sums its own slice, so the values are
+    those of one call per rule.  Only segments whose rungs disagree call
+    ``u_core`` again.
+    """
     points = [lo] + [p for p in interior if lo < p < hi] + [hi]
-    segs = []
+
+    def outer(vals, u, a, b):
+        # the endpoint weights of [lo, hi] that a segment sees as smooth
+        if a != lo and p_lo != 0.0:
+            vals = vals * (u - lo) ** p_lo
+        if b != hi and p_hi != 0.0:
+            vals = vals * (hi - u) ** p_hi
+        return vals
+
+    # (a, b, p_lo, p_hi) of each segment; inner ends carry no weight
+    segs = [(a, b, p_lo if a == lo else 0.0, p_hi if b == hi else 0.0)
+            for a, b in zip(points[:-1], points[1:])]
+    rules = [_fixed_rule(*seg, n) for seg in segs for n in _RUNGS]
+    vals = u_core(np.concatenate([u for u, _, _ in rules]))
+
+    at = 0
     scale = 0.0
-    for a, b in zip(points[:-1], points[1:]):
-        jac_lo = p_lo if a == lo else 0.0
-        jac_hi = p_hi if b == hi else 0.0
+    known = []
+    rule = iter(rules)
+    for a, b, _, _ in segs:
+        rungs = {}
+        for n in _RUNGS:
+            u, w, c = next(rule)
+            rungs[n] = float(c * np.dot(w, outer(vals[at:at + n], u, a, b)))
+            at += n
+        # the finest known rung anchors the relative tolerance of small
+        # segments
+        scale += abs(rungs[_RUNGS[-1]])
+        known.append(rungs)
 
-        def seg_core(u, a=a, b=b):
-            vals = u_core(u)
-            if a != lo and p_lo != 0.0:
-                vals = vals * (u - lo) ** p_lo
-            if b != hi and p_hi != 0.0:
-                vals = vals * (hi - u) ** p_hi
-            return vals
-
-        segs.append((seg_core, a, b, jac_lo, jac_hi))
-        # coarse pass: anchors the relative tolerance of small segments
-        scale += abs(_weighted_fixed(seg_core, a, b, jac_lo, jac_hi, 32))
-
-    return sum(integrate_weighted(fn, a, b, jl, jh, spec, budget, scale_hint=scale)
-               for fn, a, b, jl, jh in segs)
+    return sum(_integrate_known(rungs, lambda u, a=a, b=b: outer(u_core(u), u, a, b),
+                                a, b, jl, jh, spec, budget, scale)
+               for rungs, (a, b, jl, jh) in zip(known, segs))
 
 
 # -- integrals ---------------------------------------------------------------

@@ -41,7 +41,10 @@ class ArgKind(enum.Enum):
 class Profile1D:
     """A tagged single-variable function on [lo, hi).
 
-    ``fn`` must accept and return numpy arrays.  ``decay_hint`` is an
+    ``fn`` must accept and return numpy arrays, and it and ``core`` must
+    be elementwise: the quadratures evaluate the nodes of many rules in
+    one call and rely on each value being the one a call on that point
+    alone would give.  ``decay_hint`` is an
     exponent rho with |f(x)| <= C (1+x)^(-rho) (``math.inf`` for
     super-polynomial decay); it is required on infinite domains before any
     right-sided operator is applied.  ``origin_power`` o and
@@ -312,6 +315,9 @@ def from_grid(x: np.ndarray, y: np.ndarray, arg_kind: ArgKind,
         raise DomainError("from_grid: need at least 8 nodes")
     if np.any(np.diff(x) <= 0):
         raise DomainError("from_grid: grid must be strictly increasing")
+    if not 0 <= order < len(x):
+        raise DomainError(
+            f"from_grid: spline order {order} needs 0 <= order < {len(x)}")
     spl = make_interp_spline(x, y, k=order)
 
     def fn(t):
@@ -405,6 +411,9 @@ def _hermite_chain(sigma: float, orders: int = 8):
 def gaussian(sigma: float = 1.0, arg_kind: ArgKind = ArgKind.EuclideanRadius,
              lo: float = 0.0) -> Profile1D:
     """exp(-(x/sigma)^2) with full analytic derivative chain."""
+    if not sigma > 0:
+        raise DomainError(f"gaussian: sigma must be positive, got {sigma}")
+
     def fn(x):
         return np.exp(-(x / sigma) ** 2)
 

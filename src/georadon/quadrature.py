@@ -51,6 +51,9 @@ def _jacobi_rule(n: int, a: float, b: float):
 
 def _rule(n: int, p_lo: float, p_hi: float):
     """Nodes/weights for (u-a)^p_lo (b-u)^p_hi on [-1,1] coordinates."""
+    if p_lo <= -1.0 or p_hi <= -1.0:
+        raise DivergenceError(
+            f"endpoint exponent <= -1 is not integrable (p_lo={p_lo}, p_hi={p_hi})")
     return _jacobi_rule(n, round(float(p_hi), 12), round(float(p_lo), 12))
 
 
@@ -66,13 +69,17 @@ class _Budget:
             raise QuadratureError("quadrature subdivision budget exhausted")
 
 
-def _weighted_fixed(core, a: float, b: float, p_lo: float, p_hi: float, n: int) -> float:
+def _fixed_rule(a: float, b: float, p_lo: float, p_hi: float, n: int):
+    """Nodes u, weights w and scale c of the n-node rule on [a, b]: the
+    rule's value for ``core`` is ``c * dot(w, core(u))``."""
     x, w = _rule(n, p_lo, p_hi)
     h = 0.5 * (b - a)
-    u = a + h * (x + 1.0)
-    vals = core(u)
-    scale = h ** (1.0 + p_lo + p_hi)
-    return float(scale * np.dot(w, vals))
+    return a + h * (x + 1.0), w, h ** (1.0 + p_lo + p_hi)
+
+
+def _weighted_fixed(core, a: float, b: float, p_lo: float, p_hi: float, n: int) -> float:
+    u, w, scale = _fixed_rule(a, b, p_lo, p_hi, n)
+    return float(scale * np.dot(w, core(u)))
 
 
 def weighted_nodes(a: float, b: float, p_lo: float, p_hi: float, n: int):
@@ -81,9 +88,8 @@ def weighted_nodes(a: float, b: float, p_lo: float, p_hi: float, n: int):
     A fixed (non-adaptive) rule; useful when integrals at many parameter
     values must share one grid so their errors vary smoothly.
     """
-    x, w = _rule(n, p_lo, p_hi)
-    h = 0.5 * (b - a)
-    return a + h * (x + 1.0), w * h ** (1.0 + p_lo + p_hi)
+    u, w, scale = _fixed_rule(a, b, p_lo, p_hi, n)
+    return u, w * scale
 
 
 def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
@@ -95,18 +101,26 @@ def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
     ``core`` must be smooth on (a, b) and finite at the endpoints; the
     algebraic endpoint behavior lives entirely in the exponents.
     """
+    return _integrate_known({}, core, a, b, p_lo, p_hi, spec, budget,
+                            scale_hint)
+
+
+def _integrate_known(known: dict, core, a: float, b: float, p_lo: float,
+                     p_hi: float, spec: QuadratureSpec, budget: _Budget | None,
+                     scale_hint: float) -> float:
+    """``integrate_weighted`` whose ladder takes the rungs in ``known``
+    (node count -> value of that fixed rule on [a, b]) instead of
+    evaluating ``core`` for them again."""
     if b <= a:
         return 0.0
-    if p_lo <= -1.0 or p_hi <= -1.0:
-        raise DivergenceError(
-            f"endpoint exponent <= -1 is not integrable (p_lo={p_lo}, p_hi={p_hi})")
     if budget is None:
         budget = _Budget(spec.max_subdivisions)
     budget.spend()
 
     prev = None
     for n in _NODE_LADDER:
-        cur = _weighted_fixed(core, a, b, p_lo, p_hi, n)
+        cur = known[n] if n in known else \
+            _weighted_fixed(core, a, b, p_lo, p_hi, n)
         if prev is not None:
             tol = max(spec.abs_tol,
                       spec.rel_tol * max(abs(cur), scale_hint))

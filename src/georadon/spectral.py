@@ -27,6 +27,27 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
     return coeffs
 
 
+def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``C.chebval(x, c)`` for an array x and at least 3 coefficients.
+
+    The same recurrence in the same order, so the result is bit-for-bit
+    that of ``chebval``, but in three buffers instead of three new arrays
+    per coefficient.
+    """
+    x2 = 2.0 * x
+    c0 = np.full(x.shape, c[-2])
+    c1 = np.full(x.shape, c[-1])
+    spare = np.empty_like(x2)
+    for ci in c[-3::-1]:
+        # c0, c1 = ci - c1, c0 + c1*x2
+        np.subtract(ci, c1, out=spare)
+        np.multiply(c1, x2, out=c1)
+        np.add(c0, c1, out=c1)
+        c0, spare = spare, c0
+    np.multiply(c1, x, out=c1)
+    return np.add(c0, c1, out=c0)
+
+
 class ChebInterpolant:
     """Polynomial interpolant through values at Chebyshev extreme points."""
 
@@ -50,7 +71,10 @@ class ChebInterpolant:
         return (2.0 * np.asarray(x, dtype=float) - (self.a + self.b)) / (self.b - self.a)
 
     def __call__(self, x):
-        return C.chebval(self._map(x), self.coeffs)
+        x = self._map(x)
+        if np.ndim(x) == 0 or len(self.coeffs) < 3:
+            return C.chebval(x, self.coeffs)
+        return _clenshaw(x, self.coeffs)
 
     def derivative(self, order: int = 1) -> "ChebInterpolant":
         c = C.chebder(self.coeffs, m=order, scl=2.0 / (self.b - self.a))

@@ -40,6 +40,21 @@ def test_transform_job_value_and_determinism(tmp_path):
     assert text1 == (tmp_path / "out2.csv").read_text()
 
 
+def test_integral_floats_read_as_integers(tmp_path):
+    texts = []
+    for name, params, count in (("int", {"n": 4, "j": 1, "k": 2}, 5),
+                                ("float", {"n": 4.0, "j": 1.0, "k": 2.0}, 5.0)):
+        out = tmp_path / f"{name}.csv"
+        job = _write_job(tmp_path, f"{name}.json", {
+            "command": "transform", "model": "euclidean", "params": params,
+            "profile": {"family": "gaussian"},
+            "grid": {"lo": 0.5, "hi": 2.0, "count": count},
+            "output": {"path": str(out)}})
+        assert main(["transform", "--job", job]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+
+
 def test_json_format_mirror(tmp_path):
     job = _write_job(tmp_path, "job.json", {
         "command": "table",
@@ -126,6 +141,16 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
     ("convert", {"command": "convert",
                  "convert": {"from": "sin_angle", "to": "angle"},
                  "grid": {"lo": 0.5, "hi": 1.5, "count": 5}}),
+    ("transform", dict(_GOOD_JOB, profile={"family": "gaussian", "sigma": 0})),
+    ("transform", dict(_GOOD_JOB, profile={
+        "family": "grid", "x": _X, "y": np.exp(-np.square(_X)).tolist(),
+        "order": -1})),
+    ("transform", dict(_GOOD_JOB, profile={
+        "family": "grid", "x": _X[:8], "y": [1.0] * 8, "order": 8})),
+    ("transform", dict(_GOOD_JOB, grid={"lo": 0.5, "hi": 2.0, "count": 5.5})),
+    ("transform", dict(_GOOD_JOB, profile={
+        "family": "grid", "x": _X, "y": np.exp(-np.square(_X)).tolist(),
+        "order": True})),
 ], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
         "nan-in-grid-profile", "chain-h-without-family",
         "chain-h-non-numeric-a", "chain-non-numeric-rho",
@@ -133,7 +158,9 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
         "nan-rel-tol", "negative-mc-seed", "nan-gaussian-sigma",
         "infinite-bump-a", "nan-power-p", "infinite-closed-form-alpha",
         "nan-closed-form-a", "nan-decay-hint", "dual-negative-radius",
-        "convert-cosh-below-one", "convert-sin-above-one"])
+        "convert-cosh-below-one", "convert-sin-above-one",
+        "zero-gaussian-sigma", "negative-grid-order", "grid-order-at-node-count",
+        "fractional-grid-count", "boolean-grid-order"])
 def test_invalid_params_exit_2(tmp_path, command, doc):
     doc = dict(doc, output={"path": str(tmp_path / "x.csv")})
     job = _write_job(tmp_path, "bad.json", doc)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import TIGHT, rel_err
 from georadon import profiles as P
+from georadon import radial as R
 from georadon.errors import (DifferentiationInstabilityError, DivergenceError,
                              DomainError)
 from georadon.fracint import (check_decay, ek_deriv_left, ek_deriv_right,
@@ -159,3 +161,99 @@ def test_grid_profile_constraints():
         P.from_grid(x2, np.ones(12), P.ArgKind.EuclideanRadius)
     prof = P.from_grid(x, x ** 2, P.ArgKind.EuclideanRadius)
     assert abs(prof(0.5) - 0.25) < 1e-3
+
+
+# -- pinned values -------------------------------------------------------------
+# float.hex of the fractional integrals and of every transform row, recorded
+# before the first two ladder rungs of every split segment were evaluated in
+# one call; that change must not move a bit.
+
+def _kinked(r):
+    return np.exp(-r * r) * (1.0 + np.abs(r - 0.6))
+
+
+_EK_PROFILES = {
+    "breakpoints": P.Profile1D(lo=0.0, hi=math.inf, fn=_kinked,
+                               decay_hint=math.inf, breakpoints=(0.6, 1.1)),
+    "edge": P.truncated_power_pair(3.0, 1.2, 1.0, P.ArgKind.EuclideanRadius),
+    "origin": P.gaussian_power(1.5),
+}
+
+_EK_GOLDEN = {
+    'left-breakpoints-0.5': ('0x0.0p+0', '0x1.0c47263d9f63ep-1', '0x1.81b39259d41b7p-1', '0x1.3a6cb547eab26p-1'),
+    'right-breakpoints-0.5': ('0x1.4a8bd4ccf9b4bp+0', '0x1.ec3ca55efe70ep-1', '0x1.2d6ea3aab8212p-1', '0x1.fc52934fd3872p-4'),
+    'left-breakpoints-1.5': ('0x0.0p+0', '0x1.fa94740372265p-5', '0x1.3fa708f4b620ep-1', '0x1.f6e28416b5bb9p+0'),
+    'right-breakpoints-1.5': ('0x1.a6b1c208d24fcp+0', '0x1.8494fe92b2a2bp+0', '0x1.6d8f30ade22ddp-1', '0x1.19fb71025624ap-3'),
+    'left-edge-0.5': ('0x0.0p+0', '0x1.4d9ae8e59ebb5p-3', '0x1.73501bc0c6951p-1', '0x1.42cbca4e60368p-2'),
+    'right-edge-0.5': ('0x1.4cc5c64a6d7eap-1', '0x1.7dc1d5b26d1d5p-1', '0x1.a43122b9106adp-2', '0x0.0p+0'),
+    'left-edge-1.5': ('0x0.0p+0', '0x1.b1703625ae408p-7', '0x1.b3d85fb45d25cp-2', '0x1.594ab5fa8b8adp+0'),
+    'right-edge-1.5': ('0x1.7f5a9ecc86546p-1', '0x1.44f397b217b7dp-1', '0x1.83b7e4f0fc879p-4', '0x0.0p+0'),
+    'left-origin-0.5': ('0x0.0p+0', '0x1.29154de06d19bp-4', '0x1.88d24f48faf57p-2', '0x1.b3af33f46e071p-2'),
+    'right-origin-0.5': ('0x1.05d3f8993290bp-1', '0x1.280b15836a32bp-1', '0x1.f6a5422bc1161p-2', '0x1.1b6255a18769bp-3'),
+    'left-origin-1.5': ('0x0.0p+0', '0x1.5f3ab2e6abda3p-8', '0x1.bbc90b216b5fbp-3', '0x1.0df9f183218f2p+0'),
+    'right-origin-1.5': ('0x1.4748f6bf7f34dp+0', '0x1.30b27d664bd89p+0', '0x1.6f39df850e179p-1', '0x1.56f5e85c54555p-3'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EK_GOLDEN))
+def test_ek_pinned_bits(case):
+    side, name, alpha = case.split("-")
+    ek = ek_left if side == "left" else ek_right
+    got = ek(float(alpha), _EK_PROFILES[name], np.array([0.0, 0.4, 1.0, 1.7]))
+    assert tuple(float(v).hex() for v in got) == _EK_GOLDEN[case]
+
+
+#: three points inside each row's span
+_ROW_POINTS = {P.ArgKind.EuclideanRadius: (0.0, 0.5, 1.3),
+               P.ArgKind.BallRadius: (0.1, 0.4, 0.8),
+               P.ArgKind.CoshDistance: (1.1, 1.5, 2.5),
+               P.ArgKind.SinhDistance: (0.2, 0.8, 1.5),
+               P.ArgKind.CosAngle: (0.3, 0.6, 0.95),
+               P.ArgKind.SinAngle: (0.2, 0.5, 0.9),
+               P.ArgKind.Angle: (0.1, 0.3, 0.6)}
+
+_ROW_GOLDEN = {
+    'radon_affine_radial': ('0x1.3d9facc650cdap+0', '0x1.7d62acd2bc410p-1', '0x1.42fda342c0293p-5'),
+    'radon_chord_radial': ('0x1.2962c8283b80fp+0', '0x1.acea87873e459p-1', '0x1.0a8dc7cb41b66p-2'),
+    'radon_hyper_zonal': ('0x1.870512737535dp-4', '0x1.12ad4feba0ea1p-7', '0x1.80aeb764b0ab0p-20'),
+    'radon_elliptic_zonal': ('0x1.c5ae1678caf72p-1', '0x1.41acc113e1039p-1', '0x1.6155e6caf4cbcp-2'),
+    'radon_projective_zonal': ('0x1.004af7fe2c51cp-1', '0x1.ae1df588988e4p-2', '0x1.b13d8ac32e5f4p-3'),
+    'dual_affine_radial': ('0x1.0000000000002p+0', '0x1.70bf441a569e2p-1', '0x1.6f20c0d2f7a15p-3'),
+    'dual_chord_radial': ('0x1.f9172e337cd67p-1', '0x1.9dd6287127c7ep-1', '0x1.d0df4a7b8f236p-2'),
+    'dual_hyper_zonal': ('0x1.e5066a126305ap-1', '0x1.d0df4a7b8f236p-2', '0x1.060e0ee1e4da7p-3'),
+    'dual_elliptic_zonal': ('0x1.e5066a126305ap-1', '0x1.70bf441a569e2p-1', '0x1.83e57e422f5e9p-2'),
+    'dual_projective_zonal': ('0x1.f9185b8a92171p-1', '0x1.c6063c681cc5dp-1', '0x1.45f514fb58eeap-1'),
+}
+
+
+@pytest.mark.parametrize("model, dual", sorted(R.TRANSFORMS, key=str), ids=str)
+def test_transform_rows_pinned_bits(model, dual):
+    row = R.TRANSFORMS[model, dual]
+    lo = 1.0 if row.kind is P.ArgKind.CoshDistance else 0.0
+    f = P.gaussian(0.7, arg_kind=row.kind, lo=lo)
+    got = R.transform_function(model, dual)(R.TransformParams(4, 1, 2), f,
+                                            np.array(_ROW_POINTS[row.kind]))
+    assert tuple(float(v).hex() for v in got) == _ROW_GOLDEN[row.name]
+
+
+def test_projective_point_calls_its_input_once():
+    # each geometric segment used to evaluate the profile chain three times
+    # (a coarse pass and the 16- and 32-node rungs): 153 calls for one point
+    g = P.gaussian(0.5, arg_kind=P.ArgKind.Angle)
+    calls = []
+
+    def fn(x):
+        calls.append(np.size(x))
+        return g.fn(x)
+
+    f = dataclasses.replace(g, fn=fn)
+    R.radon_projective_zonal(R.TransformParams(4, 1, 2), f, 0.3)
+    assert 1 <= len(calls) <= 3
+
+
+def test_right_integral_at_zero_of_nonintegrable_origin_power_diverges():
+    # r^-1.5 against the kernel's r^0 at t = 0 on a finite support: the
+    # lower Jacobi exponent is -1.25, which no rule can carry
+    f = P.truncated_power_pair(3.0, 1.2, -1.5, P.ArgKind.EuclideanRadius)
+    with pytest.raises(DivergenceError):
+        ek_right(0.5, f, 0.0)

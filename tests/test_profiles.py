@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from georadon import profiles as P
 from georadon.errors import DomainError
+from georadon.radial import TransformParams, radon_hyper_zonal
+from georadon.spectral import cheb_nodes
 
 K = P.ArgKind
 
@@ -92,3 +95,23 @@ def test_reparametrize_retag_keeps_metadata():
 def test_reparametrize_rejects_unrelated_kinds():
     with pytest.raises(DomainError):
         P.reparametrize(P.gaussian(arg_kind=K.CoshDistance, lo=1.0), K.Angle)
+
+
+@settings(deadline=None)      # the first example builds the quadrature rules
+@given(a=st.floats(1.0, 1.4, exclude_min=True))
+def test_squared_variable_tabulation_of_hyper_transform(a):
+    # the lowest node of the tabulation in y = x^2 can round to just below
+    # cosh-distance 1, where the transform is not defined
+    p = TransformParams(3, 0, 1)
+    h = P.reparametrize(P.bump(a, K.GeodesicDistance), K.CoshDistance)
+    top = h.upper_limit
+
+    def fn(s):
+        return radon_hyper_zonal(p, h, s)
+
+    tab = P.tabulate(fn, 1.0, top, K.CoshDistance, n=16, support=top,
+                     square_variable=True)
+    x = np.sqrt(np.clip(cheb_nodes(16, 1.0, top * top), 1.0, top * top))
+    want = fn(x)
+    assert float(np.max(np.abs(tab(x) - want))) <= 1e-12 * float(
+        np.max(np.abs(want)))

@@ -1,0 +1,68 @@
+import math
+
+import numpy as np
+import pytest
+
+from georadon.errors import DivergenceError, QuadratureError
+from georadon.quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
+                                 integrate_to_infinity, integrate_weighted)
+
+
+def beta_fn(a, b):
+    return math.gamma(a) * math.gamma(b) / math.gamma(a + b)
+
+
+@pytest.mark.parametrize("p_lo, p_hi", [(0.0, 0.0), (-0.5, 0.0), (0.0, -0.5),
+                                        (-0.5, 0.5), (1.5, -0.75), (-0.9, 2.0)])
+def test_weighted_beta_closed_form(p_lo, p_hi):
+    # int_a^b (u-a)^p (b-u)^q (u-a)^2 du = (b-a)^(p+q+3) B(p+3, q+1)
+    a, b = 0.5, 2.0
+    got = integrate_weighted(lambda u: (u - a) ** 2, a, b, p_lo, p_hi)
+    want = (b - a) ** (p_lo + p_hi + 3.0) * beta_fn(p_lo + 3.0, p_hi + 1.0)
+    assert abs(got - want) <= DEFAULT_QUADRATURE.rel_tol * abs(want)
+
+
+def _peak(u):
+    return 1.0 / (1e-4 + (u - 0.3) ** 2)
+
+
+#: int_0^1 of the peak: (atan(0.7/0.01) + atan(0.3/0.01)) / 0.01
+_PEAK_INTEGRAL = (math.atan(70.0) + math.atan(30.0)) / 0.01
+
+
+def test_narrow_peak_forces_bisection():
+    budget = _Budget(200)
+    got = integrate_weighted(_peak, 0.0, 1.0, 0.0, 0.0, budget=budget)
+    assert budget.left < 199          # more than the one top-level ladder
+    assert abs(got - _PEAK_INTEGRAL) <= 1e-10 * _PEAK_INTEGRAL
+
+
+def test_exhausted_budget_raises():
+    with pytest.raises(QuadratureError):
+        integrate_weighted(_peak, 0.0, 1.0, 0.0, 0.0,
+                           QuadratureSpec(max_subdivisions=2))
+
+
+def test_endpoint_exponent_at_minus_one_diverges():
+    with pytest.raises(DivergenceError):
+        integrate_weighted(np.ones_like, 0.0, 1.0, -1.0, 0.0)
+
+
+def test_empty_interval_is_zero():
+    assert integrate_weighted(np.ones_like, 1.0, 1.0, 0.0, 0.0) == 0.0
+
+
+def test_infinite_interval_certifies_cubic_tail():
+    # int_0^inf u^(-1/2) (1+u)^-3 du = B(1/2, 5/2)
+    got = integrate_to_infinity(lambda u: (1.0 + u) ** -3.0, 0.0, -0.5, 3.5)
+    want = beta_fn(0.5, 2.5)
+    assert abs(got - want) <= 1e-10 * want
+    got = integrate_to_infinity(lambda u: u ** -3.0, 1.0, 0.0, 3.0)
+    assert abs(got - 0.5) <= 1e-10
+
+
+def test_infinite_interval_rejects_harmonic_tail():
+    with pytest.raises(DivergenceError):
+        integrate_to_infinity(lambda u: 1.0 / (1.0 + u), 0.0, 0.0, 1.0)
+    with pytest.raises(DivergenceError):
+        integrate_to_infinity(lambda u: 1.0 / (1.0 + u), 0.0, 0.0, math.inf)
