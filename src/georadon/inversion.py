@@ -30,6 +30,12 @@ from .profiles import ArgKind, Profile1D, bump, reparametrize, tabulate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import log_gamma
 
+#: the geodesic distances at which ``d_m`` estimates the dual transform;
+#: a reconstruction lives on [0, RHO_MAX]
+RHO_MAX = 2.6
+RHO_GRID = np.linspace(0.0, RHO_MAX, 33)
+RHO_GRID.flags.writeable = False
+
 
 class SmoothingResidualError(GeoradonError, ArithmeticError):
     """The smoothing fit cannot explain the Monte Carlo data."""
@@ -170,7 +176,7 @@ def _combine(lap: Profile1D, h: Profile1D, shift: float) -> Profile1D:
 # -- smoothing -------------------------------------------------------------------
 
 def fit_even_spline(rho: np.ndarray, values: np.ndarray,
-                    std_errors: Optional[np.ndarray] = None) -> Profile1D:
+                    std_errors: np.ndarray) -> Profile1D:
     """Even least-squares quintic spline through noisy grid data.
 
     The data is mirrored through 0 to enforce the even extension, fitted
@@ -185,8 +191,7 @@ def fit_even_spline(rho: np.ndarray, values: np.ndarray,
     values = np.asarray(values, dtype=float)
     order = np.argsort(rho)
     rho, values = rho[order], values[order]
-    if std_errors is not None:
-        std_errors = np.asarray(std_errors, dtype=float)[order]
+    std_errors = np.asarray(std_errors, dtype=float)[order]
     pos = rho > 1e-12
     x = np.concatenate([-rho[pos][::-1], rho])
     y = np.concatenate([values[pos][::-1], values])
@@ -208,13 +213,12 @@ def fit_even_spline(rho: np.ndarray, values: np.ndarray,
         raise SmoothingResidualError("no admissible spline fit")
     spl = best[1]
 
-    if std_errors is not None:
-        noise = float(np.median(std_errors)) + 1e-300
-        rms = math.sqrt(float(np.mean((spl(rho) - values) ** 2)))
-        if rms > 8.0 * max(noise, 1e-12 * float(np.max(np.abs(values)))):
-            raise SmoothingResidualError(
-                f"smoothing residual {rms:.3e} far exceeds the Monte Carlo "
-                f"noise level {noise:.3e}")
+    noise = float(np.median(std_errors)) + 1e-300
+    rms = math.sqrt(float(np.mean((spl(rho) - values) ** 2)))
+    if rms > 8.0 * max(noise, 1e-12 * float(np.max(np.abs(values)))):
+        raise SmoothingResidualError(
+            f"smoothing residual {rms:.3e} far exceeds the Monte Carlo "
+            f"noise level {noise:.3e}")
 
     derivs = [(lambda q: (lambda r: spl.derivative(q)(
         np.asarray(r, dtype=float))))(q) for q in range(1, 5)]
@@ -247,50 +251,49 @@ def chain_identity(p: R.TransformParams, h: Profile1D,
 
 def _tabulated_forward(p: R.TransformParams, f: Profile1D,
                        spec: QuadratureSpec) -> Profile1D:
-    top = f.upper_limit
-    if math.isfinite(top):
-        return tabulate(lambda s: R.radon_hyper_zonal(p, f, s, spec),
-                        1.0, top, ArgKind.CoshDistance, n=200, support=top,
-                        square_variable=True)
+    """The point transform of f tabulated on [1, top] in cosh-distance and
+    zero beyond; top is f's support, or 12 when f has none.
+
+    The transform is tabulated as it is, with no scale divided out: it
+    decays like f(acosh s), far more slowly than any fixed Gaussian scale,
+    and a quotient by one would span dozens of decades.
+    """
+    top = f.upper_limit if math.isfinite(f.upper_limit) else 12.0
     return tabulate(lambda s: R.radon_hyper_zonal(p, f, s, spec),
-                    1.0, 12.0, ArgKind.CoshDistance, n=200,
-                    decay_hint=math.inf, scale_fn=lambda s: np.exp(-s * s),
+                    1.0, top, ArgKind.CoshDistance, n=200, support=top,
                     square_variable=True)
 
 
 def d_m(phi: Profile1D, m: int, p: R.TransformParams, mc: McSpec,
-        rho_grid=None, spec: QuadratureSpec = DEFAULT_QUADRATURE
-        ) -> Profile1D:
+        spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Profile1D:
     """The inversion operator: weighted dual transform of the zonal function
     phi, smoothed, then hit with the Laplacian polynomial.
 
     Odd n uses the sinh-power kernel of order 2m - k for every m >= k/2;
     even n uses it only for k/2 <= m <= n/2 - 1 (the order-zero case falls
     back to the plain dual average, the vanishing-order limit) and otherwise
-    the logarithmic-kernel form with its mean correction term.
+    the logarithmic-kernel form with its mean correction term.  The dual
+    transform is estimated on ``RHO_GRID``.
     """
     n, k = p.n, p.k
-    if rho_grid is None:
-        rho_grid = np.linspace(0.0, 2.6, 33)
-    rho_grid = np.asarray(rho_grid, dtype=float)
 
     if n % 2 == 1 or (k / 2.0 <= m <= n / 2.0 - 1.0):
         if m < k / 2.0:
             raise DomainError(f"need m >= k/2, got m={m}, k={k}")
         alpha = 2.0 * m - k
-        ests = dual_sine_mc(float(alpha), p, phi, rho_grid, mc,
+        ests = dual_sine_mc(float(alpha), p, phi, RHO_GRID, mc,
                             kernel="sine" if alpha > 0 else "plain")
         vals = np.array([e.value for e in ests])
         errs = np.array([e.std_error for e in ests])
-        smooth = fit_even_spline(rho_grid, vals, errs)
+        smooth = fit_even_spline(RHO_GRID, vals, errs)
         return poly_laplace(m, n, smooth)
 
     # even-n logarithmic branch
     c_log = 2.0 ** (1.0 - n) * math.pi ** (-n / 2.0) / math.gamma(n / 2.0)
-    ests = dual_sine_mc(0.0, p, phi, rho_grid, mc, kernel="log")
+    ests = dual_sine_mc(0.0, p, phi, RHO_GRID, mc, kernel="log")
     vals = c_log * np.array([e.value for e in ests])
     errs = c_log * np.array([e.std_error for e in ests])
-    smooth = fit_even_spline(rho_grid, vals, errs)
+    smooth = fit_even_spline(RHO_GRID, vals, errs)
     lead = poly_laplace(n // 2, n, smooth)
     mean_term = (-1.0) ** (n // 2) * math.exp(
         log_gamma((n + 1) / 2.0) - 0.5 * (n + 1) * math.log(math.pi)) \
@@ -305,24 +308,22 @@ def d_m(phi: Profile1D, m: int, p: R.TransformParams, mc: McSpec,
 
 
 def reconstruct(phi: Profile1D, p: R.TransformParams, m: int, mc: McSpec,
-                rho_grid=None, spec: QuadratureSpec = DEFAULT_QUADRATURE
-                ) -> Profile1D:
+                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Profile1D:
     """Full reconstruction: recover the j-plane transform of the underlying
-    point function from its j-to-k transform."""
-    h_rec = d_m(phi, m, p, mc, rho_grid, spec)
-    rho_max = 2.6 if rho_grid is None else float(np.max(rho_grid))
+    point function from its j-to-k transform, on [0, RHO_MAX]."""
+    h_rec = d_m(phi, m, p, mc, spec)
     if p.j == 0:
-        return Profile1D(lo=0.0, hi=rho_max, fn=h_rec.fn,
+        return Profile1D(lo=0.0, hi=RHO_MAX, fn=h_rec.fn,
                          arg_kind=ArgKind.GeodesicDistance,
                          label="reconstructed")
     pj = R.TransformParams(p.n, 0, p.j)
-    prof = as_cosh_profile(h_rec, support=rho_max)
+    prof = as_cosh_profile(h_rec, support=RHO_MAX)
 
     def fn(rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         return np.asarray(R.radon_hyper_zonal(pj, prof, np.cosh(rho), spec))
 
-    return Profile1D(lo=0.0, hi=rho_max, fn=fn,
+    return Profile1D(lo=0.0, hi=RHO_MAX, fn=fn,
                      arg_kind=ArgKind.GeodesicDistance, label="reconstructed")
 
 

@@ -15,7 +15,7 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,8 +70,9 @@ class McEstimate:
     std_error: float
     n_samples: int
 
-    def agrees_with(self, other: float, sigmas: float = 4.0) -> bool:
-        return abs(self.value - other) <= sigmas * max(self.std_error, 1e-300)
+    def agrees_with(self, other: float) -> bool:
+        """Whether ``other`` is within 4 standard errors of the value."""
+        return abs(self.value - other) <= 4.0 * max(self.std_error, 1e-300)
 
 
 def _rng(spec: McSpec, chunk_index: int) -> np.random.Generator:
@@ -190,10 +191,6 @@ class AffinePlane:
         if c.shape[1] and np.max(np.abs(c.T @ off)) > 1e-12:
             raise DomainError("offset is not orthogonal to the frame")
 
-    @property
-    def distance(self) -> float:
-        return float(np.linalg.norm(self.offset))
-
 
 @dataclass(frozen=True)
 class PlaneBatch:
@@ -258,49 +255,30 @@ def _complete_rotation_batch(frames: np.ndarray, extra: Optional[np.ndarray]
 
 # -- hyperbolic elements ----------------------------------------------------------
 
+def _embed_block(block: np.ndarray, n: int, coords) -> np.ndarray:
+    """The identity of E^{n,1} with ``block`` (one matrix or a batch) on the
+    coordinates ``coords``; every Lorentz matrix here is built by it."""
+    idx = np.asarray(coords)
+    m = np.broadcast_to(np.eye(n + 1),
+                        block.shape[:-2] + (n + 1, n + 1)).copy()
+    m[..., idx[:, None], idx] = block
+    return m
+
+
+def _boost(n: int, d: int, ch, sh) -> np.ndarray:
+    """Boost by (cosh, sinh) in the (x_{n-d}, x_{n+1}) plane of E^{n,1}:
+    one matrix for floats, a batch for arrays."""
+    block = np.moveaxis(np.array([[ch, sh], [sh, ch]]), (0, 1), (-2, -1))
+    return _embed_block(block, n, (n - d - 1, n))
+
+
 def hyperbolic_rotation(n: int, d: int, r: float) -> np.ndarray:
     """Hyperbolic rotation in the (x_{n-d}, x_{n+1}) plane of E^{n,1}."""
-    m = np.eye(n + 1)
-    i = n - d - 1
-    ch, sh = math.cosh(r), math.sinh(r)
-    m[i, i] = ch
-    m[i, n] = sh
-    m[n, i] = sh
-    m[n, n] = ch
-    return m
+    return _boost(n, d, math.cosh(r), math.sinh(r))
 
 
 def _hyperbolic_rotations(n: int, d: int, r: np.ndarray) -> np.ndarray:
-    b = r.shape[0]
-    m = np.broadcast_to(np.eye(n + 1), (b, n + 1, n + 1)).copy()
-    i = n - d - 1
-    ch, sh = np.cosh(r), np.sinh(r)
-    m[:, i, i] = ch
-    m[:, i, n] = sh
-    m[:, n, i] = sh
-    m[:, n, n] = ch
-    return m
-
-
-def embed_rotation(rot: np.ndarray) -> np.ndarray:
-    """Embed SO(n) (acting on the spatial coordinates) into SO_0(n,1)."""
-    n = rot.shape[-1]
-    if rot.ndim == 2:
-        m = np.eye(n + 1)
-        m[:n, :n] = rot
-        return m
-    b = rot.shape[0]
-    m = np.broadcast_to(np.eye(n + 1), (b, n + 1, n + 1)).copy()
-    m[:, :n, :n] = rot
-    return m
-
-
-def _embed_block(rot: np.ndarray, n: int, lo: int) -> np.ndarray:
-    """Embed SO(k) acting on spatial coordinates lo..lo+k-1 into SO_0(n,1)."""
-    b, k, _ = rot.shape
-    m = np.broadcast_to(np.eye(n + 1), (b, n + 1, n + 1)).copy()
-    m[:, lo:lo + k, lo:lo + k] = rot
-    return m
+    return _boost(n, d, np.cosh(r), np.sinh(r))
 
 
 @dataclass(frozen=True)
@@ -385,8 +363,8 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
     v = np.asarray(zeta.offset, dtype=float)
     vnorm = float(np.linalg.norm(v))
     u = v / vnorm if vnorm > 0 else None
-    g = complete_rotation(eta, gauge) if u is None else _with_marked_axis(
-        eta, u, gauge)
+    g = complete_rotation(
+        eta if u is None else np.concatenate([u[:, None], eta], axis=1), gauge)
     log_norm = 0.5 * (k - j) * math.log(2 * math.pi)
 
     def terms(rng, count):
@@ -407,10 +385,6 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
         return vals * w
 
     return _estimate(terms, mc)
-
-
-def _with_marked_axis(frame: np.ndarray, u: np.ndarray, gauge: int) -> np.ndarray:
-    return complete_rotation(np.concatenate([u[:, None], frame], axis=1), gauge)
 
 
 def dual_affine_mc(p, phi: Callable, tau: AffinePlane, mc: McSpec,
@@ -453,16 +427,13 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
     n, j, k = p.n, p.j, p.k
     if z.n != n or z.dim != k:
         raise DomainError("z must be a k-geodesic in the same dimension")
-    left = embed_rotation(z.rotation) @ hyperbolic_rotation(n, k, z.distance)
-    sig = sphere_area(k - j - 1)
+    left = _embed_block(z.rotation, n, range(n)) \
+        @ hyperbolic_rotation(n, k, z.distance)
 
     def terms(rng, count):
-        alph = sample_rotations(k, count, rng)
-        s = rng.uniform(0.0, 1.0, count)
-        s = np.minimum(s, 1.0 - 1e-12)
-        w = sig * s ** (k - j - 1) / (1.0 - s * s) ** ((k + 1) / 2.0)
-        rho = np.arctanh(s)
-        right = _embed_block(alph, n, n - k) @ _hyperbolic_rotations(n, j, rho)
+        # the j-geodesics of the base k-geodesic, on coordinates n-k..n
+        inner, w, _, _ = sample_hyper_elements(k, j, rng, count)
+        right = _embed_block(inner.matrices, n, range(n - k, n + 1))
         vals = np.asarray(f(GeodesicBatch(n, j, right, left)), dtype=float)
         return vals * w
 
@@ -477,7 +448,7 @@ def sample_hyper_elements(n: int, d: int, rng, count: int):
     w = sphere_area(n - d - 1) * s ** (n - d - 1) \
         / (1.0 - s * s) ** ((n + 1) / 2.0)
     rho = np.arctanh(s)
-    mats = embed_rotation(rot) @ _hyperbolic_rotations(n, d, rho)
+    mats = _embed_block(rot, n, range(n)) @ _hyperbolic_rotations(n, d, rho)
     return GeodesicBatch(n, d, mats), w, rot, rho
 
 
@@ -519,7 +490,7 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
         """(n_pts, count) matrix of estimator terms for one chunk."""
         nonlocal clamped
         if plain:
-            rot = embed_rotation(sample_rotations(n, count, rng))
+            rot = _embed_block(sample_rotations(n, count, rng), n, range(n))
             out = np.empty((n_pts, count))
             for i in range(n_pts):
                 out[i] = cst * phi_fn(GeodesicBatch(n, k, rot, left=x_mats[i]))
@@ -554,99 +525,6 @@ def _pseudo_inverse_apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.einsum("bji,j->bi", mats, gx)    # A^T (G x)
     out[:, :-1] *= -1.0
     return out
-
-
-# -- duality checks ----------------------------------------------------------------
-
-def _outer_split(n_samples: int):
-    n_out = max(64, int(math.sqrt(n_samples)))
-    n_in = max(256, n_samples // n_out)
-    return n_out, n_in
-
-
-def duality_check_mc(which: str, f: Callable, phi: Callable, p,
-                     mc: McSpec):
-    """Estimate both sides of a forward/dual pairing identity.
-
-    ``which`` selects the geometry: "affine" or "chord" (planes; ``f`` and
-    ``phi`` take PlaneBatch) or "hyper" (geodesics; GeodesicBatch).  Returns
-    (lhs, rhs) McEstimates computed by nested sampling: the outer element
-    from the invariant measure, the inner transform by the estimators above.
-    """
-    if which in ("affine", "chord"):
-        lhs_terms, rhs_terms = _plane_sides(f, phi, p, mc, which == "chord")
-    elif which == "hyper":
-        lhs_terms, rhs_terms = _hyper_sides(f, phi, p, mc)
-    else:
-        raise DomainError(f"unknown duality geometry {which!r}")
-    n_out = _outer_split(mc.n_samples)[0]
-    lhs = _nested_estimate(lhs_terms, mc, n_out, stream_base=1)
-    rhs = _nested_estimate(rhs_terms, mc, n_out, stream_base=1 + 2 * n_out)
-    return lhs, rhs
-
-
-def _gaussian_offsets(rng, count, dim, sigma):
-    z = sigma * rng.standard_normal((count, dim))
-    w = (2 * math.pi * sigma * sigma) ** (dim / 2.0) \
-        * np.exp(np.sum(z * z, axis=1) / (2 * sigma * sigma))
-    return z, w
-
-
-def _ball_offsets(rng, count, dim):
-    z = rng.standard_normal((count, dim))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    radii = rng.uniform(0.0, 1.0, count) ** (1.0 / dim)
-    vol = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
-    return z * radii[:, None], np.full(count, vol)
-
-
-def _plane_sides(f, phi, p, mc: McSpec, ball: bool):
-    """Outer-sample terms of both sides of the plane duality: the lhs
-    weights the forward estimate of f at an outer k-plane by phi there,
-    the rhs the dual estimate of phi at an outer j-plane by f."""
-    n, j, k = p.n, p.j, p.k
-    n_in = _outer_split(mc.n_samples)[1]
-
-    def side(d, inner, inner_arg, outer):
-        def terms(rng, count, base_stream):
-            rot = sample_rotations(n, count, rng)
-            frames = rot[:, :, n - d:] if d > 0 else np.zeros((count, n, 0))
-            perp = rot[:, :, :n - d]
-            if ball:
-                z, w = _ball_offsets(rng, count, n - d)
-            else:
-                z, w = _gaussian_offsets(rng, count, n - d, 1.0)
-            offs = np.einsum("bnl,bl->bn", perp, z)
-            vals = np.empty(count)
-            for i in range(count):
-                plane = AffinePlane(Frame(frames[i]), offs[i])
-                vals[i] = inner(p, inner_arg, plane,
-                                mc.substream(base_stream + i, n_in)).value
-            outer_vals = np.asarray(outer(PlaneBatch(frames, offs)),
-                                    dtype=float)
-            return vals * outer_vals * w
-        return terms
-
-    return (side(k, radon_affine_mc, f, phi), side(j, dual_affine_mc, phi, f))
-
-
-def _hyper_sides(f, phi, p, mc: McSpec):
-    """As ``_plane_sides`` for k- and j-geodesics of the hyperboloid."""
-    n, j, k = p.n, p.j, p.k
-    n_in = _outer_split(mc.n_samples)[1]
-
-    def side(d, inner, inner_arg, outer):
-        def terms(rng, count, base_stream):
-            batch, w, rot, rho = sample_hyper_elements(n, d, rng, count)
-            vals = np.empty(count)
-            for i in range(count):
-                el = GeodesicElement(n, d, rot[i], float(rho[i]))
-                vals[i] = inner(p, inner_arg, el,
-                                mc.substream(base_stream + i, n_in)).value
-            return vals * np.asarray(outer(batch), dtype=float) * w
-        return terms
-
-    return (side(k, radon_hyper_mc, f, phi), side(j, dual_hyper_mc, phi, f))
 
 
 def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimate:
@@ -696,16 +574,80 @@ def _planes_to_geodesics(batch: PlaneBatch, n: int, k: int) -> GeodesicBatch:
             u[i] = cand / nrm
     g = _complete_rotation_batch(batch.frames, u)
     rho = np.arctanh(dist)
-    mats = embed_rotation(g) @ _hyperbolic_rotations(n, k, rho)
+    mats = _embed_block(g, n, range(n)) @ _hyperbolic_rotations(n, k, rho)
     return GeodesicBatch(n, k, mats)
 
 
-def _nested_estimate(term_fn, mc: McSpec, n_out: int, stream_base: int
-                     ) -> McEstimate:
-    """Outer-sample estimate where each term launches inner estimators on
-    disjoint substreams (kept deterministic by global outer indexing)."""
-    parts = _chunk_sums(
-        lambda rng, count, start: term_fn(rng, count, stream_base + start),
-        mc.substream(stream_base, n_out), chunk=64)
-    mean, stderr = _mean_stderr(parts)
-    return McEstimate(float(mean), float(stderr), n_out)
+# -- duality checks ----------------------------------------------------------------
+
+def _outer_split(n_samples: int):
+    n_out = max(64, int(math.sqrt(n_samples)))
+    n_in = max(256, n_samples // n_out)
+    return n_out, n_in
+
+
+def duality_check_mc(which: str, f: Callable, phi: Callable, p,
+                     mc: McSpec):
+    """Estimate both sides of a forward/dual pairing identity.
+
+    ``which`` selects the geometry: "affine" or "chord" (planes; ``f`` and
+    ``phi`` take PlaneBatch) or "hyper" (geodesics; GeodesicBatch).  Returns
+    (lhs, rhs) McEstimates computed by nested sampling: the lhs weights the
+    forward estimate of f at an outer k-element by phi there, the rhs the
+    dual estimate of phi at an outer j-element by f.  The outer elements
+    come from the invariant measure, the inner estimates from the
+    estimators above.  Relative to ``mc.stream_id``, side s (0 for the lhs)
+    draws its outer elements on stream s and runs the inner estimate of
+    outer sample i on stream 2 + s n_out + i, so no generator is used
+    twice and the result does not depend on the chunking.
+    """
+    if which in ("affine", "chord"):
+        draw = partial(_plane_draw, ball=which == "chord")
+        forward, dual = radon_affine_mc, dual_affine_mc
+    elif which == "hyper":
+        draw = _hyper_draw
+        forward, dual = radon_hyper_mc, dual_hyper_mc
+    else:
+        raise DomainError(f"unknown duality geometry {which!r}")
+    n_out, n_in = _outer_split(mc.n_samples)
+
+    def side(s, d, inner, inner_arg, outer):
+        def terms(rng, count, start):
+            batch, w, element = draw(p.n, d, rng, count)
+            first = 2 + s * n_out + start
+            vals = np.array([
+                inner(p, inner_arg, element(i),
+                      mc.substream(first + i, n_in)).value
+                for i in range(count)])
+            return vals * np.asarray(outer(batch), dtype=float) * w
+
+        parts = _chunk_sums(terms, mc.substream(s, n_out), chunk=64)
+        mean, stderr = _mean_stderr(parts)
+        return McEstimate(float(mean), float(stderr), n_out)
+
+    return side(0, p.k, forward, f, phi), side(1, p.j, dual, phi, f)
+
+
+def _plane_draw(n, d, rng, count, ball: bool):
+    """Haar d-planes with offsets uniform in the unit ball (``ball``) or
+    Gaussian: (batch, importance weights, i -> plane i)."""
+    rot = sample_rotations(n, count, rng)
+    frames = rot[:, :, n - d:] if d > 0 else np.zeros((count, n, 0))
+    dim = n - d
+    z = rng.standard_normal((count, dim))
+    if ball:
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        z *= rng.uniform(0.0, 1.0, count)[:, None] ** (1.0 / dim)
+        vol = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+        w = np.full(count, vol)
+    else:
+        w = (2 * math.pi) ** (dim / 2.0) * np.exp(np.sum(z * z, axis=1) / 2)
+    offs = np.einsum("bnl,bl->bn", rot[:, :, :dim], z)
+    return (PlaneBatch(frames, offs), w,
+            lambda i: AffinePlane(Frame(frames[i]), offs[i]))
+
+
+def _hyper_draw(n, d, rng, count):
+    """Invariant-measure d-geodesics: (batch, weights, i -> geodesic i)."""
+    batch, w, rot, rho = sample_hyper_elements(n, d, rng, count)
+    return batch, w, lambda i: GeodesicElement(n, d, rot[i], float(rho[i]))

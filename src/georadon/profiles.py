@@ -331,8 +331,7 @@ def from_grid(x: np.ndarray, y: np.ndarray, arg_kind: ArgKind,
 
 def tabulate(fn, lo: float, hi: float, arg_kind: ArgKind, n: int = 128,
              decay_hint: Optional[float] = None, support: Optional[float] = None,
-             scale_fn=None, square_variable: bool = False,
-             label: str = "") -> Profile1D:
+             scale_fn=None, square_variable: bool = False) -> Profile1D:
     """Chebyshev tabulation of a smooth callable; cheap to re-evaluate.
 
     Only valid when ``fn`` is smooth on [lo, hi]; the interpolant is clamped
@@ -377,7 +376,7 @@ def tabulate(fn, lo: float, hi: float, arg_kind: ArgKind, n: int = 128,
         derivs = None
     return Profile1D(lo=lo, hi=hi * (1 + 1e-12), fn=ev, arg_kind=arg_kind,
                      decay_hint=decay_hint, derivatives=derivs, support=support,
-                     label=label or "cheb")
+                     label="cheb")
 
 
 def _scaled_sample(fn, scale_fn, x):
@@ -389,8 +388,9 @@ def _scaled_sample(fn, scale_fn, x):
 
 # -- named analytic families ------------------------------------------------
 
-def _hermite_chain(sigma: float, orders: int = 8):
-    """Derivatives of exp(-(x/sigma)^2) via the Hermite recursion."""
+def _hermite_chain(sigma: float):
+    """Derivatives of orders 1..8 of exp(-(x/sigma)^2) via the Hermite
+    recursion."""
     inv = 1.0 / sigma
 
     def deriv(q):
@@ -405,7 +405,7 @@ def _hermite_chain(sigma: float, orders: int = 8):
             return (-inv) ** q * h * np.exp(-u * u) if q >= 1 else np.exp(-u * u)
         return d
 
-    return tuple(deriv(q) for q in range(1, orders + 1))
+    return tuple(deriv(q) for q in range(1, 9))
 
 
 def gaussian(sigma: float = 1.0, arg_kind: ArgKind = ArgKind.EuclideanRadius,
@@ -422,17 +422,16 @@ def gaussian(sigma: float = 1.0, arg_kind: ArgKind = ArgKind.EuclideanRadius,
                      label=f"gaussian({sigma})")
 
 
-def gaussian_power(p: float, sigma: float = 1.0,
-                   arg_kind: ArgKind = ArgKind.EuclideanRadius,
-                   lo: float = 0.0) -> Profile1D:
-    """x^p * exp(-(x/sigma)^2); p >= 0 keeps the chain simple."""
+def gaussian_power(p: float) -> Profile1D:
+    """x^p * exp(-x^2) of the plane distance; p >= 0 keeps the chain
+    simple."""
     def fn(x):
-        return x ** p * np.exp(-(x / sigma) ** 2)
+        return x ** p * np.exp(-x ** 2)
 
     derivs = None
     if p == int(p) and p >= 0:
         # Leibniz on x^p * gaussian, using the Hermite chain.
-        g_chain = (lambda x: np.exp(-(x / sigma) ** 2),) + _hermite_chain(sigma)
+        g_chain = (lambda x: np.exp(-x ** 2),) + _hermite_chain(1.0)
         ip = int(p)
 
         def deriv(q):
@@ -445,9 +444,9 @@ def gaussian_power(p: float, sigma: float = 1.0,
             return d
 
         derivs = tuple(deriv(q) for q in range(1, 7))
-    return Profile1D(lo=lo, hi=math.inf, fn=fn, arg_kind=arg_kind,
-                     decay_hint=math.inf, derivatives=derivs, origin_power=p,
-                     label=f"x^{p}*gaussian({sigma})")
+    return Profile1D(lo=0.0, hi=math.inf, fn=fn, decay_hint=math.inf,
+                     derivatives=derivs, origin_power=p,
+                     label=f"x^{p}*gaussian(1.0)")
 
 
 def bump(a: float, arg_kind: ArgKind = ArgKind.EuclideanRadius,
@@ -476,8 +475,7 @@ def bump(a: float, arg_kind: ArgKind = ArgKind.EuclideanRadius,
 
 
 def power(p: float, lo: float = 0.0, hi: float = math.inf,
-          arg_kind: ArgKind = ArgKind.EuclideanRadius,
-          support: Optional[float] = None) -> Profile1D:
+          arg_kind: ArgKind = ArgKind.EuclideanRadius) -> Profile1D:
     """Pure power x^p."""
     def fn(x):
         return x ** p
@@ -491,11 +489,11 @@ def power(p: float, lo: float = 0.0, hi: float = math.inf,
     derivs = tuple(_falling(q) for q in range(1, 5))
     return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=arg_kind,
                      decay_hint=-p, derivatives=derivs, origin_power=p,
-                     support=support, label=f"power({p})")
+                     label=f"power({p})")
 
 
 def truncated_power_pair(alpha: float, a: float, inner_power: float,
-                         arg_kind: ArgKind, lo: float = 0.0) -> Profile1D:
+                         arg_kind: ArgKind) -> Profile1D:
     """x^inner_power * (a^2 - x^2)_+^(alpha/2 - 1) with factored endpoints."""
     e = alpha / 2.0 - 1.0
 
@@ -510,7 +508,7 @@ def truncated_power_pair(alpha: float, a: float, inner_power: float,
         out[inside] = xi ** inner_power * (a * a - xi * xi) ** e
         return out
 
-    return Profile1D(lo=lo, hi=math.inf, fn=fn, arg_kind=arg_kind,
+    return Profile1D(lo=0.0, hi=math.inf, fn=fn, arg_kind=arg_kind,
                      decay_hint=math.inf, origin_power=inner_power, support=a,
                      edge_exponent=e, core=core,
                      label=f"x^{inner_power}(a2-x2)^{e}")

@@ -621,10 +621,14 @@ def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
 
 # -- inversion --------------------------------------------------------------------
 
+#: bound on the relative forward residual of a checked inversion
+RESIDUAL_TOL = 1e-3
+
+
 def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
                   out_range, dual: bool = False,
                   spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                  rel_tol: float = 1e-4, check_residual: bool = True,
+                  check_residual: bool = True,
                   deriv_noise_rel: float = 1e-6) -> Profile1D:
     """Recover the input profile from a forward (or dual) transform result
     on the window ``out_range`` = (lo, hi).
@@ -633,17 +637,18 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
     strips the weights, applies the matching fractional derivative on a
     96-interval Chebyshev grid over the window, and restores the weights.
     When ``check_residual`` is set, the forward map is re-applied to the
-    reconstruction on the same window and a residual above 10x ``rel_tol``
-    raises ``ReconstructionError``.  The reconstruction is zero past ``hi``,
-    so a forward (right-sided) map, projective rows included, fails that
-    check when the window ends before the data is negligible.
+    reconstruction on the same window and a relative residual above
+    ``RESIDUAL_TOL`` raises ``ReconstructionError``.  The reconstruction is
+    zero past ``hi``, so a forward (right-sided) map, projective rows
+    included, fails that check when the window ends before the data is
+    negligible.
     """
     t = TRANSFORMS[model, dual]
     if transformed.arg_kind is not t.kind:
         raise DomainError(f"expected a {t.kind.value} profile")
     lo, hi = float(out_range[0]), float(out_range[1])
     if t.route is not None:
-        rec = _invert_routed(t, p, transformed, (lo, hi), spec, rel_tol,
+        rec = _invert_routed(t, p, transformed, (lo, hi), spec,
                              deriv_noise_rel)
     else:
         c, pre, post = t.weights
@@ -656,12 +661,12 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
     if check_residual:
         fwd = transform_function(model, dual)
         _residual_check(lambda x: np.asarray(fwd(p, rec, x, spec)),
-                        transformed, lo, hi, rel_tol)
+                        transformed, lo, hi)
     return rec
 
 
 def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
-                   out_range, spec, rel_tol, deriv_noise_rel):
+                   out_range, spec, deriv_noise_rel):
     """Invert a projective transform on the hyperboloid: apply the route's
     k-side operator, invert there, apply its j-side operator."""
     j_op, k_op = t.route
@@ -672,7 +677,7 @@ def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
                    for th in out_range)
     w = reparametrize(apply_weight(k_op, p, transformed), via.kind)
     rec_h = invert_radial(Model.Hyperboloid, p, w, window, dual=t.dual,
-                          spec=spec, rel_tol=rel_tol, check_residual=False,
+                          spec=spec, check_residual=False,
                           deriv_noise_rel=deriv_noise_rel)
     return apply_weight(j_op, p,
                         reparametrize(rec_h, ArgKind.GeodesicDistance))
@@ -692,14 +697,13 @@ def _grid_profile(grid, vals, kind: ArgKind, transformed: Profile1D) -> Profile1
                      label=f"inverted[{transformed.label}]")
 
 
-def _residual_check(fwd, transformed: Profile1D, lo: float, hi: float,
-                    rel_tol: float):
+def _residual_check(fwd, transformed: Profile1D, lo: float, hi: float):
     probes = np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 5)
     want = transformed(probes)
     got = np.asarray(fwd(probes))
     scale = max(float(np.max(np.abs(want))), 1e-300)
     resid = float(np.max(np.abs(got - want))) / scale
-    if resid > 10.0 * rel_tol:
+    if resid > RESIDUAL_TOL:
         raise ReconstructionError(
-            f"forward residual {resid:.2e} exceeds 10 x {rel_tol:.0e}; the "
+            f"forward residual {resid:.2e} exceeds {RESIDUAL_TOL:.0e}; the "
             "data does not look like a transform of a smooth profile")

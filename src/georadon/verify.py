@@ -42,10 +42,9 @@ def _rel(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _weighted(fn, lo, hi, kind, support=None, edge=0.0, origin=0.0,
-              decay=None) -> Profile1D:
+def _weighted(fn, lo, hi, kind, support, edge) -> Profile1D:
     return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=kind, support=support,
-                     edge_exponent=edge, origin_power=origin, decay_hint=decay)
+                     edge_exponent=edge)
 
 
 def _hyper_gauss_geodesic() -> Profile1D:

@@ -250,6 +250,8 @@ def test_chain_job_gaussian(tmp_path):
         gaussian(0.8, arg_kind=ArgKind.GeodesicDistance),
         MC.GeodesicElement(3, 2, rot, 0.6), MC.McSpec(9, 30000))
     assert rows == [[0.0, lhs.value, lhs.std_error], [1.0, rhs, 0.0]]
+    # the composed side estimates the direct one
+    assert abs(lhs.value - rhs) <= 4 * lhs.std_error
 
 
 def test_verify_job_writes_report(tmp_path):

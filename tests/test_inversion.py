@@ -141,6 +141,20 @@ def test_tabulated_forward_of_bump_supports(a):
         np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("sigma", [0.5, 0.8, 1.2])
+def test_tabulated_forward_without_support(sigma):
+    # a Gaussian h has no support: the table runs to cosh-distance 12 and
+    # must hold the transform itself, not a quotient by a fixed Gaussian
+    # scale that spans dozens of decades there
+    p = R.TransformParams(4, 0, 1)
+    h = IV.as_cosh_profile(P.gaussian(sigma, P.ArgKind.GeodesicDistance))
+    tab = IV._tabulated_forward(p, h, DEFAULT_QUADRATURE)
+    s = np.linspace(1.0, 11.9, 60)
+    want = np.asarray(R.radon_hyper_zonal(p, h, s))
+    assert float(np.max(np.abs(tab(s) - want))) <= 1e-10 * float(
+        np.max(np.abs(want)))
+
+
 def test_fit_even_spline_recovers_polynomial():
     rho = np.linspace(0.0, 2.0, 33)
     truth = 1.0 - rho ** 2 + 0.1 * rho ** 4

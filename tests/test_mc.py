@@ -298,7 +298,8 @@ def test_factored_batch_matches_full_products_bitwise():
     for n in range(2, 8):
         for d in range(n):
             for size in (1, 257):
-                left = MC.embed_rotation(MC.sample_rotation(n, rng)) \
+                left = MC._embed_block(MC.sample_rotation(n, rng), n,
+                                       range(n)) \
                     @ MC.hyperbolic_rotation(n, d, rng.uniform(0.0, 2.5))
                 right = MC.sample_hyper_elements(n, d, rng, size)[0].matrices
                 full = np.einsum("ij,bjl->bil", left, right)
@@ -380,3 +381,94 @@ def test_frame_and_plane_validation():
     eta[2, 0] = 1.0
     with pytest.raises(Exception):
         MC.AffinePlane(MC.Frame(eta), np.array([0.0, 0.0, 0.5]))
+
+
+def _duality_inputs(which):
+    """(params, f, phi) of the duality goldens for each geometry."""
+    if which == "affine":
+        return (R.TransformParams(3, 0, 1),
+                MC.radial_plane_function(P.gaussian()),
+                lambda batch: np.exp(-batch.distances ** 2)
+                * (1.0 + batch.offsets[:, 0] ** 2))
+    if which == "chord":
+        return (R.TransformParams(4, 0, 2),
+                MC.radial_plane_function(
+                    P.bump(0.8, arg_kind=P.ArgKind.BallRadius)),
+                lambda batch: np.exp(-batch.distances ** 2))
+    return (R.TransformParams(4, 1, 2),
+            MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance,
+                                         lo=1.0)),
+            MC.zonal_function(P.gaussian(arg_kind=P.ArgKind.SinhDistance)))
+
+
+@pytest.mark.parametrize("which", ["affine", "chord", "hyper"])
+def test_duality_check_uses_every_generator_once(monkeypatch, which):
+    # the outer draws and every inner estimate of both sides each need a
+    # generator of their own: a repeated (stream, chunk) key would make two
+    # of them draw the same numbers
+    keys = []
+    rng = MC._rng
+
+    def recording(spec, chunk):
+        keys.append((spec.stream_id, chunk))
+        return rng(spec, chunk)
+
+    monkeypatch.setattr(MC, "_rng", recording)
+    p, f, phi = _duality_inputs(which)
+    MC.duality_check_mc(which, f, phi, p, MC.McSpec(seed=5, n_samples=2000))
+    assert len(keys) == len(set(keys)) > 2 * 64
+
+
+#: float.hex of (lhs value, lhs std_error, rhs value, rhs std_error),
+#: recorded once the outer and inner streams of both sides were disjoint
+_DUALITY_GOLDEN = {
+    "affine": ("0x1.bde6df3336c9ap+1", "0x1.9172db8355629p-2",
+               "0x1.b111061e14f25p+1", "0x1.c4b681759d5fdp-2"),
+    "chord": ("0x1.8c734174761d7p-2", "0x1.4aabadd6a2816p-4",
+              "0x1.1a9b26528d18ep-2", "0x1.66a0ba1664b2ap-4"),
+    "hyper": ("0x1.cc348405355f6p-1", "0x1.77b134bc6eaefp-4",
+              "0x1.a56c14d7e2b6dp-1", "0x1.a6eb0aef92ebep-4"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("which", ["affine", "chord", "hyper"])
+def test_duality_check_keeps_its_bytes(monkeypatch, which, threads):
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    p, f, phi = _duality_inputs(which)
+    lhs, rhs = MC.duality_check_mc(which, f, phi, p,
+                                   MC.McSpec(seed=81, n_samples=2000))
+    got = (lhs.value.hex(), lhs.std_error.hex(), rhs.value.hex(),
+           rhs.std_error.hex())
+    assert got == _DUALITY_GOLDEN[which]
+
+
+def _sinh_gaussian(sigma):
+    return P.Profile1D(lo=0.0, hi=math.inf, arg_kind=P.ArgKind.SinhDistance,
+                       decay_hint=math.inf,
+                       fn=lambda r: np.exp(-(r / sigma) ** 2))
+
+
+@pytest.mark.parametrize("seed,triple,dist", [(91, (4, 1, 2), 0.7),
+                                              (92, (5, 2, 4), 0.4)])
+def test_dual_hyper_mc_matches_zonal_oracle(seed, triple, dist):
+    p = R.TransformParams(*triple)
+    prof = _sinh_gaussian(0.8)
+    t = MC.GeodesicElement(p.n, p.j, MC.sample_rotation(p.n, _rng(seed)),
+                           dist)
+    est = MC.dual_hyper_mc(p, MC.zonal_function(prof), t,
+                           MC.McSpec(seed=seed, n_samples=20000))
+    exact = R.dual_hyper_zonal(p, prof, math.sinh(dist))
+    assert est.std_error > 0
+    assert abs(est.value - exact) <= 4 * est.std_error
+
+
+def test_dual_hyper_mc_is_exact_through_the_origin():
+    # every k-geodesic containing a j-geodesic through the base point
+    # passes through it, so a zonal phi is phi(0) on every sample
+    p = R.TransformParams(4, 1, 2)
+    prof = _sinh_gaussian(0.8)
+    t = MC.GeodesicElement(4, 1, MC.sample_rotation(4, _rng(93)), 0.0)
+    est = MC.dual_hyper_mc(p, MC.zonal_function(prof), t,
+                           MC.McSpec(seed=93, n_samples=500))
+    assert est.value == 1.0 and est.std_error == 0.0

@@ -1,0 +1,122 @@
+"""Size and output fingerprint of the georadon source tree.
+
+Prints three things:
+
+- the line count of ``src/`` (``wc -l src/georadon/*.py``);
+- the settable-value count: defaulted parameters of every function and
+  lambda, plus the fields of every dataclass;
+- one SHA-256 per (workload, seed) over the outputs of every job of
+  ``perfbench/jobs.py``: the CSV text of a ``radial`` CLI job, the
+  ``float.hex`` of every estimate and array element otherwise.  A last
+  ``verify`` line hashes the ``float.hex`` of the 30 identity errors of
+  ``identity_suite()``.
+
+Two trees give the same hashes exactly when their outputs agree byte for
+byte, so running this on a change and on its parent is a byte-identity
+check.  The job definitions are imported read-only; job files and outputs
+go into a temporary directory that is removed afterwards.
+
+    python tools/footprint.py [--seeds 0 1] [--workloads radial mc chain]
+                              [--no-outputs]
+
+``GEORADON_THREADS`` applies as usual; the hashes must not depend on it.
+"""
+from __future__ import annotations
+
+import argparse
+import ast
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "georadon").glob("*.py"))
+
+
+def line_count() -> int:
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in SOURCES)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def settable_values() -> int:
+    """Defaulted parameters plus dataclass fields, over the AST."""
+    count = 0
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                args = node.args
+                count += len(args.defaults) + sum(
+                    d is not None for d in args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) for s in node.body)
+    return count
+
+
+def _hex_text(out) -> str:
+    """Exact text of a job output: float.hex of every number it holds."""
+    import numpy as np
+
+    from georadon.mc import McEstimate
+    if isinstance(out, McEstimate):
+        return f"({out.value.hex()},{out.std_error.hex()},{out.n_samples})"
+    if isinstance(out, (tuple, list)):
+        return "[" + ",".join(_hex_text(o) for o in out) + "]"
+    if isinstance(out, np.ndarray):
+        return f"{out.shape}:" + ",".join(float(v).hex() for v in out.ravel())
+    return float(out).hex()
+
+
+def output_hash(workload: str, seed: int, workdir: str) -> str:
+    """SHA-256 over the labelled outputs of one round of a workload."""
+    import jobs
+    wl = jobs.build(workload, seed, str(Path(workdir) / workload))
+    digest = hashlib.sha256()
+    for job in wl.jobs:
+        out = job.run(None)
+        text = Path(out).read_text(encoding="utf-8") if workload == "radial" \
+            else _hex_text(out)
+        digest.update(f"{job.label}\n{text}\n".encode())
+    return digest.hexdigest()
+
+
+def identity_hash() -> str:
+    from georadon.verify import identity_suite
+    text = "\n".join(f"{r.name} {r.max_rel_err.hex()}"
+                     for r in identity_suite())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    ap.add_argument("--workloads", nargs="+",
+                    default=["radial", "mc", "chain"])
+    ap.add_argument("--no-outputs", action="store_true",
+                    help="print only the two counts")
+    args = ap.parse_args(argv)
+    print(f"src_lines {line_count()}")
+    print(f"settable_values {settable_values()}")
+    if args.no_outputs:
+        return 0
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    with tempfile.TemporaryDirectory(prefix="footprint-") as tmp:
+        for workload in args.workloads:
+            for seed in args.seeds:
+                print(f"{workload} seed={seed} "
+                      f"{output_hash(workload, seed, tmp)}", flush=True)
+    print(f"verify {identity_hash()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
