@@ -52,6 +52,10 @@ class Profile1D:
     ``f(x) = x^o * (S^2 - x^2)_+^e * core(x)`` (S = ``support``) that lets
     the quadratures fold algebraic endpoint singularities into Gauss-Jacobi
     weights; ``core`` must then be smooth and evaluable at the endpoints.
+    ``breakpoints`` are points where ``fn`` or its derivatives may jump:
+    ``ek_left`` and ``ek_right`` split their integrals there, and the
+    fixed-grid psi samplers of the fractional derivatives are skipped for a
+    profile that declares any.
     """
 
     lo: float

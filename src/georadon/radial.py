@@ -638,10 +638,13 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
     96-interval Chebyshev grid over the window, and restores the weights.
     When ``check_residual`` is set, the forward map is re-applied to the
     reconstruction on the same window and a relative residual above
-    ``RESIDUAL_TOL`` raises ``ReconstructionError``.  The reconstruction is
-    zero past ``hi``, so a forward (right-sided) map, projective rows
-    included, fails that check when the window ends before the data is
-    negligible.
+    ``RESIDUAL_TOL`` raises ``ReconstructionError``.  The reconstruction
+    is constant (its value at ``lo``) below ``lo`` and zero past ``hi``, so
+    a forward (right-sided) map, projective rows included, fails that check
+    when the window ends before the data is negligible, and a left-sided
+    map when the window starts where the input is not yet flat.  The
+    direct (non-projective) reconstruction declares ``lo`` as a breakpoint,
+    so the left-sided re-application splits at that kink.
     """
     t = TRANSFORMS[model, dual]
     if transformed.arg_kind is not t.kind:
@@ -692,9 +695,11 @@ def _grid_profile(grid, vals, kind: ArgKind, transformed: Profile1D) -> Profile1
         return interp(np.clip(np.asarray(x, dtype=float), lo, hi))
 
     sup = transformed.support
+    # the constant extension below lo kinks there: left-sided integrals
+    # split at lo instead of bisecting across it
     return Profile1D(lo=lo, hi=hi * (1 + 1e-12), fn=fn, arg_kind=kind,
                      decay_hint=transformed.decay_hint, support=sup,
-                     label=f"inverted[{transformed.label}]")
+                     breakpoints=(lo,), label=f"inverted[{transformed.label}]")
 
 
 def _residual_check(fwd, transformed: Profile1D, lo: float, hi: float):

@@ -7,7 +7,9 @@ from scipy.integrate import quad
 from conftest import TIGHT, rel_err, sup_rel_err
 from georadon import profiles as P
 from georadon import radial as R
-from georadon.errors import DivergenceError, DomainError
+from georadon import fracint, quadrature
+from georadon.errors import (DifferentiationInstabilityError, DivergenceError,
+                             DomainError)
 from georadon.models import Model
 from georadon.special import lambda2, sphere_area
 
@@ -384,8 +386,62 @@ def test_invert_residual_check_rejects_garbage():
     noise = P.Profile1D(lo=0.0, hi=math.inf,
                         fn=lambda s: np.exp(-s) * (1.0 + 0.5 * np.sin(40 * s)),
                         arg_kind=P.ArgKind.EuclideanRadius, decay_hint=math.inf)
-    with pytest.raises((R.ReconstructionError, Exception)):
+    with pytest.raises(DifferentiationInstabilityError):
         R.invert_radial(Model.EuclideanAffine, p, noise, out_range=(0.1, 3.0))
+
+
+# (model, triple, data, dual, window the residual check rejects, window it
+# accepts); each data set is a transform of a smooth profile, but a
+# reconstruction that is constant below its window (left-sided rows) or zero
+# past it (right-sided rows) does not reproduce it on the short window
+_RESIDUAL_CASES = {
+    "ball-dual-power": (Model.BeltramiKlein, (6, 1, 3),
+                        lambda: P.power(1.5, lo=1e-12,
+                                        arg_kind=P.ArgKind.BallRadius),
+                        True, (0.3, 0.95), (0.05, 0.95)),
+    "elliptic-gaussian": (Model.Elliptic, (4, 1, 3),
+                          lambda: P.gaussian(0.8, arg_kind=P.ArgKind.CosAngle),
+                          False, (0.4, 1.0), (0.05, 1.0)),
+    "affine-gaussian": (Model.EuclideanAffine, (4, 0, 2),
+                        lambda: P.gaussian(1.0), False, (0.1, 1.0), (0.1, 4.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_RESIDUAL_CASES))
+def test_invert_residual_check_rejects_short_window(case):
+    model, triple, data, dual, short, _ = _RESIDUAL_CASES[case]
+    with pytest.raises(R.ReconstructionError, match="forward residual"):
+        R.invert_radial(model, R.TransformParams(*triple), data(),
+                        out_range=short, dual=dual)
+
+
+def test_invert_residual_check_accepts_full_window():
+    for model, triple, data, dual, _, full in _RESIDUAL_CASES.values():
+        R.invert_radial(model, R.TransformParams(*triple), data(),
+                        out_range=full, dual=dual)
+
+
+def test_invert_residual_check_work(monkeypatch):
+    # the reconstruction declares its window start, where its constant
+    # extension kinks, so each left-sided re-application sums two smooth
+    # pieces that converge on the first two rungs instead of bisecting
+    calls = []
+    known = quadrature._integrate_known
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return known(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_integrate_known", counting)
+    monkeypatch.setattr(fracint, "_integrate_known", counting)
+    for case in ("ball-dual-power", "elliptic-gaussian"):
+        model, triple, data, dual, _, full = _RESIDUAL_CASES[case]
+        calls.clear()
+        rec = R.invert_radial(model, R.TransformParams(*triple), data(),
+                              out_range=full, dual=dual)
+        assert rec.lo == pytest.approx(full[0])
+        assert rec.breakpoints == (rec.lo,)
+        assert len(calls) == 16
 
 
 # -- the coordinate span of each transform row -------------------------------------
