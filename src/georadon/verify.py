@@ -1,16 +1,25 @@
 """Deterministic identity suite: transition formulas, duality/measure
-equalities, closed-form conformance, and operator round trips.
+equalities, closed-form conformance, and operator round trips, each
+reported as the maximum relative error of two independently computed
+sides against a tolerance.  The CLI ``verify`` command and the acceptance
+tests both run it.
 
-Each entry compares two independently computed sides of an identity on
-radial/zonal profiles and reports the maximum relative error against its
-tolerance.  The CLI ``verify`` command and the acceptance tests both run
-this registry.
+The paper's transitions, dualities and measure lifts hold at every
+admissible triple (n, j, k): each is one row ``(name, triple, grid, sides)``
+of ``IDENTITIES``, where ``sides(p)`` gives its two sides at the triple p
+and ``triple`` is the row's default.  With a grid both sides are routes,
+compared there: a profile, then steps -- a ``WeightOp`` (``apply_weight``),
+an ``ArgKind`` (``reparametrize``), a number (the support is cut there) or
+a transform row ``(model, dual, swapped)`` (``transform_profile`` at p, or
+at the swapped triple (n, n-k-1, n-j-1)).  Without one both sides are
+pairings ``(c, model, d, route, weight)``: the number
+``c * integrate_radial(model, n, d, route)``, weighted by the monomial
+``hub(x)^a conf(x)^b`` of the model for ``weight = (a, b)``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,366 +51,264 @@ def _rel(lhs, rhs) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _weighted(fn, lo, hi, kind, support, edge) -> Profile1D:
-    return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=kind, support=support,
-                     edge_exponent=edge)
+# -- the two evaluators -------------------------------------------------------
+
+def _route(route, p: R.TransformParams, spec: QuadratureSpec) -> Profile1D:
+    """The profile at the end of a route."""
+    f, *steps = route
+    for step in steps:
+        if isinstance(step, WeightOp):
+            f = apply_weight(step, p, f)
+        elif isinstance(step, ArgKind):
+            f = reparametrize(f, step)
+        elif isinstance(step, float):
+            f = replace(f, support=step)
+        else:
+            model, dual, swapped = step
+            q = R.TransformParams(p.n, p.n - p.k - 1, p.n - p.j - 1) \
+                if swapped else p
+            f = R.transform_profile(model, dual, q, f, spec)
+    return f
 
 
-def _hyper_gauss_geodesic() -> Profile1D:
-    return Profile1D(lo=0.0, hi=math.inf,
-                     fn=lambda rho: np.exp(-np.sinh(rho) ** 2),
-                     arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf,
-                     label="zonal gaussian")
+#: each model's (hub, conformal factor) in its canonical coordinate: a
+#: pairing weight (a, b) is hub(x)^a conf(x)^b, with origin power a
+_MONOMIAL = {Model.BeltramiKlein: (lambda x: x, lambda x: 1 - x * x),
+             Model.Hyperboloid: (np.tanh, np.cosh),
+             Model.EuclideanAffine: (lambda x: x, lambda x: 1 + x * x)}
 
 
-def _hyper_gauss_cosh() -> Profile1D:
-    return Profile1D(lo=1.0, hi=math.inf, fn=lambda s: np.exp(1.0 - s * s),
-                     arg_kind=ArgKind.CoshDistance, decay_hint=math.inf,
-                     label="zonal gaussian")
+def _pairing(side, p: R.TransformParams, spec: QuadratureSpec) -> float:
+    c, model, d, route, weight = side
+    f = _route(route, p, spec)
+    if weight is None:
+        return c * integrate_radial(model, p.n, d, f, spec)
+    (a, b), (hub, conf) = weight, _MONOMIAL[model]
+    return c * integrate_radial(model, p.n, d, f, spec,
+                                weight=lambda x: hub(x) ** a * conf(x) ** b,
+                                weight_origin_power=a)
 
 
-# -- transition identities ----------------------------------------------------
-
-def transition_hyper_via_chord(spec: QuadratureSpec) -> IdentityResult:
-    """Zonal hyperbolic transform against the weighted chord route."""
-    p = R.TransformParams(4, 1, 2)
-    f_geo = _hyper_gauss_geodesic()
-    f_cosh = _hyper_gauss_cosh()
-    rho = np.linspace(0.1, 2.0, 24)
-    lhs = R.radon_hyper_zonal(p, f_cosh, np.cosh(rho), spec)
-    mf = apply_weight(WeightOp.M, p, f_geo)
-    rb = R.transform_profile(Model.BeltramiKlein, False, p, mf, spec)
-    rhs = apply_weight(WeightOp.N, p, rb)(rho)
-    return IdentityResult("transition_hyper_via_chord", _rel(lhs, rhs), 1e-8)
-
-
-def transition_affine_via_elliptic(spec: QuadratureSpec) -> IdentityResult:
-    p = R.TransformParams(4, 1, 2)
-    f = gaussian()
-    r = np.linspace(0.1, 2.2, 24)
-    lhs = R.radon_affine_radial(p, f, r, spec)
-    m0f = reparametrize(apply_weight(WeightOp.M0, p, f), ArgKind.CosAngle)
-    r0 = R.transform_profile(Model.Elliptic, False, p, m0f, spec)
-    rhs = apply_weight(WeightOp.N0, p, reparametrize(r0, ArgKind.Angle))(r)
-    return IdentityResult("transition_affine_via_elliptic", _rel(lhs, rhs), 1e-8)
-
-
-def transition_hyper_via_projective(spec: QuadratureSpec) -> IdentityResult:
-    """Hyperbolic forward against the projective route, with the projective
-    transform itself computed through the chord model (two-path check)."""
-    p = R.TransformParams(4, 1, 2)
-    f_geo = _hyper_gauss_geodesic()
-    f_cosh = _hyper_gauss_cosh()
-    rho = np.linspace(0.15, 1.8, 20)
-    lhs = R.radon_hyper_zonal(p, f_cosh, np.cosh(rho), spec)
-
-    m1f = apply_weight(WeightOp.M1, p, f_geo)          # projective angle
-    g_ball = apply_weight(WeightOp.M0_INV, p, m1f)     # -> ball chords
-    g_ball = reparametrize(g_ball, ArgKind.BallRadius)
-    rb = R.transform_profile(Model.BeltramiKlein, False, p, g_ball, spec)
-    r_pi = apply_weight(WeightOp.N0_INV, p, rb)        # projective transform
-    rhs = apply_weight(WeightOp.N1, p, r_pi)(rho)
-    return IdentityResult("transition_hyper_via_projective", _rel(lhs, rhs), 1e-8)
-
-
-def dual_affine_via_inversion_map(spec: QuadratureSpec) -> IdentityResult:
-    """Dual transform against the distance-inverted forward route."""
-    p = R.TransformParams(5, 1, 2)
-    phi = gaussian()
-    r = np.linspace(0.25, 2.0, 20)
-    lhs = R.dual_affine_radial(p, phi, r, spec)
-    v = apply_weight(WeightOp.V, p, phi)
-    p_sw = R.TransformParams(p.n, p.n - p.k - 1, p.n - p.j - 1)
-    fwd = R.transform_profile(Model.EuclideanAffine, False, p_sw, v, spec)
-    rhs = apply_weight(WeightOp.U, p, fwd)(r)
-    return IdentityResult("dual_affine_via_inversion_map", _rel(lhs, rhs), 1e-8)
-
-
-def elliptic_orthogonality(spec: QuadratureSpec) -> IdentityResult:
-    """Forward zonal kernel with flipped indices equals the dual kernel."""
-    p = R.TransformParams(5, 1, 2)
-    p_sw = R.TransformParams(p.n, p.n - p.k - 1, p.n - p.j - 1)
-
-    def base(u):
-        u = np.asarray(u, dtype=float)
-        return np.exp(-2.0 * u * u) + 0.3 * u * u
-
-    x = np.linspace(0.08, 0.95, 24)
-    lhs = R.radon_elliptic_zonal(
-        p_sw, Profile1D(lo=0.0, hi=1.0 + 1e-12, fn=base,
-                        arg_kind=ArgKind.CosAngle), x, spec)
-    rhs = R.dual_elliptic_zonal(
-        p, Profile1D(lo=0.0, hi=1.0 + 1e-12, fn=base,
-                     arg_kind=ArgKind.SinAngle), x, spec)
-    return IdentityResult("elliptic_orthogonality", _rel(lhs, rhs), 1e-8)
-
-
-# -- duality and measure identities --------------------------------------------
-
-def mass_duality_chord(spec) -> IdentityResult:
-    """Total mass is preserved by the forward chord transform."""
-    p = R.TransformParams(4, 1, 2)
-    f = gaussian(arg_kind=ArgKind.BallRadius)
-    f = Profile1D(lo=0.0, hi=1.0, fn=f.fn, arg_kind=ArgKind.BallRadius)
-    fwd = R.transform_profile(Model.BeltramiKlein, False, p, f, spec)
-    lhs = integrate_radial(Model.BeltramiKlein, p.n, p.k, fwd, spec)
-    rhs = integrate_radial(Model.BeltramiKlein, p.n, p.j, f, spec)
-    return IdentityResult("mass_duality_chord", _rel(lhs, rhs), 1e-8)
-
-
-def power_weight_duality_chord(spec) -> IdentityResult:
-    p = R.TransformParams(5, 1, 2)
-    alpha = 2.0
-    f = Profile1D(lo=0.0, hi=1.0, fn=lambda r: np.exp(-r * r),
-                  arg_kind=ArgKind.BallRadius)
-    pw = alpha + p.k - p.n
-    fwd = R.transform_profile(Model.BeltramiKlein, False, p, f, spec)
-    lhs = integrate_radial(Model.BeltramiKlein, p.n, p.k, fwd, spec,
-                           weight=lambda s: s ** pw, weight_origin_power=pw)
-    rhs = lambda2(alpha, p.n, p.j, p.k) * integrate_radial(
-        Model.BeltramiKlein, p.n, p.j, f, spec,
-        weight=lambda r: r ** pw, weight_origin_power=pw)
-    return IdentityResult("power_weight_duality_chord", _rel(lhs, rhs), 1e-8)
-
-
-def boundary_weight_duality_chord(spec) -> IdentityResult:
-    p = R.TransformParams(5, 1, 2)
-    f = bump(0.7, arg_kind=ArgKind.BallRadius)
-    fwd = R.transform_profile(Model.BeltramiKlein, False, p, f, spec)
-    lhs = integrate_radial(
-        Model.BeltramiKlein, p.n, p.k, fwd, spec,
-        weight=lambda s: (1 - s * s) ** ((p.j - p.n) / 2.0))
-    rhs = integrate_radial(
-        Model.BeltramiKlein, p.n, p.j, f, spec,
-        weight=lambda r: (1 - r * r) ** ((p.k - p.n) / 2.0))
-    return IdentityResult("boundary_weight_duality_chord", _rel(lhs, rhs), 1e-8)
-
-
-def cap_weight_duality_dual_chord(spec, a: float) -> IdentityResult:
-    """Dual-transform duality against truncated-cap weights at radius a."""
-    p = R.TransformParams(5, 1, 2)
-    alpha = 2.0
-    phi = Profile1D(lo=0.0, hi=1.0, fn=lambda s: np.exp(-s * s),
-                    arg_kind=ArgKind.BallRadius)
-    dual = R.transform_profile(Model.BeltramiKlein, True, p, phi, spec)
-    capped = Profile1D(lo=0.0, hi=1.0, fn=dual.fn, arg_kind=ArgKind.BallRadius,
-                       support=min(a, 1.0 - 1e-12) if a < 1 else None)
-    if a < 1:
-        lhs = integrate_radial(Model.BeltramiKlein, p.n, p.j, capped, spec)
+def run_identity(row, p, spec: QuadratureSpec) -> IdentityResult:
+    """One row of ``IDENTITIES`` at the triple ``p`` (a ``TransformParams``;
+    None for the row's own)."""
+    name, triple, grid, sides = row
+    p = p or R.TransformParams(*triple)
+    lhs, rhs = sides(p)
+    if grid is None:
+        err = _rel(_pairing(lhs, p, spec), _pairing(rhs, p, spec))
     else:
-        lhs = integrate_radial(Model.BeltramiKlein, p.n, p.j, dual, spec)
-    e_out = (alpha + p.k - p.j) / 2.0 - 1.0
-    rhs_prof = _weighted(
-        lambda s: np.exp(-s * s) * np.where(s < a, (a * a - s * s) ** e_out, 0.0),
-        0.0, 1.0, ArgKind.BallRadius,
-        support=min(a, 1.0 - 1e-15) if a <= 1 else a, edge=e_out)
-    rhs = lambda1(alpha, p.j, p.k) * integrate_radial(
-        Model.BeltramiKlein, p.n, p.k, rhs_prof, spec)
-    return IdentityResult(f"cap_weight_duality_dual_chord_a{a}",
-                          _rel(lhs, rhs), 1e-8)
+        err = _rel(_route(lhs, p, spec)(grid), _route(rhs, p, spec)(grid))
+    return IdentityResult(name, err, 1e-8)
 
 
-def singular_weight_duality_dual_chord(spec) -> IdentityResult:
-    p = R.TransformParams(5, 1, 2)
-    alpha = 2.0
-    phi = Profile1D(lo=0.0, hi=1.0, fn=lambda s: np.exp(-s * s),
-                    arg_kind=ArgKind.BallRadius)
-    dual = R.transform_profile(Model.BeltramiKlein, True, p, phi, spec)
-    pw_l = -(alpha + p.k - p.j)
-    lhs = integrate_radial(
-        Model.BeltramiKlein, p.n, p.j, dual, spec,
-        weight=lambda t: t ** pw_l * (1 - t * t) ** (alpha / 2.0 - 1.0),
-        weight_origin_power=pw_l)
-    e_out = (alpha + p.k - p.j) / 2.0 - 1.0
-    lhs_rhs = integrate_radial(
-        Model.BeltramiKlein, p.n, p.k, phi, spec,
-        weight=lambda s: s ** (-alpha) * (1 - s * s) ** e_out,
-        weight_origin_power=-alpha)
-    rhs = lambda1(alpha, p.j, p.k) * lhs_rhs
-    return IdentityResult("singular_weight_duality_dual_chord",
-                          _rel(lhs, rhs), 1e-8)
+# -- profiles of the table ----------------------------------------------------
+
+_ALPHA = 2.0      # the power of the weighted dualities and their constants
+
+_GAUSS = gaussian()
+_SINH_GAUSS = gaussian(arg_kind=ArgKind.SinhDistance)
+_BALL_GAUSS = Profile1D(lo=0.0, hi=1.0, fn=lambda b: np.exp(-b * b),
+                        arg_kind=ArgKind.BallRadius)
+#: the zonal gaussian exp(-sinh^2 rho), in geodesic and in cosh distance
+_GEO_GAUSS = Profile1D(lo=0.0, hi=math.inf,
+                       fn=lambda rho: np.exp(-np.sinh(rho) ** 2),
+                       arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf,
+                       label="zonal gaussian")
+_COSH_GAUSS = Profile1D(lo=1.0, hi=math.inf, fn=lambda s: np.exp(1.0 - s * s),
+                        arg_kind=ArgKind.CoshDistance, decay_hint=math.inf,
+                        label="zonal gaussian")
 
 
-def ball_average_duality_affine(spec) -> IdentityResult:
-    """Integral of the dual transform over a ball as a weighted average."""
-    p = R.TransformParams(5, 1, 2)
-    phi = gaussian()
-    dual = R.transform_profile(Model.EuclideanAffine, True, p, phi, spec)
-    capped = Profile1D(lo=0.0, hi=math.inf, fn=dual.fn,
-                       arg_kind=ArgKind.EuclideanRadius, support=1.0)
-    lhs = integrate_radial(Model.EuclideanAffine, p.n, p.j, capped, spec)
+def _elliptic_base(kind: ArgKind) -> Profile1D:
+    return Profile1D(lo=0.0, hi=1.0 + 1e-12,
+                     fn=lambda u: np.exp(-2.0 * u * u) + 0.3 * u * u,
+                     arg_kind=kind)
+
+
+def _chord_cap(p: R.TransformParams, a: float) -> Profile1D:
+    """exp(-s^2) (a^2 - s^2)_+^e, e = (alpha+k-j)/2 - 1, on the ball."""
+    e = (_ALPHA + p.k - p.j) / 2.0 - 1.0
+    return Profile1D(
+        lo=0.0, hi=1.0, arg_kind=ArgKind.BallRadius,
+        fn=lambda s: np.exp(-s * s)
+        * np.where(s < a, (a * a - s * s) ** e, 0.0),
+        support=min(a, 1.0 - 1e-15) if a <= 1 else a, edge_exponent=e)
+
+
+def _affine_cap(p: R.TransformParams) -> Profile1D:
+    """exp(-s^2) (1 - s^2)_+^((k-j)/2) on affine planes."""
     gap = p.half_gap
-    c = math.pi ** gap / gamma_fn(1.0 + gap)
-    rhs_prof = _weighted(
-        lambda s: np.exp(-s * s) * np.where(s < 1.0, (1 - s * s) ** gap, 0.0),
-        0.0, math.inf, ArgKind.EuclideanRadius, support=1.0, edge=gap)
-    rhs = c * integrate_radial(Model.EuclideanAffine, p.n, p.k, rhs_prof, spec)
-    return IdentityResult("ball_average_duality_affine", _rel(lhs, rhs), 1e-8)
+    return Profile1D(
+        lo=0.0, hi=math.inf, arg_kind=ArgKind.EuclideanRadius,
+        fn=lambda s: np.exp(-s * s)
+        * np.where(s < 1.0, (1 - s * s) ** gap, 0.0),
+        support=1.0, edge_exponent=gap)
 
 
-def inversion_map_weighted_mass(spec) -> IdentityResult:
-    """Weighted mass is preserved by the distance-inversion map."""
-    p = R.TransformParams(5, 1, 2)
-    phi = gaussian()
-    w = lambda x: (1 + x * x) ** (-(p.j + 1) / 2.0)
-    lhs = integrate_radial(Model.EuclideanAffine, p.n, p.k, phi, spec, weight=w)
-    v = apply_weight(WeightOp.V, p, phi)
-    rhs = sphere_area(p.n - p.k - 1) / sphere_area(p.k) * integrate_radial(
-        Model.EuclideanAffine, p.n, p.n - p.k - 1, v, spec, weight=w)
-    return IdentityResult("inversion_map_weighted_mass", _rel(lhs, rhs), 1e-8)
-
-
-def measure_lift_affine_elliptic(spec) -> IdentityResult:
-    n, d = 4, 1
-    f = gaussian()
-    lhs = integrate_radial(Model.EuclideanAffine, n, d, f, spec)
-    g = Profile1D(lo=0.0, hi=math.pi / 2,
-                  fn=lambda th: np.exp(-np.tan(th) ** 2) / np.cos(th) ** (n + 1),
-                  arg_kind=ArgKind.Angle)
-    rhs = sphere_area(n) / sphere_area(d) * integrate_radial(
-        Model.Elliptic, n, d, g, spec)
-    return IdentityResult("measure_lift_affine_elliptic", _rel(lhs, rhs), 1e-8)
-
-
-def measure_lift_ball_hyperboloid(spec) -> IdentityResult:
-    n, d = 4, 1
-    f = Profile1D(lo=0.0, hi=1.0, fn=lambda b: np.exp(-b * b),
-                  arg_kind=ArgKind.BallRadius)
-    lhs = integrate_radial(Model.BeltramiKlein, n, d, f, spec)
-    g = Profile1D(lo=0.0, hi=math.inf,
-                  fn=lambda rho: np.exp(-np.tanh(rho) ** 2)
-                  / np.cosh(rho) ** (n + 1),
-                  arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf)
-    rhs = integrate_radial(Model.Hyperboloid, n, d, g, spec)
-    return IdentityResult("measure_lift_ball_hyperboloid", _rel(lhs, rhs), 1e-8)
-
-
-def measure_lift_hyperboloid_projective(spec) -> IdentityResult:
-    n, d = 4, 1
-    f = _hyper_gauss_geodesic()
-    lhs = integrate_radial(Model.Hyperboloid, n, d, f, spec)
-    g = Profile1D(
-        lo=0.0, hi=math.pi / 4,
-        fn=lambda th: np.exp(-np.sinh(np.arctanh(np.tan(th))) ** 2)
-        / np.cos(2 * th) ** ((n + 1) / 2.0),
-        arg_kind=ArgKind.Angle)
-    rhs = sphere_area(n) / sphere_area(d) * integrate_radial(
-        Model.Projective, n, d, g, spec)
-    return IdentityResult("measure_lift_hyperboloid_projective",
-                          _rel(lhs, rhs), 1e-8)
-
-
-def mass_duality_hyper(spec) -> IdentityResult:
-    p = R.TransformParams(4, 1, 2)
-    f = _hyper_gauss_cosh()
-    fwd = R.transform_profile(Model.Hyperboloid, False, p, f, spec)
-    lhs = integrate_radial(Model.Hyperboloid, p.n, p.k, fwd, spec)
-    rhs = integrate_radial(Model.Hyperboloid, p.n, p.j, f, spec)
-    return IdentityResult("mass_duality_hyper", _rel(lhs, rhs), 1e-8)
-
-
-def weighted_mass_duality_hyper(spec) -> IdentityResult:
-    p = R.TransformParams(4, 1, 2)
-    f = _hyper_gauss_cosh()
-    fwd = R.transform_profile(Model.Hyperboloid, False, p, f, spec)
-    lhs = integrate_radial(
-        Model.Hyperboloid, p.n, p.k, fwd, spec,
-        weight=lambda rho: np.cosh(rho) ** (p.j - p.n))
-    rhs = integrate_radial(
-        Model.Hyperboloid, p.n, p.j, f, spec,
-        weight=lambda rho: np.cosh(rho) ** (p.k - p.n))
-    return IdentityResult("weighted_mass_duality_hyper", _rel(lhs, rhs), 1e-8)
-
-
-def tangent_weight_duality_hyper(spec) -> IdentityResult:
-    p = R.TransformParams(5, 1, 2)
-    alpha = 2.0
-    f = _hyper_gauss_cosh()
-    pw = alpha + p.k - p.n
-
-    def u_w(rho):
-        return np.tanh(rho) ** pw * np.cosh(rho) ** (p.j - p.n)
-
-    def v_w(rho):
-        return np.tanh(rho) ** pw * np.cosh(rho) ** (p.k - p.n)
-
-    fwd = R.transform_profile(Model.Hyperboloid, False, p, f, spec)
-    lhs = integrate_radial(Model.Hyperboloid, p.n, p.k, fwd, spec,
-                           weight=u_w, weight_origin_power=pw)
-    rhs = lambda2(alpha, p.n, p.j, p.k) * integrate_radial(
-        Model.Hyperboloid, p.n, p.j, f, spec, weight=v_w,
-        weight_origin_power=pw)
-    return IdentityResult("tangent_weight_duality_hyper", _rel(lhs, rhs), 1e-8)
-
-
-def cap_duality_dual_hyper(spec) -> IdentityResult:
-    """Ball-restricted integral of the dual transform (cap kernel)."""
-    p = R.TransformParams(4, 1, 2)
-    b = 1.0
-    phi = gaussian(arg_kind=ArgKind.SinhDistance)
-    dual = R.transform_profile(Model.Hyperboloid, True, p, phi, spec)
-    capped = Profile1D(lo=0.0, hi=math.inf, fn=dual.fn,
-                       arg_kind=ArgKind.SinhDistance, support=math.sinh(b))
-    lhs = integrate_radial(Model.Hyperboloid, p.n, p.j, capped, spec,
-                           weight=lambda rho: np.cosh(rho) ** (-(p.k + 1.0)))
+def _hyper_cap(p: R.TransformParams, b: float) -> Profile1D:
+    """exp(-sinh^2) (cosh^2 b - cosh^2)_+^((k-j)/2) cosh^-(k+1), geodesic."""
     gap = p.half_gap
-    c2 = math.pi ** gap / (gamma_fn(gap + 1.0) * math.cosh(b) ** (p.k - p.j))
     chb2 = math.cosh(b) ** 2
 
-    def rhs_fn(rho):
+    def fn(rho):
         rho = np.asarray(rho, dtype=float)
         ch = np.cosh(rho)
         return np.where(rho < b, np.exp(-np.sinh(rho) ** 2)
                         * np.maximum(chb2 - ch * ch, 0.0) ** gap
                         * ch ** (-(p.k + 1.0)), 0.0)
 
-    rhs_prof = _weighted(rhs_fn, 0.0, math.inf, ArgKind.GeodesicDistance,
-                         support=b, edge=gap)
-    rhs = c2 * integrate_radial(Model.Hyperboloid, p.n, p.k, rhs_prof, spec)
-    return IdentityResult("cap_duality_dual_hyper", _rel(lhs, rhs), 1e-8)
+    return Profile1D(lo=0.0, hi=math.inf, fn=fn,
+                     arg_kind=ArgKind.GeodesicDistance, support=b,
+                     edge_exponent=gap)
 
 
-def cosh_weight_duality_dual_hyper(spec) -> IdentityResult:
-    p = R.TransformParams(5, 1, 2)
-    alpha = 2.0
-    phi = gaussian(arg_kind=ArgKind.SinhDistance)
-    dual = R.transform_profile(Model.Hyperboloid, True, p, phi, spec)
-    w = lambda rho: np.cosh(rho) ** (-(p.k - 1.0 + alpha))
-    lhs = integrate_radial(Model.Hyperboloid, p.n, p.j, dual, spec, weight=w)
-    rhs = lambda1(alpha, p.j, p.k) * integrate_radial(
-        Model.Hyperboloid, p.n, p.k, phi, spec, weight=w)
-    return IdentityResult("cosh_weight_duality_dual_hyper", _rel(lhs, rhs), 1e-8)
+# the measure lifts of the affine, ball and hyperboloid gaussians
+
+def _lift_angle(n: int) -> Profile1D:
+    return Profile1D(
+        lo=0.0, hi=math.pi / 2,
+        fn=lambda th: np.exp(-np.tan(th) ** 2) / np.cos(th) ** (n + 1),
+        arg_kind=ArgKind.Angle)
 
 
-def tangent_weight_duality_dual_hyper(spec) -> IdentityResult:
-    """Tangent-power weighted duality for the hyperbolic dual transform.
-
-    Both sides carry the cosh power -(k-1+alpha); this is the form that
-    follows from the chord-model pair under the measure lift and that
-    matches direct quadrature (the asymmetric variant does not).
-    """
-    p = R.TransformParams(5, 1, 2)
-    alpha = 2.0
-    phi = gaussian(arg_kind=ArgKind.SinhDistance)
-    dual = R.transform_profile(Model.Hyperboloid, True, p, phi, spec)
-    pw_l = p.j - p.k - alpha
-    ch_pow = -(p.k - 1.0 + alpha)
-    lhs = integrate_radial(
-        Model.Hyperboloid, p.n, p.j, dual, spec,
-        weight=lambda rho: np.tanh(rho) ** pw_l * np.cosh(rho) ** ch_pow,
-        weight_origin_power=pw_l)
-    rhs = lambda1(alpha, p.j, p.k) * integrate_radial(
-        Model.Hyperboloid, p.n, p.k, phi, spec,
-        weight=lambda rho: np.tanh(rho) ** (-alpha) * np.cosh(rho) ** ch_pow,
-        weight_origin_power=-alpha)
-    return IdentityResult("tangent_weight_duality_dual_hyper",
-                          _rel(lhs, rhs), 1e-8)
+def _lift_geodesic(n: int) -> Profile1D:
+    return Profile1D(
+        lo=0.0, hi=math.inf,
+        fn=lambda rho: np.exp(-np.tanh(rho) ** 2) / np.cosh(rho) ** (n + 1),
+        arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf)
 
 
-# -- closed forms and operator round trips --------------------------------------
+def _lift_projective(n: int) -> Profile1D:
+    return Profile1D(
+        lo=0.0, hi=math.pi / 4,
+        fn=lambda th: np.exp(-np.sinh(np.arctanh(np.tan(th))) ** 2)
+        / np.cos(2 * th) ** ((n + 1) / 2.0),
+        arg_kind=ArgKind.Angle)
 
-def closed_form_identity(cf: R.ClosedFormId, spec) -> IdentityResult:
-    pair = R.closed_form_pair(cf)
+
+# -- the table ----------------------------------------------------------------
+
+_AFF, _BK, _HYP = Model.EuclideanAffine, Model.BeltramiKlein, Model.Hyperboloid
+_ELL, _PRJ = Model.Elliptic, Model.Projective
+
+
+def _cap_chord_row(a: float):
+    """Dual chord transform against a truncated-cap weight at radius a."""
+    cut = (a,) if a < 1 else ()
+    return (f"cap_weight_duality_dual_chord_a{a}", (5, 1, 2), None, lambda p: (
+        (1.0, _BK, p.j, (_BALL_GAUSS, (_BK, True, False)) + cut, None),
+        (lambda1(_ALPHA, p.j, p.k), _BK, p.k, (_chord_cap(p, a),), None)))
+
+
+IDENTITIES = (
+    # -- transitions: two routes on one grid
+    # zonal hyperbolic transform against the weighted chord route
+    ("transition_hyper_via_chord", (4, 1, 2), np.linspace(0.1, 2.0, 24),
+     lambda p: ((_COSH_GAUSS, (_HYP, False, False), ArgKind.GeodesicDistance),
+                (_GEO_GAUSS, WeightOp.M, (_BK, False, False), WeightOp.N))),
+    ("transition_affine_via_elliptic", (4, 1, 2), np.linspace(0.1, 2.2, 24),
+     lambda p: ((_GAUSS, (_AFF, False, False)),
+                (_GAUSS, WeightOp.M0, ArgKind.CosAngle, (_ELL, False, False),
+                 ArgKind.Angle, WeightOp.N0))),
+    # the projective transform itself computed through the chord model
+    ("transition_hyper_via_projective", (4, 1, 2), np.linspace(0.15, 1.8, 20),
+     lambda p: ((_COSH_GAUSS, (_HYP, False, False), ArgKind.GeodesicDistance),
+                (_GEO_GAUSS, WeightOp.M1, WeightOp.M0_INV, ArgKind.BallRadius,
+                 (_BK, False, False), WeightOp.N0_INV, WeightOp.N1))),
+    # dual transform against the distance-inverted forward route
+    ("dual_affine_via_inversion_map", (5, 1, 2), np.linspace(0.25, 2.0, 20),
+     lambda p: ((_GAUSS, (_AFF, True, False)),
+                (_GAUSS, WeightOp.V, (_AFF, False, True), WeightOp.U))),
+    # forward kernel at the swapped triple equals the dual kernel.  Both
+    # rows have the same c, pre and post there and run ek_left on one
+    # function, so the error is 0.0 by construction; the row stays as a
+    # guard of the table (a step or row that routes elsewhere shows here).
+    ("elliptic_orthogonality", (5, 1, 2), np.linspace(0.08, 0.95, 24),
+     lambda p: ((_elliptic_base(ArgKind.CosAngle), (_ELL, False, True)),
+                (_elliptic_base(ArgKind.SinAngle), (_ELL, True, False)))),
+    # -- dualities and measure lifts: two pairings
+    # total mass is preserved by the forward chord transform
+    ("mass_duality_chord", (4, 1, 2), None, lambda p: (
+        (1.0, _BK, p.k, (_BALL_GAUSS, (_BK, False, False)), None),
+        (1.0, _BK, p.j, (_BALL_GAUSS,), None))),
+    ("power_weight_duality_chord", (5, 1, 2), None, lambda p: (
+        (1.0, _BK, p.k, (_BALL_GAUSS, (_BK, False, False)),
+         (_ALPHA + p.k - p.n, 0)),
+        (lambda2(_ALPHA, p.n, p.j, p.k), _BK, p.j, (_BALL_GAUSS,),
+         (_ALPHA + p.k - p.n, 0)))),
+    ("boundary_weight_duality_chord", (5, 1, 2), None, lambda p: (
+        (1.0, _BK, p.k, (bump(0.7, arg_kind=ArgKind.BallRadius),
+                         (_BK, False, False)), (0, (p.j - p.n) / 2.0)),
+        (1.0, _BK, p.j, (bump(0.7, arg_kind=ArgKind.BallRadius),),
+         (0, (p.k - p.n) / 2.0)))),
+    _cap_chord_row(0.5),
+    _cap_chord_row(1.0),
+    ("singular_weight_duality_dual_chord", (5, 1, 2), None, lambda p: (
+        (1.0, _BK, p.j, (_BALL_GAUSS, (_BK, True, False)),
+         (-(_ALPHA + p.k - p.j), _ALPHA / 2.0 - 1.0)),
+        (lambda1(_ALPHA, p.j, p.k), _BK, p.k, (_BALL_GAUSS,),
+         (-_ALPHA, (_ALPHA + p.k - p.j) / 2.0 - 1.0)))),
+    # integral of the dual transform over a ball as a weighted average
+    ("ball_average_duality_affine", (5, 1, 2), None, lambda p: (
+        (1.0, _AFF, p.j, (_GAUSS, (_AFF, True, False), 1.0), None),
+        (math.pi ** p.half_gap / gamma_fn(1.0 + p.half_gap), _AFF, p.k,
+         (_affine_cap(p),), None))),
+    # weighted mass is preserved by the distance-inversion map
+    ("inversion_map_weighted_mass", (5, 1, 2), None, lambda p: (
+        (1.0, _AFF, p.k, (_GAUSS,), (0, -(p.j + 1) / 2.0)),
+        (sphere_area(p.n - p.k - 1) / sphere_area(p.k), _AFF, p.n - p.k - 1,
+         (_GAUSS, WeightOp.V), (0, -(p.j + 1) / 2.0)))),
+    ("measure_lift_affine_elliptic", (4, 1, 2), None, lambda p: (
+        (1.0, _AFF, p.j, (_GAUSS,), None),
+        (sphere_area(p.n) / sphere_area(p.j), _ELL, p.j, (_lift_angle(p.n),),
+         None))),
+    ("measure_lift_ball_hyperboloid", (4, 1, 2), None, lambda p: (
+        (1.0, _BK, p.j, (_BALL_GAUSS,), None),
+        (1.0, _HYP, p.j, (_lift_geodesic(p.n),), None))),
+    ("measure_lift_hyperboloid_projective", (4, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.j, (_GEO_GAUSS,), None),
+        (sphere_area(p.n) / sphere_area(p.j), _PRJ, p.j,
+         (_lift_projective(p.n),), None))),
+    ("mass_duality_hyper", (4, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.k, (_COSH_GAUSS, (_HYP, False, False)), None),
+        (1.0, _HYP, p.j, (_COSH_GAUSS,), None))),
+    ("weighted_mass_duality_hyper", (4, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.k, (_COSH_GAUSS, (_HYP, False, False)), (0, p.j - p.n)),
+        (1.0, _HYP, p.j, (_COSH_GAUSS,), (0, p.k - p.n)))),
+    ("tangent_weight_duality_hyper", (5, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.k, (_COSH_GAUSS, (_HYP, False, False)),
+         (_ALPHA + p.k - p.n, p.j - p.n)),
+        (lambda2(_ALPHA, p.n, p.j, p.k), _HYP, p.j, (_COSH_GAUSS,),
+         (_ALPHA + p.k - p.n, p.k - p.n)))),
+    # ball-restricted integral of the dual transform (cap kernel)
+    ("cap_duality_dual_hyper", (4, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.j, (_SINH_GAUSS, (_HYP, True, False), math.sinh(1.0)),
+         (0, -(p.k + 1.0))),
+        (math.pi ** p.half_gap / (gamma_fn(p.half_gap + 1.0)
+                                  * math.cosh(1.0) ** (p.k - p.j)),
+         _HYP, p.k, (_hyper_cap(p, 1.0),), None))),
+    ("cosh_weight_duality_dual_hyper", (5, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.j, (_SINH_GAUSS, (_HYP, True, False)),
+         (0, -(p.k - 1.0 + _ALPHA))),
+        (lambda1(_ALPHA, p.j, p.k), _HYP, p.k, (_SINH_GAUSS,),
+         (0, -(p.k - 1.0 + _ALPHA))))),
+    # both sides carry the cosh power -(k-1+alpha): the form that follows
+    # from the chord-model pair under the measure lift and that matches
+    # direct quadrature (the asymmetric variant does not)
+    ("tangent_weight_duality_dual_hyper", (5, 1, 2), None, lambda p: (
+        (1.0, _HYP, p.j, (_SINH_GAUSS, (_HYP, True, False)),
+         (p.j - p.k - _ALPHA, -(p.k - 1.0 + _ALPHA))),
+        (lambda1(_ALPHA, p.j, p.k), _HYP, p.k, (_SINH_GAUSS,),
+         (-_ALPHA, -(p.k - 1.0 + _ALPHA))))),
+)
+
+
+# -- closed forms and operator round trips ------------------------------------
+
+def closed_form_identity(cf: R.ClosedFormId, p, spec) -> IdentityResult:
+    """One closed-form pair at the triple ``p`` (None for the entry's own)."""
+    pair = R.closed_form_pair(cf, p=p)
     if cf is R.ClosedFormId.HYPER_CAP:
         grid = np.linspace(1.0, 1.98, 64)
     else:
@@ -414,11 +321,10 @@ def closed_form_identity(cf: R.ClosedFormId, spec) -> IdentityResult:
 
 
 def gaussian_fixed_point(spec) -> IdentityResult:
-    f = gaussian()
     t = np.linspace(0.0, 3.0, 16)
     errs = []
     for alpha in (0.5, 1.0, 2.0):
-        got = ek_right(alpha, f, t, spec)
+        got = ek_right(alpha, _GAUSS, t, spec)
         errs.append(_rel(got, np.exp(-t * t)))
     return IdentityResult("gaussian_fixed_point_right_integral",
                           max(errs), 1e-10)
@@ -426,31 +332,26 @@ def gaussian_fixed_point(spec) -> IdentityResult:
 
 def weight_op_round_trips(spec) -> IdentityResult:
     p = R.TransformParams(5, 1, 2)
-    x_rho = np.linspace(0.02, 2.5, 64)
-    x_ball = np.linspace(0.01, 0.95, 64)
-    x_eu = np.linspace(0.02, 2.5, 64)
+    x = np.linspace(0.02, 2.5, 64)
     errs = []
-    geo = _hyper_gauss_geodesic()
-    ball = Profile1D(lo=0.0, hi=1.0, fn=lambda b: np.exp(-b * b),
-                     arg_kind=ArgKind.BallRadius)
-    eu = gaussian()
+    geo, eu = _GEO_GAUSS, _GAUSS
     pairs = [
-        (WeightOp.M, WeightOp.M_INV, geo, x_rho),
-        (WeightOp.N_INV, WeightOp.N, geo, x_rho),
-        (WeightOp.P, WeightOp.P_INV, geo, x_rho),
-        (WeightOp.Q_INV, WeightOp.Q, geo, x_rho),
-        (WeightOp.M0, WeightOp.M0_INV, eu, x_eu),
-        (WeightOp.N0_INV, WeightOp.N0, eu, x_eu),
-        (WeightOp.P0, WeightOp.P0_INV, eu, x_eu),
-        (WeightOp.Q0_INV, WeightOp.Q0, eu, x_eu),
-        (WeightOp.M1, WeightOp.M1_INV, geo, x_rho),
-        (WeightOp.N1_INV, WeightOp.N1, geo, x_rho),
-        (WeightOp.P1, WeightOp.P1_INV, geo, x_rho),
-        (WeightOp.Q1_INV, WeightOp.Q1, geo, x_rho),
+        (WeightOp.M, WeightOp.M_INV, geo),
+        (WeightOp.N_INV, WeightOp.N, geo),
+        (WeightOp.P, WeightOp.P_INV, geo),
+        (WeightOp.Q_INV, WeightOp.Q, geo),
+        (WeightOp.M0, WeightOp.M0_INV, eu),
+        (WeightOp.N0_INV, WeightOp.N0, eu),
+        (WeightOp.P0, WeightOp.P0_INV, eu),
+        (WeightOp.Q0_INV, WeightOp.Q0, eu),
+        (WeightOp.M1, WeightOp.M1_INV, geo),
+        (WeightOp.N1_INV, WeightOp.N1, geo),
+        (WeightOp.P1, WeightOp.P1_INV, geo),
+        (WeightOp.Q1_INV, WeightOp.Q1, geo),
     ]
-    for fwd, inv, prof, grid in pairs:
+    for fwd, inv, prof in pairs:
         back = apply_weight(inv, p, apply_weight(fwd, p, prof))
-        errs.append(float(np.max(np.abs(back(grid) - prof(grid)))))
+        errs.append(float(np.max(np.abs(back(x) - prof(x)))))
     return IdentityResult("weight_op_round_trips", max(errs), 1e-14)
 
 
@@ -464,37 +365,13 @@ def conversion_cycle(spec) -> IdentityResult:
                           1e-14)
 
 
-# -- registry -------------------------------------------------------------------
+# -- registry -----------------------------------------------------------------
 
 def identity_suite(spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Run every deterministic identity; returns a list of IdentityResult."""
-    runs: list[Callable] = [
-        transition_hyper_via_chord,
-        transition_affine_via_elliptic,
-        transition_hyper_via_projective,
-        dual_affine_via_inversion_map,
-        elliptic_orthogonality,
-        mass_duality_chord,
-        power_weight_duality_chord,
-        boundary_weight_duality_chord,
-        lambda s: cap_weight_duality_dual_chord(s, 0.5),
-        lambda s: cap_weight_duality_dual_chord(s, 1.0),
-        singular_weight_duality_dual_chord,
-        ball_average_duality_affine,
-        inversion_map_weighted_mass,
-        measure_lift_affine_elliptic,
-        measure_lift_ball_hyperboloid,
-        measure_lift_hyperboloid_projective,
-        mass_duality_hyper,
-        weighted_mass_duality_hyper,
-        tangent_weight_duality_hyper,
-        cap_duality_dual_hyper,
-        cosh_weight_duality_dual_hyper,
-        tangent_weight_duality_dual_hyper,
-        gaussian_fixed_point,
-        weight_op_round_trips,
-        conversion_cycle,
-    ]
-    results = [fn(spec) for fn in runs]
-    results.extend(closed_form_identity(cf, spec) for cf in R.ClosedFormId)
+    results = [run_identity(row, None, spec) for row in IDENTITIES]
+    results += [fn(spec) for fn in (gaussian_fixed_point,
+                                    weight_op_round_trips, conversion_cycle)]
+    results.extend(closed_form_identity(cf, None, spec)
+                   for cf in R.ClosedFormId)
     return results
