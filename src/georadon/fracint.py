@@ -22,6 +22,7 @@ one-sided stencil.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (DifferentiationInstabilityError, DivergenceError,
                      DomainError)
 from .profiles import Profile1D
 from .quadrature import (_NODE_LADDER, DEFAULT_QUADRATURE, QuadratureSpec,
-                         _Budget, _fixed_rule, _integrate_known,
+                         _Budget, _integrate_known, _rule, _rungs_agree,
                          integrate_to_infinity, integrate_weighted,
                          weighted_nodes)
 from .spectral import ChebInterpolant, cheb_nodes
@@ -72,16 +73,56 @@ def check_decay(f: Profile1D, alpha: float, a: float,
     return incs[-1] <= spec.abs_tol and incs[-2] <= spec.abs_tol
 
 
+@lru_cache(maxsize=512)
+def _rung_pair(p_lo: float, p_hi: float):
+    """Nodes of the two ``_RUNGS`` rules on [-1, 1], concatenated, and
+    each rule's weights."""
+    (x0, w0), (x1, w1) = (_rule(n, p_lo, p_hi) for n in _RUNGS)
+    return np.concatenate((x0, x1)), w0, w1
+
+
 def _split_weighted(u_core, lo: float, hi: float, p_lo: float, p_hi: float,
                     interior, spec: QuadratureSpec, budget: _Budget) -> float:
-    """Integral of (u-lo)^p_lo (hi-u)^p_hi u_core(u), split at breakpoints.
+    """Integral of (u-lo)^p_lo (hi-u)^p_hi u_core(u), split at the
+    increasing breakpoints ``interior``.
 
-    ``u_core`` is called once on the nodes of the first two ladder rungs of
-    every segment; each segment then sums its own slice, so the values are
-    those of one call per rule.  Only segments whose rungs disagree call
-    ``u_core`` again.
+    All segments are evaluated as one batch.  The nodes of the first two
+    ladder rungs of every segment form one block (``a + h*(x + 1.0)`` per
+    row, as ``_fixed_rule`` builds them) and go through one ``u_core``
+    call; the endpoint weights of [lo, hi] that inner segments see as
+    smooth multiply the whole block.  Each (segment, rung) is then one
+    ``np.dot`` of its rule's weights with its slice, so every value is the
+    one a separate rule would give: a contraction of the whole block
+    (``V @ w``, ``einsum``) sums in another order and moves the last bits.
+    A segment whose two rungs agree (``_rungs_agree``) is accepted at one
+    budget unit; only the others climb the ladder of ``_integrate_known``,
+    which calls ``u_core`` again.  The segments are summed in order.
     """
     points = [lo] + [p for p in interior if lo < p < hi] + [hi]
+    last = len(points) - 2
+    # endpoint exponents of each segment; inner ends carry no weight
+    exps = [(p_lo if i == 0 else 0.0, p_hi if i == last else 0.0)
+            for i in range(last + 1)]
+    rules = [_rung_pair(*e) for e in exps]
+    ends = np.array(points)
+    h = 0.5 * (ends[1:] - ends[:-1])
+    u = ends[:-1, None] + h[:, None] * (np.array([r[0] for r in rules]) + 1.0)
+    vals = u_core(u.ravel()).reshape(u.shape)
+    if last and p_lo != 0.0:
+        vals = np.concatenate((vals[:1], vals[1:] * (u[1:] - lo) ** p_lo))
+    if last and p_hi != 0.0:
+        vals = np.concatenate((vals[:-1] * (hi - u[:-1]) ** p_hi, vals[-1:]))
+
+    n0 = _RUNGS[0]
+    coarse, fine = [], []
+    scale = 0.0
+    for hs, (jl, jh), (_, w0, w1), v in zip(h.tolist(), exps, rules, vals):
+        c = hs ** (1.0 + jl + jh)
+        coarse.append(float(c * np.dot(w0, v[:n0])))
+        fine.append(float(c * np.dot(w1, v[n0:])))
+        # the finest known rung anchors the relative tolerance of small
+        # segments
+        scale += abs(fine[-1])
 
     def outer(vals, u, a, b):
         # the endpoint weights of [lo, hi] that a segment sees as smooth
@@ -91,30 +132,17 @@ def _split_weighted(u_core, lo: float, hi: float, p_lo: float, p_hi: float,
             vals = vals * (hi - u) ** p_hi
         return vals
 
-    # (a, b, p_lo, p_hi) of each segment; inner ends carry no weight
-    segs = [(a, b, p_lo if a == lo else 0.0, p_hi if b == hi else 0.0)
-            for a, b in zip(points[:-1], points[1:])]
-    rules = [_fixed_rule(*seg, n) for seg in segs for n in _RUNGS]
-    vals = u_core(np.concatenate([u for u, _, _ in rules]))
-
-    at = 0
-    scale = 0.0
-    known = []
-    rule = iter(rules)
-    for a, b, _, _ in segs:
-        rungs = {}
-        for n in _RUNGS:
-            u, w, c = next(rule)
-            rungs[n] = float(c * np.dot(w, outer(vals[at:at + n], u, a, b)))
-            at += n
-        # the finest known rung anchors the relative tolerance of small
-        # segments
-        scale += abs(rungs[_RUNGS[-1]])
-        known.append(rungs)
-
-    return sum(_integrate_known(rungs, lambda u, a=a, b=b: outer(u_core(u), u, a, b),
-                                a, b, jl, jh, spec, budget, scale)
-               for rungs, (a, b, jl, jh) in zip(known, segs))
+    parts = []
+    for a, b, (jl, jh), r0, r1 in zip(points, points[1:], exps, coarse, fine):
+        if _rungs_agree(r0, r1, spec, scale):
+            budget.spend()
+            parts.append(r1)
+        else:
+            parts.append(_integrate_known(
+                dict(zip(_RUNGS, (r0, r1))),
+                lambda u, a=a, b=b: outer(u_core(u), u, a, b),
+                a, b, jl, jh, spec, budget, scale))
+    return sum(parts)
 
 
 # -- integrals ---------------------------------------------------------------
@@ -387,20 +415,22 @@ def _psi_sampler(integral, beta: float, g: Profile1D, fixed,
     """Sampler t -> integral(beta, g, t) for the fractional derivatives.
 
     ``fixed`` is a fixed-grid sampler of the same integral (None when the
-    profile rules one out; it may also return None at single points).
-    Missing values come from the adaptive ``integral`` at tightened
-    tolerances, in one vector call when there is no fixed grid at all.
+    profile rules one out).  It takes the whole vector of sample points and
+    makes one ``core`` call on the (points x nodes) block, then one
+    ``np.dot`` per point, so each value is the one a grid at that point
+    alone would give: a contraction of the whole block (``V @ w``,
+    ``einsum``) sums in another order and moves the last bits.  It returns
+    None at single points (a support cut); those values come from the
+    adaptive ``integral`` at tightened tolerances, one point at a time, and
+    in one vector call when there is no fixed grid at all.
     """
     tight = _tighten(spec)
 
     def psi(ts):
         if fixed is None:
             return np.asarray(integral(beta, g, ts, tight))
-        out = np.empty_like(ts)
-        for i, ti in enumerate(ts):
-            v = fixed(float(ti))
-            out[i] = v if v is not None else integral(beta, g, float(ti), tight)
-        return out
+        return np.array([integral(beta, g, t, tight) if v is None else v
+                         for t, v in zip(ts.tolist(), fixed(ts))])
 
     return psi
 
@@ -423,16 +453,21 @@ def _psi_left_fixed_sampler(beta: float, g: Profile1D):
     vw = vw * 2.0 * (1.0 + vn) ** (beta - 1.0)
     inv_gamma = 1.0 / math.gamma(beta)
 
-    def psi(t: float) -> float:
-        if t <= 0.0:
-            return 0.0
-        if math.isfinite(top) and t >= top * (1.0 - 1e-12):
-            return None      # support cut inside the range: caller falls back
-        r = t * vn
-        vals = core(r)
-        if e != 0.0:
-            vals = vals * (top * top - r * r) ** e
-        return inv_gamma * t ** (2.0 * beta + o) * float(np.dot(vw, vals))
+    def psi(ts: np.ndarray) -> list:
+        tl = ts.tolist()
+        # None marks a support cut inside the range: the caller falls back
+        out = [0.0 if t <= 0.0 else None for t in tl]
+        on_grid = [i for i, t in enumerate(tl) if t > 0.0 and not (
+            math.isfinite(top) and t >= top * (1.0 - 1e-12))]
+        if on_grid:
+            r = ts[on_grid, None] * vn
+            vals = core(r.ravel()).reshape(r.shape)
+            if e != 0.0:
+                vals = vals * (top * top - r * r) ** e
+            for i, v in zip(on_grid, vals):
+                out[i] = inv_gamma * tl[i] ** (2.0 * beta + o) \
+                    * float(np.dot(vw, v))
+        return out
 
     return psi
 
@@ -514,15 +549,21 @@ def _psi_fixed_sampler(beta: float, g: Profile1D, y_probe: float):
         # moves; an algebraic edge folds into the Jacobi weight
         wn, ww = weighted_nodes(0.0, 1.0, beta - 1.0, e, 160)
 
-        def psi(t: float) -> float:
-            cap = top * top - t * t
-            if cap <= 0.0:
-                return 0.0
-            r = np.sqrt(t * t + cap * wn)
-            vals = core(r)
-            if o != 0.0:
-                vals = vals * r ** o
-            return inv_gamma * cap ** (beta + e) * float(np.dot(ww, vals))
+        def psi(ts: np.ndarray) -> list:
+            tt = ts * ts
+            cap = top * top - tt
+            caps = cap.tolist()
+            out = [0.0] * len(caps)
+            on_grid = [i for i, c in enumerate(caps) if c > 0.0]
+            if on_grid:
+                r = np.sqrt(tt[on_grid, None] + cap[on_grid, None] * wn)
+                vals = core(r.ravel()).reshape(r.shape)
+                if o != 0.0:
+                    vals = vals * r ** o
+                for i, v in zip(on_grid, vals):
+                    out[i] = inv_gamma * caps[i] ** (beta + e) \
+                        * float(np.dot(ww, v))
+            return out
 
         return psi
 
@@ -550,17 +591,18 @@ def _psi_fixed_sampler(beta: float, g: Profile1D, y_probe: float):
         vn, vw = weighted_nodes(lo, 2.0 * lo, 0.0, 0.0, 32)
         grids.append((vn, vw * vn ** (beta - 1.0)))
         lo *= 2.0
-    v_all = np.concatenate([gk[0] for gk in grids])
+    r_all = np.sqrt(1.0 + np.concatenate([gk[0] for gk in grids]))
     w_all = np.concatenate([gk[1] for gk in grids])
 
-    def psi(t: float) -> float:
-        r = t * np.sqrt(1.0 + v_all)
-        vals = core(r)
+    def psi(ts: np.ndarray) -> list:
+        r = ts[:, None] * r_all
+        vals = core(r.ravel()).reshape(r.shape)
         if o != 0.0:
             vals = vals * r ** o
         if math.isfinite(top):
             vals = np.where(r < top, vals, 0.0)
-        return inv_gamma * t ** (2.0 * beta) * float(np.dot(w_all, vals))
+        return [inv_gamma * t ** (2.0 * beta) * float(np.dot(w_all, v))
+                for t, v in zip(ts.tolist(), vals)]
 
     return psi
 

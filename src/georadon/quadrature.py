@@ -105,6 +105,14 @@ def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
                             scale_hint)
 
 
+def _rungs_agree(prev: float, cur: float, spec: QuadratureSpec,
+                 scale_hint: float) -> bool:
+    """The ladder's stopping rule: two successive rungs agree to within the
+    tolerance, relative to the larger of ``cur`` and ``scale_hint``."""
+    return abs(cur - prev) <= max(spec.abs_tol,
+                                  spec.rel_tol * max(abs(cur), scale_hint))
+
+
 def _integrate_known(known: dict, core, a: float, b: float, p_lo: float,
                      p_hi: float, spec: QuadratureSpec, budget: _Budget | None,
                      scale_hint: float) -> float:
@@ -121,11 +129,8 @@ def _integrate_known(known: dict, core, a: float, b: float, p_lo: float,
     for n in _NODE_LADDER:
         cur = known[n] if n in known else \
             _weighted_fixed(core, a, b, p_lo, p_hi, n)
-        if prev is not None:
-            tol = max(spec.abs_tol,
-                      spec.rel_tol * max(abs(cur), scale_hint))
-            if abs(cur - prev) <= tol:
-                return cur
+        if prev is not None and _rungs_agree(prev, cur, spec, scale_hint):
+            return cur
         prev = cur
 
     # Spectral doubling stalled: bisect.  The half away from an endpoint

@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import TIGHT, rel_err
+from georadon import fracint as F
 from georadon import profiles as P
+from georadon import quadrature as Q
 from georadon import radial as R
 from georadon.errors import (DifferentiationInstabilityError, DivergenceError,
-                             DomainError)
+                             DomainError, QuadratureError)
 from georadon.fracint import (check_decay, ek_deriv_left, ek_deriv_right,
                               ek_left, ek_right)
+from georadon.quadrature import QuadratureSpec
 
 
 def test_left_integral_of_constant_is_square():
@@ -234,6 +237,172 @@ def test_transform_rows_pinned_bits(model, dual):
     got = R.transform_function(model, dual)(R.TransformParams(4, 1, 2), f,
                                             np.array(_ROW_POINTS[row.kind]))
     assert tuple(float(v).hex() for v in got) == _ROW_GOLDEN[row.name]
+
+
+#: float.hex of the fractional derivatives, one case per fixed-grid psi
+#: sampler branch, recorded before the samplers took whole vectors of points
+_PSI_CASES = {
+    "right-gaussian": (ek_deriv_right, 1.5, P.gaussian(1.0), (0.4, 1.0, 1.7)),
+    "right-edge": (ek_deriv_right, 1.5,
+                   P.truncated_power_pair(3.0, 1.2, 1.0, P.ArgKind.EuclideanRadius),
+                   (0.3, 0.7, 1.0)),
+    "right-soft-cap": (ek_deriv_right, 1.5, P.bump(1.5), (0.3, 0.7, 1.2)),
+    "left-power": (ek_deriv_left, 0.5, P.power(1.0), (0.4, 1.0, 1.7)),
+    # the window ends at the cap, where the fixed grid falls back to ek_left
+    "left-capped": (ek_deriv_left, 0.5, P.power(1.0, hi=1.5), (0.4, 1.0, 1.4)),
+}
+
+_PSI_GOLDEN = {
+    'right-gaussian': ('0x1.b44c30d03e045p-1', '0x1.78b56362cf502p-2', '0x1.c747c3f3435a4p-5'),
+    'right-edge': ('-0x1.1ddf077e636a1p+2', '-0x1.249a23d7428bdp+0', '-0x1.661e3d97f1879p-1'),
+    'right-soft-cap': ('0x1.0f38be014cf33p-4', '0x1.5c951968d96bap-3', '0x1.8af71d086ed5fp-1'),
+    'left-power': ('0x1.c5bf891b4ee45p-1', '0x1.c5bf891b4ee6dp-1', '0x1.c5bf891b4ee43p-1'),
+    'left-capped': ('0x1.c5bf891b4ee7dp-1', '0x1.c5bf891b4eef0p-1', '0x1.c5bf891b4ed77p-1'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PSI_GOLDEN))
+def test_fractional_derivative_pinned_bits(case):
+    deriv, alpha, phi, t = _PSI_CASES[case]
+    got = deriv(alpha, phi, np.array(t))
+    assert tuple(float(v).hex() for v in got) == _PSI_GOLDEN[case]
+
+
+def test_projective_point_subdivision_budget():
+    # one projective point is one split integral of 51 geometric segments,
+    # each of which spends one unit: 40 is too few, 60 enough
+    g = P.gaussian(0.5, arg_kind=P.ArgKind.Angle)
+    p = R.TransformParams(4, 1, 2)
+    with pytest.raises(QuadratureError, match="budget exhausted"):
+        R.radon_projective_zonal(p, g, 0.3, QuadratureSpec(max_subdivisions=40))
+    got = R.radon_projective_zonal(p, g, 0.3, QuadratureSpec(max_subdivisions=60))
+    assert got.hex() == '0x1.253657247b32fp-2'
+
+
+def test_split_integral_with_bisecting_segment(monkeypatch):
+    # a kink at u = 0.7 inside the segment [0.5, 1.0]: only that segment's
+    # rungs disagree, so it alone enters the ladder, which bisects; the
+    # others are accepted at 32 nodes
+    ladders, bisections = [], []
+    known, bisect = F._integrate_known, Q.integrate_weighted
+
+    def counted_known(*args):
+        ladders.append(args[2:4])
+        return known(*args)
+
+    def counted_bisect(*args):
+        bisections.append(args[1:3])
+        return bisect(*args)
+
+    monkeypatch.setattr(F, "_integrate_known", counted_known)
+    monkeypatch.setattr(Q, "integrate_weighted", counted_bisect)
+    budget = Q._Budget(50)
+    got = F._split_weighted(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)),
+                            0.0, 3.0, -0.5, 0.25, [0.5, 1.0, 2.0],
+                            QuadratureSpec(), budget)
+    assert got.hex() == '0x1.ab0b04bdb37bcp+1'
+    assert budget.left == 36
+    assert ladders == [(0.5, 1.0)]
+    assert bisections and all(0.5 <= a < b <= 1.0 for a, b in bisections)
+
+
+def _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
+    """``_split_weighted`` one segment at a time through quadrature's fixed
+    rules: the loop whose bits the batch must keep."""
+    points = [lo] + [p for p in interior if lo < p < hi] + [hi]
+    segs = [(a, b, p_lo if a == lo else 0.0, p_hi if b == hi else 0.0)
+            for a, b in zip(points[:-1], points[1:])]
+
+    def core_of(a, b):
+        def core(u):
+            vals = u_core(u)
+            if a != lo and p_lo != 0.0:
+                vals = vals * (u - lo) ** p_lo
+            if b != hi and p_hi != 0.0:
+                vals = vals * (hi - u) ** p_hi
+            return vals
+        return core
+
+    known = [{n: Q._weighted_fixed(core_of(a, b), a, b, jl, jh, n)
+              for n in (16, 32)} for a, b, jl, jh in segs]
+    scale = 0.0
+    for rungs in known:
+        scale += abs(rungs[32])
+    return sum(Q._integrate_known(rungs, core_of(a, b), a, b, jl, jh, spec,
+                                  budget, scale)
+               for rungs, (a, b, jl, jh) in zip(known, segs))
+
+
+@pytest.mark.parametrize("u_core, lo, hi, p_lo, p_hi, interior", [
+    (np.exp, -1.0, 2.0, -0.5, 0.5, []),
+    (lambda u: np.cos(3.0 * u) / (1.0 + u), 0.0, 2.0, 0.0, 0.7, [1.0]),
+    (lambda u: np.cos(3.0 * u) / (1.0 + u), 0.0, 8.0, 0.3, -0.4, [1.0, 2.0, 4.0]),
+    (lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)), 0.0, 3.0, -0.5, 0.25,
+     [0.5, 1.0, 2.0]),
+    (lambda u: np.exp(-np.sqrt(u)), 0.0, 2.0 ** 21, -0.5, 1.5,
+     [2.0 ** i for i in range(20)]),
+], ids=["one", "two", "four", "kinked", "geometric"])
+def test_split_batch_keeps_the_bits_of_the_segment_loop(u_core, lo, hi, p_lo,
+                                                        p_hi, interior):
+    spec = QuadratureSpec()
+    budgets = Q._Budget(200), Q._Budget(200)
+    got = F._split_weighted(u_core, lo, hi, p_lo, p_hi, interior, spec,
+                            budgets[0])
+    want = _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec,
+                             budgets[1])
+    assert got.hex() == want.hex()
+    assert budgets[0].left == budgets[1].left
+
+
+def test_projective_point_work(monkeypatch):
+    # the 51 segments of one projective point all have agreeing rungs, so
+    # none enters the ladder of _integrate_known (each of them used to)
+    segments, ladders = [], []
+    split, known = F._split_weighted, F._integrate_known
+
+    def counted_split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
+        segments.append(1 + sum(lo < p < hi for p in interior))
+        return split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget)
+
+    def counted_known(*args):
+        ladders.append(args[2:4])
+        return known(*args)
+
+    monkeypatch.setattr(F, "_split_weighted", counted_split)
+    monkeypatch.setattr(F, "_integrate_known", counted_known)
+    R.radon_projective_zonal(R.TransformParams(4, 1, 2),
+                             P.gaussian(0.5, arg_kind=P.ArgKind.Angle), 0.3)
+    assert segments == [51]
+    assert ladders == []
+
+
+@pytest.mark.parametrize("case, per_try", [("right-gaussian", [1, 1]),
+                                           ("left-capped", [2])])
+def test_fixed_grid_psi_one_core_call_per_ladder_try(monkeypatch, case,
+                                                     per_try):
+    # every sample point of a ladder try shares one core call (97 calls a
+    # try before); the left sampler's point at the cap adds its adaptive one
+    deriv, alpha, phi, t = _PSI_CASES[case]
+    calls = []
+
+    def fn(x):
+        calls.append(np.size(x))
+        return phi.fn(x)
+
+    counts = []
+    ladder = F._ladder
+
+    def counted_ladder(sample_y, *args):
+        def sample(y):
+            before = len(calls)
+            out = sample_y(y)
+            counts.append(len(calls) - before)
+            return out
+        return ladder(sample, *args)
+
+    monkeypatch.setattr(F, "_ladder", counted_ladder)
+    deriv(alpha, dataclasses.replace(phi, fn=fn), np.array(t))
+    assert counts == per_try
 
 
 def test_projective_point_calls_its_input_once():

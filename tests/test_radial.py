@@ -423,25 +423,41 @@ def test_invert_residual_check_accepts_full_window():
 
 def test_invert_residual_check_work(monkeypatch):
     # the reconstruction declares its window start, where its constant
-    # extension kinks, so each left-sided re-application sums two smooth
-    # pieces that converge on the first two rungs instead of bisecting
-    calls = []
-    known = quadrature._integrate_known
+    # extension kinks, so each left-sided re-application sums smooth pieces
+    # instead of bisecting: 16 segments over its split integrals.  Only the
+    # segments whose first two rungs disagree enter the ladder of
+    # _integrate_known (all 16 did before the segments were batched).
+    segments, ladders, bisections = [], [], []
+    split, known, bisect = (fracint._split_weighted, quadrature._integrate_known,
+                            quadrature.integrate_weighted)
 
-    def counting(*args, **kwargs):
-        calls.append(None)
+    def counted_split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
+        segments.append(1 + sum(lo < p < hi for p in interior))
+        return split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget)
+
+    def counted_known(*args, **kwargs):
+        ladders.append(None)
         return known(*args, **kwargs)
 
-    monkeypatch.setattr(quadrature, "_integrate_known", counting)
-    monkeypatch.setattr(fracint, "_integrate_known", counting)
-    for case in ("ball-dual-power", "elliptic-gaussian"):
+    def counted_bisect(*args, **kwargs):
+        bisections.append(None)
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(fracint, "_split_weighted", counted_split)
+    monkeypatch.setattr(quadrature, "_integrate_known", counted_known)
+    monkeypatch.setattr(fracint, "_integrate_known", counted_known)
+    monkeypatch.setattr(quadrature, "integrate_weighted", counted_bisect)
+    for case, n_ladders in (("ball-dual-power", 6), ("elliptic-gaussian", 0)):
         model, triple, data, dual, _, full = _RESIDUAL_CASES[case]
-        calls.clear()
+        segments.clear()
+        ladders.clear()
         rec = R.invert_radial(model, R.TransformParams(*triple), data(),
                               out_range=full, dual=dual)
         assert rec.lo == pytest.approx(full[0])
         assert rec.breakpoints == (rec.lo,)
-        assert len(calls) == 16
+        assert sum(segments) == 16
+        assert len(ladders) == n_ladders
+        assert bisections == []
 
 
 # -- the coordinate span of each transform row -------------------------------------
