@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import os
 import warnings
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import TIGHT
+from georadon import inversion as IV
 from georadon import mc as MC
 from georadon import profiles as P
 from georadon import radial as R
@@ -353,6 +356,93 @@ def test_hyperbolic_estimators_keep_their_bytes(monkeypatch, threads):
             == _GOLDEN[name], name
 
 
+def _chain_phi(n, k):
+    """The chain's data: the 200-coefficient square-variable table of the
+    (n, 0, k) transform of the bump of radius 1.2, in cosh-distance."""
+    pk = R.TransformParams(n, 0, k)
+    h = IV.as_cosh_profile(IV.zonal_bump(1.2), support=1.2)
+    top = math.cosh(1.2)
+    return P.tabulate(lambda s: R.radon_hyper_zonal(pk, h, s), 1.0, top,
+                      P.ArgKind.CoshDistance, n=200, support=top,
+                      square_variable=True)
+
+
+#: SHA-256 of the lines "value.hex() std_error.hex()" of the plain kernel on
+#: the chain's table over RHO_GRID, recorded when every grid point formed
+#: the row of its own Lorentz product and called phi on its own
+_PLAIN_CHAIN_GOLDEN = {
+    (3, 0, 1): "9c78c3a7cb234d719dd9561a88804c3b"
+               "1bfc8aa5dbec1a660370310e96502450",
+    (4, 1, 2): "b01199f3a73765c369d70350d4cedf1a"
+               "25e828bbc3262ca2b7079d2a47ec858a",
+    (5, 2, 3): "580b74ca0dd77c23b4e0f428d01f8c57"
+               "93ec4f22385f6e3db6a965b665c9d5e0",
+    (6, 2, 5): "87680792732d14d50badda532b5b2858"
+               "16a432556263b2bf3b32ed43b99d256b",
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed,triple", [(101, (3, 0, 1)), (102, (4, 1, 2)),
+                                         (103, (5, 2, 3)), (104, (6, 2, 5))])
+def test_plain_kernel_keeps_its_bytes_on_the_chain_table(monkeypatch, threads,
+                                                         seed, triple):
+    # k = 1, 2, 3 and n - 1; 20000 samples are three chunks
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    phi = _chain_phi(triple[0], triple[2])
+    ests = MC.dual_sine_mc(0.0, R.TransformParams(*triple), phi, IV.RHO_GRID,
+                           MC.McSpec(seed=seed, n_samples=20000),
+                           kernel="plain")
+    text = "\n".join(f"{e.value.hex()} {e.std_error.hex()}" for e in ests)
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == _PLAIN_CHAIN_GOLDEN[triple]
+
+
+def test_boosted_distances_match_the_lorentz_row_bitwise():
+    # the reference is the factored product the plain kernel used to read:
+    # the boost to x as left factor of the embedded Haar rotation
+    rng = _rng(32)
+    rho = [0.0, 0.3, 1.1, 2.6]
+    sh = np.array([math.sinh(r) for r in rho])
+    ch = np.array([math.cosh(r) for r in rho])
+    for n in range(2, 10):
+        for k in range(1, n):
+            rot = MC.sample_rotations(n, 257, rng)
+            got = MC._boosted_distances(sh, ch, rot[:, n - 1, n - k:])
+            right = MC._embed_block(rot, n, range(n))
+            for i, r in enumerate(rho):
+                want = MC.GeodesicBatch(n, k, right,
+                                        MC.hyperbolic_rotation(n, 0, r))
+                assert np.array_equal(got[i], want.distance_to_origin())
+
+
+def test_plain_kernel_calls_phi_once_per_block(monkeypatch):
+    # one phi call per block of grid points and chunk, and no Lorentz
+    # matrices: the distances come from one row of the Haar draw
+    calls = []
+    table = _chain_phi(4, 2)
+
+    def counted(x):
+        calls.append(x.size)
+        return table.fn(x)
+
+    phi = dataclasses.replace(table, fn=counted)
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the plain kernel forms Lorentz products")
+
+    monkeypatch.setattr(MC, "_embed_block", forbidden)
+    monkeypatch.setattr(MC.np, "einsum", forbidden)
+    chunks = 3
+    MC.dual_sine_mc(0.0, R.TransformParams(4, 1, 2), phi, IV.RHO_GRID,
+                    MC.McSpec(seed=5, n_samples=2 * MC.CHUNK + 1),
+                    kernel="plain")
+    blocks = -(-len(IV.RHO_GRID) // MC._PHI_BLOCK)
+    assert 1 < MC._PHI_BLOCK < len(IV.RHO_GRID)
+    assert len(calls) <= chunks * blocks
+
+
 @pytest.mark.parametrize("seed,triple", [(70, (3, 1, 2)), (71, (4, 1, 2)),
                                          (72, (5, 1, 3)), (73, (4, 1, 3))])
 def test_plain_dual_sine_matches_exact_zonal_dual(seed, triple):
@@ -461,6 +551,61 @@ def test_dual_hyper_mc_matches_zonal_oracle(seed, triple, dist):
     exact = R.dual_hyper_zonal(p, prof, math.sinh(dist))
     assert est.std_error > 0
     assert abs(est.value - exact) <= 4 * est.std_error
+
+
+def _non_zonal(batch):
+    """A phi that reads every entry of the lifted Lorentz matrices, so it
+    sees the chord lift's choice of a unit offset."""
+    n = batch.n
+    w = np.linspace(-1.0, 1.0, (n + 1) * (n + 1)).reshape(n + 1, n + 1)
+    return np.exp(np.sum(batch.matrices * w, axis=(1, 2)))
+
+
+#: float.hex of (value, std_error), recorded when the chord lift repaired
+#: each degenerate offset in its own loop iteration
+_ORIGIN_GOLDEN = {
+    (4, 1, 2): ("0x1.212ce53f56469p+0", "0x1.3e0ce3b97ddc3p-8"),
+    (6, 2, 4): ("0x1.311938b0475ccp+1", "0x1.9d26d96ac1eefp-6"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed,triple", [(111, (4, 1, 2)), (112, (6, 2, 4))])
+def test_dual_hyper_mc_keeps_its_bytes_through_the_origin(monkeypatch, threads,
+                                                          seed, triple):
+    # through the base point every sampled chord offset is degenerate
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    p = R.TransformParams(*triple)
+    t = MC.GeodesicElement(p.n, p.j, MC.sample_rotation(p.n, _rng(seed)), 0.0)
+    est = MC.dual_hyper_mc(p, _non_zonal, t,
+                           MC.McSpec(seed=seed, n_samples=20000))
+    assert (est.value.hex(), est.std_error.hex()) == _ORIGIN_GOLDEN[triple]
+
+
+def _unit_normal_loop(fr):
+    """The per-frame repair that ``_unit_normals`` batches (the reference)."""
+    n = fr.shape[0]
+    cand = np.eye(n)[:, 0]
+    cand = cand - fr @ (fr.T @ cand)
+    nrm = np.linalg.norm(cand)
+    if nrm < 1e-8:
+        cand = np.eye(n)[:, 1]
+        cand = cand - fr @ (fr.T @ cand)
+        nrm = np.linalg.norm(cand)
+    return cand / nrm
+
+
+def test_unit_normals_match_the_per_frame_loop_bitwise():
+    for n in range(2, 9):
+        for d in range(n - 1):
+            frames = MC.sample_rotations(n, 64, _rng(40 + n, d))[:, :, n - d:]
+            for i in range(8 if d else 0):
+                # frames containing e_0 take the e_1 branch
+                m = frames[i].copy()
+                m[:, 0] = np.eye(n)[0]
+                frames[i] = np.linalg.qr(m)[0]
+            want = np.array([_unit_normal_loop(fr) for fr in frames])
+            assert np.array_equal(MC._unit_normals(frames), want)
 
 
 def test_dual_hyper_mc_is_exact_through_the_origin():

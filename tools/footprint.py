@@ -9,7 +9,10 @@ Prints three things:
   ``perfbench/jobs.py``: the CSV text of a ``radial`` CLI job, the
   ``float.hex`` of every estimate and array element otherwise.  A last
   ``verify`` line hashes the ``float.hex`` of the 30 identity errors of
-  ``identity_suite()``.
+  ``identity_suite()``, and a ``kernels`` line the ``float.hex`` of
+  ``dual_sine_mc`` with the plain, sine and log kernels on the chain's
+  tabulated data at 20,000 samples (no benchmark job reaches the sine or
+  log kernel).
 
 Two trees give the same hashes exactly when their outputs agree byte for
 byte, so running this on a change and on its parent is a byte-identity
@@ -96,6 +99,40 @@ def identity_hash() -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def kernels_hash() -> str:
+    """SHA-256 over the float.hex of the three kernels of ``dual_sine_mc``
+    on ``RHO_GRID``, each on the chain's data: the square-variable table of
+    the (n, 0, k) transform of the bump of radius 1.2."""
+    import math
+    import warnings
+
+    from georadon import inversion as IV
+    from georadon import mc as MC
+    from georadon import profiles as P
+    from georadon import radial as R
+    from georadon.errors import KernelSingularityWarning
+
+    h = IV.as_cosh_profile(IV.zonal_bump(1.2), support=1.2)
+    top = math.cosh(1.2)
+    lines = []
+    for kernel, alpha, triple in (("plain", 0.0, (4, 1, 2)),
+                                  ("sine", 2.0, (5, 1, 2)),
+                                  ("log", 0.0, (4, 1, 2))):
+        n, _, k = triple
+        pk = R.TransformParams(n, 0, k)
+        phi = P.tabulate(lambda s: R.radon_hyper_zonal(pk, h, s), 1.0, top,
+                         P.ArgKind.CoshDistance, n=200, support=top,
+                         square_variable=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KernelSingularityWarning)
+            ests = MC.dual_sine_mc(alpha, R.TransformParams(*triple), phi,
+                                   IV.RHO_GRID,
+                                   MC.McSpec(seed=14, n_samples=20000),
+                                   kernel=kernel)
+        lines.append(f"{kernel} {_hex_text(ests)}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
@@ -115,6 +152,7 @@ def main(argv=None) -> int:
                 print(f"{workload} seed={seed} "
                       f"{output_hash(workload, seed, tmp)}", flush=True)
     print(f"verify {identity_hash()}")
+    print(f"kernels {kernels_hash()}")
     return 0
 
 
