@@ -599,32 +599,20 @@ def _planes_to_geodesics(batch: PlaneBatch, n: int, k: int) -> GeodesicBatch:
                  np.maximum(dist[:, None], 1e-300), 0.0)
     if not np.all(safe):
         # degenerate offsets: any unit vector orthogonal to the frame works
-        u[~safe] = _unit_normals(batch.frames[~safe])
+        for i in np.nonzero(~safe)[0]:
+            fr = batch.frames[i]
+            cand = np.eye(n)[:, 0]
+            cand = cand - fr @ (fr.T @ cand)
+            nrm = np.linalg.norm(cand)
+            if nrm < 1e-8:
+                cand = np.eye(n)[:, 1]
+                cand = cand - fr @ (fr.T @ cand)
+                nrm = np.linalg.norm(cand)
+            u[i] = cand / nrm
     g = _complete_rotation_batch(batch.frames, u)
     rho = np.arctanh(dist)
     mats = _embed_block(g, n, range(n)) @ _hyperbolic_rotations(n, k, rho)
     return GeodesicBatch(n, k, mats)
-
-
-def _unit_normals(frames: np.ndarray) -> np.ndarray:
-    """A unit vector orthogonal to each frame of a (B, n, d) batch: e_0
-    minus its projection on the frame, or e_1's where that is below 1e-8.
-
-    The stacked products run the per-frame BLAS calls (``gemv`` for the
-    projection, ``dot`` for the squared norm), so each row has the bits of
-    the single-frame ``fr @ (fr.T @ e)`` and ``np.linalg.norm``.
-    """
-    def candidates(fr, axis):
-        # fr.T @ e_axis is row ``axis`` of the frame, exactly
-        proj = fr @ np.ascontiguousarray(fr[:, axis, :])[:, :, None]
-        cand = np.eye(fr.shape[1])[axis] - proj[:, :, 0]
-        return cand, np.sqrt((cand[:, None, :] @ cand[:, :, None])[:, 0, 0])
-
-    cand, nrm = candidates(frames, 0)
-    low = nrm < 1e-8
-    if np.any(low):
-        cand[low], nrm[low] = candidates(frames[low], 1)
-    return cand / nrm[:, None]
 
 
 # -- duality checks ----------------------------------------------------------------

@@ -14,7 +14,8 @@ from georadon import profiles as P
 from georadon import radial as R
 from georadon.errors import DomainError, KernelSingularityWarning
 from georadon.models import integrate_radial, Model
-from georadon.quadrature import _Budget, integrate_weighted
+from georadon.quadrature import (DEFAULT_QUADRATURE, _Budget,
+                                 integrate_weighted)
 from georadon.special import (dual_transform_limit_constant, gamma_nk,
                               sphere_area)
 
@@ -357,14 +358,11 @@ def test_hyperbolic_estimators_keep_their_bytes(monkeypatch, threads):
 
 
 def _chain_phi(n, k):
-    """The chain's data: the 200-coefficient square-variable table of the
-    (n, 0, k) transform of the bump of radius 1.2, in cosh-distance."""
-    pk = R.TransformParams(n, 0, k)
+    """The chain's data: the tabulated (n, 0, k) transform of the bump of
+    radius 1.2."""
     h = IV.as_cosh_profile(IV.zonal_bump(1.2), support=1.2)
-    top = math.cosh(1.2)
-    return P.tabulate(lambda s: R.radon_hyper_zonal(pk, h, s), 1.0, top,
-                      P.ArgKind.CoshDistance, n=200, support=top,
-                      square_variable=True)
+    return IV._tabulated_forward(R.TransformParams(n, 0, k), h,
+                                 DEFAULT_QUADRATURE)
 
 
 #: SHA-256 of the lines "value.hex() std_error.hex()" of the plain kernel on
@@ -561,8 +559,8 @@ def _non_zonal(batch):
     return np.exp(np.sum(batch.matrices * w, axis=(1, 2)))
 
 
-#: float.hex of (value, std_error), recorded when the chord lift repaired
-#: each degenerate offset in its own loop iteration
+#: float.hex of (value, std_error) through the base point, where the chord
+#: lift repairs every sampled offset as degenerate
 _ORIGIN_GOLDEN = {
     (4, 1, 2): ("0x1.212ce53f56469p+0", "0x1.3e0ce3b97ddc3p-8"),
     (6, 2, 4): ("0x1.311938b0475ccp+1", "0x1.9d26d96ac1eefp-6"),
@@ -580,32 +578,6 @@ def test_dual_hyper_mc_keeps_its_bytes_through_the_origin(monkeypatch, threads,
     est = MC.dual_hyper_mc(p, _non_zonal, t,
                            MC.McSpec(seed=seed, n_samples=20000))
     assert (est.value.hex(), est.std_error.hex()) == _ORIGIN_GOLDEN[triple]
-
-
-def _unit_normal_loop(fr):
-    """The per-frame repair that ``_unit_normals`` batches (the reference)."""
-    n = fr.shape[0]
-    cand = np.eye(n)[:, 0]
-    cand = cand - fr @ (fr.T @ cand)
-    nrm = np.linalg.norm(cand)
-    if nrm < 1e-8:
-        cand = np.eye(n)[:, 1]
-        cand = cand - fr @ (fr.T @ cand)
-        nrm = np.linalg.norm(cand)
-    return cand / nrm
-
-
-def test_unit_normals_match_the_per_frame_loop_bitwise():
-    for n in range(2, 9):
-        for d in range(n - 1):
-            frames = MC.sample_rotations(n, 64, _rng(40 + n, d))[:, :, n - d:]
-            for i in range(8 if d else 0):
-                # frames containing e_0 take the e_1 branch
-                m = frames[i].copy()
-                m[:, 0] = np.eye(n)[0]
-                frames[i] = np.linalg.qr(m)[0]
-            want = np.array([_unit_normal_loop(fr) for fr in frames])
-            assert np.array_equal(MC._unit_normals(frames), want)
 
 
 def test_dual_hyper_mc_is_exact_through_the_origin():

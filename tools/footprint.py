@@ -101,28 +101,24 @@ def identity_hash() -> str:
 
 def kernels_hash() -> str:
     """SHA-256 over the float.hex of the three kernels of ``dual_sine_mc``
-    on ``RHO_GRID``, each on the chain's data: the square-variable table of
-    the (n, 0, k) transform of the bump of radius 1.2."""
-    import math
+    on ``RHO_GRID``, each on the chain's data: the tabulated (n, 0, k)
+    transform of the bump of radius 1.2."""
     import warnings
 
     from georadon import inversion as IV
     from georadon import mc as MC
-    from georadon import profiles as P
     from georadon import radial as R
     from georadon.errors import KernelSingularityWarning
+    from georadon.quadrature import DEFAULT_QUADRATURE
 
     h = IV.as_cosh_profile(IV.zonal_bump(1.2), support=1.2)
-    top = math.cosh(1.2)
     lines = []
     for kernel, alpha, triple in (("plain", 0.0, (4, 1, 2)),
                                   ("sine", 2.0, (5, 1, 2)),
                                   ("log", 0.0, (4, 1, 2))):
         n, _, k = triple
-        pk = R.TransformParams(n, 0, k)
-        phi = P.tabulate(lambda s: R.radon_hyper_zonal(pk, h, s), 1.0, top,
-                         P.ArgKind.CoshDistance, n=200, support=top,
-                         square_variable=True)
+        phi = IV._tabulated_forward(R.TransformParams(n, 0, k), h,
+                                    DEFAULT_QUADRATURE)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", KernelSingularityWarning)
             ests = MC.dual_sine_mc(alpha, R.TransformParams(*triple), phi,
