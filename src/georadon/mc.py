@@ -14,8 +14,8 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -145,17 +145,28 @@ def _pairwise(vals):
 # -- rotation/frame machinery ---------------------------------------------------
 
 def sample_rotations(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed batch of SO(n) matrices, shape (size, n, n).
-
-    QR of a standard Gaussian matrix with the triangular factor's diagonal
-    made positive; a determinant of -1 is repaired by negating the last
-    column (right multiplication by a fixed reflection preserves Haar).
-    """
+    """Haar-distributed batch of SO(n) matrices, shape (size, n, n)."""
     if n < 1:
         raise DomainError("rotation dimension must be >= 1")
+    return _haar_factor(_haar_gaussian(n, size, rng))
+
+
+def _haar_gaussian(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """The draw a Haar batch of SO(n) is factored from: standard Gaussian
+    (size, n, n) matrices.  SO(1) is {1}, so for n = 1 nothing is drawn
+    and the draw is its own factor."""
     if n == 1:
         return np.ones((size, 1, 1))
-    g = rng.standard_normal((size, n, n))
+    return rng.standard_normal((size, n, n))
+
+
+def _haar_factor(g: np.ndarray) -> np.ndarray:
+    """The rotations of a ``_haar_gaussian`` draw: QR of each matrix with
+    the triangular factor's diagonal made positive; a determinant of -1 is
+    repaired by negating the last column (right multiplication by a fixed
+    reflection preserves Haar)."""
+    if g.shape[-1] == 1:
+        return g
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     d = np.where(d == 0, 1.0, d)
@@ -298,22 +309,63 @@ class GeodesicElement:
     distance: float
 
 
+def _formed_once(fn: Callable) -> property:
+    """A read-only property formed on first read and kept on the instance:
+    ``functools.cached_property`` without the lock that, before Python
+    3.12, it holds across every instance of the class, which would queue
+    the worker threads that factor their own batches.  Two threads reading
+    one batch at once both form it, with the same bytes."""
+    name = fn.__name__
+
+    def get(self):
+        if name not in self.__dict__:
+            self.__dict__[name] = fn(self)
+        return self.__dict__[name]
+    return property(get, doc=fn.__doc__)
+
+
 @dataclass(frozen=True)
 class GeodesicBatch:
     """Batched d-geodesics in SO_0(n,1), in factored form: element b is
-    ``left @ right[b]``, with one ``left`` shared by the batch (None is the
-    identity).
+    ``left @ E(S_b) @ boost(n, dim, rho[b])``.  S_b is a rotation of the
+    last m spatial coordinates, E embeds it, and one ``left`` is shared by
+    the batch (None is the identity, and then m = n).
 
-    A zonal read (``distance_to_origin``) forms only the base row n of each
-    product; the full matrices are formed when a caller reads ``matrices``.
+    S is the Haar factor of the Gaussian draw ``source``, (B, m, m); the
+    draw is made eagerly, so the generator advances as for a formed batch,
+    but the factorization runs only when ``rotations``, ``right`` or
+    ``matrices`` is first read.  A zonal read (``distance_to_origin``)
+    forms none of them when row n of ``left`` vanishes on S's coordinates,
+    as it does for every batch the package builds: row n of ``left @
+    E(S)`` is then row n of ``left``, so S drops out of the distance.
     """
 
-    n: int
     dim: int
-    right: np.ndarray                    # (B, n+1, n+1)
+    rho: np.ndarray                      # (B,) boost of each element
+    source: np.ndarray | PlaneBatch      # what S is formed from
     left: Optional[np.ndarray] = None    # (n+1, n+1)
 
-    @cached_property
+    @property
+    def n(self) -> int:
+        return self.source.shape[1] if self.left is None \
+            else len(self.left) - 1
+
+    @_formed_once
+    def rotations(self) -> np.ndarray:
+        """S, shape (B, m, m)."""
+        return _haar_factor(self.source)
+
+    @_formed_once
+    def right(self) -> np.ndarray:
+        """The factors E(S_b) boost(rho_b), shape (B, n+1, n+1)."""
+        n, rot = self.n, self.rotations
+        m = rot.shape[-1]
+        block = _embed_block(rot, m, range(m)) \
+            @ _hyperbolic_rotations(m, self.dim, self.rho)
+        return block if m == n else \
+            _embed_block(block, n, range(n - m, n + 1))
+
+    @_formed_once
     def matrices(self) -> np.ndarray:
         """The full products, shape (B, n+1, n+1)."""
         if self.left is None:
@@ -322,9 +374,49 @@ class GeodesicBatch:
 
     def distance_to_origin(self) -> np.ndarray:
         """Geodesic distance of each element to the base point."""
-        row = self.right[:, self.n, :] if self.left is None else \
-            np.einsum("j,bjl->bl", self.left[self.n], self.right)
-        return _distance_to_base(row, self.n, self.dim)
+        n, left = self.n, self.left
+        if left is not None and np.any(left[n, n - self.source.shape[-1]:n]):
+            row = np.einsum("j,bjl->bl", left[n], self.right)
+        else:
+            # each entry has at most two nonzero terms, as in the product
+            # with ``right``, so it keeps that product's bits
+            boost = _hyperbolic_rotations(n, self.dim, self.rho)
+            row = boost[:, n, :] if left is None else \
+                np.einsum("j,bjl->bl", left[n], boost)
+        return _distance_to_base(row, n, self.dim)
+
+
+class _ChordGeodesics(GeodesicBatch):
+    """Ball chords lifted to geodesics: ``source`` is the PlaneBatch of
+    chords, S_b the rotation that takes the last k + 1 coordinates onto
+    chord b's unit offset and frame, and rho_b artanh of its distance."""
+
+    @property
+    def n(self) -> int:
+        return self.source.frames.shape[1]
+
+    @_formed_once
+    def rotations(self) -> np.ndarray:
+        """S, shape (B, n, n)."""
+        chords, n = self.source, self.n
+        dist = np.minimum(chords.distances, 1.0 - 1e-12)
+        safe = dist > 1e-14
+        u = np.where(safe[:, None], chords.offsets /
+                     np.maximum(dist[:, None], 1e-300), 0.0)
+        if not np.all(safe):
+            # degenerate offsets: any unit vector orthogonal to the frame
+            # works
+            for i in np.nonzero(~safe)[0]:
+                fr = chords.frames[i]
+                cand = np.eye(n)[:, 0]
+                cand = cand - fr @ (fr.T @ cand)
+                nrm = np.linalg.norm(cand)
+                if nrm < 1e-8:
+                    cand = np.eye(n)[:, 1]
+                    cand = cand - fr @ (fr.T @ cand)
+                    nrm = np.linalg.norm(cand)
+                u[i] = cand / nrm
+        return _complete_rotation_batch(chords.frames, u)
 
 
 #: the coordinates of a zonal profile: hyperbolic distance, its cosh, sinh
@@ -438,10 +530,9 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
         @ hyperbolic_rotation(n, k, z.distance)
 
     def terms(rng, count):
-        # the j-geodesics of the base k-geodesic, on coordinates n-k..n
-        inner, w, _, _ = sample_hyper_elements(k, j, rng, count)
-        right = _embed_block(inner.matrices, n, range(n - k, n + 1))
-        vals = np.asarray(f(GeodesicBatch(n, j, right, left)), dtype=float)
+        # the j-geodesics of the base k-geodesic: S on coordinates n-k..n-1
+        inner, w = sample_hyper_elements(k, j, rng, count)
+        vals = np.asarray(f(replace(inner, left=left)), dtype=float)
         return vals * w
 
     return _estimate(terms, mc)
@@ -449,14 +540,14 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
 
 def sample_hyper_elements(n: int, d: int, rng, count: int):
     """Haar rotation + tanh-uniform radius samples of d-geodesics, with the
-    invariant-measure weights; returns (batch, weights, rotations, rho)."""
-    rot = sample_rotations(n, count, rng)
+    invariant-measure weights: (batch, weights).  The Haar Gaussians are
+    drawn before the radius and factored when the batch's rotations are
+    first read."""
+    gauss = _haar_gaussian(n, count, rng)
     s = np.minimum(rng.uniform(0.0, 1.0, count), 1.0 - 1e-12)
     w = sphere_area(n - d - 1) * s ** (n - d - 1) \
         / (1.0 - s * s) ** ((n + 1) / 2.0)
-    rho = np.arctanh(s)
-    mats = _embed_block(rot, n, range(n)) @ _hyperbolic_rotations(n, d, rho)
-    return GeodesicBatch(n, d, mats), w, rot, rho
+    return GeodesicBatch(d, np.arctanh(s), gauss), w
 
 
 def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
@@ -517,7 +608,7 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
                     _boosted_distances(sh[blk], ch[blk], last),
                     ArgKind.GeodesicDistance, phi.arg_kind))
             return out
-        batch, w, _, _ = sample_hyper_elements(n, k, rng, count)
+        batch, w = sample_hyper_elements(n, k, rng, count)
         vals = phi_fn(batch)
         for i in range(n_pts):
             inv = _pseudo_inverse_apply(batch.matrices, x[i])
@@ -583,36 +674,18 @@ def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimat
         dist = batch.distances
         dist = np.minimum(dist, 1.0 - 1e-12)
         weight = (1.0 - dist * dist) ** ((j - n) / 2.0)
-        return weight * phi(_planes_to_geodesics(batch, n, k))
+        return weight * phi(_planes_to_geodesics(batch, k))
 
     est = dual_affine_mc(p, phi_on_planes, plane, mc)
     return McEstimate(ch_w * est.value, ch_w * est.std_error, est.n_samples)
 
 
-def _planes_to_geodesics(batch: PlaneBatch, n: int, k: int) -> GeodesicBatch:
-    """Lift ball chords to geodesics: rotation aligning the chord, then the
-    hyperbolic shift by artanh of the chord distance."""
-    b = batch.frames.shape[0]
+def _planes_to_geodesics(batch: PlaneBatch, k: int) -> GeodesicBatch:
+    """Lift ball chords to geodesics: the rotation aligning each chord,
+    formed when read, then the hyperbolic shift by artanh of the chord
+    distance."""
     dist = np.minimum(batch.distances, 1.0 - 1e-12)
-    safe = dist > 1e-14
-    u = np.where(safe[:, None], batch.offsets /
-                 np.maximum(dist[:, None], 1e-300), 0.0)
-    if not np.all(safe):
-        # degenerate offsets: any unit vector orthogonal to the frame works
-        for i in np.nonzero(~safe)[0]:
-            fr = batch.frames[i]
-            cand = np.eye(n)[:, 0]
-            cand = cand - fr @ (fr.T @ cand)
-            nrm = np.linalg.norm(cand)
-            if nrm < 1e-8:
-                cand = np.eye(n)[:, 1]
-                cand = cand - fr @ (fr.T @ cand)
-                nrm = np.linalg.norm(cand)
-            u[i] = cand / nrm
-    g = _complete_rotation_batch(batch.frames, u)
-    rho = np.arctanh(dist)
-    mats = _embed_block(g, n, range(n)) @ _hyperbolic_rotations(n, k, rho)
-    return GeodesicBatch(n, k, mats)
+    return _ChordGeodesics(k, np.arctanh(dist), batch)
 
 
 # -- duality checks ----------------------------------------------------------------
@@ -686,5 +759,6 @@ def _plane_draw(n, d, rng, count, ball: bool):
 
 def _hyper_draw(n, d, rng, count):
     """Invariant-measure d-geodesics: (batch, weights, i -> geodesic i)."""
-    batch, w, rot, rho = sample_hyper_elements(n, d, rng, count)
-    return batch, w, lambda i: GeodesicElement(n, d, rot[i], float(rho[i]))
+    batch, w = sample_hyper_elements(n, d, rng, count)
+    return batch, w, lambda i: GeodesicElement(n, d, batch.rotations[i],
+                                               float(batch.rho[i]))

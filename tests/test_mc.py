@@ -295,28 +295,73 @@ def test_dual_sine_grid_is_smooth(hyper_gauss_cosh):
 
 
 
+def _eager_hyper_elements(n, d, rng, count):
+    """The sampler the lazy batch replaces: Haar rotations formed at once,
+    the radius, and the full Lorentz products; (rotations, rho, products)."""
+    rot = MC.sample_rotations(n, count, rng)
+    s = np.minimum(rng.uniform(0.0, 1.0, count), 1.0 - 1e-12)
+    rho = np.arctanh(s)
+    return rot, rho, \
+        MC._embed_block(rot, n, range(n)) @ MC._hyperbolic_rotations(n, d, rho)
+
+
+def _row_distance(left, right, n, d):
+    """The distance read of a batch whose right factors were formed: row n
+    of each product through one einsum."""
+    return MC._distance_to_base(np.einsum("j,bjl->bl", left[n], right), n, d)
+
+
 def test_factored_batch_matches_full_products_bitwise():
-    # the row-only read and the lazily formed matrices must be the bytes of
-    # the full (n+1)x(n+1) Lorentz products they replace
-    rng = _rng(31)
-    for n in range(2, 8):
+    # the lazily factored batch must hold the bytes of the eager products
+    # it replaces, draw the same numbers, and read distances without
+    # forming a rotation
+    for n in range(1, 8):
         for d in range(n):
             for size in (1, 257):
+                lazy, eager = _rng(31, 100 * n + d), _rng(31, 100 * n + d)
+                batch, _ = MC.sample_hyper_elements(n, d, lazy, size)
+                rot, rho, full = _eager_hyper_elements(n, d, eager, size)
+                assert batch.n == n and batch.dim == d
+                assert lazy.standard_normal() == eager.standard_normal()
+                assert np.array_equal(batch.rho, rho)
+                assert np.array_equal(batch.distance_to_origin(),
+                                      MC._distance_to_base(full[:, n, :],
+                                                           n, d))
+                assert "rotations" not in batch.__dict__
+                assert np.array_equal(batch.rotations, rot)
+                assert np.array_equal(batch.matrices, full)
+                assert batch.matrices is batch.right
+    rng = _rng(33)
+    for n in range(2, 8):
+        for k in range(1, n):
+            for j in range(k):
+                # the j-geodesics of a k-geodesic as radon_hyper_mc builds
+                # them: the inner sample on coordinates n-k..n behind the
+                # k-geodesic's left factor
                 left = MC._embed_block(MC.sample_rotation(n, rng), n,
                                        range(n)) \
-                    @ MC.hyperbolic_rotation(n, d, rng.uniform(0.0, 2.5))
-                right = MC.sample_hyper_elements(n, d, rng, size)[0].matrices
-                full = np.einsum("ij,bjl->bil", left, right)
-                batch = MC.GeodesicBatch(n, d, right, left)
-                assert np.array_equal(
-                    batch.distance_to_origin(),
-                    MC._distance_to_base(full[:, n, :], n, d))
-                assert np.array_equal(batch.matrices, full)
-                plain = MC.GeodesicBatch(n, d, right)
-                assert plain.matrices is right
-                assert np.array_equal(plain.distance_to_origin(),
-                                      MC._distance_to_base(right[:, n, :],
-                                                           n, d))
+                    @ MC.hyperbolic_rotation(n, k, rng.uniform(0.0, 2.5))
+                key = 100 * n + 10 * k + j
+                inner, _ = MC.sample_hyper_elements(k, j, _rng(34, key), 257)
+                small = _eager_hyper_elements(k, j, _rng(34, key), 257)[2]
+                right = MC._embed_block(small, n, range(n - k, n + 1))
+                batch = dataclasses.replace(inner, left=left)
+                assert batch.n == n
+                assert np.array_equal(batch.distance_to_origin(),
+                                      _row_distance(left, right, n, j))
+                assert "right" not in batch.__dict__
+                assert np.array_equal(batch.right, right)
+                assert np.array_equal(batch.matrices, np.einsum(
+                    "ij,bjl->bil", left, right))
+        for d in range(n):
+            # a left factor whose row n reaches S's coordinates: the read
+            # forms the right factors
+            left = MC.hyperbolic_rotation(n, 0, rng.uniform(0.1, 2.0))
+            inner, _ = MC.sample_hyper_elements(n, d, rng, 65)
+            batch = dataclasses.replace(inner, left=left)
+            got = batch.distance_to_origin()
+            assert "right" in batch.__dict__
+            assert np.array_equal(got, _row_distance(left, inner.right, n, d))
 
 
 #: float.hex of (value, std_error), recorded from the estimators as they
@@ -329,6 +374,18 @@ _GOLDEN = {
              ("0x1.c82ed1e26ac7bp-4", "0x1.31bfa5c7266c3p-11")],
     "radon": [("0x1.788d192ecdf20p-2", "0x1.43e490306238ep-10")],
 }
+
+
+def _hyper_goldens_radon():
+    """radon_hyper_mc of the goldens: (4, 1, 2) at a 2-geodesic z."""
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.eye(4)
+    rot[0, 0] = rot[2, 2] = c
+    rot[0, 2], rot[2, 0] = -s, s
+    fz = MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance, lo=1.0))
+    z = MC.GeodesicElement(4, 2, rot, 0.6)
+    return [MC.radon_hyper_mc(R.TransformParams(4, 1, 2), fz, z,
+                              MC.McSpec(seed=63, n_samples=20000))]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -344,14 +401,7 @@ def test_hyperbolic_estimators_keep_their_bytes(monkeypatch, threads):
         warnings.simplefilter("ignore", KernelSingularityWarning)
         got["sine"] = MC.dual_sine_mc(1.5, p, phi, [0.0, 0.9],
                                       MC.McSpec(seed=62, n_samples=20000))
-    c, s = math.cos(0.4), math.sin(0.4)
-    rot = np.eye(4)
-    rot[0, 0] = rot[2, 2] = c
-    rot[0, 2], rot[2, 0] = -s, s
-    fz = MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance, lo=1.0))
-    z = MC.GeodesicElement(4, 2, rot, 0.6)
-    got["radon"] = [MC.radon_hyper_mc(p, fz, z,
-                                      MC.McSpec(seed=63, n_samples=20000))]
+    got["radon"] = _hyper_goldens_radon()
     for name, ests in got.items():
         assert [(e.value.hex(), e.std_error.hex()) for e in ests] \
             == _GOLDEN[name], name
@@ -409,9 +459,9 @@ def test_boosted_distances_match_the_lorentz_row_bitwise():
             got = MC._boosted_distances(sh, ch, rot[:, n - 1, n - k:])
             right = MC._embed_block(rot, n, range(n))
             for i, r in enumerate(rho):
-                want = MC.GeodesicBatch(n, k, right,
-                                        MC.hyperbolic_rotation(n, 0, r))
-                assert np.array_equal(got[i], want.distance_to_origin())
+                want = _row_distance(MC.hyperbolic_rotation(n, 0, r), right,
+                                     n, k)
+                assert np.array_equal(got[i], want)
 
 
 def test_plain_kernel_calls_phi_once_per_block(monkeypatch):
@@ -578,6 +628,79 @@ def test_dual_hyper_mc_keeps_its_bytes_through_the_origin(monkeypatch, threads,
     est = MC.dual_hyper_mc(p, _non_zonal, t,
                            MC.McSpec(seed=seed, n_samples=20000))
     assert (est.value.hex(), est.std_error.hex()) == _ORIGIN_GOLDEN[triple]
+
+
+#: float.hex of (value, std_error) with a zonal phi off the base point,
+#: recorded when the chord lift formed every chord's rotation
+_ZONAL_DUAL_GOLDEN = {
+    (5, 1, 2): ("0x1.42a484b07943ap-1", "0x1.595f4df8fe1e9p-15"),
+    (6, 2, 4): ("0x1.7b4f4d1128413p-1", "0x1.6a6e0a6dce8ddp-14"),
+}
+
+
+def _zonal_dual(seed, triple):
+    p = R.TransformParams(*triple)
+    t = MC.GeodesicElement(p.n, p.j, MC.sample_rotation(p.n, _rng(seed)),
+                           0.6)
+    est = MC.dual_hyper_mc(p, MC.zonal_function(_sinh_gaussian(0.8)), t,
+                           MC.McSpec(seed=seed, n_samples=20000))
+    return est.value.hex(), est.std_error.hex()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("seed,triple", [(121, (5, 1, 2)), (122, (6, 2, 4))])
+def test_dual_hyper_mc_keeps_its_bytes_with_a_zonal_phi(monkeypatch, threads,
+                                                        seed, triple):
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    assert _zonal_dual(seed, triple) == _ZONAL_DUAL_GOLDEN[triple]
+
+
+#: float.hex of the lhs (value, std_error) and of the rhs of chain_identity
+#: at (4, 1, 2), recorded when radon_hyper_mc formed every Lorentz product
+_CHAIN_GOLDEN = ("0x1.95b981fe3f183p-1", "0x1.30b94eb656cf9p-8",
+                 "0x1.956a3aa0add78p-1")
+
+
+def test_zonal_reads_form_no_rotation(monkeypatch):
+    # with zonal inputs the hyperbolic estimators read distances only, and
+    # a distance needs neither the Haar factor of an inner geodesic nor
+    # the rotation of a lifted chord
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        qr_calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a zonal read formed a rotation")
+
+    monkeypatch.setattr(MC.np.linalg, "qr", counted)
+    monkeypatch.setattr(MC, "_complete_rotation_batch", forbidden)
+    # dual_hyper_mc: of the batched QRs, one per chunk for the Haar planes
+    # around the chord of t (the chord offsets are functions of their
+    # columns) and none for the lift
+    assert _zonal_dual(122, (6, 2, 4)) == _ZONAL_DUAL_GOLDEN[(6, 2, 4)]
+    assert [a for a in qr_calls if len(a) == 3 and a[0] > 1] \
+        == [(c, 4, 4) for c in (8192, 8192, 3616)]
+
+    qr_calls.clear()
+    monkeypatch.setattr(MC, "_haar_factor", forbidden)
+    ests = _hyper_goldens_radon()
+    assert [(e.value.hex(), e.std_error.hex()) for e in ests] \
+        == _GOLDEN["radon"]
+    c, s = math.cos(0.4), math.sin(0.4)
+    rot = np.eye(4)
+    rot[0, 0] = rot[2, 2] = c
+    rot[0, 2], rot[2, 0] = -s, s
+    lhs, rhs = IV.chain_identity(R.TransformParams(4, 1, 2),
+                                 IV.zonal_bump(1.2),
+                                 MC.GeodesicElement(4, 2, rot, 0.6),
+                                 MC.McSpec(seed=131, n_samples=20000),
+                                 support=1.2)
+    assert (lhs.value.hex(), lhs.std_error.hex(), rhs.hex()) == _CHAIN_GOLDEN
+    assert qr_calls == []
 
 
 def test_dual_hyper_mc_is_exact_through_the_origin():
