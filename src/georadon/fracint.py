@@ -275,22 +275,18 @@ def _ek_right_scalar(alpha: float, f: Profile1D, t: float,
 
     decay = math.inf if math.isinf(f.decay_hint) \
         else f.decay_hint / 2.0 + 1.0 - alpha
-    budget = _Budget(spec.max_subdivisions)
-    total = 0.0
-    lo_u = 0.0
     pieces = sorted(pieces)
-    for b in pieces:
-        total += _split_weighted(u_core, lo_u, b,
-                                 p_lo if lo_u == 0.0 else 0.0, 0.0, [],
-                                 spec, budget)
-        lo_u = b
-    if lo_u == 0.0:
-        total += integrate_to_infinity(u_core, 0.0, p_lo, decay, spec,
-                                       first_width=max(1.0, 2.0 * t))
+    if not pieces:
+        total = integrate_to_infinity(u_core, 0.0, p_lo, decay, spec,
+                                      first_width=max(1.0, 2.0 * t))
     else:
-        total += integrate_to_infinity(lambda u: u_core(u) * u ** p_lo,
-                                       lo_u, 0.0, decay, spec,
-                                       first_width=max(1.0, lo_u))
+        # every finite segment carries the weight u^(a-1) of [0, last piece]
+        lo_u = pieces[-1]
+        total = _split_weighted(u_core, 0.0, lo_u, p_lo, 0.0, pieces[:-1],
+                                spec, _Budget(spec.max_subdivisions)) \
+            + integrate_to_infinity(lambda u: u_core(u) * u ** p_lo,
+                                    lo_u, 0.0, decay, spec,
+                                    first_width=max(1.0, lo_u))
     return total / math.gamma(alpha)
 
 

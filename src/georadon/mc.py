@@ -22,14 +22,15 @@ import numpy as np
 
 from .errors import (DomainError, KernelSingularityWarning,
                      McConvergenceWarning)
-from .models import _distance_to_base
+from .models import Model, _distance_to_base, measure_density
 from .profiles import ArgKind, Profile1D, convert
-from .special import dual_transform_limit_constant, gamma_nk, sphere_area
+from .special import dual_transform_limit_constant, gamma_nk
 
 CHUNK = 8192
-#: grid points per phi call in the plain kernel of ``dual_sine_mc``.
-#: Median seconds of 5 runs on the chain's reconstruct data (33 points,
-#: 50,000 samples) at 1 / 2 worker threads, 2 vCPUs of a shared Xeon:
+#: grid points per kernel-factor call in ``dual_sine_mc``.
+#: Median seconds of 5 plain-kernel runs on the chain's reconstruct data
+#: (33 points, 50,000 samples) at 1 / 2 worker threads, 2 vCPUs of a
+#: shared Xeon:
 #: 1 point 0.72 / 0.64, 2 points 0.64 / 0.50, 4 points 0.56 / 0.37,
 #: 8 points 0.60 / 0.35, all 33 0.82 / 0.44 (memory-bound on 2 MB arrays).
 #: 8 points hold twice the arrays of 4 for no clear gain.
@@ -425,16 +426,18 @@ ZONAL_KINDS = frozenset({ArgKind.GeodesicDistance, ArgKind.CoshDistance,
                          ArgKind.SinhDistance, ArgKind.TanhDistance})
 
 
-def zonal_function(profile: Profile1D) -> Callable:
-    """Lift a zonal profile to a function on geodesic batches."""
+def _at_distance(profile: Profile1D) -> Callable:
+    """A zonal profile as a function of the geodesic distance."""
     kind = profile.arg_kind
     if kind not in ZONAL_KINDS:
         raise DomainError(f"profile kind {kind} is not zonal")
+    return lambda d: profile(convert(d, ArgKind.GeodesicDistance, kind))
 
-    def fn(batch: GeodesicBatch) -> np.ndarray:
-        return profile(convert(batch.distance_to_origin(),
-                               ArgKind.GeodesicDistance, kind))
-    return fn
+
+def zonal_function(profile: Profile1D) -> Callable:
+    """Lift a zonal profile to a function on geodesic batches."""
+    at = _at_distance(profile)
+    return lambda batch: at(batch.distance_to_origin())
 
 
 def radial_plane_function(profile: Profile1D) -> Callable:
@@ -545,8 +548,7 @@ def sample_hyper_elements(n: int, d: int, rng, count: int):
     first read."""
     gauss = _haar_gaussian(n, count, rng)
     s = np.minimum(rng.uniform(0.0, 1.0, count), 1.0 - 1e-12)
-    w = sphere_area(n - d - 1) * s ** (n - d - 1) \
-        / (1.0 - s * s) ** ((n + 1) / 2.0)
+    w = measure_density(Model.Hyperboloid, n, d, s, ArgKind.TanhDistance)
     return GeodesicBatch(d, np.arctanh(s), gauss), w
 
 
@@ -561,64 +563,58 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
     One common sample set serves every grid point, so the returned curve is
     smooth in rho and the whole grid costs a single sampling pass.
 
-    In the plain kernel the geodesic through x is the Haar rotation R of
-    the base k-geodesic followed by the boost to x, and only row n of that
-    product is read.  The boost's row n is sinh(rho) e_{n-1} + cosh(rho)
-    e_n, so the row is (sinh(rho) R[n-1], cosh(rho)) exactly, and the
-    distance needs only R's last k entries of row n-1.  phi is called once
-    per block of ``_PHI_BLOCK`` grid points: a call per point hands the GIL
-    between the worker threads at every ufunc of phi's evaluation, so the
-    threads queued on it and a second one gained nothing.
+    Every kernel reads the distance from x to a sampled k-geodesic off one
+    row of its Haar rotation (``_boosted_distances``): no Lorentz product
+    is formed.  The kernel factor is evaluated once per block of
+    ``_PHI_BLOCK`` grid points: a call per point hands the GIL between the
+    worker threads at every ufunc of the evaluation, so the threads queued
+    on it and a second one gained nothing.
     """
     n, k = p.n, p.k
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
-    phi_fn = zonal_function(phi)
+    phi_at = _at_distance(phi)
     n_pts = len(rho_grid)
-    # the grid points x = sinh(rho) e_{n-1} + cosh(rho) e_n, each the last
-    # column (and the row n) of the boost to it
+    # the grid points x = sinh(rho) e_{n-1} + cosh(rho) e_n
     ch = np.array([math.cosh(float(r)) for r in rho_grid])
     sh = np.array([math.sinh(float(r)) for r in rho_grid])
-    x = np.zeros((n_pts, n + 1))
-    x[:, n - 1], x[:, n] = sh, ch
 
     plain = kernel == "plain" or (kernel == "sine" and alpha == 0.0)
-    if plain:
-        cst = dual_transform_limit_constant(n, k)
-    else:
-        expo = alpha + k - n
-        if kernel == "sine":
-            cst = gamma_nk(alpha, n, k)
-        elif kernel == "log":
-            cst = 1.0
-        else:
-            raise DomainError(f"unknown kernel {kernel}")
-
     clamped = False
+    if plain:
+        cst, factor = dual_transform_limit_constant(n, k), phi_at
+    elif kernel in ("sine", "log"):
+        expo = alpha + k - n
+        cst = gamma_nk(alpha, n, k) if kernel == "sine" else 1.0
 
-    def chunk_terms(rng, count):
-        """(n_pts, count) matrix of estimator terms for one chunk."""
-        nonlocal clamped
-        out = np.empty((n_pts, count))
-        if plain:
-            # a copy, so that the (count, n, n) draw is freed at once
-            last = sample_rotations(n, count, rng)[:, n - 1, n - k:].copy()
-            for lo in range(0, n_pts, _PHI_BLOCK):
-                blk = slice(lo, lo + _PHI_BLOCK)
-                out[blk] = cst * phi(convert(
-                    _boosted_distances(sh[blk], ch[blk], last),
-                    ArgKind.GeodesicDistance, phi.arg_kind))
-            return out
-        batch, w = sample_hyper_elements(n, k, rng, count)
-        vals = phi_fn(batch)
-        for i in range(n_pts):
-            inv = _pseudo_inverse_apply(batch.matrices, x[i])
-            d = _distance_to_base(inv, n, k)
+        def factor(d):
+            nonlocal clamped
             if expo < 0 and np.any(d < KERNEL_FLOOR):
                 clamped = True
             d = np.maximum(d, KERNEL_FLOOR)
-            ker = np.sinh(d) ** expo if kernel == "sine" \
+            return np.sinh(d) ** expo if kernel == "sine" \
                 else np.log(np.sinh(d))
-            out[i] = cst * w * vals * ker
+    else:
+        raise DomainError(f"unknown kernel {kernel}")
+
+    def chunk_terms(rng, count):
+        """(n_pts, count) matrix of estimator terms for one chunk."""
+        if plain:
+            # a copy, so that the (count, n, n) draw is freed at once
+            last = sample_rotations(n, count, rng)[:, n - 1, n - k:].copy()
+            boost, weight = None, cst
+        else:
+            batch, w = sample_hyper_elements(n, k, rng, count)
+            row, rho = batch.rotations[:, n - 1], batch.rho
+            last = row[:, n - k:]
+            boost = (np.cosh(rho), row[:, n - k - 1] * np.sinh(rho))
+            # the base point is the grid point at rho = 0
+            origin = _boosted_distances(np.zeros(1), np.ones(1), last, boost)
+            weight = cst * w * phi_at(origin[0])
+        out = np.empty((n_pts, count))
+        for lo in range(0, n_pts, _PHI_BLOCK):
+            blk = slice(lo, lo + _PHI_BLOCK)
+            out[blk] = weight * factor(
+                _boosted_distances(sh[blk], ch[blk], last, boost))
         return out
 
     parts = _chunk_sums(lambda rng, count, _: chunk_terms(rng, count), mc)
@@ -630,29 +626,25 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
             for i in range(n_pts)]
 
 
-def _boosted_distances(sh: np.ndarray, ch: np.ndarray, last: np.ndarray
-                       ) -> np.ndarray:
-    """(points, count) distances to the base k-geodesic of the boosts to the
-    grid points (sh, ch) times Haar rotations R, given the last k entries
-    of each R's row n-1, ``last`` of shape (count, k).
-
-    Row n of the product is (sh R[n-1], ch) with exact zeros elsewhere, so
-    these are the bits of ``_distance_to_base`` on the full row.
+def _boosted_distances(sh: np.ndarray, ch: np.ndarray, last: np.ndarray,
+                       boost: Optional[tuple]) -> np.ndarray:
+    """(points, count) distances from the grid points (sh, ch) to the
+    k-geodesics A = E(S) boost(rho_s), given ``last`` = S[:, n-1, n-k:]
+    and ``boost`` = (cosh rho_s, S[n-1, n-k-1] sinh rho_s), or None for
+    A = E(S).  The coordinates of A^{-1} x that the distance reads are
+    sh S[n-1, n-k:] and ch cosh rho_s - sh S[n-1, n-k-1] sinh rho_s: one
+    product or a sum of two, with exact zeros elsewhere, so these are the
+    bits of ``_distance_to_base`` on A^{-1} x formed in full.
     """
     k = last.shape[1]
     row = np.empty((len(ch), len(last), k + 1))
     np.multiply(sh[:, None, None], last, out=row[..., :k])
-    row[..., k] = ch[:, None]
+    if boost is None:
+        row[..., k] = ch[:, None]
+    else:
+        cosh_s, lead = boost
+        row[..., k] = ch[:, None] * cosh_s - sh[:, None] * lead
     return _distance_to_base(row, k, k)
-
-
-def _pseudo_inverse_apply(mats: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A^{-1} x for A in SO_0(n,1): A^{-1} = G A^T G with G = diag(-I_n, 1)."""
-    gx = x.copy()
-    gx[:-1] *= -1.0
-    out = np.einsum("bji,j->bi", mats, gx)    # A^T (G x)
-    out[:, :-1] *= -1.0
-    return out
 
 
 def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimate:

@@ -303,14 +303,21 @@ def dual_projective_zonal(p: TransformParams, phi: Profile1D, theta,
 # -- profile wrappers (lazy transform results) ----------------------------------
 
 def _cap_support(f: Profile1D, cap: float) -> Profile1D:
+    """``f`` cut at ``cap``.  A declared support past the cap is smooth
+    there, so its edge factor (S^2 - x^2)^e joins the core and the cut
+    edge carries exponent 0."""
     if f.support is not None and f.support <= cap:
         return f
     o, e, s, core = f.factored()
+    if s is not None and e != 0.0:
+        inner = core
+
+        def core(x):
+            return (s * s - x * x) ** e * inner(x)
     return Profile1D(lo=f.lo, hi=max(f.hi, cap * (1 + 1e-12)), fn=f.fn,
                      arg_kind=f.arg_kind, decay_hint=f.decay_hint,
-                     origin_power=o, support=cap,
-                     edge_exponent=e if s is not None else 0.0,
-                     core=core if (o != 0.0 or e != 0.0) else None,
+                     origin_power=o, support=cap, edge_exponent=0.0,
+                     core=core if o != 0.0 else None,
                      breakpoints=f.breakpoints, label=f.label)
 
 

@@ -447,21 +447,32 @@ def test_plain_kernel_keeps_its_bytes_on_the_chain_table(monkeypatch, threads,
 
 
 def test_boosted_distances_match_the_lorentz_row_bitwise():
-    # the reference is the factored product the plain kernel used to read:
-    # the boost to x as left factor of the embedded Haar rotation
-    rng = _rng(32)
-    rho = [0.0, 0.3, 1.1, 2.6]
-    sh = np.array([math.sinh(r) for r in rho])
-    ch = np.array([math.cosh(r) for r in rho])
+    # the references are the products the kernels used to read, at every
+    # point of the chain's grid: for the plain kernel, row n of the boost to
+    # x times the embedded Haar rotation; for the sine and log kernels,
+    # A^{-1} x = G A^T G x (G = diag(-I_n, 1)) through one einsum over the
+    # full products A = E(S) boost(rho_s)
+    sh = np.array([math.sinh(r) for r in IV.RHO_GRID])
+    ch = np.array([math.cosh(r) for r in IV.RHO_GRID])
     for n in range(2, 10):
         for k in range(1, n):
-            rot = MC.sample_rotations(n, 257, rng)
-            got = MC._boosted_distances(sh, ch, rot[:, n - 1, n - k:])
+            batch, _ = MC.sample_hyper_elements(n, k, _rng(32, n), 257)
+            rot = batch.rotations
+            plain = MC._boosted_distances(sh, ch, rot[:, n - 1, n - k:], None)
+            boosted = MC._boosted_distances(
+                sh, ch, rot[:, n - 1, n - k:],
+                (np.cosh(batch.rho), rot[:, n - 1, n - k - 1]
+                 * np.sinh(batch.rho)))
             right = MC._embed_block(rot, n, range(n))
-            for i, r in enumerate(rho):
-                want = _row_distance(MC.hyperbolic_rotation(n, 0, r), right,
-                                     n, k)
-                assert np.array_equal(got[i], want)
+            for i, r in enumerate(IV.RHO_GRID):
+                assert np.array_equal(plain[i], _row_distance(
+                    MC.hyperbolic_rotation(n, 0, r), right, n, k))
+                gx = np.zeros(n + 1)
+                gx[n - 1], gx[n] = -sh[i], ch[i]
+                inv = np.einsum("bji,j->bi", batch.matrices, gx)
+                inv[:, :-1] *= -1.0
+                assert np.array_equal(boosted[i],
+                                      MC._distance_to_base(inv, n, k))
 
 
 def test_plain_kernel_calls_phi_once_per_block(monkeypatch):
@@ -489,6 +500,76 @@ def test_plain_kernel_calls_phi_once_per_block(monkeypatch):
     blocks = -(-len(IV.RHO_GRID) // MC._PHI_BLOCK)
     assert 1 < MC._PHI_BLOCK < len(IV.RHO_GRID)
     assert len(calls) <= chunks * blocks
+
+
+#: SHA-256 of the lines "value.hex() std_error.hex()" of the sine and log
+#: kernels on the chain's table over RHO_GRID at 20000 samples, and whether
+#: the kernel was clamped, recorded when every grid point formed the full
+#: Lorentz products and applied their pseudo-inverse to x
+_SINE_LOG_CHAIN_GOLDEN = {
+    ("sine", 2.0, (3, 1, 2), 111): (
+        False, "1bbf0d819e3b446dea746063dcc35167"
+               "0cf86d6905dfbf60bc0921dd9f92087b"),
+    ("sine", 1.0, (5, 1, 3), 112): (
+        True, "583f8d651489474a837c99450666fa5f"
+              "8f2501e51b4c4ca8c55abe9a123b3f85"),
+    ("sine", 1.0, (7, 2, 4), 113): (
+        True, "c267d246dfa41b030e4073ec1641a1cf"
+              "5f15e782d5bd2558194ed8c8cc43edde"),
+    ("log", 0.0, (4, 1, 2), 114): (
+        True, "874dd9c91d355e8b6d7f699b8ebdd01a"
+              "0896880b602925ab4077fb02d28ca82f"),
+    ("log", 0.0, (6, 2, 4), 115): (
+        True, "e88231d39e58b0bf0676c25fa22bcd08"
+              "4aff2f3f2c3d0baed1d9ba989d3a81ba"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", list(_SINE_LOG_CHAIN_GOLDEN))
+def test_sine_and_log_kernels_keep_their_bytes_on_the_chain_table(
+        monkeypatch, threads, case):
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    kernel, alpha, triple, seed = case
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ests = MC.dual_sine_mc(alpha, R.TransformParams(*triple),
+                               _chain_phi(triple[0], triple[2]), IV.RHO_GRID,
+                               MC.McSpec(seed=seed, n_samples=20000),
+                               kernel=kernel)
+    clamped = any(issubclass(w.category, KernelSingularityWarning)
+                  for w in caught)
+    text = "\n".join(f"{e.value.hex()} {e.std_error.hex()}" for e in ests)
+    assert (clamped, hashlib.sha256(text.encode()).hexdigest()) \
+        == _SINE_LOG_CHAIN_GOLDEN[case]
+
+
+@pytest.mark.parametrize("kernel,alpha", [("sine", 1.5), ("log", 0.0)])
+def test_sine_and_log_kernels_read_one_row_of_the_haar_draw(monkeypatch,
+                                                            kernel, alpha):
+    # no Lorentz product is formed: the distances come from row n-1 of each
+    # sample's Haar factor, whose QR still runs once per chunk
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+    qr_calls = []
+    qr = np.linalg.qr
+
+    def counted(a, *args, **kwargs):
+        qr_calls.append(np.shape(a))
+        return qr(a, *args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the kernel forms Lorentz products")
+
+    monkeypatch.setattr(MC.np.linalg, "qr", counted)
+    monkeypatch.setattr(MC, "_embed_block", forbidden)
+    monkeypatch.setattr(MC.np, "einsum", forbidden)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KernelSingularityWarning)
+        MC.dual_sine_mc(alpha, R.TransformParams(4, 1, 2), _chain_phi(4, 2),
+                        IV.RHO_GRID,
+                        MC.McSpec(seed=5, n_samples=2 * MC.CHUNK + 1),
+                        kernel=kernel)
+    assert qr_calls == [(c, 4, 4) for c in (MC.CHUNK, MC.CHUNK, 1)]
 
 
 @pytest.mark.parametrize("seed,triple", [(70, (3, 1, 2)), (71, (4, 1, 2)),

@@ -166,6 +166,16 @@ def test_closed_forms_other_regimes():
     assert rel_err(got2, pair2.expected(grid2)) < 1e-8
 
 
+def test_chord_cap_past_the_ball_edge_matches_the_bare_profile():
+    # a declared support beyond the cap: (a^2 - r^2)^e is smooth at the
+    # ball's edge, so the metadata must not change the transform
+    f = _chord_cap(1.2, 3.0)
+    bare = P.Profile1D(lo=f.lo, hi=f.hi, fn=f.fn, arg_kind=f.arg_kind)
+    p, s = R.TransformParams(4, 0, 2), [0.2, 0.5, 0.8]
+    assert rel_err(R.radon_chord_radial(p, f, s),
+                   R.radon_chord_radial(p, bare, s)) < 1e-10
+
+
 def test_projective_round_trip_by_construction(hyper_gauss_cosh):
     from georadon.models import WeightOp, apply_weight
     p = R.TransformParams(4, 1, 2)

@@ -1,0 +1,77 @@
+"""Micro-benchmark of ``mc.dual_sine_mc`` with its plain, sine and log kernels.
+
+Each kernel runs on the chain's data, the tabulated (n, 0, k) transform of
+the bump of radius 1.2, over ``RHO_GRID`` with 50,000 samples (seed 14):
+
+- plain at (4, 1, 2);
+- sine at (5, 1, 2) with alpha = 2;
+- log at (4, 1, 2).
+
+``GEORADON_THREADS`` is set to 1 and then 2 for the timed calls.  Prints one
+JSON object: per kernel and thread count, the best of 5 wall times of one
+call in seconds, and per kernel the SHA-256 of the lines
+"value.hex() std_error.hex()" of its estimates (equal across two trees
+exactly when they agree byte for byte; the thread count must not move it).
+
+    python tools/kernel_bench.py
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+import time
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CASES = (("plain", 0.0, (4, 1, 2)), ("sine", 2.0, (5, 1, 2)),
+         ("log", 0.0, (4, 1, 2)))
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    from georadon import inversion as IV
+    from georadon import mc as MC
+    from georadon import radial as R
+    from georadon.errors import KernelSingularityWarning
+    from georadon.quadrature import DEFAULT_QUADRATURE
+
+    h = IV.as_cosh_profile(IV.zonal_bump(1.2), support=1.2)
+    out = {}
+    for kernel, alpha, triple in CASES:
+        n, _, k = triple
+        phi = IV._tabulated_forward(R.TransformParams(n, 0, k), h,
+                                    DEFAULT_QUADRATURE)
+
+        def once():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", KernelSingularityWarning)
+                return MC.dual_sine_mc(alpha, R.TransformParams(*triple), phi,
+                                       IV.RHO_GRID,
+                                       MC.McSpec(seed=14, n_samples=50000),
+                                       kernel=kernel)
+
+        row, digests = {}, set()
+        for threads in ("1", "2"):
+            os.environ["GEORADON_THREADS"] = threads
+            times = []
+            for _ in range(5):
+                t0 = time.perf_counter()
+                ests = once()
+                times.append(time.perf_counter() - t0)
+                text = "\n".join(f"{e.value.hex()} {e.std_error.hex()}"
+                                 for e in ests)
+                digests.add(hashlib.sha256(text.encode()).hexdigest())
+            row[f"s_threads_{threads}"] = round(min(times), 4)
+        row["sha256"] = digests.pop() if len(digests) == 1 \
+            else "thread-dependent"
+        out[kernel] = row
+    print(json.dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
