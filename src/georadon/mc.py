@@ -223,18 +223,12 @@ class PlaneBatch:
         return np.linalg.norm(self.offsets, axis=-1)
 
 
-def complete_rotation(columns: np.ndarray, gauge: int = 0) -> np.ndarray:
+def complete_rotation(columns: np.ndarray) -> np.ndarray:
     """Deterministic g in SO(n) whose last columns are the given orthonormal
-    ones; ``gauge`` rotates the complementary block (all such g are valid)."""
+    ones."""
     n, d = columns.shape
     basis = np.linalg.qr(np.concatenate([columns, np.eye(n)], axis=1))[0]
     comp = basis[:, d:n]
-    if gauge and comp.shape[1] >= 2:
-        th = 0.7 * gauge
-        rot = np.eye(comp.shape[1])
-        rot[0, 0] = rot[1, 1] = math.cos(th)
-        rot[0, 1], rot[1, 0] = -math.sin(th), math.sin(th)
-        comp = comp @ rot
     g = np.concatenate([comp, columns], axis=1)
     if np.linalg.det(g) < 0:
         if comp.shape[1]:
@@ -379,11 +373,15 @@ class GeodesicBatch:
         if left is not None and np.any(left[n, n - self.source.shape[-1]:n]):
             row = np.einsum("j,bjl->bl", left[n], self.right)
         else:
-            # each entry has at most two nonzero terms, as in the product
-            # with ``right``, so it keeps that product's bits
-            boost = _hyperbolic_rotations(n, self.dim, self.rho)
-            row = boost[:, n, :] if left is None else \
-                np.einsum("j,bjl->bl", left[n], boost)
+            # row n of top @ boost(rho): the boost changes entries n-d-1
+            # and n, each to a sum of two products as in the product with
+            # ``right``, so the row keeps that product's bits
+            top = np.eye(n + 1)[n] if left is None else left[n]
+            i = n - self.dim - 1
+            ch, sh = np.cosh(self.rho), np.sinh(self.rho)
+            row = np.broadcast_to(top, (len(self.rho), n + 1)).copy()
+            row[:, i] = top[i] * ch + top[n] * sh
+            row[:, n] = top[i] * sh + top[n] * ch
         return _distance_to_base(row, n, self.dim)
 
 
@@ -449,8 +447,8 @@ def radial_plane_function(profile: Profile1D) -> Callable:
 
 # -- estimators -------------------------------------------------------------------
 
-def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
-                    gauge: int = 0) -> McEstimate:
+def radon_affine_mc(p, f: Callable, zeta: AffinePlane,
+                    mc: McSpec) -> McEstimate:
     """Unbiased estimate of the forward transform of f at the plane zeta.
 
     Direction frames are sampled Haar over the rotations of the plane, the
@@ -466,7 +464,7 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
     vnorm = float(np.linalg.norm(v))
     u = v / vnorm if vnorm > 0 else None
     g = complete_rotation(
-        eta if u is None else np.concatenate([u[:, None], eta], axis=1), gauge)
+        eta if u is None else np.concatenate([u[:, None], eta], axis=1))
     log_norm = 0.5 * (k - j) * math.log(2 * math.pi)
 
     def terms(rng, count):
@@ -477,9 +475,7 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
         local = np.zeros((count, n))
         local[:, n - k - 1] = vnorm
         # rotate z by gamma within the k-block, then push through g
-        blk = np.zeros((count, k))
-        blk[:, :k - j] = z
-        local[:, n - k:] = np.einsum("bij,bj->bi", gam, blk)
+        local[:, n - k:] = np.einsum("bij,bj->bi", gam[:, :, :k - j], z)
         offs = local @ g.T
         dirs = np.einsum("ij,bjl->bil", g[:, n - k:], gam[:, :, k - j:]) \
             if j > 0 else np.zeros((count, n, 0))
@@ -489,8 +485,8 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane, mc: McSpec,
     return _estimate(terms, mc)
 
 
-def dual_affine_mc(p, phi: Callable, tau: AffinePlane, mc: McSpec,
-                   gauge: int = 0) -> McEstimate:
+def dual_affine_mc(p, phi: Callable, tau: AffinePlane,
+                   mc: McSpec) -> McEstimate:
     """Unbiased estimate of the dual transform of phi at the plane tau:
     the average of phi over Haar-rotated k-planes containing tau."""
     n, j, k = p.n, p.j, p.k
@@ -498,19 +494,21 @@ def dual_affine_mc(p, phi: Callable, tau: AffinePlane, mc: McSpec,
     if xi.shape != (n, j):
         raise DomainError(f"expected an (n, j) = ({n}, {j}) frame")
     u = np.asarray(tau.offset, dtype=float)
-    g = complete_rotation(xi, gauge)       # last j columns span xi
+    g = complete_rotation(xi)       # last j columns span xi
 
     def terms(rng, count):
         rho = sample_rotations(n - j, count, rng)
         # the k-plane directions: rho acts on the first n-j coordinates;
-        # the span of the last k base vectors becomes rho(R^{k-j}) + R^j
-        base = np.zeros((n - j, k - j))
-        base[n - k:, :] = np.eye(k - j)
-        rotated = np.einsum("bij,jl->bil", rho, base)
-        dirs = np.zeros((count, n, k))
-        dirs[:, :n - j, :k - j] = rotated
-        dirs[:, n - j:, k - j:] = np.eye(j)
-        dirs = np.einsum("ij,bjl->bil", g, dirs)
+        # the span of the last k base vectors becomes rho(R^{k-j}) + R^j,
+        # which g takes to its first n-j columns applied to rho's last k-j
+        # columns, beside its own last j columns.  Rho's columns are staged
+        # in ``dirs``, so the einsum reads them with a row stride of k and
+        # takes the same summation path as on a zero-padded (n, k) block
+        dirs = np.empty((count, n, k))
+        dirs[:, :n - j, :k - j] = rho[:, :, n - k:]
+        dirs[:, :, :k - j] = np.einsum("ij,bjl->bil", g[:, :n - j],
+                                        dirs[:, :n - j, :k - j])
+        dirs[:, :, k - j:] = g[:, n - j:]
         proj = np.einsum("bnl,n->bl", dirs, u)
         offs = u[None, :] - np.einsum("bnl,bl->bn", dirs, proj)
         return np.asarray(phi(PlaneBatch(dirs, offs)), dtype=float)

@@ -302,15 +302,12 @@ def measure_density(model: Model, n: int, d: int, x,
         raise DomainError(f"measure_density: need 0 <= d <= n-1, got d={d}")
     kind = kind or CANONICAL_KIND[model]
     x = np.asarray(x, dtype=float)
-    lo, hi = CANONICAL_RANGE[model]
     sig = sphere_area(n - d - 1)
     a = n - d - 1
 
     if model in (Model.EuclideanAffine, Model.BeltramiKlein):
         if kind not in (ArgKind.EuclideanRadius, ArgKind.BallRadius):
             raise DomainError(f"{model} density is expressed in plane distance")
-        if model is Model.BeltramiKlein and np.any(x >= 1.0):
-            raise DomainError("ball radius must be < 1")
         out = sig * x ** a
     elif model is Model.Hyperboloid:
         if kind is ArgKind.GeodesicDistance:
@@ -325,8 +322,6 @@ def measure_density(model: Model, n: int, d: int, x,
             raise DomainError(f"unsupported coordinate {kind} for {model}")
     elif model in (Model.Elliptic, Model.Projective):
         norm = sphere_area(d) * sig / sphere_area(n)
-        if model is Model.Projective and np.any(x >= math.pi / 4):
-            raise DomainError("projective angle must be < pi/4")
         if kind is ArgKind.Angle:
             out = norm * np.sin(x) ** a * np.cos(x) ** d
         elif kind is ArgKind.CosAngle:
@@ -337,6 +332,11 @@ def measure_density(model: Model, n: int, d: int, x,
             raise DomainError(f"unsupported coordinate {kind} for {model}")
     else:
         raise DomainError(f"unknown model {model}")
+    # the chart clips a value outside its kind's domain, so test both
+    (lo, hi), (klo, khi) = CANONICAL_RANGE[model], domain(kind)
+    y = convert(x, kind, CANONICAL_KIND[model])
+    if not np.all((x >= klo) & (x <= khi) & (y >= lo) & (y < hi)):
+        raise DomainError(f"{kind.value} coordinate outside the range of {model}")
     return out if out.ndim else float(out)
 
 

@@ -2,11 +2,12 @@
 models, the closed-form catalog, existence predicates with sharp exponents,
 and radial inversion.
 
-Every operator here is a weighted one-dimensional fractional integral: the
-forward transforms are right-sided, the duals left-sided, with power weights
-in front.  Inversion therefore strips the weights, applies the matching
-fractional derivative, and restores the weights; it inverts the forward map
-exactly as discretized rather than through an independent scheme.
+Every operator here is a weighted one-dimensional fractional integral,
+left-sided for the duals and the elliptic forward map, right-sided for the
+other forward maps, with power weights in front.  Inversion therefore
+strips the weights, applies the matching fractional derivative, and
+restores the weights; it inverts the forward map exactly as discretized
+rather than through an independent scheme.
 """
 from __future__ import annotations
 
@@ -141,66 +142,61 @@ def transform_function(model: Model, dual: bool = False) -> Callable:
     return globals()[TRANSFORMS[model, dual].name]
 
 
+def _check_span(t: Transform, xv):
+    """Raise ``DomainError`` unless every ``xv`` lies in the row's span."""
+    lo, hi = t.span
+    if not np.all((xv >= lo) & (xv < hi)):
+        raise DomainError(
+            f"{t.name} needs {t.kind.value} coordinates in [{lo}, {hi})")
+
+
 def _transform(model: Model, dual: bool, p: TransformParams, f: Profile1D,
                x, spec: QuadratureSpec):
     t = TRANSFORMS[model, dual]
     if f.arg_kind is not t.kind:
         raise DomainError(f"{t.name} expects a {t.kind.value} profile")
     xv, scalar = _as_array(x)
-    lo, hi = t.span
-    if not np.all((xv >= lo) & (xv < hi)):
-        raise DomainError(
-            f"{t.name} needs {t.kind.value} coordinates in [{lo}, {hi})")
-    if t.route is not None:
-        vals = np.atleast_1d(_routed(t, p, f, spec)(xv))
-    elif t.dual:
-        vals = _dual_kernel(t, p, f, xv, spec)
-    else:
-        vals = _forward_kernel(t, p, f, xv, spec)
+    _check_span(t, xv)
+    vals = _kernel(t, p, f, xv, spec) if t.route is None \
+        else np.atleast_1d(_routed(t, p, f, spec)(xv))
     return _maybe_scalar(vals, scalar)
 
 
-def _forward_kernel(t: Transform, p: TransformParams, f: Profile1D, sv,
-                    spec: QuadratureSpec):
+def _kernel(t: Transform, p: TransformParams, f: Profile1D, xv,
+            spec: QuadratureSpec):
+    """c x^post EK[y^pre f](x) of a row that is not routed.
+
+    A right-sided integral stops at a finite end of the span, and over an
+    unbounded range it needs the tail criterion.  On a left-sided row
+    post = -(2a + pre), so below x = 1e-7 the powers cancel and the Beta
+    integral c B(a, pre/2 + 1) f(0) / Gamma(a) is the value; it is finite
+    only for an input regular at 0.
+    """
     c, pre, post = t.weights
     a = p.half_gap
-    hi = t.span[1]
-    # a right-sided integral stops at a finite end of the span
-    capped = not t.left and math.isfinite(hi)
-    g = (_cap_support(f, hi) if capped else f).with_power(pre(p))
-    # a right-sided integral over an unbounded range needs the tail criterion
-    if not t.left and not capped and not check_decay(g, a, 1.0, spec):
-        raise DivergenceError(
-            "forward transform diverges: the input fails the tail criterion")
-    ek = ek_left if t.left else ek_right
-    return c(p) * sv ** post(p) * np.asarray(ek(a, g, sv, spec))
-
-
-def _dual_kernel(t: Transform, p: TransformParams, phi: Profile1D, rv,
-                 spec: QuadratureSpec):
-    c, pre, post = t.weights
-    a = p.half_gap
-    g = phi.with_power(pre(p))
+    if not t.left:
+        capped = math.isfinite(t.span[1])
+        g = (_cap_support(f, t.span[1]) if capped else f).with_power(pre(p))
+        if not capped and not check_decay(g, a, 1.0, spec):
+            raise DivergenceError(
+                f"{t.name} diverges: the input fails the tail criterion")
+        return c(p) * xv ** post(p) * np.asarray(ek_right(a, g, xv, spec))
+    g = f.with_power(pre(p))
     if g.origin_power <= -2.0:
         raise DivergenceError(
-            "dual transform diverges: the input is not locally integrable "
-            f"against s^{p.n - p.k - 1} near 0")
-    vals = np.empty_like(rv)
-    tiny = rv < 1e-7
+            f"{t.name} diverges: the input is not locally integrable "
+            f"against s^{pre(p) + 1.0:g} near 0")
+    vals = np.empty_like(xv)
+    tiny = xv < 1e-7
     if np.any(~tiny):
-        vals[~tiny] = c(p) * rv[~tiny] ** post(p) \
-            * np.asarray(ek_left(a, g, rv[~tiny], spec))
+        vals[~tiny] = c(p) * xv[~tiny] ** post(p) \
+            * np.asarray(ek_left(a, g, xv[~tiny], spec))
     if np.any(tiny):
-        # r -> 0 limit of the kernel: the powers cancel exactly and the Beta
-        # integral survives (finite only for inputs regular at 0)
-        if phi.origin_power != 0.0:
+        if f.origin_power != 0.0:
             raise DomainError(
-                "dual transform at r = 0 needs an input regular at 0")
-        cfull = sphere_area(p.k - p.j - 1) * sphere_area(p.n - p.k - 1) \
-            / sphere_area(p.n - p.j - 1)
-        lim = cfull * 0.5 * beta_fn((p.n - p.k) / 2.0, a) \
-            * float(phi(np.array([max(phi.lo, 1e-9)]))[0])
-        vals[tiny] = lim
+                f"{t.name} below 1e-7 needs an input regular at 0")
+        vals[tiny] = c(p) * beta_fn(a, pre(p) / 2.0 + 1.0) / math.gamma(a) \
+            * float(f(np.array([max(f.lo, 1e-9)]))[0])
     return vals
 
 
@@ -583,7 +579,8 @@ def sharp_witness_profile(kind: ExistenceKind, p: TransformParams) -> Profile1D:
         return Profile1D(lo=0.0, hi=math.inf, arg_kind=ArgKind.EuclideanRadius,
                          fn=lambda r: (2.0 + r) ** pw / np.log(2.0 + r),
                          decay_hint=-pw, label="critical Lebesgue witness")
-    if kind is ExistenceKind.HYPER_LEBESGUE:
+    if kind is ExistenceKind.HYPER_LEBESGUE and k > 1:
+        # at k = 1 the bound p < (n-1)/(k-1) does not limit p: no witness
         pw = (1 - n) / ((n - 1) / (k - 1))        # = 1 - k at the critical p
         return Profile1D(lo=1.0, hi=math.inf, arg_kind=ArgKind.CoshDistance,
                          fn=lambda s: s ** pw / np.log(1.0 + s),
@@ -602,8 +599,8 @@ def truncated_forward_values(p: TransformParams, f: Profile1D, s: float,
     model = Model.Hyperboloid if f.arg_kind is ArgKind.CoshDistance \
         else Model.EuclideanAffine
     t = TRANSFORMS[model, False]
-    return np.asarray([_forward_kernel(t, p, _cap_support(f, float(cut)), s,
-                                       spec) for cut in cutoffs])
+    return np.asarray([_kernel(t, p, _cap_support(f, float(cut)), s, spec)
+                       for cut in cutoffs])
 
 
 def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
@@ -620,8 +617,8 @@ def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
         masked = Profile1D(lo=0.0, hi=phi.hi, fn=fn, arg_kind=phi.arg_kind,
                            decay_hint=phi.decay_hint, breakpoints=(float(eps),),
                            label="masked")
-        vals = _dual_kernel(TRANSFORMS[Model.EuclideanAffine, True], p,
-                            masked, rv, spec)
+        vals = _kernel(TRANSFORMS[Model.EuclideanAffine, True], p, masked,
+                       rv, spec)
         out.append(_maybe_scalar(vals, scalar))
     return np.asarray(out)
 
@@ -651,12 +648,16 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
     when the window ends before the data is negligible, and a left-sided
     map when the window starts where the input is not yet flat.  The
     direct (non-projective) reconstruction declares ``lo`` as a breakpoint,
-    so the left-sided re-application splits at that kink.
+    so the left-sided re-application splits at that kink.  A window with
+    lo >= hi or outside the row's span raises ``DomainError``.
     """
     t = TRANSFORMS[model, dual]
     if transformed.arg_kind is not t.kind:
         raise DomainError(f"expected a {t.kind.value} profile")
     lo, hi = float(out_range[0]), float(out_range[1])
+    if not lo < hi:
+        raise DomainError(f"inversion window needs lo < hi, got ({lo}, {hi})")
+    _check_span(t, np.array([lo, hi]))
     if t.route is not None:
         rec = _invert_routed(t, p, transformed, (lo, hi), spec,
                              deriv_noise_rel)

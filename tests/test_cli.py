@@ -213,6 +213,27 @@ def test_invert_job(tmp_path):
         assert abs(value - math.exp(-coord * coord)) < 2e-3
 
 
+@pytest.mark.parametrize("model, params, grid", [
+    # a hyperboloid forward window below cosh 1
+    ("hyperboloid", {"n": 3, "j": 0, "k": 1},
+     {"kind": "cosh", "lo": 0.05, "hi": 0.5, "count": 8}),
+    # a projective window past pi/4
+    ("projective", {"n": 4, "j": 0, "k": 2}, {"lo": 0.3, "hi": 0.9, "count": 8}),
+    # a projective window whose hyperboloid pull-back collapses to a point
+    ("projective", {"n": 4, "j": 0, "k": 2}, {"lo": 0.0, "hi": 1e-9,
+                                              "count": 8}),
+], ids=["hyperboloid-below-cosh-1", "projective-past-pi-4",
+        "projective-collapsed-pull-back"])
+def test_invert_window_outside_the_span_exits_2(tmp_path, model, params, grid):
+    job = _write_job(tmp_path, "inv.json", {
+        "command": "invert", "model": model, "params": params,
+        "profile": {"family": "gaussian", "sigma": 0.7}, "grid": grid,
+        "output": {"path": str(tmp_path / "inv.csv")},
+    })
+    assert main(["invert", "--job", job]) == 2
+    assert not (tmp_path / "inv.csv").exists()
+
+
 def test_mc_duality_job(tmp_path):
     job = _write_job(tmp_path, "dual.json", dict(
         _DUALITY_JOB, output={"path": str(tmp_path / "d.csv")}))

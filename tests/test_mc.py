@@ -173,16 +173,19 @@ def test_dual_mc_matches_radial_oracle():
     assert est.agrees_with(exact)
 
 
-def test_dual_mc_gauge_independence():
+def test_dual_mc_rotation_invariance():
+    # a radial phi has the same dual at tau and at Q tau for Q in SO(4),
+    # which rotates both the frame and the offset
     p = R.TransformParams(4, 1, 2)
     phi = MC.radial_plane_function(P.gaussian())
     xi = np.zeros((4, 1))
     xi[3, 0] = 1.0
-    plane = MC.AffinePlane(MC.Frame(xi), np.array([0.6, 0.0, 0.2, 0.0]))
-    e1 = MC.dual_affine_mc(p, phi, plane, MC.McSpec(seed=3, n_samples=60000),
-                           gauge=0)
-    e2 = MC.dual_affine_mc(p, phi, plane, MC.McSpec(seed=4, n_samples=60000),
-                           gauge=3)
+    u = np.array([0.6, 0.0, 0.2, 0.0])
+    q = MC.sample_rotation(4, _rng(9))
+    e1 = MC.dual_affine_mc(p, phi, MC.AffinePlane(MC.Frame(xi), u),
+                           MC.McSpec(seed=3, n_samples=60000))
+    e2 = MC.dual_affine_mc(p, phi, MC.AffinePlane(MC.Frame(q @ xi), q @ u),
+                           MC.McSpec(seed=4, n_samples=60000))
     comb = math.hypot(e1.std_error, e2.std_error)
     assert abs(e1.value - e2.value) <= 4 * comb
 

@@ -100,6 +100,59 @@ def test_measure_density_examples():
         M.measure_density(M.Model.EuclideanAffine, 3, 3, 1.0)
 
 
+def test_measure_density_range_is_read_in_the_model_coordinate():
+    # projective angle 0.3 is inside the model, 1.2 and 0.8 are not
+    proj = M.Model.Projective
+    got = M.measure_density(proj, 4, 1, math.cos(0.3), P.ArgKind.CosAngle)
+    want = M.measure_density(proj, 4, 1, 0.3) / math.sin(0.3)
+    assert rel_err(got, want) < 1e-14
+    for x, kind in ((math.cos(1.2), P.ArgKind.CosAngle),
+                    (math.sin(0.8), P.ArgKind.SinAngle)):
+        with pytest.raises(DomainError):
+            M.measure_density(proj, 4, 1, x, kind)
+    # values outside their kind's domain, which the chart would clip
+    for model, x, kind in ((M.Model.BeltramiKlein, 1.0, None),
+                           (M.Model.Elliptic, 1.3, P.ArgKind.CosAngle),
+                           (M.Model.Hyperboloid, 0.5, P.ArgKind.CoshDistance)):
+        with pytest.raises(DomainError):
+            M.measure_density(model, 5, 1, x, kind)
+
+
+_DENSITY_KINDS = {
+    M.Model.EuclideanAffine: ((0.3, 0.7), (P.ArgKind.EuclideanRadius,
+                                           P.ArgKind.BallRadius)),
+    M.Model.BeltramiKlein: ((0.3, 0.7), (P.ArgKind.EuclideanRadius,
+                                         P.ArgKind.BallRadius)),
+    M.Model.Hyperboloid: ((0.3, 1.1, 2.0), (
+        P.ArgKind.GeodesicDistance, P.ArgKind.CoshDistance,
+        P.ArgKind.SinhDistance, P.ArgKind.TanhDistance)),
+    M.Model.Elliptic: ((0.3, 0.9, 1.3), (P.ArgKind.Angle, P.ArgKind.CosAngle,
+                                         P.ArgKind.SinAngle)),
+    M.Model.Projective: ((0.2, 0.5, 0.7), (P.ArgKind.Angle,
+                                           P.ArgKind.CosAngle,
+                                           P.ArgKind.SinAngle)),
+}
+
+
+def test_measure_density_is_the_canonical_density_times_the_jacobian():
+    # w_kind(x) = w(y) |dy/dx| with y the canonical coordinate of x, the
+    # derivative by central differences of the chart
+    for model, (points, kinds) in _DENSITY_KINDS.items():
+        canon = M.CANONICAL_KIND[model]
+        y = np.array(points)
+        for kind in kinds:
+            x = P.convert(y, canon, kind)
+            h = 1e-6 * np.maximum(1.0, x)
+            dydx = (P.convert(x + h, kind, canon)
+                    - P.convert(x - h, kind, canon)) / (2 * h)
+            for n in range(1, 8):
+                for d in range(n):
+                    got = M.measure_density(model, n, d, x, kind)
+                    want = M.measure_density(model, n, d, y) * np.abs(dydx)
+                    assert np.max(np.abs(got / want - 1.0)) < 1e-8, \
+                        (model, kind, n, d)
+
+
 def test_integrate_radial_oracles():
     f = P.gaussian()
     assert abs(M.integrate_radial(M.Model.EuclideanAffine, 3, 1, f)

@@ -294,6 +294,45 @@ def test_sharp_dual_witnesses_grow():
         _growth_table_checks(vals)
 
 
+def test_hyper_lebesgue_witness_needs_k_above_one():
+    # at k = 1 the bound p < (n-1)/(k-1) does not limit p: no witness
+    for t in ((3, 0, 1), (4, 0, 1), (5, 0, 1)):
+        with pytest.raises(DomainError):
+            R.sharp_witness_profile(R.ExistenceKind.HYPER_LEBESGUE,
+                                    R.TransformParams(*t))
+    w = R.sharp_witness_profile(R.ExistenceKind.HYPER_LEBESGUE,
+                                R.TransformParams(4, 1, 2))
+    assert w.decay_hint == 1.0
+
+
+def test_existence_verdicts_match_the_kernels():
+    # power(-e) is a sharp violation exactly when its transform diverges:
+    # at e = thr - 0.25 and e = thr, and one exponent well on the
+    # sufficient side (e = thr + 2 forward, thr - 0.75 dual)
+    K = R.ExistenceKind
+    rows = ((K.AFFINE_FORWARD_POWER, R.radon_affine_radial, 1.0, 2.0),
+            (K.HYPER_FORWARD_POWER, R.radon_hyper_zonal, 1.5, 2.0),
+            (K.AFFINE_DUAL_POWER, R.dual_affine_radial, 1.0, -0.75),
+            (K.HYPER_DUAL_POWER, R.dual_hyper_zonal, 1.0, -0.75))
+    cases = 0
+    for p in _triples(6):
+        for kind, fn, x, far in rows:
+            w = R.sharp_witness_profile(kind, p)
+            thr = R.existence_predicate(kind, p, 0.0).threshold
+            for e in (thr - 0.25, thr, thr + far):
+                f = P.power(-e, lo=w.lo, arg_kind=w.arg_kind)
+                verdict = R.existence_predicate(kind, p, f).verdict
+                try:
+                    fn(p, f, x)
+                    diverges = False
+                except DivergenceError:
+                    diverges = True
+                assert diverges == (verdict is R.Verdict.SHARP_VIOLATION), \
+                    (kind, p, e, verdict)
+                cases += 1
+    assert cases == 420
+
+
 # -- inversion --------------------------------------------------------------------
 
 def test_invert_affine_forward_gaussian():
@@ -389,6 +428,65 @@ def test_dual_kernel_value_at_zero():
         p = R.TransformParams(n, j, k)
         one = P.power(0.0, hi=math.inf)
         assert abs(R.dual_affine_radial(p, one, 0.0) - 1.0) < 1e-12
+
+
+def _triples(n_max):
+    return [R.TransformParams(n, j, k) for n in range(2, n_max + 1)
+            for k in range(1, n) for j in range(k)]
+
+
+def test_left_sided_rows_cancel_their_powers():
+    # post = -(2a + pre) on every left-sided row: the x -> 0 limit of
+    # c x^post EK[y^pre f](x) is then the Beta integral
+    rows = [t for t in R.TRANSFORMS.values() if t.left]
+    assert {t.name for t in rows} == {
+        "radon_elliptic_zonal", "dual_affine_radial", "dual_chord_radial",
+        "dual_hyper_zonal", "dual_elliptic_zonal"}
+    for t in rows:
+        _, pre, post = t.weights
+        for p in _triples(9):
+            assert post(p) == -(2.0 * p.half_gap + pre(p)), (t.name, p)
+
+
+def test_elliptic_constant_stays_one_down_to_tiny_cosines():
+    # the constant 1 maps to 1; below s = 1e-7 the value is the Beta limit,
+    # so s^(1-k) never overflows
+    one = P.power(0.0, hi=1.0 + 1e-9, arg_kind=P.ArgKind.CosAngle)
+    for t in ((3, 0, 1), (4, 1, 3), (5, 1, 2), (6, 2, 5)):
+        p = R.TransformParams(*t)
+        for s in (1e-200, 1e-60, 1e-9, 0.5):
+            assert abs(R.radon_elliptic_zonal(p, one, s) - 1.0) < 1e-12, (t, s)
+
+
+def test_left_sided_rows_need_a_regular_input_below_1e_7():
+    p = R.TransformParams(4, 1, 2)
+    sing = P.power(0.5, hi=1.0 + 1e-9, arg_kind=P.ArgKind.CosAngle)
+    assert math.isfinite(R.radon_elliptic_zonal(p, sing, 1e-3))
+    with pytest.raises(DomainError):
+        R.radon_elliptic_zonal(p, sing, 1e-9)
+    with pytest.raises(DomainError):
+        R.dual_affine_radial(p, P.power(0.5), 1e-9)
+
+
+def test_invert_rejects_a_window_outside_the_span():
+    p = R.TransformParams(3, 0, 1)
+    for model, dual, data, window in (
+            (Model.Hyperboloid, False, P.power(-2.0, lo=1.0,
+                                                 arg_kind=P.ArgKind.CoshDistance),
+             (0.05, 0.5)),
+            (Model.BeltramiKlein, True, P.power(1.0, hi=1.0,
+                                                arg_kind=P.ArgKind.BallRadius),
+             (0.05, 1.0)),
+            (Model.EuclideanAffine, False, P.gaussian(), (0.5, 0.5)),
+            (Model.Projective, False, P.power(0.0, hi=math.pi / 4,
+                                              arg_kind=P.ArgKind.Angle),
+             (0.3, 0.9)),
+            # the pulled-back hyperboloid window collapses to a point
+            (Model.Projective, False, P.power(0.0, hi=math.pi / 4,
+                                              arg_kind=P.ArgKind.Angle),
+             (0.0, 1e-9))):
+        with pytest.raises(DomainError):
+            R.invert_radial(model, p, data, out_range=window, dual=dual)
 
 
 def test_invert_residual_check_rejects_garbage():

@@ -19,8 +19,12 @@ byte, so running this on a change and on its parent is a byte-identity
 check.  The job definitions are imported read-only; job files and outputs
 go into a temporary directory that is removed afterwards.
 
+``--dump DIR`` also writes the exact text behind each hash:
+``DIR/<workload>-<seed>/<job label>.txt``, ``DIR/verify.txt`` and
+``DIR/kernels.txt``.  ``diff -r`` of two dumps lists every moved row.
+
     python tools/footprint.py [--seeds 0 1] [--workloads radial mc chain]
-                              [--no-outputs]
+                              [--no-outputs] [--dump DIR]
 
 ``GEORADON_THREADS`` applies as usual; the hashes must not depend on it.
 """
@@ -79,7 +83,15 @@ def _hex_text(out) -> str:
     return float(out).hex()
 
 
-def output_hash(workload: str, seed: int, workdir: str) -> str:
+def _dump(dump, name: str, text: str):
+    """Write ``text`` to ``dump/name`` when a dump directory is given."""
+    if dump is not None:
+        path = Path(dump) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+
+
+def output_hash(workload: str, seed: int, workdir: str, dump) -> str:
     """SHA-256 over the labelled outputs of one round of a workload."""
     import jobs
     wl = jobs.build(workload, seed, str(Path(workdir) / workload))
@@ -89,17 +101,19 @@ def output_hash(workload: str, seed: int, workdir: str) -> str:
         text = Path(out).read_text(encoding="utf-8") if workload == "radial" \
             else _hex_text(out)
         digest.update(f"{job.label}\n{text}\n".encode())
+        _dump(dump, f"{workload}-{seed}/{job.label}.txt", text)
     return digest.hexdigest()
 
 
-def identity_hash() -> str:
+def identity_hash(dump) -> str:
     from georadon.verify import identity_suite
     text = "\n".join(f"{r.name} {r.max_rel_err.hex()}"
                      for r in identity_suite())
+    _dump(dump, "verify.txt", text)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def kernels_hash() -> str:
+def kernels_hash(dump) -> str:
     """SHA-256 over the float.hex of the three kernels of ``dual_sine_mc``
     on ``RHO_GRID``, each on the chain's data: the tabulated (n, 0, k)
     transform of the bump of radius 1.2."""
@@ -126,7 +140,9 @@ def kernels_hash() -> str:
                                    MC.McSpec(seed=14, n_samples=20000),
                                    kernel=kernel)
         lines.append(f"{kernel} {_hex_text(ests)}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    text = "\n".join(lines)
+    _dump(dump, "kernels.txt", text)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def main(argv=None) -> int:
@@ -136,6 +152,8 @@ def main(argv=None) -> int:
                     default=["radial", "mc", "chain"])
     ap.add_argument("--no-outputs", action="store_true",
                     help="print only the two counts")
+    ap.add_argument("--dump", metavar="DIR", default=None,
+                    help="also write the text behind each hash under DIR")
     args = ap.parse_args(argv)
     print(f"src_lines {line_count()}")
     print(f"settable_values {settable_values()}")
@@ -146,9 +164,10 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             for seed in args.seeds:
                 print(f"{workload} seed={seed} "
-                      f"{output_hash(workload, seed, tmp)}", flush=True)
-    print(f"verify {identity_hash()}")
-    print(f"kernels {kernels_hash()}")
+                      f"{output_hash(workload, seed, tmp, args.dump)}",
+                      flush=True)
+    print(f"verify {identity_hash(args.dump)}")
+    print(f"kernels {kernels_hash(args.dump)}")
     return 0
 
 
