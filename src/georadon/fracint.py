@@ -7,7 +7,12 @@ The integral pair is
     right(alpha, f)(t) = (2/Gamma(a)) * int_t^inf (r^2-t^2)^(a-1) f(r) r dr,
 
 computed after substitutions that turn the moving-endpoint singularity into
-a fixed Gauss-Jacobi weight.  The derivatives invert them:
+a fixed Gauss-Jacobi weight.  A vector of target points is one batch: each
+point makes its own setup (domain checks, exponents, split points,
+prefactor, budget), and the segments of all points are the rows of one node
+block of ``quadrature._integrate_splits`` and ``_integrate_tails``, so the
+profile is called once per block and each value keeps the bits of a loop
+over the points.  The derivatives invert them:
 
     deriv_left  = D^(m+1) I^(1-a0)_left,            D = (1/2t) d/dt,
     deriv_right = (-D)^m                            for integer a,
@@ -22,17 +27,15 @@ one-sided stencil.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import (DifferentiationInstabilityError, DivergenceError,
                      DomainError)
 from .profiles import Profile1D
-from .quadrature import (_NODE_LADDER, DEFAULT_QUADRATURE, QuadratureSpec,
-                         _Budget, _integrate_known, _rule, _rungs_agree,
-                         integrate_to_infinity, integrate_weighted,
-                         weighted_nodes)
+from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
+                         _integrate_splits, _integrate_tails, _row_dots,
+                         _times_power, integrate_weighted, weighted_nodes)
 from .spectral import ChebInterpolant, cheb_nodes
 
 __all__ = ["QuadratureSpec", "check_decay", "ek_left", "ek_right",
@@ -40,9 +43,6 @@ __all__ = ["QuadratureSpec", "check_decay", "ek_left", "ek_right",
 
 #: Relative spectral-differentiation noise beyond which results are rejected.
 DERIV_NOISE_REL = 1e-6
-
-#: the ladder rungs that ``_split_weighted`` evaluates in one call
-_RUNGS = _NODE_LADDER[:2]
 
 
 def check_decay(f: Profile1D, alpha: float, a: float,
@@ -73,102 +73,101 @@ def check_decay(f: Profile1D, alpha: float, a: float,
     return incs[-1] <= spec.abs_tol and incs[-2] <= spec.abs_tol
 
 
-@lru_cache(maxsize=512)
-def _rung_pair(p_lo: float, p_hi: float):
-    """Nodes of the two ``_RUNGS`` rules on [-1, 1], concatenated, and
-    each rule's weights."""
-    (x0, w0), (x1, w1) = (_rule(n, p_lo, p_hi) for n in _RUNGS)
-    return np.concatenate((x0, x1)), w0, w1
-
-
-def _split_weighted(u_core, lo: float, hi: float, p_lo: float, p_hi: float,
-                    interior, spec: QuadratureSpec, budget: _Budget) -> float:
-    """Integral of (u-lo)^p_lo (hi-u)^p_hi u_core(u), split at the
-    increasing breakpoints ``interior``.
-
-    All segments are evaluated as one batch.  The nodes of the first two
-    ladder rungs of every segment form one block (``a + h*(x + 1.0)`` per
-    row, as ``_fixed_rule`` builds them) and go through one ``u_core``
-    call; the endpoint weights of [lo, hi] that inner segments see as
-    smooth multiply the whole block.  Each (segment, rung) is then one
-    ``np.dot`` of its rule's weights with its slice, so every value is the
-    one a separate rule would give: a contraction of the whole block
-    (``V @ w``, ``einsum``) sums in another order and moves the last bits.
-    A segment whose two rungs agree (``_rungs_agree``) is accepted at one
-    budget unit; only the others climb the ladder of ``_integrate_known``,
-    which calls ``u_core`` again.  The segments are summed in order.
-    """
-    points = [lo] + [p for p in interior if lo < p < hi] + [hi]
-    last = len(points) - 2
-    # endpoint exponents of each segment; inner ends carry no weight
-    exps = [(p_lo if i == 0 else 0.0, p_hi if i == last else 0.0)
-            for i in range(last + 1)]
-    rules = [_rung_pair(*e) for e in exps]
-    ends = np.array(points)
-    h = 0.5 * (ends[1:] - ends[:-1])
-    u = ends[:-1, None] + h[:, None] * (np.array([r[0] for r in rules]) + 1.0)
-    vals = u_core(u.ravel()).reshape(u.shape)
-    if last and p_lo != 0.0:
-        vals = np.concatenate((vals[:1], vals[1:] * (u[1:] - lo) ** p_lo))
-    if last and p_hi != 0.0:
-        vals = np.concatenate((vals[:-1] * (hi - u[:-1]) ** p_hi, vals[-1:]))
-
-    n0 = _RUNGS[0]
-    coarse, fine = [], []
-    scale = 0.0
-    for hs, (jl, jh), (_, w0, w1), v in zip(h.tolist(), exps, rules, vals):
-        c = hs ** (1.0 + jl + jh)
-        coarse.append(float(c * np.dot(w0, v[:n0])))
-        fine.append(float(c * np.dot(w1, v[n0:])))
-        # the finest known rung anchors the relative tolerance of small
-        # segments
-        scale += abs(fine[-1])
-
-    def outer(vals, u, a, b):
-        # the endpoint weights of [lo, hi] that a segment sees as smooth
-        if a != lo and p_lo != 0.0:
-            vals = vals * (u - lo) ** p_lo
-        if b != hi and p_hi != 0.0:
-            vals = vals * (hi - u) ** p_hi
-        return vals
-
-    parts = []
-    for a, b, (jl, jh), r0, r1 in zip(points, points[1:], exps, coarse, fine):
-        if _rungs_agree(r0, r1, spec, scale):
-            budget.spend()
-            parts.append(r1)
-        else:
-            parts.append(_integrate_known(
-                dict(zip(_RUNGS, (r0, r1))),
-                lambda u, a=a, b=b: outer(u_core(u), u, a, b),
-                a, b, jl, jh, spec, budget, scale))
-    return sum(parts)
-
-
 # -- integrals ---------------------------------------------------------------
 
-def _pointwise(name: str, scalar, alpha: float, f: Profile1D, t,
-               spec: QuadratureSpec):
-    """scalar(alpha, f, t_i, spec) at each t_i (scalar or array t)."""
+#: rows per block of target points: a split segment or an infinite tail is
+#: a row of 48 nodes in each array of the block, and a profile chain holds a
+#: dozen such arrays at once.  A 32-point projective grid (51 segments a
+#: point) in one block peaks at 8.7 MB of arrays, in blocks of 128 rows at
+#: 0.8 MB
+_BLOCK_ROWS = 128
+
+
+def _batch(name: str, point, rows_core, alpha: float, f: Profile1D, t,
+           spec: QuadratureSpec):
+    """The integral at every t_i (scalar or array t), in blocks of points.
+
+    ``point(alpha, f, fac, t_i, spec)`` makes a point's own setup (domain
+    checks, exponents, pieces, prefactor) and returns its value, or
+    ``(pre, split, tail)``: the value is pre * total / Gamma(alpha), total
+    the split integral (lo, hi, p_lo, p_hi, interior, param) plus the tail
+    integral (a, p_lo, decay, first_width, param) where they are not None.
+    ``rows_core(fac, params)`` is their integrand on rows of nodes,
+    one ``param`` per row.  Consecutive points form a block of about
+    ``_BLOCK_ROWS`` rows, evaluated by ``_evaluate``.  A
+    point's error is raised once the points before it are done, so a
+    vector raises what a loop over its points would.
+    """
     if alpha <= 0:
         raise DomainError(f"{name}: alpha must be positive, got {alpha}")
-    tv = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.array([scalar(alpha, f, float(ti), spec) for ti in tv])
-    return float(out[0]) if np.ndim(t) == 0 else out
+    fac = f.factored()
+    out, block, size = [], [], 0
+    for ti in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
+        try:
+            pt = point(alpha, f, fac, ti, spec)
+        except Exception:
+            _evaluate(block, rows_core, alpha, fac, spec)
+            raise
+        block.append(pt)
+        if not isinstance(pt, float):
+            _, split, tail = pt
+            size += (len(split[4]) + 1 if split else 0) + (tail is not None)
+        if size >= _BLOCK_ROWS:
+            out += _evaluate(block, rows_core, alpha, fac, spec)
+            block, size = [], 0
+    out += _evaluate(block, rows_core, alpha, fac, spec)
+    vals = np.array(out)
+    return float(vals[0]) if np.ndim(t) == 0 else vals
+
+
+def _evaluate(points, rows_core, alpha: float, fac, spec: QuadratureSpec):
+    """The values of a block of ``_batch`` points.
+
+    The splits of all points are one ``_integrate_splits`` batch with a
+    budget per point, then the tails of the points whose split succeeded
+    one ``_integrate_tails`` batch.  The first point's error is raised.
+    """
+    live = [i for i, pt in enumerate(points) if not isinstance(pt, float)]
+    totals: dict = {}
+    splits = [i for i in live if points[i][1] is not None]
+    if splits:
+        totals.update(zip(splits, _integrate_splits(
+            rows_core(fac, [points[i][1][5] for i in splits]),
+            [points[i][1][:5] + (_Budget(spec.max_subdivisions),)
+             for i in splits], spec)))
+    tails = [i for i in live if points[i][2] is not None
+             and not isinstance(totals.get(i), Exception)]
+    if tails:
+        for i, v in zip(tails, _integrate_tails(
+                rows_core(fac, [points[i][2][4] for i in tails]),
+                [points[i][2][:4] for i in tails], spec)):
+            totals[i] = v if i not in totals or isinstance(v, Exception) \
+                else totals[i] + v
+    gamma = math.gamma(alpha)
+    out = []
+    for i, pt in enumerate(points):
+        if isinstance(pt, float):
+            out.append(pt)
+        elif isinstance(totals[i], Exception):
+            raise totals[i]
+        else:
+            out.append(pt[0] * totals[i] / gamma)
+    return out
 
 
 def ek_left(alpha: float, f: Profile1D, t, spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Left-sided fractional integral of order alpha at t (scalar or array)."""
-    return _pointwise("ek_left", _ek_left_scalar, alpha, f, t, spec)
+    """Left-sided fractional integral of order alpha at t (scalar or array),
+    evaluated in blocks of points (``_batch``)."""
+    return _batch("ek_left", _left_point, _left_rows, alpha, f, t, spec)
 
 
-def _ek_left_scalar(alpha: float, f: Profile1D, t: float,
-                    spec: QuadratureSpec) -> float:
+def _left_point(alpha: float, f: Profile1D, fac, t: float,
+                spec: QuadratureSpec):
     if t < f.lo - 1e-12 or (math.isfinite(f.hi) and t > f.hi * (1 + 1e-9)):
         raise DomainError(f"ek_left: t={t} outside profile domain [{f.lo}, {f.hi})")
     if t <= 0.0:
         return 0.0
-    o, e, s, core = f.factored()
+    o, e, s, _ = fac
     if o <= -2.0:
         raise DivergenceError(
             f"ek_left: origin exponent {o} is not locally integrable")
@@ -176,10 +175,13 @@ def _ek_left_scalar(alpha: float, f: Profile1D, t: float,
     # substitution r^2 = t^2 u:
     #   value = t^(2a+o)/Gamma(a) * int_0^U (1-u)^(a-1) u^(o/2)
     #           * (s^2 - t^2 u)^e core(t sqrt(u)) du
+    # the factor (1-u)^(a-1) or (s^2 - t^2 u)^e that the Jacobi weight does
+    # not carry is the row integrand's ``kernel`` or ``edge`` exponent
     ts = t * t
     scale_pow = t ** (2.0 * alpha + o)
     has_edge = s is not None and math.isfinite(s) and e != 0.0
     supported = s is not None and math.isfinite(s)
+    kernel = edge = 0.0
 
     if supported and s <= t * (1.0 + 1e-12):
         upper = min((s / t) ** 2, 1.0)
@@ -187,24 +189,15 @@ def _ek_left_scalar(alpha: float, f: Profile1D, t: float,
         if abs(upper - 1.0) < 1e-14:
             # support edge merges with the kernel endpoint
             p_hi = alpha - 1.0 + e
-
-            def u_core(u):
-                return core(t * np.sqrt(u))
         else:
             p_hi = e
-
-            def u_core(u):
-                return core(t * np.sqrt(u)) * (1.0 - u) ** (alpha - 1.0)
+            kernel = alpha - 1.0
     else:
         upper = 1.0
         edge_scale = 1.0
         p_hi = alpha - 1.0
         if has_edge:
-            def u_core(u):
-                return core(t * np.sqrt(u)) * (s * s - ts * u) ** e
-        else:
-            def u_core(u):
-                return core(t * np.sqrt(u))
+            edge = e
 
     r_top = t * math.sqrt(upper)
     pieces = {(rb / t) ** 2 for rb in f.breakpoints if 0.0 < rb < r_top}
@@ -214,21 +207,40 @@ def _ek_left_scalar(alpha: float, f: Profile1D, t: float,
     while q < 0.9 * r_top:
         pieces.add((q / t) ** 2)
         q *= 2.0
-    total = _split_weighted(u_core, 0.0, upper, o / 2.0, p_hi, sorted(pieces),
-                            spec, _Budget(spec.max_subdivisions))
-    return scale_pow * edge_scale * total / math.gamma(alpha)
+    return (scale_pow * edge_scale,
+            (0.0, upper, o / 2.0, p_hi, sorted(pieces), (t, kernel, edge)),
+            None)
+
+
+def _left_rows(fac, params):
+    """ek_left's integrand on rows u of the substituted variable:
+    core(t sqrt(u)) times (1-u)^kernel and (s^2 - t^2 u)^edge, with
+    (t, kernel, edge) the row's ``param``."""
+    s, core = fac[2], fac[3]
+    t, kernel, edge = (np.array(col) for col in zip(*params))
+    t = t[:, None]
+
+    def rows(u, keys):
+        tk = t[keys]
+        vals = core((tk * np.sqrt(u)).ravel()).reshape(u.shape)
+        vals = _times_power(vals, lambda m: 1.0 - u[m], kernel[keys])
+        return _times_power(vals, lambda m: s * s - (tk * tk)[m] * u[m],
+                            edge[keys])
+
+    return rows
 
 
 def ek_right(alpha: float, f: Profile1D, t, spec: QuadratureSpec = DEFAULT_QUADRATURE):
-    """Right-sided fractional integral of order alpha at t (scalar or array)."""
-    return _pointwise("ek_right", _ek_right_scalar, alpha, f, t, spec)
+    """Right-sided fractional integral of order alpha at t (scalar or array),
+    evaluated in blocks of points (``_batch``)."""
+    return _batch("ek_right", _right_point, _right_rows, alpha, f, t, spec)
 
 
-def _ek_right_scalar(alpha: float, f: Profile1D, t: float,
-                     spec: QuadratureSpec) -> float:
+def _right_point(alpha: float, f: Profile1D, fac, t: float,
+                 spec: QuadratureSpec):
     if t < f.lo - 1e-12:
         raise DomainError(f"ek_right: t={t} below profile domain start {f.lo}")
-    o, e, s, core = f.factored()
+    o, e, s, _ = fac
     top = min(s if s is not None else math.inf, f.hi)
     finite_top = math.isfinite(top)
     if finite_top and t >= top * (1.0 - 1e-15):
@@ -244,21 +256,14 @@ def _ek_right_scalar(alpha: float, f: Profile1D, t: float,
 
     # substitution u = r^2 - t^2:
     #   value = (1/Gamma(a)) int_0^(top^2 - t^2) u^(a-1) f(sqrt(t^2+u)) du
+    # with the row integrand core(r) r^origin, r = sqrt(t^2 + u)
     ts = t * t
     p_lo = alpha - 1.0
-
+    origin = o
     if t == 0.0 and o != 0.0:
         p_lo += o / 2.0       # r^o = u^(o/2) joins the lower Jacobi weight
-
-        def u_core(u):
-            return core(np.sqrt(u))
-    else:
-        def u_core(u):
-            r = np.sqrt(ts + u)
-            vals = core(r)
-            if o != 0.0:
-                vals = vals * r ** o
-            return vals
+        origin = 0.0
+    param = (ts, origin, 0.0)
 
     pieces = {rb * rb - ts for rb in f.breakpoints if rb > t}
     if finite_top:
@@ -269,25 +274,35 @@ def _ek_right_scalar(alpha: float, f: Profile1D, t: float,
         while q < 0.45 * upper:
             pieces.add(q)
             q *= 2.0
-        total = _split_weighted(u_core, 0.0, upper, p_lo, e, sorted(pieces),
-                                spec, _Budget(spec.max_subdivisions))
-        return total / math.gamma(alpha)
+        return 1.0, (0.0, upper, p_lo, e, sorted(pieces), param), None
 
     decay = math.inf if math.isinf(f.decay_hint) \
         else f.decay_hint / 2.0 + 1.0 - alpha
     pieces = sorted(pieces)
     if not pieces:
-        total = integrate_to_infinity(u_core, 0.0, p_lo, decay, spec,
-                                      first_width=max(1.0, 2.0 * t))
-    else:
-        # every finite segment carries the weight u^(a-1) of [0, last piece]
-        lo_u = pieces[-1]
-        total = _split_weighted(u_core, 0.0, lo_u, p_lo, 0.0, pieces[:-1],
-                                spec, _Budget(spec.max_subdivisions)) \
-            + integrate_to_infinity(lambda u: u_core(u) * u ** p_lo,
-                                    lo_u, 0.0, decay, spec,
-                                    first_width=max(1.0, lo_u))
-    return total / math.gamma(alpha)
+        return 1.0, None, (0.0, p_lo, decay, max(1.0, 2.0 * t), param)
+    # every finite segment carries the weight u^(a-1) of [0, last piece];
+    # past it the weight is the smooth factor u^p_lo of the tail's rows
+    lo_u = pieces[-1]
+    return (1.0, (0.0, lo_u, p_lo, 0.0, pieces[:-1], param),
+            (lo_u, 0.0, decay, max(1.0, lo_u), (ts, origin, p_lo)))
+
+
+def _right_rows(fac, params):
+    """ek_right's integrand on rows u of the substituted variable:
+    core(r) r^origin u^weight with r = sqrt(t^2 + u), with
+    (t^2, origin, weight) the row's ``param``."""
+    core = fac[3]
+    ts, origin, weight = (np.array(col) for col in zip(*params))
+    ts = ts[:, None]
+
+    def rows(u, keys):
+        r = np.sqrt(ts[keys] + u)
+        vals = core(r.ravel()).reshape(u.shape)
+        vals = _times_power(vals, lambda m: r[m], origin[keys])
+        return _times_power(vals, lambda m: u[m], weight[keys])
+
+    return rows
 
 
 # -- derivatives -------------------------------------------------------------
@@ -412,21 +427,25 @@ def _psi_sampler(integral, beta: float, g: Profile1D, fixed,
 
     ``fixed`` is a fixed-grid sampler of the same integral (None when the
     profile rules one out).  It takes the whole vector of sample points and
-    makes one ``core`` call on the (points x nodes) block, then one
-    ``np.dot`` per point, so each value is the one a grid at that point
-    alone would give: a contraction of the whole block (``V @ w``,
-    ``einsum``) sums in another order and moves the last bits.  It returns
-    None at single points (a support cut); those values come from the
-    adaptive ``integral`` at tightened tolerances, one point at a time, and
-    in one vector call when there is no fixed grid at all.
+    makes one ``core`` call on the (points x nodes) block, then contracts
+    each point's row with ``_row_dots``, so each value is the one a grid at
+    that point alone would give.  It returns None at single points (a
+    support cut); those values, and all of them when there is no fixed grid
+    at all, come from one vector call of the adaptive ``integral`` at
+    tightened tolerances.
     """
     tight = _tighten(spec)
 
     def psi(ts):
         if fixed is None:
             return np.asarray(integral(beta, g, ts, tight))
-        return np.array([integral(beta, g, t, tight) if v is None else v
-                         for t, v in zip(ts.tolist(), fixed(ts))])
+        vals = fixed(ts)
+        cut = [i for i, v in enumerate(vals) if v is None]
+        if cut:
+            adaptive = np.atleast_1d(integral(beta, g, ts[cut], tight))
+            for i, v in zip(cut, adaptive.tolist()):
+                vals[i] = v
+        return np.array(vals)
 
     return psi
 
@@ -460,9 +479,8 @@ def _psi_left_fixed_sampler(beta: float, g: Profile1D):
             vals = core(r.ravel()).reshape(r.shape)
             if e != 0.0:
                 vals = vals * (top * top - r * r) ** e
-            for i, v in zip(on_grid, vals):
-                out[i] = inv_gamma * tl[i] ** (2.0 * beta + o) \
-                    * float(np.dot(vw, v))
+            for i, d in zip(on_grid, _row_dots(vals, vw)):
+                out[i] = inv_gamma * tl[i] ** (2.0 * beta + o) * d
         return out
 
     return psi
@@ -556,9 +574,8 @@ def _psi_fixed_sampler(beta: float, g: Profile1D, y_probe: float):
                 vals = core(r.ravel()).reshape(r.shape)
                 if o != 0.0:
                     vals = vals * r ** o
-                for i, v in zip(on_grid, vals):
-                    out[i] = inv_gamma * caps[i] ** (beta + e) \
-                        * float(np.dot(ww, v))
+                for i, d in zip(on_grid, _row_dots(vals, ww)):
+                    out[i] = inv_gamma * caps[i] ** (beta + e) * d
             return out
 
         return psi
@@ -597,8 +614,8 @@ def _psi_fixed_sampler(beta: float, g: Profile1D, y_probe: float):
             vals = vals * r ** o
         if math.isfinite(top):
             vals = np.where(r < top, vals, 0.0)
-        return [inv_gamma * t ** (2.0 * beta) * float(np.dot(w_all, v))
-                for t, v in zip(ts.tolist(), vals)]
+        return [inv_gamma * t ** (2.0 * beta) * d
+                for t, d in zip(ts.tolist(), _row_dots(vals, w_all))]
 
     return psi
 

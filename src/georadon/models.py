@@ -308,35 +308,36 @@ def measure_density(model: Model, n: int, d: int, x,
     if model in (Model.EuclideanAffine, Model.BeltramiKlein):
         if kind not in (ArgKind.EuclideanRadius, ArgKind.BallRadius):
             raise DomainError(f"{model} density is expressed in plane distance")
-        out = sig * x ** a
+        density = {kind: lambda: sig * x ** a}
     elif model is Model.Hyperboloid:
-        if kind is ArgKind.GeodesicDistance:
-            out = sig * np.sinh(x) ** a * np.cosh(x) ** d
-        elif kind is ArgKind.CoshDistance:
-            out = sig * (x * x - 1.0) ** ((n - d) / 2.0 - 1.0) * x ** d
-        elif kind is ArgKind.SinhDistance:
-            out = sig * x ** a * (1.0 + x * x) ** ((d - 1) / 2.0)
-        elif kind is ArgKind.TanhDistance:
-            out = sig * x ** a / (1.0 - x * x) ** ((n + 1) / 2.0)
-        else:
-            raise DomainError(f"unsupported coordinate {kind} for {model}")
+        density = {
+            ArgKind.GeodesicDistance:
+                lambda: sig * np.sinh(x) ** a * np.cosh(x) ** d,
+            ArgKind.CoshDistance:
+                lambda: sig * (x * x - 1.0) ** ((n - d) / 2.0 - 1.0) * x ** d,
+            ArgKind.SinhDistance:
+                lambda: sig * x ** a * (1.0 + x * x) ** ((d - 1) / 2.0),
+            ArgKind.TanhDistance:
+                lambda: sig * x ** a / (1.0 - x * x) ** ((n + 1) / 2.0)}
     elif model in (Model.Elliptic, Model.Projective):
         norm = sphere_area(d) * sig / sphere_area(n)
-        if kind is ArgKind.Angle:
-            out = norm * np.sin(x) ** a * np.cos(x) ** d
-        elif kind is ArgKind.CosAngle:
-            out = norm * (1.0 - x * x) ** ((n - d) / 2.0 - 1.0) * x ** d
-        elif kind is ArgKind.SinAngle:
-            out = norm * x ** a * (1.0 - x * x) ** ((d - 1) / 2.0)
-        else:
-            raise DomainError(f"unsupported coordinate {kind} for {model}")
+        density = {
+            ArgKind.Angle: lambda: norm * np.sin(x) ** a * np.cos(x) ** d,
+            ArgKind.CosAngle:
+                lambda: norm * (1.0 - x * x) ** ((n - d) / 2.0 - 1.0) * x ** d,
+            ArgKind.SinAngle:
+                lambda: norm * x ** a * (1.0 - x * x) ** ((d - 1) / 2.0)}
     else:
         raise DomainError(f"unknown model {model}")
-    # the chart clips a value outside its kind's domain, so test both
+    if kind not in density:
+        raise DomainError(f"unsupported coordinate {kind} for {model}")
+    # the range is checked before the density is evaluated; the chart clips
+    # a value outside its kind's domain, so test both
     (lo, hi), (klo, khi) = CANONICAL_RANGE[model], domain(kind)
     y = convert(x, kind, CANONICAL_KIND[model])
     if not np.all((x >= klo) & (x <= khi) & (y >= lo) & (y < hi)):
         raise DomainError(f"{kind.value} coordinate outside the range of {model}")
+    out = density[kind]()
     return out if out.ndim else float(out)
 
 

@@ -5,6 +5,13 @@ with Gauss-Jacobi rules matched to the endpoint exponents, doubling nodes
 until two successive rules agree and bisecting when doubling stalls.
 Infinite upper limits are handled by geometric segments with a certified
 tail bound driven by the integrand's decay exponent.
+
+Many integrals of one integrand family (the target points of a fractional
+integral) are evaluated as one batch: ``_integrate_splits`` and
+``_integrate_tails`` make every segment a row of one node block, take the
+first two ladder rungs of all rows from one core call and contract the
+rows so that each value keeps the bits of a separate rule.  A single
+integral is a batch of one.
 """
 from __future__ import annotations
 
@@ -105,12 +112,14 @@ def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
                             scale_hint)
 
 
-def _rungs_agree(prev: float, cur: float, spec: QuadratureSpec,
-                 scale_hint: float) -> bool:
+def _rungs_agree(prev, cur, spec: QuadratureSpec, scale_hint):
     """The ladder's stopping rule: two successive rungs agree to within the
-    tolerance, relative to the larger of ``cur`` and ``scale_hint``."""
-    return abs(cur - prev) <= max(spec.abs_tol,
-                                  spec.rel_tol * max(abs(cur), scale_hint))
+    tolerance, relative to the larger of ``cur`` and ``scale_hint``.
+
+    Elementwise on arrays of rungs.  ``fmax`` passes over a NaN hint as
+    ``max`` would, and a NaN rung never agrees."""
+    return np.abs(cur - prev) <= np.fmax(
+        spec.abs_tol, spec.rel_tol * np.fmax(np.abs(cur), scale_hint))
 
 
 def _integrate_known(known: dict, core, a: float, b: float, p_lo: float,
@@ -158,16 +167,180 @@ def integrate_to_infinity(core, a: float, p_lo: float,
     with d > 1 (``math.inf`` allowed); it certifies the truncation tail.
     Raises ``DivergenceError`` when segment contributions keep growing.
     """
-    budget = _Budget(spec.max_subdivisions)
+    total, = _integrate_tails(
+        lambda u, keys: core(u.ravel()).reshape(u.shape),
+        [(a, p_lo, decay_exponent, first_width)], spec)
+    if isinstance(total, Exception):
+        raise total
+    return total
+
+
+# -- batches of integrals ------------------------------------------------------
+
+#: the ladder rungs that a batch evaluates for all its rows in one core call
+_RUNGS = _NODE_LADDER[:2]
+
+
+@lru_cache(maxsize=512)
+def _rung_rules(kinds: tuple):
+    """Nodes of the two ``_RUNGS`` rules on [-1, 1], concatenated, and
+    each rule's weights, stacked one row per exponent pair of ``kinds``."""
+    rules = [[_rule(n, p_lo, p_hi) for n in _RUNGS] for p_lo, p_hi in kinds]
+    return (np.array([np.concatenate((x0, x1)) for (x0, _), (x1, _) in rules]),
+            np.array([w0 for (_, w0), _ in rules]),
+            np.array([w1 for _, (_, w1) in rules]))
+
+
+def _row_dots(vals, w):
+    """``np.dot(w_i, vals_i)`` for every row i of ``vals``, with ``w`` one
+    row of weights per row or one shared row.
+
+    The stacked ``np.matmul`` of (1 x n) by (n x 1) blocks makes the same
+    ``ddot`` call as ``np.dot`` on each row, so every bit is kept; a
+    contraction of the whole block (``vals @ w``, ``einsum``) sums in
+    another order and moves the last bits.
+    """
+    return np.matmul(vals[:, None, :], w[..., :, None]).ravel()
+
+
+def _times_power(vals, base, exps):
+    """``vals * base ** e`` on every row whose exponent e = exps[row] is
+    not 0; ``base(rows)`` gives the base on the rows a mask selects.
+
+    There is one power per distinct exponent, taken as a Python scalar the
+    way a one-row integrand takes it, so every value keeps its bits."""
+    out = vals
+    for p in set(exps.tolist()) - {0.0} if exps.any() else ():
+        rows = exps == p
+        if rows.all():
+            out = out * base(slice(None)) ** p
+        else:
+            out = out.copy() if out is vals else out
+            out[rows] = out[rows] * base(rows) ** p
+    return out
+
+
+def _integrate_rows(core, rows, spec: QuadratureSpec, budgets,
+                    spans) -> list:
+    """Every row's integral, or the error it raised.
+
+    Row (key, a, b, jl, jh, lo, wl, hi, wh) integrates
+    (u-a)^jl (b-u)^jh times (u-lo)^wl (hi-u)^wh core(u, key) over [a, b]:
+    the Jacobi weight of its own ends, and smooth weights of the ends of
+    the integral it belongs to.  ``core(u, keys)`` gives the integrand on a
+    block u with one row of nodes per key.
+
+    The two ``_RUNGS`` of all rows come from one ``core`` call: each row's
+    nodes are ``a + h*(x + 1.0)`` and its value ``c * dot(w, vals)``, as
+    ``_fixed_rule`` and ``_weighted_fixed`` compute them.  A row whose
+    rungs agree relative to its scale hint is accepted at one unit of its
+    budget; only the others climb the ladder of ``_integrate_known`` from
+    them, one at a time, on their own integrand.  The scale hint of the
+    rows of a slice in ``spans`` is the sum of the magnitudes of their
+    32-node values, in row order; it is 0 for every other row.
+    """
+    cols = np.array(rows)
+    keys, a = cols[:, 0].astype(np.intp), cols[:, 1]
+    h = 0.5 * (cols[:, 2] - a)
+    lo, wl, hi, wh = cols[:, 5:6], cols[:, 6], cols[:, 7:8], cols[:, 8]
+
+    def block(u, idx):
+        vals = core(u, keys[idx])
+        vals = _times_power(vals, lambda m: u[m] - lo[idx][m], wl[idx])
+        return _times_power(vals, lambda m: hi[idx][m] - u[m], wh[idx])
+
+    _, _, _, jl, jh, _, _, _, _ = zip(*rows)
+    kinds: dict = {}
+    ix = np.array([kinds.setdefault(e, len(kinds)) for e in zip(jl, jh)])
+    x, w0, w1 = (col[ix] for col in _rung_rules(tuple(kinds)))
+    vals = block(a[:, None] + h[:, None] * (x + 1.0), slice(None))
+    c = np.array([hs ** (1.0 + p + q) for hs, p, q in zip(h.tolist(), jl, jh)])
+    n0 = _RUNGS[0]
+    coarse = c * _row_dots(vals[:, :n0], w0)
+    fine = c * _row_dots(vals[:, n0:], w1)
+
+    hints = [0.0] * len(rows)
+    fl = fine.tolist()
+    for span in spans:
+        scale = 0.0
+        for v in fl[span]:
+            # the finest known rung anchors the relative tolerance of small
+            # segments
+            scale += abs(v)
+        hints[span] = [scale] * (span.stop - span.start)
+    agree = _rungs_agree(coarse, fine, spec, np.array(hints)).tolist()
+    out = []
+    for r, (c0, c1, budget, hint) in enumerate(zip(coarse.tolist(), fl,
+                                                    budgets, hints)):
+        try:
+            if agree[r]:
+                budget.spend()
+                out.append(c1)
+            else:
+                out.append(_integrate_known(
+                    dict(zip(_RUNGS, (c0, c1))),
+                    lambda u, r=r: block(u[None, :], [r])[0], *rows[r][1:5],
+                    spec, budget, hint))
+        except Exception as exc:
+            out.append(exc)
+    return out
+
+
+def _integrate_splits(core, splits, spec: QuadratureSpec) -> list:
+    """Integral i of (u-lo)^p_lo (hi-u)^p_hi core(u, i) over [lo, hi], split
+    at the increasing breakpoints ``interior``, for every
+    ``splits[i] = (lo, hi, p_lo, p_hi, interior, budget)``.
+
+    Every (integral, segment) pair is one row of ``_integrate_rows``, and
+    the rows of an integral share its scale hint: inner segments see the
+    endpoint weights of [lo, hi] as smooth.  Each integral sums its
+    segments in order.  The result is one value per integral, or the
+    first error of its rows (an exponent no rule can carry first).
+    """
+    out, rows, spans = [None] * len(splits), [], []
+    for i, (lo, hi, p_lo, p_hi, interior, _) in enumerate(splits):
+        points = [lo] + [p for p in interior if lo < p < hi] + [hi]
+        last = len(points) - 2
+        segs = [(i, a, b, p_lo if j == 0 else 0.0, p_hi if j == last else 0.0,
+                 lo, 0.0 if j == 0 else p_lo, hi, 0.0 if j == last else p_hi)
+                for j, (a, b) in enumerate(zip(points, points[1:]))]
+        try:
+            if not (p_lo > -1.0 and p_hi > -1.0):
+                _rung_rules(tuple(dict.fromkeys(s[3:5] for s in segs)))
+        except Exception as exc:
+            out[i] = exc
+            segs = []
+        spans.append(slice(len(rows), len(rows) + len(segs)))
+        rows += segs
+    if not rows:
+        return out
+    parts = _integrate_rows(core, rows, spec, [splits[r[0]][5] for r in rows],
+                            spans)
+    for i, span in enumerate(spans):
+        if out[i] is None:
+            errors = [v for v in parts[span] if isinstance(v, Exception)]
+            out[i] = errors[0] if errors else sum(parts[span])
+    return out
+
+
+def _octaves(a: float, p_lo: float, decay_exponent: float,
+             first_width: float, spec: QuadratureSpec):
+    """The segment loop of one integral over [a, inf).
+
+    Yields each segment it needs as (lo, hi, Jacobi exponent at lo, smooth
+    exponent of u - a), receives the segment's value and returns the
+    total: a first segment that carries the weight (u-a)^p_lo, then
+    doubling octaves, each checked for divergence and stopped by the tail
+    tolerance once the decay exponent certifies the rest.
+    """
     u1 = a + max(first_width, abs(a) * 1.0, 1e-6)
-    total = integrate_weighted(core, a, u1, p_lo, 0.0, spec, budget)
+    total = yield a, u1, p_lo, 0.0
     lo = u1
     width = u1 - a
     recent: list[float] = []
     for _ in range(64):
         hi = lo + width
-        seg = integrate_weighted(lambda u: core(u) * (u - a) ** p_lo,
-                                 lo, hi, 0.0, 0.0, spec, budget)
+        seg = yield lo, hi, 0.0, p_lo
         total += seg
         recent.append(abs(seg))
         if len(recent) >= 8 and all(s > spec.abs_tol for s in recent[-8:]) \
@@ -192,3 +365,44 @@ def integrate_to_infinity(core, a: float, p_lo: float,
         lo = hi
         width *= 2.0
     raise QuadratureError("tail truncation did not converge within 64 octaves")
+
+
+def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
+    """Integral i of (u-a)^p_lo core(u, i) over [a, inf) for every
+    ``tails[i] = (a, p_lo, decay_exponent, first_width)``.
+
+    Each integral runs its own ``_octaves`` loop with its own budget.  The
+    segments the loops ask for next are the rows of one ``_integrate_rows``
+    call: all first segments, then octave m of every integral still
+    running.  The result is one value per integral, or the error it
+    raised.
+    """
+    out = [None] * len(tails)
+    loops, asks = {}, {}
+    for i, tail in enumerate(tails):
+        try:
+            _rung_rules(((tail[1], 0.0),))
+        except Exception as exc:
+            out[i] = exc
+            continue
+        loops[i] = _octaves(*tail, spec)
+        asks[i] = next(loops[i])
+    budgets = {i: _Budget(spec.max_subdivisions) for i in loops}
+    while asks:
+        rows = [(i, lo, hi, jl, 0.0, tails[i][0], wl, hi, 0.0)
+                for i, (lo, hi, jl, wl) in asks.items()]
+        segs = _integrate_rows(core, rows, spec, [budgets[i] for i in asks],
+                               ())
+        nxt = {}
+        for i, seg in zip(asks, segs):
+            if isinstance(seg, Exception):
+                out[i] = seg
+                continue
+            try:
+                nxt[i] = loops[i].send(seg)
+            except StopIteration as done:
+                out[i] = done.value
+            except Exception as exc:
+                out[i] = exc
+        asks = nxt
+    return out

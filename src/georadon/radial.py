@@ -168,9 +168,9 @@ def _kernel(t: Transform, p: TransformParams, f: Profile1D, xv,
 
     A right-sided integral stops at a finite end of the span, and over an
     unbounded range it needs the tail criterion.  On a left-sided row
-    post = -(2a + pre), so below x = 1e-7 the powers cancel and the Beta
-    integral c B(a, pre/2 + 1) f(0) / Gamma(a) is the value; it is finite
-    only for an input regular at 0.
+    post = -(2a + pre), so below x = 1e-7 the powers cancel: for an input
+    f = x^q h with h regular at 0 the value is the Beta integral
+    c B(a, (pre + q)/2 + 1) x^q h(0) / Gamma(a), finite for q > -2 - pre.
     """
     c, pre, post = t.weights
     a = p.half_gap
@@ -192,11 +192,13 @@ def _kernel(t: Transform, p: TransformParams, f: Profile1D, xv,
         vals[~tiny] = c(p) * xv[~tiny] ** post(p) \
             * np.asarray(ek_left(a, g, xv[~tiny], spec))
     if np.any(tiny):
-        if f.origin_power != 0.0:
-            raise DomainError(
-                f"{t.name} below 1e-7 needs an input regular at 0")
-        vals[tiny] = c(p) * beta_fn(a, pre(p) / 2.0 + 1.0) / math.gamma(a) \
-            * float(f(np.array([max(f.lo, 1e-9)]))[0])
+        q, x0 = f.origin_power, max(f.lo, 1e-9)
+        if q < 0.0 and np.any(xv[tiny] == 0.0):
+            raise DivergenceError(
+                f"{t.name} is infinite at 0 for an input x^{q:g} near 0")
+        h0 = float(f(np.array([x0]))[0]) / x0 ** q
+        vals[tiny] = c(p) * beta_fn(a, (pre(p) + q) / 2.0 + 1.0) \
+            / math.gamma(a) * h0 * xv[tiny] ** q
     return vals
 
 

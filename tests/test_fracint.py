@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TIGHT, rel_err
 from georadon import fracint as F
@@ -293,27 +294,33 @@ def test_projective_point_subdivision_budget():
     assert got.hex() == '0x1.253657247b32fp-2'
 
 
+def _single(u_core):
+    """A one-dimensional integrand as the row integrand of a batch."""
+    return lambda u, keys: u_core(u.ravel()).reshape(u.shape)
+
+
 def test_split_integral_with_bisecting_segment(monkeypatch):
     # a kink at u = 0.7 inside the segment [0.5, 1.0]: only that segment's
     # rungs disagree, so it alone enters the ladder, which bisects; the
     # others are accepted at 32 nodes
     ladders, bisections = [], []
-    known, bisect = F._integrate_known, Q.integrate_weighted
+    known, bisect = Q._integrate_known, Q.integrate_weighted
 
-    def counted_known(*args):
-        ladders.append(args[2:4])
-        return known(*args)
+    def counted_known(rungs, *args):
+        if rungs:                  # bisection halves start from no rungs
+            ladders.append(args[1:3])
+        return known(rungs, *args)
 
     def counted_bisect(*args):
         bisections.append(args[1:3])
         return bisect(*args)
 
-    monkeypatch.setattr(F, "_integrate_known", counted_known)
+    monkeypatch.setattr(Q, "_integrate_known", counted_known)
     monkeypatch.setattr(Q, "integrate_weighted", counted_bisect)
     budget = Q._Budget(50)
-    got = F._split_weighted(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)),
-                            0.0, 3.0, -0.5, 0.25, [0.5, 1.0, 2.0],
-                            QuadratureSpec(), budget)
+    got, = Q._integrate_splits(
+        _single(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7))),
+        [(0.0, 3.0, -0.5, 0.25, [0.5, 1.0, 2.0], budget)], QuadratureSpec())
     assert got.hex() == '0x1.ab0b04bdb37bcp+1'
     assert budget.left == 36
     assert ladders == [(0.5, 1.0)]
@@ -321,7 +328,7 @@ def test_split_integral_with_bisecting_segment(monkeypatch):
 
 
 def _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
-    """``_split_weighted`` one segment at a time through quadrature's fixed
+    """One split integral one segment at a time through quadrature's fixed
     rules: the loop whose bits the batch must keep."""
     points = [lo] + [p for p in interior if lo < p < hi] + [hi]
     segs = [(a, b, p_lo if a == lo else 0.0, p_hi if b == hi else 0.0)
@@ -347,47 +354,129 @@ def _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
                for rungs, (a, b, jl, jh) in zip(known, segs))
 
 
-@pytest.mark.parametrize("u_core, lo, hi, p_lo, p_hi, interior", [
-    (np.exp, -1.0, 2.0, -0.5, 0.5, []),
-    (lambda u: np.cos(3.0 * u) / (1.0 + u), 0.0, 2.0, 0.0, 0.7, [1.0]),
-    (lambda u: np.cos(3.0 * u) / (1.0 + u), 0.0, 8.0, 0.3, -0.4, [1.0, 2.0, 4.0]),
-    (lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)), 0.0, 3.0, -0.5, 0.25,
-     [0.5, 1.0, 2.0]),
-    (lambda u: np.exp(-np.sqrt(u)), 0.0, 2.0 ** 21, -0.5, 1.5,
-     [2.0 ** i for i in range(20)]),
-], ids=["one", "two", "four", "kinked", "geometric"])
-def test_split_batch_keeps_the_bits_of_the_segment_loop(u_core, lo, hi, p_lo,
-                                                        p_hi, interior):
+_SPLIT_CASES = {
+    "one": (np.exp, -1.0, 2.0, -0.5, 0.5, []),
+    "two": (lambda u: np.cos(3.0 * u) / (1.0 + u), 0.0, 2.0, 0.0, 0.7, [1.0]),
+    "four": (lambda u: np.cos(3.0 * u) / (1.0 + u), 0.0, 8.0, 0.3, -0.4,
+             [1.0, 2.0, 4.0]),
+    "kinked": (lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)), 0.0, 3.0, -0.5,
+               0.25, [0.5, 1.0, 2.0]),
+    "geometric": (lambda u: np.exp(-np.sqrt(u)), 0.0, 2.0 ** 21, -0.5, 1.5,
+                  [2.0 ** i for i in range(20)]),
+}
+
+
+@pytest.mark.parametrize("cases", [["one"], ["two"], ["four"], ["kinked"],
+                                   ["geometric"], sorted(_SPLIT_CASES),
+                                   ["kinked", "one", "kinked", "two"]],
+                         ids="+".join)
+def test_split_batch_keeps_the_bits_of_the_segment_loop(cases):
+    # a batch of several integrals, each with its own integrand and budget,
+    # gives every integral the bits and the budget of its own segment loop
     spec = QuadratureSpec()
-    budgets = Q._Budget(200), Q._Budget(200)
-    got = F._split_weighted(u_core, lo, hi, p_lo, p_hi, interior, spec,
-                            budgets[0])
-    want = _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec,
-                             budgets[1])
-    assert got.hex() == want.hex()
-    assert budgets[0].left == budgets[1].left
+    args = [_SPLIT_CASES[c] for c in cases]
+    fns = [a[0] for a in args]
+
+    def core(u, keys):
+        return np.array([fns[k](row) for k, row in zip(keys.tolist(), u)])
+
+    budgets = [Q._Budget(200) for _ in args]
+    got = Q._integrate_splits(core, [a[1:] + (b,) for a, b in zip(args, budgets)],
+                              spec)
+    for (u_core, *rest), value, budget in zip(args, got, budgets):
+        one = Q._Budget(200)
+        want = _split_one_by_one(u_core, *rest, spec, one)
+        assert value.hex() == want.hex()
+        assert budget.left == one.left
 
 
 def test_projective_point_work(monkeypatch):
     # the 51 segments of one projective point all have agreeing rungs, so
-    # none enters the ladder of _integrate_known (each of them used to)
-    segments, ladders = [], []
-    split, known = F._split_weighted, F._integrate_known
+    # none enters the ladder of _integrate_known (each of them used to);
+    # four points make a block of three (the first past 128 rows) and a
+    # block of one
+    batches, ladders = [], []
+    splits, known = Q._integrate_splits, Q._integrate_known
 
-    def counted_split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
-        segments.append(1 + sum(lo < p < hi for p in interior))
-        return split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget)
+    def counted_splits(core, items, spec):
+        batches.append([1 + sum(lo < p < hi for p in interior)
+                        for lo, hi, _, _, interior, _ in items])
+        return splits(core, items, spec)
 
     def counted_known(*args):
         ladders.append(args[2:4])
         return known(*args)
 
-    monkeypatch.setattr(F, "_split_weighted", counted_split)
-    monkeypatch.setattr(F, "_integrate_known", counted_known)
-    R.radon_projective_zonal(R.TransformParams(4, 1, 2),
-                             P.gaussian(0.5, arg_kind=P.ArgKind.Angle), 0.3)
-    assert segments == [51]
+    monkeypatch.setattr(F, "_integrate_splits", counted_splits)
+    monkeypatch.setattr(Q, "_integrate_known", counted_known)
+    p = R.TransformParams(4, 1, 2)
+    g = P.gaussian(0.5, arg_kind=P.ArgKind.Angle)
+    R.radon_projective_zonal(p, g, 0.3)
+    assert batches == [[51]]
+    batches.clear()
+    R.radon_projective_zonal(p, g, np.array([0.2, 0.3, 0.3, 0.5]))
+    assert batches == [[51] * 3, [51]]
     assert ladders == []
+
+
+#: the five profile families of the batch property: an infinite-domain
+#: gaussian, a support edge with a Jacobi exponent, an origin power on a
+#: finite domain, a Chebyshev table and declared breakpoints (with the
+#: infinite tail after them)
+_BATCH_PROFILES = {
+    "gaussian": P.gaussian(0.8),
+    "edge": P.truncated_power_pair(3.0, 1.2, 0.0, P.ArgKind.EuclideanRadius),
+    "origin": P.power(1.5, hi=2.0),
+    "table": P.tabulate(lambda x: np.exp(-x * x) * np.cos(x), 0.0, 2.5,
+                        P.ArgKind.EuclideanRadius, n=48),
+    "breakpoints": _EK_PROFILES["breakpoints"],
+}
+
+
+def _outcome(fn):
+    """float.hex of every value, or the type and text of the error."""
+    try:
+        return tuple(float(v).hex() for v in np.atleast_1d(fn()))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(side=st.sampled_from(["left", "right"]),
+       name=st.sampled_from(sorted(_BATCH_PROFILES)),
+       alpha=st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.5]),
+       t=st.lists(st.sampled_from([0.0, 0.6, 1.1, 1.2, 2.0, 2.5, 4.0])
+                  | st.floats(0.0, 3.0), min_size=1, max_size=6))
+def test_batch_equals_the_point_loop(side, name, alpha, t):
+    # t = 0, the breakpoints 0.6 and 1.1, the support edge 1.2, points past
+    # every support or domain end and repeated points: the vector call gives
+    # each point the bits of its own call, or raises what the first failing
+    # point raises
+    ek = ek_left if side == "left" else ek_right
+    f = _BATCH_PROFILES[name]
+    points = _outcome(lambda: [ek(alpha, f, ti) for ti in t])
+    assert _outcome(lambda: ek(alpha, f, np.array(t))) == points
+
+
+@pytest.mark.parametrize("t, error", [([0.2, 8.0], QuadratureError),
+                                      ([8.0, -1.0], QuadratureError),
+                                      ([-1.0, 8.0], DomainError),
+                                      ([0.2, 0.2], None)])
+def test_batch_raises_the_first_failing_point(t, error):
+    # three units: t = 0.2 is one segment, t = 8 five geometric segments; a
+    # point's setup error comes after the errors of the points before it
+    spec = QuadratureSpec(max_subdivisions=3)
+    g = P.gaussian()
+    if error is None:
+        assert ek_left(1.5, g, np.array(t), spec).tolist() == \
+            [ek_left(1.5, g, ti, spec) for ti in t]
+        return
+    with pytest.raises(error) as vector:
+        ek_left(1.5, g, np.array(t), spec)
+    with pytest.raises(error) as point:
+        for ti in t:
+            ek_left(1.5, g, ti, spec)
+    assert str(vector.value) == str(point.value)
 
 
 @pytest.mark.parametrize("case, per_try", [("right-gaussian", [1, 1]),

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -116,6 +117,15 @@ def test_measure_density_range_is_read_in_the_model_coordinate():
                            (M.Model.Hyperboloid, 0.5, P.ArgKind.CoshDistance)):
         with pytest.raises(DomainError):
             M.measure_density(model, 5, 1, x, kind)
+
+
+def test_measure_density_checks_the_range_before_evaluating():
+    # an out-of-range cosh distance raises without a NumPy warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            M.measure_density(M.Model.Hyperboloid, 4, 1, 0.5,
+                              P.ArgKind.CoshDistance)
 
 
 _DENSITY_KINDS = {

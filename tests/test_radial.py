@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -458,14 +459,25 @@ def test_elliptic_constant_stays_one_down_to_tiny_cosines():
             assert abs(R.radon_elliptic_zonal(p, one, s) - 1.0) < 1e-12, (t, s)
 
 
-def test_left_sided_rows_need_a_regular_input_below_1e_7():
+@pytest.mark.parametrize("row, f", [
+    (R.radon_elliptic_zonal,
+     P.power(0.5, hi=1.0 + 1e-9, arg_kind=P.ArgKind.CosAngle)),
+    (R.dual_affine_radial, P.power(0.5))], ids=["elliptic", "dual-affine"])
+def test_left_sided_rows_scale_an_origin_power_below_1e_7(row, f):
+    # below 1e-7 a left-sided row takes the Beta limit of x^q h(x): the value
+    # at 1e-9 is the x^q scaling of the integrals at 1e-6 and 1e-5
     p = R.TransformParams(4, 1, 2)
-    sing = P.power(0.5, hi=1.0 + 1e-9, arg_kind=P.ArgKind.CosAngle)
-    assert math.isfinite(R.radon_elliptic_zonal(p, sing, 1e-3))
-    with pytest.raises(DomainError):
-        R.radon_elliptic_zonal(p, sing, 1e-9)
-    with pytest.raises(DomainError):
-        R.dual_affine_radial(p, P.power(0.5), 1e-9)
+    got = row(p, f, 1e-9)
+    for x in (1e-6, 1e-5):
+        assert rel_err(got, row(p, f, x) * (1e-9 / x) ** 0.5) < 1e-9
+
+
+def test_left_sided_limit_at_0_of_an_origin_power():
+    # x^q h(x) maps to 0 at x = 0 for q > 0 and is infinite there for q < 0
+    p = R.TransformParams(4, 1, 2)
+    assert R.dual_affine_radial(p, P.power(0.5), 0.0) == 0.0
+    with pytest.raises(DivergenceError):
+        R.dual_affine_radial(p, P.power(-0.5), 0.0)
 
 
 def test_invert_rejects_a_window_outside_the_span():
@@ -536,12 +548,14 @@ def test_invert_residual_check_work(monkeypatch):
     # segments whose first two rungs disagree enter the ladder of
     # _integrate_known (all 16 did before the segments were batched).
     segments, ladders, bisections = [], [], []
-    split, known, bisect = (fracint._split_weighted, quadrature._integrate_known,
-                            quadrature.integrate_weighted)
+    splits, known, bisect = (quadrature._integrate_splits,
+                             quadrature._integrate_known,
+                             quadrature.integrate_weighted)
 
-    def counted_split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
-        segments.append(1 + sum(lo < p < hi for p in interior))
-        return split(u_core, lo, hi, p_lo, p_hi, interior, spec, budget)
+    def counted_splits(core, items, spec):
+        segments.extend(1 + sum(lo < p < hi for p in interior)
+                        for lo, hi, _, _, interior, _ in items)
+        return splits(core, items, spec)
 
     def counted_known(*args, **kwargs):
         ladders.append(None)
@@ -551,9 +565,8 @@ def test_invert_residual_check_work(monkeypatch):
         bisections.append(None)
         return bisect(*args, **kwargs)
 
-    monkeypatch.setattr(fracint, "_split_weighted", counted_split)
+    monkeypatch.setattr(fracint, "_integrate_splits", counted_splits)
     monkeypatch.setattr(quadrature, "_integrate_known", counted_known)
-    monkeypatch.setattr(fracint, "_integrate_known", counted_known)
     monkeypatch.setattr(quadrature, "integrate_weighted", counted_bisect)
     for case, n_ladders in (("ball-dual-power", 6), ("elliptic-gaussian", 0)):
         model, triple, data, dual, _, full = _RESIDUAL_CASES[case]
@@ -566,6 +579,25 @@ def test_invert_residual_check_work(monkeypatch):
         assert sum(segments) == 16
         assert len(ladders) == n_ladders
         assert bisections == []
+
+
+@pytest.mark.parametrize("triple, calls, nodes", [((3, 0, 1), 6, 7632),
+                                                  ((5, 1, 3), 6, 7920)])
+def test_hyper_zonal_grid_is_one_batch(hyper_gauss_cosh, triple, calls, nodes):
+    # the 32 infinite tails of a grid share each octave's core call: one
+    # call for the first segments and one per octave round, where a loop
+    # over the points made 318 and 330 calls on the same 7,632 and 7,920
+    # nodes
+    sizes = []
+
+    def fn(x):
+        sizes.append(np.size(x))
+        return hyper_gauss_cosh.fn(x)
+
+    f = dataclasses.replace(hyper_gauss_cosh, fn=fn)
+    R.radon_hyper_zonal(R.TransformParams(*triple), f, np.linspace(1.0, 3.0, 32))
+    assert len(sizes) == calls
+    assert sum(sizes) == nodes
 
 
 # -- the coordinate span of each transform row -------------------------------------

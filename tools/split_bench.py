@@ -1,16 +1,25 @@
-"""Micro-benchmark of ``fracint._split_weighted`` at 1, 2, 3 and 51 segments.
+"""Micro-benchmark of the batched quadrature behind ``ek_left``/``ek_right``.
 
-The calls are captured from public entry points of the tree this script
-sits in, then replayed with a fresh subdivision budget each time:
+Split batches are captured from public entry points of the tree this script
+sits in (``quadrature._integrate_splits``), then replayed with a fresh
+subdivision budget each time:
 
-- ``ek_left(0.5, gaussian(), t)`` at t = 0.2, 0.4 and 0.8 makes one call of
+- ``ek_left(0.5, gaussian(), t)`` at t = 0.2, 0.4 and 0.8 is one integral of
   1, 2 and 3 segments (the geometric splits at r = 0.25, 0.5);
 - one projective forward point, ``radon_projective_zonal`` at (4,1,2) on
-  ``gaussian(0.5)`` of the angle at 0.3, makes one call of 51 segments.
+  ``gaussian(0.5)`` of the angle at 0.3, is one integral of 51 segments.
 
-Prints one JSON object: per segment count, the best of 7 repeats of the
-mean time of one call in microseconds, and the call's value as float.hex
-(equal across two trees exactly when the batch keeps the bits).
+Two 32-point grids are timed through their public calls, so they run on a
+tree without the batch as well:
+
+- ``forward-32``: ``radon_chord_radial`` at (4,1,2) on ``gaussian(0.5)`` of
+  the ball radius at 32 points in [0.05, 0.95], 32 split integrals;
+- ``tail-32``: ``ek_right(0.5, gaussian(), t)`` at 32 points in [0, 2.5],
+  32 infinite tails.
+
+Prints one JSON object: per case the best of 7 repeats of the mean time of
+one call in microseconds, and the values as float.hex (equal across two
+trees exactly when the batch keeps the bits).
 
     python tools/split_bench.py
 """
@@ -24,50 +33,63 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _captured() -> dict:
-    """Segment count -> (args without the budget, budget size) of the first
-    call with that many segments."""
+def _grids() -> dict:
+    """Case name -> the public call of a 32-point grid."""
+    import numpy as np
+
     from georadon import fracint as F
     from georadon import profiles as P
     from georadon import radial as R
 
+    ball = P.gaussian(0.5, arg_kind=P.ArgKind.BallRadius)
+    return {
+        "forward-32": lambda: R.radon_chord_radial(
+            R.TransformParams(4, 1, 2), ball, np.linspace(0.05, 0.95, 32)),
+        "tail-32": lambda: F.ek_right(0.5, P.gaussian(),
+                                      np.linspace(0.0, 2.5, 32)),
+    }
+
+
+def _captured() -> dict:
+    """Segment count -> replay of the first one-integral split batch with
+    that many segments, with a fresh budget of the same size."""
+    from georadon import fracint as F
+    from georadon import profiles as P
+    from georadon import quadrature as Q
+    from georadon import radial as R
+
     calls = {}
-    inner = F._split_weighted
+    inner = F._integrate_splits
 
-    def capture(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
+    def capture(core, splits, spec):
+        (lo, hi, p_lo, p_hi, interior, budget), = splits
         n_seg = 1 + sum(lo < p < hi for p in interior)
-        calls.setdefault(n_seg, ((u_core, lo, hi, p_lo, p_hi, interior, spec),
-                                 budget.left))
-        return inner(u_core, lo, hi, p_lo, p_hi, interior, spec, budget)
+        calls.setdefault(n_seg, lambda: inner(
+            core, [(lo, hi, p_lo, p_hi, interior, Q._Budget(budget.left))],
+            spec))
+        return inner(core, splits, spec)
 
-    F._split_weighted = capture
+    F._integrate_splits = capture
     try:
         for t in (0.2, 0.4, 0.8):
             F.ek_left(0.5, P.gaussian(), t)
         R.radon_projective_zonal(R.TransformParams(4, 1, 2),
                                  P.gaussian(0.5, arg_kind=P.ArgKind.Angle), 0.3)
     finally:
-        F._split_weighted = inner
-    return calls
+        F._integrate_splits = inner
+    return {f"split-{n}": calls[n] for n in (1, 2, 3, 51)}
 
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    from georadon.fracint import _split_weighted
-    from georadon.quadrature import _Budget
+    import numpy as np
 
-    calls = _captured()
     out = {}
-    for n_seg in (1, 2, 3, 51):
-        args, left = calls[n_seg]
-
-        def once(args=args, left=left):
-            return _split_weighted(*args, _Budget(left))
-
-        number = max(20, 2000 // n_seg)
+    for name, once in {**_captured(), **_grids()}.items():
+        number = 200 if name.startswith("split-") else 20
         best = min(timeit.repeat(once, number=number, repeat=7)) / number
-        out[str(n_seg)] = {"us_per_call": round(best * 1e6, 2),
-                           "value": once().hex()}
+        out[name] = {"us_per_call": round(best * 1e6, 2),
+                     "value": [float(v).hex() for v in np.ravel(once())]}
     print(json.dumps(out))
     return 0
 
