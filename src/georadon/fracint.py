@@ -11,8 +11,8 @@ a fixed Gauss-Jacobi weight.  A vector of target points is one batch: each
 point makes its own setup (domain checks, exponents, split points,
 prefactor, budget), and the segments of all points are the rows of one node
 block of ``quadrature._integrate_splits`` and ``_integrate_tails``, so the
-profile is called once per block and each value keeps the bits of a loop
-over the points.  The derivatives invert them:
+profile is called once per block and ladder rung, and each value keeps the
+bits of a loop over the points.  The derivatives invert them:
 
     deriv_left  = D^(m+1) I^(1-a0)_left,            D = (1/2t) d/dt,
     deriv_right = (-D)^m                            for integer a,
@@ -76,10 +76,10 @@ def check_decay(f: Profile1D, alpha: float, a: float,
 # -- integrals ---------------------------------------------------------------
 
 #: rows per block of target points: a split segment or an infinite tail is
-#: a row of 48 nodes in each array of the block, and a profile chain holds a
-#: dozen such arrays at once.  A 32-point projective grid (51 segments a
-#: point) in one block peaks at 8.7 MB of arrays, in blocks of 128 rows at
-#: 0.8 MB
+#: a row of 48 nodes in each array of the block (up to 256 for the rows
+#: still climbing the ladder), and a profile chain holds a dozen such arrays
+#: at once.  A 32-point projective grid (51 segments a point) in one block
+#: peaks at 8.7 MB of arrays, in blocks of 128 rows at 0.8 MB
 _BLOCK_ROWS = 128
 
 
@@ -179,6 +179,8 @@ def _left_point(alpha: float, f: Profile1D, fac, t: float,
     # not carry is the row integrand's ``kernel`` or ``edge`` exponent
     ts = t * t
     scale_pow = t ** (2.0 * alpha + o)
+    if scale_pow == 0.0:
+        return 0.0      # the value underflows (the core f(r) / r^o may be 0/0)
     has_edge = s is not None and math.isfinite(s) and e != 0.0
     supported = s is not None and math.isfinite(s)
     kernel = edge = 0.0

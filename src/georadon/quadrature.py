@@ -6,12 +6,11 @@ until two successive rules agree and bisecting when doubling stalls.
 Infinite upper limits are handled by geometric segments with a certified
 tail bound driven by the integrand's decay exponent.
 
-Many integrals of one integrand family (the target points of a fractional
-integral) are evaluated as one batch: ``_integrate_splits`` and
-``_integrate_tails`` make every segment a row of one node block, take the
-first two ladder rungs of all rows from one core call and contract the
-rows so that each value keeps the bits of a separate rule.  A single
-integral is a batch of one.
+Every integral is a row of one node ladder, ``_integrate_rows``; a single
+integral is a batch of one.  The rows of an integrand family (the segments
+of all target points of a fractional integral, the halves of bisected
+rows) climb the ladder together, one core call per rung, and each keeps
+the bits of the rule applied to it alone.
 """
 from __future__ import annotations
 
@@ -76,40 +75,33 @@ class _Budget:
             raise QuadratureError("quadrature subdivision budget exhausted")
 
 
-def _fixed_rule(a: float, b: float, p_lo: float, p_hi: float, n: int):
-    """Nodes u, weights w and scale c of the n-node rule on [a, b]: the
-    rule's value for ``core`` is ``c * dot(w, core(u))``."""
-    x, w = _rule(n, p_lo, p_hi)
-    h = 0.5 * (b - a)
-    return a + h * (x + 1.0), w, h ** (1.0 + p_lo + p_hi)
-
-
-def _weighted_fixed(core, a: float, b: float, p_lo: float, p_hi: float, n: int) -> float:
-    u, w, scale = _fixed_rule(a, b, p_lo, p_hi, n)
-    return float(scale * np.dot(w, core(u)))
-
-
 def weighted_nodes(a: float, b: float, p_lo: float, p_hi: float, n: int):
     """Nodes u and weights W with int (u-a)^p_lo (b-u)^p_hi h(u) du = sum W h(u).
 
     A fixed (non-adaptive) rule; useful when integrals at many parameter
     values must share one grid so their errors vary smoothly.
     """
-    u, w, scale = _fixed_rule(a, b, p_lo, p_hi, n)
-    return u, w * scale
+    x, w = _rule(n, p_lo, p_hi)
+    h = 0.5 * (b - a)
+    return a + h * (x + 1.0), w * h ** (1.0 + p_lo + p_hi)
 
 
 def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
                        spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                       budget: _Budget | None = None,
-                       scale_hint: float = 0.0) -> float:
+                       budget: _Budget | None = None) -> float:
     """Integral of (u-a)^p_lo (b-u)^p_hi core(u) over [a, b], adaptive.
 
     ``core`` must be smooth on (a, b) and finite at the endpoints; the
-    algebraic endpoint behavior lives entirely in the exponents.
+    algebraic endpoint behavior lives entirely in the exponents.  One row
+    of ``_integrate_rows`` with scale hint 0: 0 for b <= a, at no cost.
     """
-    return _integrate_known({}, core, a, b, p_lo, p_hi, spec, budget,
-                            scale_hint)
+    if budget is None:
+        budget = _Budget(spec.max_subdivisions)
+    value, = _integrate_rows(lambda u, keys: core(u.ravel()).reshape(u.shape),
+                             [(0, a, b, p_lo, p_hi)], spec, [budget], ())
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 def _rungs_agree(prev, cur, spec: QuadratureSpec, scale_hint):
@@ -122,54 +114,17 @@ def _rungs_agree(prev, cur, spec: QuadratureSpec, scale_hint):
         spec.abs_tol, spec.rel_tol * np.fmax(np.abs(cur), scale_hint))
 
 
-def _integrate_known(known: dict, core, a: float, b: float, p_lo: float,
-                     p_hi: float, spec: QuadratureSpec, budget: _Budget | None,
-                     scale_hint: float) -> float:
-    """``integrate_weighted`` whose ladder takes the rungs in ``known``
-    (node count -> value of that fixed rule on [a, b]) instead of
-    evaluating ``core`` for them again."""
-    if b <= a:
-        return 0.0
-    if budget is None:
-        budget = _Budget(spec.max_subdivisions)
-    budget.spend()
-
-    prev = None
-    for n in _NODE_LADDER:
-        cur = known[n] if n in known else \
-            _weighted_fixed(core, a, b, p_lo, p_hi, n)
-        if prev is not None and _rungs_agree(prev, cur, spec, scale_hint):
-            return cur
-        prev = cur
-
-    # Spectral doubling stalled: bisect.  The half away from an endpoint
-    # weight sees that weight as a smooth factor folded into the core.
-    mid = 0.5 * (a + b)
-
-    def core_left(u):
-        return core(u) * (b - u) ** p_hi
-
-    def core_right(u):
-        return core(u) * (u - a) ** p_lo
-
-    left = integrate_weighted(core_left, a, mid, p_lo, 0.0, spec, budget, scale_hint)
-    right = integrate_weighted(core_right, mid, b, 0.0, p_hi, spec, budget, scale_hint)
-    return left + right
-
-
 def integrate_to_infinity(core, a: float, p_lo: float,
                           decay_exponent: float,
-                          spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                          first_width: float = 1.0) -> float:
+                          spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Integral of (u-a)^p_lo core(u) over [a, inf).
 
     ``decay_exponent`` d asserts |(u-a)^p_lo core(u)| <= C u^(-d) for large u
     with d > 1 (``math.inf`` allowed); it certifies the truncation tail.
     Raises ``DivergenceError`` when segment contributions keep growing.
     """
-    total, = _integrate_tails(
-        lambda u, keys: core(u.ravel()).reshape(u.shape),
-        [(a, p_lo, decay_exponent, first_width)], spec)
+    total, = _integrate_tails(lambda u, keys: core(u.ravel()).reshape(u.shape),
+                              [(a, p_lo, decay_exponent, 1.0)], spec)
     if isinstance(total, Exception):
         raise total
     return total
@@ -177,18 +132,13 @@ def integrate_to_infinity(core, a: float, p_lo: float,
 
 # -- batches of integrals ------------------------------------------------------
 
-#: the ladder rungs that a batch evaluates for all its rows in one core call
-_RUNGS = _NODE_LADDER[:2]
-
-
 @lru_cache(maxsize=512)
-def _rung_rules(kinds: tuple):
-    """Nodes of the two ``_RUNGS`` rules on [-1, 1], concatenated, and
-    each rule's weights, stacked one row per exponent pair of ``kinds``."""
-    rules = [[_rule(n, p_lo, p_hi) for n in _RUNGS] for p_lo, p_hi in kinds]
-    return (np.array([np.concatenate((x0, x1)) for (x0, _), (x1, _) in rules]),
-            np.array([w0 for (_, w0), _ in rules]),
-            np.array([w1 for _, (_, w1) in rules]))
+def _rung_rules(kinds: tuple, ns: tuple):
+    """Nodes of the ``ns``-node rules on [-1, 1], concatenated, and each
+    rule's weights, stacked one row per exponent pair of ``kinds``."""
+    rules = [[_rule(n, p_lo, p_hi) for n in ns] for p_lo, p_hi in kinds]
+    return (np.array([np.concatenate([x for x, _ in rule]) for rule in rules]),
+            [np.array([rule[i][1] for rule in rules]) for i in range(len(ns))])
 
 
 def _row_dots(vals, w):
@@ -220,70 +170,114 @@ def _times_power(vals, base, exps):
     return out
 
 
+def _rung_values(core, rows):
+    """``rungs(pos, ns)``: the ``ns``-node rules of the rows that ``pos`` (a
+    slice or a list) selects from ``rows``, one array per rule, from one
+    ``core`` call.  A row's nodes are ``a + h*(x + 1.0)`` and its value
+    ``h^(1+p+q) * dot(w, vals)`` (``_row_dots``), its smooth factors applied
+    in order: the bits of its rule alone.  All rows carry as many factors."""
+    cols = np.array(rows)
+    keys, a = cols[:, 0].astype(np.intp), cols[:, 1]
+    h = 0.5 * (cols[:, 2] - a)
+    c = np.array([hs ** (1.0 + r[3] + r[4]) for hs, r in zip(h.tolist(), rows)])
+    factors = cols[:, 5:].reshape(len(rows), -1, 3)
+    kinds: dict = {}
+    kind = np.array([kinds.setdefault(r[3:5], len(kinds)) for r in rows])
+    kinds = tuple(kinds)
+
+    def rungs(pos, ns):
+        x, ws = _rung_rules(kinds, ns)
+        ix = kind[pos]
+        u = a[pos, None] + h[pos, None] * (x[ix] + 1.0)
+        vals = core(u, keys[pos])
+        for f in factors[pos].transpose(1, 0, 2):
+            end = f[:, :1]
+            vals = _times_power(vals, lambda m: u[m] - end[m], f[:, 1])
+            vals = _times_power(vals, lambda m: end[m] - u[m], f[:, 2])
+        out, start = [], 0
+        for n, w in zip(ns, ws):
+            out.append(c[pos] * _row_dots(vals[:, start:start + n], w[ix]))
+            start += n
+        return out
+
+    return rungs
+
+
 def _integrate_rows(core, rows, spec: QuadratureSpec, budgets,
                     spans) -> list:
     """Every row's integral, or the error it raised.
 
-    Row (key, a, b, jl, jh, lo, wl, hi, wh) integrates
-    (u-a)^jl (b-u)^jh times (u-lo)^wl (hi-u)^wh core(u, key) over [a, b]:
-    the Jacobi weight of its own ends, and smooth weights of the ends of
-    the integral it belongs to.  ``core(u, keys)`` gives the integrand on a
-    block u with one row of nodes per key.
+    Row (key, a, b, p, q, x1, r1, s1, x2, ...) integrates (u-a)^p (b-u)^q
+    core(u, key) over [a, b] times its smooth factors (u-x)^r (x-u)^s, the
+    weights of the ends x of its integral, in their order.
+    ``core(u, keys)`` gives the integrand on a block u, a row per key.
 
-    The two ``_RUNGS`` of all rows come from one ``core`` call: each row's
-    nodes are ``a + h*(x + 1.0)`` and its value ``c * dot(w, vals)``, as
-    ``_fixed_rule`` and ``_weighted_fixed`` compute them.  A row whose
-    rungs agree relative to its scale hint is accepted at one unit of its
-    budget; only the others climb the ladder of ``_integrate_known`` from
-    them, one at a time, on their own integrand.  The scale hint of the
-    rows of a slice in ``spans`` is the sum of the magnitudes of their
-    32-node values, in row order; it is 0 for every other row.
+    Rows go in rounds.  A row with b <= a is 0 at no cost; every other row
+    spends one unit of its budget.  The 16- and 32-node rungs of a round
+    are one core call, and each of 64, 128 and 256 nodes one more on the
+    rows whose last two rungs disagree (``_rungs_agree``, relative to the
+    row's scale hint).  A row that still disagrees is bisected: its halves
+    are rows of the next round with its budget and hint, each with the
+    endpoint weight it does not own as its last factor, and its value is
+    their sum (or the first error of its halves).  The hint of the rows of
+    a slice in ``spans`` is the sum of the magnitudes of their 32-node
+    values, in row order; it is 0 for every other row.
     """
-    cols = np.array(rows)
-    keys, a = cols[:, 0].astype(np.intp), cols[:, 1]
-    h = 0.5 * (cols[:, 2] - a)
-    lo, wl, hi, wh = cols[:, 5:6], cols[:, 6], cols[:, 7:8], cols[:, 8]
-
-    def block(u, idx):
-        vals = core(u, keys[idx])
-        vals = _times_power(vals, lambda m: u[m] - lo[idx][m], wl[idx])
-        return _times_power(vals, lambda m: hi[idx][m] - u[m], wh[idx])
-
-    _, _, _, jl, jh, _, _, _, _ = zip(*rows)
-    kinds: dict = {}
-    ix = np.array([kinds.setdefault(e, len(kinds)) for e in zip(jl, jh)])
-    x, w0, w1 = (col[ix] for col in _rung_rules(tuple(kinds)))
-    vals = block(a[:, None] + h[:, None] * (x + 1.0), slice(None))
-    c = np.array([hs ** (1.0 + p + q) for hs, p, q in zip(h.tolist(), jl, jh)])
-    n0 = _RUNGS[0]
-    coarse = c * _row_dots(vals[:, :n0], w0)
-    fine = c * _row_dots(vals[:, n0:], w1)
-
-    hints = [0.0] * len(rows)
-    fl = fine.tolist()
-    for span in spans:
-        scale = 0.0
-        for v in fl[span]:
-            # the finest known rung anchors the relative tolerance of small
-            # segments
-            scale += abs(v)
-        hints[span] = [scale] * (span.stop - span.start)
-    agree = _rungs_agree(coarse, fine, spec, np.array(hints)).tolist()
-    out = []
-    for r, (c0, c1, budget, hint) in enumerate(zip(coarse.tolist(), fl,
-                                                    budgets, hints)):
-        try:
-            if agree[r]:
-                budget.spend()
-                out.append(c1)
+    rows, live = list(rows), range(len(rows))
+    root, hints, out = list(live), [0.0] * len(rows), [0.0] * len(rows)
+    while live := [r for r in live if rows[r][1] < rows[r][2]]:
+        rungs = _rung_values(core, [rows[r] for r in live])
+        coarse, last = rungs(slice(None), _NODE_LADDER[:2])
+        first = dict(zip(live, last.tolist()))
+        for span in spans:
+            scale = 0.0
+            for r in range(span.start, span.stop):
+                # the finest known rung anchors the relative tolerance of
+                # small segments
+                scale += abs(first.get(r, 0.0))
+            hints[span] = [scale] * (span.stop - span.start)
+        spans = ()
+        hint = np.array([hints[root[r]] for r in live])
+        agree = _rungs_agree(coarse, last, spec, hint).tolist()
+        climb = []
+        for i, r in enumerate(live):
+            try:
+                budgets[root[r]].spend()
+            except QuadratureError as exc:
+                out[r] = exc
+                continue
+            if agree[i]:
+                out[r] = first[r]
             else:
-                out.append(_integrate_known(
-                    dict(zip(_RUNGS, (c0, c1))),
-                    lambda u, r=r: block(u[None, :], [r])[0], *rows[r][1:5],
-                    spec, budget, hint))
-        except Exception as exc:
-            out.append(exc)
-    return out
+                climb.append(i)
+        for n in _NODE_LADDER[2:]:
+            if climb:
+                cur, = rungs(climb, (n,))
+                agree = _rungs_agree(last[climb], cur, spec,
+                                     hint[climb]).tolist()
+                last[climb] = cur
+                for i, v, ok in zip(climb, cur.tolist(), agree):
+                    if ok:
+                        out[live[i]] = v
+                climb = [i for i, ok in zip(climb, agree) if not ok]
+        # Spectral doubling stalled: bisect.
+        halves = []
+        for r in (live[i] for i in climb):
+            key, a, b, p, q, *factors = rows[r]
+            mid = 0.5 * (a + b)
+            out[r] = (len(rows), len(rows) + 1)
+            halves += out[r]
+            rows += [(key, a, mid, p, 0.0, *factors, b, 0.0, q),
+                     (key, mid, b, 0.0, q, *factors, a, p, 0.0)]
+            root += [root[r]] * 2
+            out += [0.0, 0.0]
+        live = halves
+    for r in reversed(range(len(rows))):
+        if isinstance(out[r], tuple):
+            left, right = (out[half] for half in out[r])
+            out[r] = left if isinstance(left, Exception) else \
+                right if isinstance(right, Exception) else left + right
+    return out[:len(hints)]
 
 
 def _integrate_splits(core, splits, spec: QuadratureSpec) -> list:
@@ -302,11 +296,13 @@ def _integrate_splits(core, splits, spec: QuadratureSpec) -> list:
         points = [lo] + [p for p in interior if lo < p < hi] + [hi]
         last = len(points) - 2
         segs = [(i, a, b, p_lo if j == 0 else 0.0, p_hi if j == last else 0.0,
-                 lo, 0.0 if j == 0 else p_lo, hi, 0.0 if j == last else p_hi)
+                 lo, 0.0 if j == 0 else p_lo, 0.0,
+                 hi, 0.0, 0.0 if j == last else p_hi)
                 for j, (a, b) in enumerate(zip(points, points[1:]))]
         try:
             if not (p_lo > -1.0 and p_hi > -1.0):
-                _rung_rules(tuple(dict.fromkeys(s[3:5] for s in segs)))
+                _rung_rules(tuple(dict.fromkeys(s[3:5] for s in segs)),
+                            _NODE_LADDER[:2])
         except Exception as exc:
             out[i] = exc
             segs = []
@@ -381,7 +377,7 @@ def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
     loops, asks = {}, {}
     for i, tail in enumerate(tails):
         try:
-            _rung_rules(((tail[1], 0.0),))
+            _rung_rules(((tail[1], 0.0),), _NODE_LADDER[:2])
         except Exception as exc:
             out[i] = exc
             continue
@@ -389,7 +385,7 @@ def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
         asks[i] = next(loops[i])
     budgets = {i: _Budget(spec.max_subdivisions) for i in loops}
     while asks:
-        rows = [(i, lo, hi, jl, 0.0, tails[i][0], wl, hi, 0.0)
+        rows = [(i, lo, hi, jl, 0.0, tails[i][0], wl, 0.0)
                 for i, (lo, hi, jl, wl) in asks.items()]
         segs = _integrate_rows(core, rows, spec, [budgets[i] for i in asks],
                                ())

@@ -503,6 +503,21 @@ class ExistenceResult:
     note: str = ""
 
 
+def _sharp_exponent(kind: ExistenceKind, p: TransformParams):
+    """The sharp exponent of a condition at p, and the side of it on which
+    the condition holds."""
+    n, j, k = p.n, p.j, p.k
+    return {
+        ExistenceKind.AFFINE_WEIGHTED_L1: (k - j, "above"),
+        ExistenceKind.AFFINE_FORWARD_POWER: (k - j, "above"),
+        ExistenceKind.AFFINE_DUAL_POWER: (n - k, "below"),
+        ExistenceKind.HYPER_FORWARD_POWER: (k - 1, "above"),
+        ExistenceKind.HYPER_DUAL_POWER: (n - k, "below"),
+        ExistenceKind.AFFINE_LEBESGUE: ((n - j) / (k - j), "below"),
+        ExistenceKind.HYPER_LEBESGUE: ((n - 1) / max(k - 1, 1e-12), "below"),
+    }[kind]
+
+
 def existence_predicate(kind: ExistenceKind, p: TransformParams,
                         subject) -> ExistenceResult:
     """Evaluate a sufficient existence condition on an exponent or profile.
@@ -512,17 +527,7 @@ def existence_predicate(kind: ExistenceKind, p: TransformParams,
     explicit witness diverges, and INCONCLUSIVE is returned when a profile
     carries no usable hints (the criteria are sufficient, not necessary).
     """
-    n, j, k = p.n, p.j, p.k
-    thresholds = {
-        ExistenceKind.AFFINE_WEIGHTED_L1: (k - j, "above"),
-        ExistenceKind.AFFINE_FORWARD_POWER: (k - j, "above"),
-        ExistenceKind.AFFINE_DUAL_POWER: (n - k, "below"),
-        ExistenceKind.HYPER_FORWARD_POWER: (k - 1, "above"),
-        ExistenceKind.HYPER_DUAL_POWER: (n - k, "below"),
-        ExistenceKind.AFFINE_LEBESGUE: ((n - j) / (k - j), "below"),
-        ExistenceKind.HYPER_LEBESGUE: ((n - 1) / max(k - 1, 1e-12), "below"),
-    }
-    thr, side = thresholds[kind]
+    thr, side = _sharp_exponent(kind, p)
 
     if isinstance(subject, Profile1D):
         expo = None
@@ -555,35 +560,30 @@ def existence_predicate(kind: ExistenceKind, p: TransformParams,
 
 def sharp_witness_profile(kind: ExistenceKind, p: TransformParams) -> Profile1D:
     """The divergence witness at the sharp exponent for each condition."""
-    n, j, k = p.n, p.j, p.k
-    if kind is ExistenceKind.AFFINE_FORWARD_POWER:
-        lam = float(k - j)
-        return Profile1D(lo=1e-12, hi=math.inf, arg_kind=ArgKind.EuclideanRadius,
-                         fn=lambda r: r ** (-lam), decay_hint=lam,
-                         origin_power=-lam, label="sharp forward power")
-    if kind is ExistenceKind.AFFINE_DUAL_POWER:
-        de = float(n - k)
-        return Profile1D(lo=1e-300, hi=math.inf, arg_kind=ArgKind.EuclideanRadius,
-                         fn=lambda s: s ** (-de), origin_power=-de,
-                         decay_hint=de, label="sharp dual power")
-    if kind is ExistenceKind.HYPER_FORWARD_POWER:
-        lam = float(k - 1)
-        return Profile1D(lo=1.0, hi=math.inf, arg_kind=ArgKind.CoshDistance,
-                         fn=lambda s: s ** (-lam), decay_hint=lam,
-                         label="sharp hyper forward")
-    if kind is ExistenceKind.HYPER_DUAL_POWER:
-        de = float(n - k)
-        return Profile1D(lo=1e-300, hi=math.inf, arg_kind=ArgKind.SinhDistance,
-                         fn=lambda s: s ** (-de), origin_power=-de,
-                         decay_hint=de, label="sharp hyper dual")
+    thr = float(_sharp_exponent(kind, p)[0])
+    powers = {  # x^-thr: lo, argument, origin exponent, label
+        ExistenceKind.AFFINE_FORWARD_POWER: (
+            1e-12, ArgKind.EuclideanRadius, -thr, "sharp forward power"),
+        ExistenceKind.AFFINE_DUAL_POWER: (
+            1e-300, ArgKind.EuclideanRadius, -thr, "sharp dual power"),
+        ExistenceKind.HYPER_FORWARD_POWER: (
+            1.0, ArgKind.CoshDistance, 0.0, "sharp hyper forward"),
+        ExistenceKind.HYPER_DUAL_POWER: (
+            1e-300, ArgKind.SinhDistance, -thr, "sharp hyper dual"),
+    }
+    if kind in powers:
+        lo, arg_kind, origin, label = powers[kind]
+        return Profile1D(lo=lo, hi=math.inf, arg_kind=arg_kind,
+                         fn=lambda x: x ** (-thr), decay_hint=thr,
+                         origin_power=origin, label=label)
     if kind is ExistenceKind.AFFINE_LEBESGUE:
-        pw = (j - n) / ((n - j) / (k - j))        # = j - k at the critical p
+        pw = (p.j - p.n) / thr                  # = j - k at the critical p
         return Profile1D(lo=0.0, hi=math.inf, arg_kind=ArgKind.EuclideanRadius,
                          fn=lambda r: (2.0 + r) ** pw / np.log(2.0 + r),
                          decay_hint=-pw, label="critical Lebesgue witness")
-    if kind is ExistenceKind.HYPER_LEBESGUE and k > 1:
+    if kind is ExistenceKind.HYPER_LEBESGUE and p.k > 1:
         # at k = 1 the bound p < (n-1)/(k-1) does not limit p: no witness
-        pw = (1 - n) / ((n - 1) / (k - 1))        # = 1 - k at the critical p
+        pw = (1 - p.n) / thr                    # = 1 - k at the critical p
         return Profile1D(lo=1.0, hi=math.inf, arg_kind=ArgKind.CoshDistance,
                          fn=lambda s: s ** pw / np.log(1.0 + s),
                          decay_hint=-pw, label="critical hyper witness")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -294,42 +295,67 @@ def test_projective_point_subdivision_budget():
     assert got.hex() == '0x1.253657247b32fp-2'
 
 
-def _single(u_core):
-    """A one-dimensional integrand as the row integrand of a batch."""
-    return lambda u, keys: u_core(u.ravel()).reshape(u.shape)
+def _single(u_core, shapes=None):
+    """A one-dimensional integrand as the row integrand of a batch; the
+    shape and the range of every node block it sees go to ``shapes``."""
+    def core(u, keys):
+        if shapes is not None:
+            shapes.append((u.shape, float(u.min()), float(u.max())))
+        return u_core(u.ravel()).reshape(u.shape)
+    return core
 
 
-def test_split_integral_with_bisecting_segment(monkeypatch):
+def test_split_integral_with_bisecting_segment():
     # a kink at u = 0.7 inside the segment [0.5, 1.0]: only that segment's
-    # rungs disagree, so it alone enters the ladder, which bisects; the
-    # others are accepted at 32 nodes
-    ladders, bisections = [], []
-    known, bisect = Q._integrate_known, Q.integrate_weighted
-
-    def counted_known(rungs, *args):
-        if rungs:                  # bisection halves start from no rungs
-            ladders.append(args[1:3])
-        return known(rungs, *args)
-
-    def counted_bisect(*args):
-        bisections.append(args[1:3])
-        return bisect(*args)
-
-    monkeypatch.setattr(Q, "_integrate_known", counted_known)
-    monkeypatch.setattr(Q, "integrate_weighted", counted_bisect)
+    # rungs disagree, so it alone climbs the ladder, and its halves and
+    # theirs bisect inside it; the others are accepted at 32 nodes
+    shapes = []
     budget = Q._Budget(50)
     got, = Q._integrate_splits(
-        _single(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7))),
+        _single(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)), shapes),
         [(0.0, 3.0, -0.5, 0.25, [0.5, 1.0, 2.0], budget)], QuadratureSpec())
     assert got.hex() == '0x1.ab0b04bdb37bcp+1'
     assert budget.left == 36
-    assert ladders == [(0.5, 1.0)]
-    assert bisections and all(0.5 <= a < b <= 1.0 for a, b in bisections)
+    (first, _, _), climb = shapes[0], shapes[1:4]
+    assert first == (4, 48)
+    assert [s[0] for s in climb] == [(1, 64), (1, 128), (1, 256)]
+    assert all(0.5 < lo and hi < 1.0 for _, lo, hi in climb)
+    halves = [s for s in shapes[4:] if s[0][1] == 48]
+    assert halves and all(0.5 < lo and hi < 1.0 for _, lo, hi in halves)
+
+
+def _rule_alone(core, a, b, p_lo, p_hi, n):
+    """The n-node rule on [a, b] applied to one integrand alone."""
+    x, w = Q._rule(n, p_lo, p_hi)
+    h = 0.5 * (b - a)
+    return float(h ** (1.0 + p_lo + p_hi) * np.dot(w, core(a + h * (x + 1.0))))
+
+
+def _ladder_one_by_one(core, a, b, p_lo, p_hi, spec, budget, hint):
+    """One integral up the node ladder, one rule at a time, and down its
+    bisections depth first, each half folding the endpoint weight it does
+    not own into its integrand: the recursion whose bits and budget the
+    row ladder keeps."""
+    if b <= a:
+        return 0.0
+    budget.spend()
+    prev = None
+    for n in (16, 32, 64, 128, 256):
+        cur = _rule_alone(core, a, b, p_lo, p_hi, n)
+        if prev is not None and Q._rungs_agree(prev, cur, spec, hint):
+            return cur
+        prev = cur
+    mid = 0.5 * (a + b)
+    left = _ladder_one_by_one(lambda u: core(u) * (b - u) ** p_hi,
+                              a, mid, p_lo, 0.0, spec, budget, hint)
+    right = _ladder_one_by_one(lambda u: core(u) * (u - a) ** p_lo,
+                               mid, b, 0.0, p_hi, spec, budget, hint)
+    return left + right
 
 
 def _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
-    """One split integral one segment at a time through quadrature's fixed
-    rules: the loop whose bits the batch must keep."""
+    """One split integral one segment at a time: the loop whose bits the
+    batch must keep."""
     points = [lo] + [p for p in interior if lo < p < hi] + [hi]
     segs = [(a, b, p_lo if a == lo else 0.0, p_hi if b == hi else 0.0)
             for a, b in zip(points[:-1], points[1:])]
@@ -344,14 +370,12 @@ def _split_one_by_one(u_core, lo, hi, p_lo, p_hi, interior, spec, budget):
             return vals
         return core
 
-    known = [{n: Q._weighted_fixed(core_of(a, b), a, b, jl, jh, n)
-              for n in (16, 32)} for a, b, jl, jh in segs]
     scale = 0.0
-    for rungs in known:
-        scale += abs(rungs[32])
-    return sum(Q._integrate_known(rungs, core_of(a, b), a, b, jl, jh, spec,
-                                  budget, scale)
-               for rungs, (a, b, jl, jh) in zip(known, segs))
+    for a, b, jl, jh in segs:
+        scale += abs(_rule_alone(core_of(a, b), a, b, jl, jh, 32))
+    return sum(_ladder_one_by_one(core_of(a, b), a, b, jl, jh, spec, budget,
+                                  scale)
+               for a, b, jl, jh in segs)
 
 
 _SPLIT_CASES = {
@@ -363,12 +387,22 @@ _SPLIT_CASES = {
                0.25, [0.5, 1.0, 2.0]),
     "geometric": (lambda u: np.exp(-np.sqrt(u)), 0.0, 2.0 ** 21, -0.5, 1.5,
                   [2.0 ** i for i in range(20)]),
+    # accepted at 64, 128 and 256 nodes
+    "climb-64": (lambda u: np.cos(40.0 * u), 0.0, 1.0, -0.5, 0.0, []),
+    "climb-128": (lambda u: np.cos(100.0 * u), 0.0, 1.0, -0.5, 0.0, []),
+    "climb-256": (lambda u: np.cos(250.0 * u), 0.0, 1.0, -0.5, 0.0, []),
+    # both endpoint weights: a segment accepted at 64 nodes, one bisecting
+    "climb-split": (lambda u: np.cos(30.0 * u * u) * (1.0 + np.abs(u - 1.3)),
+                    0.0, 2.0, -0.3, 0.6, [1.0]),
 }
 
 
 @pytest.mark.parametrize("cases", [["one"], ["two"], ["four"], ["kinked"],
-                                   ["geometric"], sorted(_SPLIT_CASES),
-                                   ["kinked", "one", "kinked", "two"]],
+                                   ["geometric"],
+                                   ["four", "geometric", "kinked", "one", "two"],
+                                   ["kinked", "one", "kinked", "two"],
+                                   ["climb-64", "climb-128", "climb-256",
+                                    "climb-split", "one"]],
                          ids="+".join)
 def test_split_batch_keeps_the_bits_of_the_segment_loop(cases):
     # a batch of several integrals, each with its own integrand and budget,
@@ -390,25 +424,57 @@ def test_split_batch_keeps_the_bits_of_the_segment_loop(cases):
         assert budget.left == one.left
 
 
+def test_climbing_rows_share_each_rung_call():
+    # four integrals of one segment each, accepted at 32, 64, 128 and 256
+    # nodes: one core call for the 16- and 32-node rungs of all four, then
+    # one per rung on the rows still climbing, and one unit of budget each
+    cases = ["one", "climb-64", "climb-128", "climb-256"]
+    fns = [_SPLIT_CASES[c][0] for c in cases]
+    shapes = []
+
+    def core(u, keys):
+        shapes.append(u.shape)
+        return np.array([fns[k](row) for k, row in zip(keys.tolist(), u)])
+
+    budgets = [Q._Budget(200) for _ in cases]
+    Q._integrate_splits(core, [_SPLIT_CASES[c][1:] + (b,)
+                               for c, b in zip(cases, budgets)],
+                        QuadratureSpec())
+    assert shapes == [(4, 48), (3, 64), (2, 128), (1, 256)]
+    assert [b.left for b in budgets] == [199] * 4
+
+
+def _count_rows(monkeypatch, module):
+    """Wrap ``module._integrate_rows`` so that the node blocks of every
+    call go to the returned list, one list of u shapes per call."""
+    calls, rows = [], module._integrate_rows
+
+    def counted(core, *args):
+        calls.append([])
+
+        def seen(u, keys):
+            calls[-1].append(u.shape)
+            return core(u, keys)
+        return rows(seen, *args)
+
+    monkeypatch.setattr(module, "_integrate_rows", counted)
+    return calls
+
+
 def test_projective_point_work(monkeypatch):
     # the 51 segments of one projective point all have agreeing rungs, so
-    # none enters the ladder of _integrate_known (each of them used to);
-    # four points make a block of three (the first past 128 rows) and a
-    # block of one
-    batches, ladders = [], []
-    splits, known = Q._integrate_splits, Q._integrate_known
+    # none climbs past 32 nodes; four points make a block of three (the
+    # first past 128 rows) and a block of one
+    batches = []
+    splits = Q._integrate_splits
 
     def counted_splits(core, items, spec):
         batches.append([1 + sum(lo < p < hi for p in interior)
                         for lo, hi, _, _, interior, _ in items])
         return splits(core, items, spec)
 
-    def counted_known(*args):
-        ladders.append(args[2:4])
-        return known(*args)
-
     monkeypatch.setattr(F, "_integrate_splits", counted_splits)
-    monkeypatch.setattr(Q, "_integrate_known", counted_known)
+    calls = _count_rows(monkeypatch, Q)
     p = R.TransformParams(4, 1, 2)
     g = P.gaussian(0.5, arg_kind=P.ArgKind.Angle)
     R.radon_projective_zonal(p, g, 0.3)
@@ -416,7 +482,7 @@ def test_projective_point_work(monkeypatch):
     batches.clear()
     R.radon_projective_zonal(p, g, np.array([0.2, 0.3, 0.3, 0.5]))
     assert batches == [[51] * 3, [51]]
-    assert ladders == []
+    assert calls == [[(51, 48)], [(153, 48)], [(51, 48)]]
 
 
 #: the five profile families of the batch property: an infinite-domain
@@ -529,3 +595,15 @@ def test_right_integral_at_zero_of_nonintegrable_origin_power_diverges():
     f = P.truncated_power_pair(3.0, 1.2, -1.5, P.ArgKind.EuclideanRadius)
     with pytest.raises(DivergenceError):
         ek_right(0.5, f, 0.0)
+
+
+def test_left_integral_where_its_value_underflows():
+    # t^2.5 underflows at t = 1e-300 and 5e-324, where the core r^1.5 / r^1.5
+    # of the power's factored form is 0/0 on every node: the value is 0,
+    # with no warning
+    f = P.power(1.5, hi=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ek_left(0.5, f, np.array([5e-324, 1e-300, 1e-100]))
+    assert [v.hex() for v in got.tolist()] == \
+        ['0x0.0p+0', '0x0.0p+0', '0x1.295bc52bb4f52p-831']

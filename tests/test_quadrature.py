@@ -37,6 +37,36 @@ def test_narrow_peak_forces_bisection():
     assert abs(got - _PEAK_INTEGRAL) <= 1e-10 * _PEAK_INTEGRAL
 
 
+def test_bisecting_integral_keeps_its_bits_and_budget():
+    # both endpoint exponents nonzero and a kink at 0.3: the ladder bisects
+    # 12 times, and every half folds the weight it does not own into its
+    # integrand in the order of the recursion (recorded before the halves
+    # were batched as rows)
+    budget = _Budget(200)
+    got = integrate_weighted(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.3)),
+                             0.0, 1.0, -0.5, 0.3, budget=budget)
+    assert got.hex() == '0x1.a10c9e7b2a3d5p+0'
+    assert budget.left == 175
+
+
+@pytest.mark.parametrize("centre, width, want, spent", [
+    (0.3, 0.05, '0x1.340a004a8e271p-3', 25),
+    (0.31, 0.02, '0x1.d84fb33925289p-5', 23),
+    (0.7, 0.1, '0x1.3fd6bf212c41cp-3', 25)])
+def test_bisection_applies_the_endpoint_weights_in_recursion_order(
+        centre, width, want, spent):
+    # a kinked bump that bisects: the halves next to its kink carry both
+    # endpoint weights as smooth factors, and most of the value, so
+    # multiplying them in another order moves the last bits (recorded
+    # before the halves were batched as rows)
+    budget = _Budget(200)
+    got = integrate_weighted(
+        lambda u: np.exp(-((u - centre) / width) ** 2) * (
+            1.0 + np.abs(u - centre)), 0.0, 1.0, -0.5, 0.3, budget=budget)
+    assert got.hex() == want
+    assert 200 - budget.left == spent
+
+
 def test_exhausted_budget_raises():
     with pytest.raises(QuadratureError):
         integrate_weighted(_peak, 0.0, 1.0, 0.0, 0.0,

@@ -545,40 +545,39 @@ def test_invert_residual_check_work(monkeypatch):
     # the reconstruction declares its window start, where its constant
     # extension kinks, so each left-sided re-application sums smooth pieces
     # instead of bisecting: 16 segments over its split integrals.  Only the
-    # segments whose first two rungs disagree enter the ladder of
-    # _integrate_known (all 16 did before the segments were batched).
-    segments, ladders, bisections = [], [], []
-    splits, known, bisect = (quadrature._integrate_splits,
-                             quadrature._integrate_known,
-                             quadrature.integrate_weighted)
+    # segments whose first two rungs disagree climb to 64 nodes (all 16
+    # did before the segments were batched), and no row is bisected.
+    segments, calls = [], []
+    splits, rows = quadrature._integrate_splits, quadrature._integrate_rows
 
     def counted_splits(core, items, spec):
         segments.extend(1 + sum(lo < p < hi for p in interior)
                         for lo, hi, _, _, interior, _ in items)
         return splits(core, items, spec)
 
-    def counted_known(*args, **kwargs):
-        ladders.append(None)
-        return known(*args, **kwargs)
+    def counted_rows(core, *args):
+        calls.append([])
 
-    def counted_bisect(*args, **kwargs):
-        bisections.append(None)
-        return bisect(*args, **kwargs)
+        def seen(u, keys):
+            calls[-1].append(u.shape)
+            return core(u, keys)
+        return rows(seen, *args)
 
     monkeypatch.setattr(fracint, "_integrate_splits", counted_splits)
-    monkeypatch.setattr(quadrature, "_integrate_known", counted_known)
-    monkeypatch.setattr(quadrature, "integrate_weighted", counted_bisect)
-    for case, n_ladders in (("ball-dual-power", 6), ("elliptic-gaussian", 0)):
+    monkeypatch.setattr(quadrature, "_integrate_rows", counted_rows)
+    for case, n_climbing in (("ball-dual-power", 6), ("elliptic-gaussian", 0)):
         model, triple, data, dual, _, full = _RESIDUAL_CASES[case]
         segments.clear()
-        ladders.clear()
+        calls.clear()
         rec = R.invert_radial(model, R.TransformParams(*triple), data(),
                               out_range=full, dual=dual)
         assert rec.lo == pytest.approx(full[0])
         assert rec.breakpoints == (rec.lo,)
         assert sum(segments) == 16
-        assert len(ladders) == n_ladders
-        assert bisections == []
+        assert sum(rows for call in calls for rows, n in call
+                   if n == 64) == n_climbing
+        # a bisection would start a second round of 16- and 32-node rungs
+        assert all(n != 48 for call in calls for _, n in call[1:])
 
 
 @pytest.mark.parametrize("triple, calls, nodes", [((3, 0, 1), 6, 7632),

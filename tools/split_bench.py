@@ -15,11 +15,15 @@ tree without the batch as well:
 - ``forward-32``: ``radon_chord_radial`` at (4,1,2) on ``gaussian(0.5)`` of
   the ball radius at 32 points in [0.05, 0.95], 32 split integrals;
 - ``tail-32``: ``ek_right(0.5, gaussian(), t)`` at 32 points in [0, 2.5],
-  32 infinite tails.
+  32 infinite tails;
+- ``climb-32``: ``ek_left(0.5, f, t)`` at 32 points in [0.1, 2.0] of
+  f(r) = exp(-r^2) (1 + |r - 0.7|) on [0, 2], whose kink at 0.7 is not a
+  declared breakpoint: the segments across it pass 32 nodes and bisect.
 
 Prints one JSON object: per case the best of 7 repeats of the mean time of
-one call in microseconds, and the values as float.hex (equal across two
-trees exactly when the batch keeps the bits).
+one call in microseconds, the values as float.hex (equal across two trees
+exactly when the batch keeps the bits) and, for the grids, the calls of
+the input profile in one call.
 
     python tools/split_bench.py
 """
@@ -33,20 +37,32 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _grids() -> dict:
-    """Case name -> the public call of a 32-point grid."""
+def _grids(calls: list) -> dict:
+    """Case name -> the public call of a 32-point grid, whose input profile
+    appends to ``calls`` once per call of it."""
+    import dataclasses
+
     import numpy as np
 
     from georadon import fracint as F
     from georadon import profiles as P
     from georadon import radial as R
 
-    ball = P.gaussian(0.5, arg_kind=P.ArgKind.BallRadius)
+    def counted(f):
+        def fn(x):
+            calls.append(None)
+            return f.fn(x)
+        return dataclasses.replace(f, fn=fn)
+
+    ball = counted(P.gaussian(0.5, arg_kind=P.ArgKind.BallRadius))
+    gauss = counted(P.gaussian())
+    kinked = counted(P.Profile1D(0.0, 2.0, lambda r: np.exp(-r * r) * (
+        1.0 + np.abs(r - 0.7))))
     return {
         "forward-32": lambda: R.radon_chord_radial(
             R.TransformParams(4, 1, 2), ball, np.linspace(0.05, 0.95, 32)),
-        "tail-32": lambda: F.ek_right(0.5, P.gaussian(),
-                                      np.linspace(0.0, 2.5, 32)),
+        "tail-32": lambda: F.ek_right(0.5, gauss, np.linspace(0.0, 2.5, 32)),
+        "climb-32": lambda: F.ek_left(0.5, kinked, np.linspace(0.1, 2.0, 32)),
     }
 
 
@@ -84,12 +100,16 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
+    calls = []
     out = {}
-    for name, once in {**_captured(), **_grids()}.items():
+    for name, once in {**_captured(), **_grids(calls)}.items():
         number = 200 if name.startswith("split-") else 20
         best = min(timeit.repeat(once, number=number, repeat=7)) / number
+        calls.clear()
         out[name] = {"us_per_call": round(best * 1e6, 2),
                      "value": [float(v).hex() for v in np.ravel(once())]}
+        if not name.startswith("split-"):
+            out[name]["input_calls"] = len(calls)
     print(json.dumps(out))
     return 0
 
