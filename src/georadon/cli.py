@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 divergence detected,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,6 +35,7 @@ EXIT_MC = 4
 
 _COMMANDS = ("transform", "dual", "invert", "convert", "verify",
              "mc-duality", "chain", "table")
+_FORMATS = ("csv", "json")
 
 _KIND_ALIASES = {k.value: k for k in ArgKind}
 _KIND_ALIASES.update({
@@ -215,37 +217,47 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_text(path: str, text: str):
+    """Write an output file; a path that cannot be written is a JobError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise JobError(f"cannot write output: {exc}") from exc
+
+
 def write_table(path: str, fmt: str, header_meta: dict, columns: dict):
-    names = list(columns)
-    rows = len(next(iter(columns.values())))
+    # each column as a list of Python floats, formatted in one pass
+    cols = {k: np.asarray(vals, dtype=float).tolist()
+            for k, vals in columns.items()}
     if fmt == "json":
-        doc = {"meta": header_meta,
-               "columns": {k: [float(v) for v in vals]
-                           for k, vals in columns.items()}}
-        text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+        text = json.dumps({"meta": header_meta, "columns": cols},
+                          indent=1, sort_keys=True) + "\n"
     else:
-        lines = ["# " + " ".join(f"{k}={v}" for k, v in header_meta.items())]
-        lines.append(",".join(names))
-        for i in range(rows):
-            lines.append(",".join(_fmt(columns[k][i]) for k in names))
+        lines = ["# " + " ".join(f"{k}={v}" for k, v in header_meta.items()),
+                 ",".join(cols)]
+        lines += map(",".join, zip(*(map(repr, c) for c in cols.values())))
         text = "\n".join(lines) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, text)
 
 
 def _out_of(job, default_path: str):
     out = _section(job, "output")
-    return str(out.get("path", default_path)), str(out.get("format", "csv"))
+    fmt = str(out.get("format", "csv"))
+    _require(fmt in _FORMATS,
+             f"unknown output format {fmt!r}; choose csv or json")
+    return str(out.get("path", default_path)), fmt
 
 
 # -- command handlers --------------------------------------------------------------
 
 def _cmd_transform(job, command: str) -> int:
     """transform, dual and invert: one row of the model's transform table."""
+    invert = command == "invert"
+    path, fmt = _out_of(job, "invert.csv" if invert else "transform.csv")
     model = parse_model(job)
     p = parse_params(job)
     spec = parse_quadrature(job)
-    invert = command == "invert"
     dual = command == "dual" or (invert and bool(job.get("dual", False)))
     kind = R.TRANSFORMS[model, dual].kind
     prof = parse_profile(job.get("profile"), kind)
@@ -259,7 +271,6 @@ def _cmd_transform(job, command: str) -> int:
     else:
         vals = np.asarray(R.transform_function(model, dual)(p, prof, coords,
                                                             spec))
-    path, fmt = _out_of(job, "invert.csv" if invert else "transform.csv")
     write_table(path, fmt,
                 {"model": model.value, "variable": gkind.value,
                  "arg_kind": kind.value, "n": p.n, "j": p.j, "k": p.k},
@@ -269,6 +280,7 @@ def _cmd_transform(job, command: str) -> int:
 
 
 def _cmd_convert(job) -> int:
+    path, fmt = _out_of(job, "convert.csv")
     conv = _section(job, "convert")
     _require({"from", "to"} <= set(conv), "convert needs {from, to}")
     src = _MODELS.get(str(conv["from"]).lower()) \
@@ -279,7 +291,6 @@ def _cmd_convert(job) -> int:
     coords, _ = parse_grid(job, src if isinstance(src, ArgKind)
                            else CANONICAL_KIND[src])
     vals = convert_distance(coords, src, dst)
-    path, fmt = _out_of(job, "convert.csv")
     write_table(path, fmt,
                 {"from": conv["from"], "to": conv["to"],
                  "variable": "source_coordinate",
@@ -291,12 +302,12 @@ def _cmd_convert(job) -> int:
 
 
 def _cmd_table(job) -> int:
+    path, fmt = _out_of(job, "table.csv")
     model = parse_model(job) if "model" in job else Model.EuclideanAffine
     kind_default = CANONICAL_KIND[model]
     coords, gkind = parse_grid(job, kind_default)
     prof = parse_profile(job.get("profile"), gkind)
     vals = prof(coords)
-    path, fmt = _out_of(job, "table.csv")
     write_table(path, fmt,
                 {"model": model.value, "variable": gkind.value,
                  "arg_kind": gkind.value},
@@ -306,9 +317,9 @@ def _cmd_table(job) -> int:
 
 
 def _cmd_verify(job) -> int:
+    path, fmt = _out_of(job, "verify_report.json")
     spec = parse_quadrature(job)
     results = identity_suite(spec)
-    path, fmt = _out_of(job, "verify_report.json")
     doc = {"identities": [{"name": r.name,
                            "max_rel_err": r.max_rel_err,
                            "tol": r.tol,
@@ -322,8 +333,7 @@ def _cmd_verify(job) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(path, text)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name} "
               f"(err {r.max_rel_err:.3e}, tol {r.tol:.0e})")
@@ -332,6 +342,7 @@ def _cmd_verify(job) -> int:
 
 
 def _cmd_mc_duality(job) -> int:
+    path, fmt = _out_of(job, "duality.csv")
     p = parse_params(job)
     mcspec = parse_mc(job)
     which = str(_section(job, "duality").get("which", "affine")).lower()
@@ -348,7 +359,6 @@ def _cmd_mc_duality(job) -> int:
                           ArgKind.EuclideanRadius))
     lhs, rhs = MC.duality_check_mc(which, f, phi, p, mcspec)
     combined = math.hypot(lhs.std_error, rhs.std_error)
-    path, fmt = _out_of(job, "duality.csv")
     write_table(path, fmt,
                 {"which": which, "variable": "side", "arg_kind": "estimate",
                  "n": p.n, "j": p.j, "k": p.k,
@@ -364,6 +374,7 @@ def _cmd_mc_duality(job) -> int:
 
 
 def _cmd_chain(job) -> int:
+    path, fmt = _out_of(job, "chain.csv")
     p = parse_params(job)
     mcspec = parse_mc(job)
     ch = _section(job, "chain")
@@ -377,7 +388,6 @@ def _cmd_chain(job) -> int:
     rot = MC.sample_rotation(p.n, rng)
     z = MC.GeodesicElement(p.n, p.k, rot, rho)
     lhs, rhs = IV.chain_identity(p, h, z, mcspec)
-    path, fmt = _out_of(job, "chain.csv")
     write_table(path, fmt,
                 {"variable": "side", "arg_kind": "estimate",
                  "n": p.n, "j": p.j, "k": p.k, "rho": rho,
@@ -410,7 +420,10 @@ def run(job: dict, command: str) -> int:
     return handler()
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first ``main`` call of a
+    process and reused: parsing keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="georadon",
         description="geodesic Radon transforms on constant-curvature spaces")
@@ -420,8 +433,12 @@ def main(argv=None) -> int:
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
     parser.add_argument("--out", default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    args = parser.parse_args(argv)
+    parser.add_argument("--format", choices=_FORMATS, default=None)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         job = load_job(args.job, vars(args))

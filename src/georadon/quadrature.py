@@ -10,7 +10,10 @@ Every integral is a row of one node ladder, ``_integrate_rows``; a single
 integral is a batch of one.  The rows of an integrand family (the segments
 of all target points of a fractional integral, the halves of bisected
 rows) climb the ladder together, one core call per rung, and each keeps
-the bits of the rule applied to it alone.
+the bits of the rule applied to it alone.  A batch holds its rows as
+columns (key, ends, exponents, a block of smooth factors), so the work of
+a round outside its core calls is array operations on the live rows; only
+bisected rows take a Python loop, to sum their halves.
 """
 from __future__ import annotations
 
@@ -63,6 +66,9 @@ def _rule(n: int, p_lo: float, p_hi: float):
     return _jacobi_rule(n, round(float(p_hi), 12), round(float(p_lo), 12))
 
 
+_EXHAUSTED = "quadrature subdivision budget exhausted"
+
+
 class _Budget:
     __slots__ = ("left",)
 
@@ -72,7 +78,7 @@ class _Budget:
     def spend(self):
         self.left -= 1
         if self.left < 0:
-            raise QuadratureError("quadrature subdivision budget exhausted")
+            raise QuadratureError(_EXHAUSTED)
 
 
 def weighted_nodes(a: float, b: float, p_lo: float, p_hi: float, n: int):
@@ -97,10 +103,17 @@ def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
     """
     if budget is None:
         budget = _Budget(spec.max_subdivisions)
-    value, = _integrate_rows(lambda u, keys: core(u.ravel()).reshape(u.shape),
-                             [(0, a, b, p_lo, p_hi)], spec, [budget], ())
-    if isinstance(value, Exception):
-        raise value
+    left = np.array([budget.left])
+    try:
+        (value,), (failed,) = _integrate_rows(
+            lambda u, keys: core(u.ravel()).reshape(u.shape),
+            (np.zeros(1, np.intp), *(np.array([v], dtype=float)
+                                     for v in (a, b, p_lo, p_hi)),
+             np.empty((1, 0, 3))), spec, left, False)
+    finally:
+        budget.left = int(left[0])
+    if failed:
+        raise QuadratureError(_EXHAUSTED)
     return value
 
 
@@ -160,7 +173,7 @@ def _times_power(vals, base, exps):
     There is one power per distinct exponent, taken as a Python scalar the
     way a one-row integrand takes it, so every value keeps its bits."""
     out = vals
-    for p in set(exps.tolist()) - {0.0} if exps.any() else ():
+    for p in set(exps.tolist()) - {0.0} if np.count_nonzero(exps) else ():
         rows = exps == p
         if rows.all():
             out = out * base(slice(None)) ** p
@@ -170,26 +183,39 @@ def _times_power(vals, base, exps):
     return out
 
 
-def _rung_values(core, rows):
+def _kinds(p, q):
+    """The distinct exponent pairs (p, q) of the rows, and each row's index
+    among them: ``np.unique`` of p + iq with its inverse, without the
+    overhead that dominates it on a few dozen rows."""
+    pq = np.empty(len(p), complex)
+    pq.real, pq.imag = p, q
+    order = pq.argsort()
+    pq = pq[order]
+    new = np.empty(len(pq), bool)
+    new[0] = True
+    np.not_equal(pq[1:], pq[:-1], out=new[1:])
+    kind = np.empty(len(pq), np.intp)
+    kind[order] = new.cumsum() - 1
+    return tuple(zip(pq[new].real.tolist(), pq[new].imag.tolist())), kind
+
+
+def _rung_values(core, key, a, b, p, q, factors):
     """``rungs(pos, ns)``: the ``ns``-node rules of the rows that ``pos`` (a
-    slice or a list) selects from ``rows``, one array per rule, from one
-    ``core`` call.  A row's nodes are ``a + h*(x + 1.0)`` and its value
+    slice or an index array) selects, one array per rule, from one ``core``
+    call.  A row's nodes are ``a + h*(x + 1.0)`` and its value
     ``h^(1+p+q) * dot(w, vals)`` (``_row_dots``), its smooth factors applied
-    in order: the bits of its rule alone.  All rows carry as many factors."""
-    cols = np.array(rows)
-    keys, a = cols[:, 0].astype(np.intp), cols[:, 1]
-    h = 0.5 * (cols[:, 2] - a)
-    c = np.array([hs ** (1.0 + r[3] + r[4]) for hs, r in zip(h.tolist(), rows)])
-    factors = cols[:, 5:].reshape(len(rows), -1, 3)
-    kinds: dict = {}
-    kind = np.array([kinds.setdefault(r[3:5], len(kinds)) for r in rows])
-    kinds = tuple(kinds)
+    in order: the bits of its rule alone."""
+    h = 0.5 * (b - a)
+    # a libm power per row: NumPy's array power differs in the last bit on
+    # some elements
+    c = np.array(list(map(pow, h.tolist(), (1.0 + p + q).tolist())))
+    kinds, kind = _kinds(p, q)
 
     def rungs(pos, ns):
         x, ws = _rung_rules(kinds, ns)
         ix = kind[pos]
         u = a[pos, None] + h[pos, None] * (x[ix] + 1.0)
-        vals = core(u, keys[pos])
+        vals = core(u, key[pos])
         for f in factors[pos].transpose(1, 0, 2):
             end = f[:, :1]
             vals = _times_power(vals, lambda m: u[m] - end[m], f[:, 1])
@@ -203,119 +229,138 @@ def _rung_values(core, rows):
     return rungs
 
 
-def _integrate_rows(core, rows, spec: QuadratureSpec, budgets,
-                    spans) -> list:
-    """Every row's integral, or the error it raised.
+def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
+    """Every row's integral, and per key whether its budget ran out.
 
-    Row (key, a, b, p, q, x1, r1, s1, x2, ...) integrates (u-a)^p (b-u)^q
-    core(u, key) over [a, b] times its smooth factors (u-x)^r (x-u)^s, the
-    weights of the ends x of its integral, in their order.
-    ``core(u, keys)`` gives the integrand on a block u, a row per key.
+    ``rows`` are the columns (key, a, b, p, q, factors), sorted by key: row
+    i integrates (u-a)^p (b-u)^q core(u, key) over [a, b] times its smooth
+    factors (u-x)^r (x-u)^s, one per triple (x, r, s) of ``factors[i]``
+    (an (R, F, 3) block): the weights of the ends x of its integral, in
+    their order.  ``core(u, keys)`` gives the integrand on a block u, a row
+    per key.
 
     Rows go in rounds.  A row with b <= a is 0 at no cost; every other row
-    spends one unit of its budget.  The 16- and 32-node rungs of a round
-    are one core call, and each of 64, 128 and 256 nodes one more on the
-    rows whose last two rungs disagree (``_rungs_agree``, relative to the
-    row's scale hint).  A row that still disagrees is bisected: its halves
-    are rows of the next round with its budget and hint, each with the
-    endpoint weight it does not own as its last factor, and its value is
-    their sum (or the first error of its halves).  The hint of the rows of
-    a slice in ``spans`` is the sum of the magnitudes of their 32-node
-    values, in row order; it is 0 for every other row.
+    spends one unit of its key's budget ``left[key]`` (an array, updated in
+    place), in row order, and a row that finds it spent goes no further.
+    The 16- and 32-node rungs of a round are one core call, and each of 64,
+    128 and 256 nodes one more on the rows whose last two rungs disagree
+    (``_rungs_agree``, relative to the row's scale hint).  A row that still
+    disagrees is bisected: its halves are rows of the next round with its
+    key, each with the endpoint weight it does not own as its last factor,
+    and its value is their sum.  With ``hinted`` the hint of a key's rows
+    is the sum of the magnitudes of their 32-node values, added in row
+    order; it is 0 otherwise.  A key fails when one of its rows finds its
+    budget spent.
     """
-    rows, live = list(rows), range(len(rows))
-    root, hints, out = list(live), [0.0] * len(rows), [0.0] * len(rows)
-    while live := [r for r in live if rows[r][1] < rows[r][2]]:
-        rungs = _rung_values(core, [rows[r] for r in live])
+    key, a, b, p, q, factors = rows
+    n_rows, failed = len(key), np.zeros(len(left), bool)
+    val, at, hint, kids = np.zeros(n_rows), np.arange(n_rows), None, []
+    while True:
+        live = a < b
+        if np.count_nonzero(live) < len(live):
+            key, a, b, p, q, factors, at = (
+                col[live] for col in (key, a, b, p, q, factors, at))
+        if not len(key):
+            break
+        rungs = _rung_values(core, key, a, b, p, q, factors)
         coarse, last = rungs(slice(None), _NODE_LADDER[:2])
-        first = dict(zip(live, last.tolist()))
-        for span in spans:
-            scale = 0.0
-            for r in range(span.start, span.stop):
+        if hint is None:
+            hint = np.zeros(len(left))
+            if hinted:
                 # the finest known rung anchors the relative tolerance of
-                # small segments
-                scale += abs(first.get(r, 0.0))
-            hints[span] = [scale] * (span.stop - span.start)
-        spans = ()
-        hint = np.array([hints[root[r]] for r in live])
-        agree = _rungs_agree(coarse, last, spec, hint).tolist()
-        climb = []
-        for i, r in enumerate(live):
-            try:
-                budgets[root[r]].spend()
-            except QuadratureError as exc:
-                out[r] = exc
-                continue
-            if agree[i]:
-                out[r] = first[r]
-            else:
-                climb.append(i)
+                # small segments; ``add.at`` adds in row order
+                np.add.at(hint, key, np.abs(last))
+        row_hint = hint[key]
+        agree = _rungs_agree(coarse, last, spec, row_hint)
+        # a row's place among the rows of its key
+        spent = np.arange(len(key)) - np.searchsorted(key, key) >= left[key]
+        failed[key[spent]] = True
+        left -= np.bincount(key, minlength=len(left))
+        done = agree & ~spent
+        val[at[done]] = last[done]
+        climb = (~(agree | spent)).nonzero()[0]
         for n in _NODE_LADDER[2:]:
-            if climb:
+            if len(climb):
                 cur, = rungs(climb, (n,))
-                agree = _rungs_agree(last[climb], cur, spec,
-                                     hint[climb]).tolist()
+                ok = _rungs_agree(last[climb], cur, spec, row_hint[climb])
                 last[climb] = cur
-                for i, v, ok in zip(climb, cur.tolist(), agree):
-                    if ok:
-                        out[live[i]] = v
-                climb = [i for i, ok in zip(climb, agree) if not ok]
-        # Spectral doubling stalled: bisect.
-        halves = []
-        for r in (live[i] for i in climb):
-            key, a, b, p, q, *factors = rows[r]
-            mid = 0.5 * (a + b)
-            out[r] = (len(rows), len(rows) + 1)
-            halves += out[r]
-            rows += [(key, a, mid, p, 0.0, *factors, b, 0.0, q),
-                     (key, mid, b, 0.0, q, *factors, a, p, 0.0)]
-            root += [root[r]] * 2
-            out += [0.0, 0.0]
-        live = halves
-    for r in reversed(range(len(rows))):
-        if isinstance(out[r], tuple):
-            left, right = (out[half] for half in out[r])
-            out[r] = left if isinstance(left, Exception) else \
-                right if isinstance(right, Exception) else left + right
-    return out[:len(hints)]
+                val[at[climb[ok]]] = cur[ok]
+                climb = climb[~ok]
+        if not len(climb):
+            break
+        # Spectral doubling stalled: bisect.  Even rows are the left halves
+        # [a, mid], odd rows the right halves [mid, b].
+        key, a, b, p, q, factors, at = (col[climb].repeat(2, axis=0) for col
+                                        in (key, a, b, p, q, factors, at))
+        mid = 0.5 * (a + b)
+        # the endpoint weight a half does not own: (b-u)^q, (u-a)^p
+        weight = np.zeros((len(key), 1, 3))
+        weight[0::2, 0, 0], weight[0::2, 0, 2] = b[0::2], q[0::2]
+        weight[1::2, 0, 0], weight[1::2, 0, 1] = a[1::2], p[1::2]
+        factors = np.concatenate([factors, weight], axis=1)
+        b[0::2], a[1::2], q[0::2], p[1::2] = mid[0::2], mid[1::2], 0.0, 0.0
+        kids += zip(at[0::2].tolist(), range(len(val), len(val) + len(key), 2))
+        at = np.arange(len(val), len(val) + len(key))
+        val = np.concatenate([val, np.zeros(len(key))])
+    val = val.tolist()
+    for parent, half in reversed(kids):
+        val[parent] = val[half] + val[half + 1]
+    return val[:n_rows], failed
 
 
 def _integrate_splits(core, splits, spec: QuadratureSpec) -> list:
     """Integral i of (u-lo)^p_lo (hi-u)^p_hi core(u, i) over [lo, hi], split
     at the increasing breakpoints ``interior``, for every
-    ``splits[i] = (lo, hi, p_lo, p_hi, interior, budget)``.
+    ``splits[i] = (lo, hi, p_lo, p_hi, interior, budget)``, each with its
+    own budget.
 
     Every (integral, segment) pair is one row of ``_integrate_rows``, and
     the rows of an integral share its scale hint: inner segments see the
     endpoint weights of [lo, hi] as smooth.  Each integral sums its
-    segments in order.  The result is one value per integral, or the
-    first error of its rows (an exponent no rule can carry first).
+    segments in order.  The result is one value per integral, or its error
+    (an exponent no rule can carry first).
     """
-    out, rows, spans = [None] * len(splits), [], []
-    for i, (lo, hi, p_lo, p_hi, interior, _) in enumerate(splits):
-        points = [lo] + [p for p in interior if lo < p < hi] + [hi]
-        last = len(points) - 2
-        segs = [(i, a, b, p_lo if j == 0 else 0.0, p_hi if j == last else 0.0,
-                 lo, 0.0 if j == 0 else p_lo, 0.0,
-                 hi, 0.0, 0.0 if j == last else p_hi)
-                for j, (a, b) in enumerate(zip(points, points[1:]))]
-        try:
-            if not (p_lo > -1.0 and p_hi > -1.0):
-                _rung_rules(tuple(dict.fromkeys(s[3:5] for s in segs)),
-                            _NODE_LADDER[:2])
-        except Exception as exc:
-            out[i] = exc
-            segs = []
-        spans.append(slice(len(rows), len(rows) + len(segs)))
-        rows += segs
-    if not rows:
-        return out
-    parts = _integrate_rows(core, rows, spec, [splits[r[0]][5] for r in rows],
-                            spans)
-    for i, span in enumerate(spans):
+    out, a, b, n_seg = [], [], [], []
+    for lo, hi, p_lo, p_hi, interior, _ in splits:
+        cuts = [x for x in interior if lo < x < hi]
+        out.append(None)
+        if not (p_lo > -1.0 and p_hi > -1.0):
+            try:
+                _rung_rules(tuple(dict.fromkeys(
+                    (p_lo if j == 0 else 0.0, p_hi if j == len(cuts) else 0.0)
+                    for j in range(len(cuts) + 1))), _NODE_LADDER[:2])
+            except Exception as exc:
+                # an integral with an error is one empty segment: 0 at no
+                # cost
+                out[-1], cuts, hi = exc, [], lo
+        a += [lo, *cuts]
+        b += [*cuts, hi]
+        n_seg.append(len(cuts) + 1)
+    # the segments of integral i are the rows first[i] .. last[i]
+    last = np.cumsum(n_seg) - 1
+    first = last + 1 - n_seg
+    key = np.arange(len(splits)).repeat(n_seg)
+    # lo, hi, p_lo, p_hi of each row's integral
+    lo, hi, p_lo, p_hi = np.array(list(zip(*splits))[:4], dtype=float)[:, key]
+    p, q = np.zeros((2, len(key)))
+    p[first], q[last] = p_lo[first], p_hi[last]
+    # the weights of [lo, hi] on the segments that do not end there
+    p_lo[first] = p_hi[last] = 0.0
+    factors = np.zeros((len(key), 2, 3))
+    factors[:, 0, 0], factors[:, 0, 1] = lo, p_lo
+    factors[:, 1, 0], factors[:, 1, 2] = hi, p_hi
+    left = np.array([split[5].left for split in splits])
+    try:
+        parts, failed = _integrate_rows(
+            core, (key, *np.array([a, b], dtype=float), p, q, factors), spec,
+            left, True)
+    finally:
+        for split, n in zip(splits, left.tolist()):
+            split[5].left = n
+    for i, (s, e) in enumerate(zip(first.tolist(), last.tolist())):
         if out[i] is None:
-            errors = [v for v in parts[span] if isinstance(v, Exception)]
-            out[i] = errors[0] if errors else sum(parts[span])
+            out[i] = QuadratureError(_EXHAUSTED) if failed[i] \
+                else sum(parts[s:e + 1])
     return out
 
 
@@ -383,16 +428,21 @@ def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
             continue
         loops[i] = _octaves(*tail, spec)
         asks[i] = next(loops[i])
-    budgets = {i: _Budget(spec.max_subdivisions) for i in loops}
+    start = np.array([tail[0] for tail in tails], dtype=float)
+    left = np.full(len(tails), spec.max_subdivisions)
     while asks:
-        rows = [(i, lo, hi, jl, 0.0, tails[i][0], wl, 0.0)
-                for i, (lo, hi, jl, wl) in asks.items()]
-        segs = _integrate_rows(core, rows, spec, [budgets[i] for i in asks],
-                               ())
+        key = np.fromiter(asks, np.intp, len(asks))
+        lo, hi, jl, wl = (np.array(col, dtype=float)
+                          for col in zip(*asks.values()))
+        factors = np.zeros((len(key), 1, 3))
+        factors[:, 0, 0], factors[:, 0, 1] = start[key], wl
+        segs, failed = _integrate_rows(
+            core, (key, lo, hi, jl, np.zeros(len(key)), factors), spec, left,
+            False)
         nxt = {}
         for i, seg in zip(asks, segs):
-            if isinstance(seg, Exception):
-                out[i] = seg
+            if failed[i]:
+                out[i] = QuadratureError(_EXHAUSTED)
                 continue
             try:
                 nxt[i] = loops[i].send(seg)

@@ -168,6 +168,61 @@ def test_invalid_params_exit_2(tmp_path, command, doc):
     assert not (tmp_path / "x.csv").exists()
 
 
+_CONVERT_JOB = {
+    "command": "convert",
+    "convert": {"from": "euclidean", "to": "elliptic"},
+    "grid": {"lo": 0.0, "hi": 1.0, "count": 3},
+}
+
+
+def test_unknown_output_format_exits_2(tmp_path, capsys):
+    # --format accepts only csv and json, and so does the job document
+    job = _write_job(tmp_path, "xml.json", dict(
+        _CONVERT_JOB, output={"format": "xml", "path": str(tmp_path / "o.x")}))
+    assert main(["convert", "--job", job]) == 2
+    assert "unknown output format 'xml'" in capsys.readouterr().err
+    assert not (tmp_path / "o.x").exists()
+
+
+@pytest.mark.parametrize("command, doc", [("convert", _CONVERT_JOB),
+                                          ("verify", {"command": "verify"})])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, doc):
+    # a path under a missing directory is an error message and exit 2, not
+    # a traceback, and no file or directory is created
+    out = tmp_path / "missing" / "o.json"
+    job = _write_job(tmp_path, "job.json", dict(
+        doc, output={"format": "json", "path": str(out)}))
+    assert main([command, "--job", job]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cannot write output" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # one process, one parser: each call gets the output its own flags ask
+    # for, and a bad flag after good calls still exits 2
+    job = _write_job(tmp_path, "conv.json", dict(
+        _CONVERT_JOB, output={"path": str(tmp_path / "c.out")}))
+    assert main(["convert", "--job", job, "--format", "json"]) == 0
+    assert json.loads((tmp_path / "c.out").read_text())["columns"]
+    assert main(["convert", "--job", job]) == 0
+    csv = (tmp_path / "c.out").read_text()
+    assert csv.splitlines()[1] == "coordinate,value"
+    assert main(["convert", "--job", job,
+                 "--out", str(tmp_path / "other.csv")]) == 0
+    assert (tmp_path / "other.csv").read_text() == csv
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--job", job, "--format", "xml"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "--job", job, "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["convert", "--job", job]) == 0
+    assert (tmp_path / "c.out").read_text() == csv
+
+
 def test_divergent_profile_exit_3(tmp_path):
     job = _write_job(tmp_path, "div.json", {
         "command": "transform", "model": "euclidean",

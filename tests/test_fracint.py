@@ -444,6 +444,37 @@ def test_climbing_rows_share_each_rung_call():
     assert [b.left for b in budgets] == [199] * 4
 
 
+def test_split_batch_keeps_each_integrals_error():
+    # an integral whose exponent no rule can carry (with breakpoints inside
+    # it) and one whose budget runs out sit between two good integrals of
+    # one batch: each keeps its own error and budget (recorded before the
+    # rows were batched as columns), and the good ones the bits and budget
+    # of their own segment loop
+    spec = QuadratureSpec()
+    args = [_SPLIT_CASES["two"],
+            (np.exp, 0.0, 3.0, -0.5, -1.0, [0.5, 1.0, 2.0]),
+            _SPLIT_CASES["kinked"], _SPLIT_CASES["one"]]
+    fns = [a[0] for a in args]
+
+    def core(u, keys):
+        return np.array([fns[k](row) for k, row in zip(keys.tolist(), u)])
+
+    budgets = [Q._Budget(n) for n in (200, 200, 5, 200)]
+    got = Q._integrate_splits(core, [a[1:] + (b,) for a, b in zip(args, budgets)],
+                              spec)
+    assert isinstance(got[1], DivergenceError)
+    assert str(got[1]) == ("endpoint exponent <= -1 is not integrable "
+                           "(p_lo=0.0, p_hi=-1.0)")
+    assert isinstance(got[2], QuadratureError)
+    assert str(got[2]) == "quadrature subdivision budget exhausted"
+    assert [b.left for b in budgets[1:3]] == [200, -3]
+    for i in (0, 3):
+        one = Q._Budget(200)
+        want = _split_one_by_one(*args[i], spec, one)
+        assert got[i].hex() == want.hex()
+        assert budgets[i].left == one.left
+
+
 def _count_rows(monkeypatch, module):
     """Wrap ``module._integrate_rows`` so that the node blocks of every
     call go to the returned list, one list of u shapes per call."""

@@ -20,17 +20,29 @@ tree without the batch as well:
   f(r) = exp(-r^2) (1 + |r - 0.7|) on [0, 2], whose kink at 0.7 is not a
   declared breakpoint: the segments across it pass 32 nodes and bisect.
 
+One case times the command-line front end instead:
+
+- ``cli-convert``: ``cli.main`` in-process on a 64-point ``convert`` job
+  (Euclidean radius to elliptic angle on [0, 2], CSV) whose job and
+  output files sit in a temporary directory: parsing, the job, the
+  conversion and the written table.
+
 Prints one JSON object: per case the best of 7 repeats of the mean time of
 one call in microseconds, the values as float.hex (equal across two trees
 exactly when the batch keeps the bits) and, for the grids, the calls of
-the input profile in one call.
+the input profile in one call; for ``cli-convert`` the SHA-256 of the
+written file in place of the values.
 
     python tools/split_bench.py
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -96,6 +108,25 @@ def _captured() -> dict:
     return {f"split-{n}": calls[n] for n in (1, 2, 3, 51)}
 
 
+def _cli_convert(tmp: Path):
+    """One ``cli.main`` call of the ``cli-convert`` job in ``tmp``, and the
+    path of the table it writes."""
+    from georadon import cli
+
+    table, job = tmp / "convert.csv", tmp / "convert.json"
+    job.write_text(json.dumps({
+        "command": "convert",
+        "convert": {"from": "euclidean_affine", "to": "elliptic"},
+        "grid": {"lo": 0.0, "hi": 2.0, "count": 64},
+        "output": {"path": str(table), "format": "csv"}}))
+
+    def once():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(["convert", "--job", str(job)]) != 0:
+                raise RuntimeError("cli-convert job failed")
+    return once, table
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
@@ -110,6 +141,12 @@ def main() -> int:
                      "value": [float(v).hex() for v in np.ravel(once())]}
         if not name.startswith("split-"):
             out[name]["input_calls"] = len(calls)
+    with tempfile.TemporaryDirectory() as tmp:
+        once, table = _cli_convert(Path(tmp))
+        best = min(timeit.repeat(once, number=200, repeat=7)) / 200
+        out["cli-convert"] = {
+            "us_per_call": round(best * 1e6, 2),
+            "sha256": hashlib.sha256(table.read_bytes()).hexdigest()}
     print(json.dumps(out))
     return 0
 
