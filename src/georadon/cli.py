@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -242,11 +243,16 @@ def write_table(path: str, fmt: str, header_meta: dict, columns: dict):
 
 
 def _out_of(job, default_path: str):
+    """The output path and format, checked before the job's work: a path
+    under a missing directory is a JobError."""
     out = _section(job, "output")
     fmt = str(out.get("format", "csv"))
     _require(fmt in _FORMATS,
              f"unknown output format {fmt!r}; choose csv or json")
-    return str(out.get("path", default_path)), fmt
+    path = str(out.get("path", default_path))
+    _require(os.path.isdir(os.path.dirname(path) or "."),
+             f"cannot write output: no directory for {path!r}")
+    return path, fmt
 
 
 # -- command handlers --------------------------------------------------------------

@@ -162,18 +162,18 @@ def _haar_gaussian(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_factor(g: np.ndarray) -> np.ndarray:
-    """The rotations of a ``_haar_gaussian`` draw: QR of each matrix with
-    the triangular factor's diagonal made positive; a determinant of -1 is
-    repaired by negating the last column (right multiplication by a fixed
-    reflection preserves Haar)."""
-    if g.shape[-1] == 1:
+    """Q diag(d) from the QR of each Gaussian matrix, d the signs of R's
+    diagonal, the last negated where det = -1 (Haar is kept).  NumPy's QR
+    is Householder, Q = H_1...H_m with H_m = I, so det(Q diag d) =
+    (-1)^(m-1) prod(d) if no H_i (i < m) is I: true for Gaussian g, where
+    that needs a column exactly zero below the diagonal (~2^-52 a step)."""
+    m = g.shape[-1]
+    if m == 1:
         return g
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d = np.where(d == 0, 1.0, d)
-    q = q * d[:, None, :]
-    det = np.linalg.det(q)
-    q[det < 0, :, -1] *= -1.0
+    d[:, -1] *= (-1.0) ** (m - 1) * np.prod(d, axis=-1)
+    q *= d[:, None, :]
     return q
 
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from georadon import cli
 from georadon import inversion as IV
 from georadon import mc as MC
 from georadon import radial as R
@@ -197,6 +198,47 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, doc):
     assert err.startswith("error: ") and "cannot write output" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json"]
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("verify", {"command": "verify"}),
+    ("transform", _GOOD_JOB)])
+def test_missing_output_directory_exits_2_before_the_work(
+        tmp_path, monkeypatch, capsys, command, doc):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the job ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "identity_suite", forbidden)
+    monkeypatch.setattr(R, "transform_function", forbidden)
+    job = _write_job(tmp_path, "job.json", dict(
+        doc, output={"path": str(tmp_path / "missing" / "r.json")}))
+    assert main([command, "--job", job]) == 2
+    assert "cannot write output" in capsys.readouterr().err
+
+
+def test_mc_non_convergence_exits_4(tmp_path, monkeypatch, capsys):
+    # an estimate whose standard error stops shrinking (terms 1000x wider
+    # after the first quarter of the chunks) makes the job exit 4
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+
+    def drifting_check(which, f, phi, p, spec):
+        calls = []
+
+        def terms(rng, count):
+            calls.append(count)
+            scale = 1e-3 if len(calls) <= 2 else 1.0
+            return scale * rng.standard_normal(count)
+        est = MC._estimate(terms, spec)
+        return est, est
+
+    monkeypatch.setattr(MC, "duality_check_mc", drifting_check)
+    out = tmp_path / "d.csv"
+    job = _write_job(tmp_path, "dual.json", dict(
+        _DUALITY_JOB, mc={"seed": 5, "n_samples": 8 * MC.CHUNK},
+        output={"path": str(out)}))
+    assert main(["mc-duality", "--job", job]) == 4
+    assert "failed to converge" in capsys.readouterr().err
+    assert out.exists()
 
 
 def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -12,7 +12,8 @@ from georadon import inversion as IV
 from georadon import mc as MC
 from georadon import profiles as P
 from georadon import radial as R
-from georadon.errors import DomainError, KernelSingularityWarning
+from georadon.errors import (DomainError, KernelSingularityWarning,
+                             McConvergenceWarning)
 from georadon.models import integrate_radial, Model
 from georadon.quadrature import (DEFAULT_QUADRATURE, _Budget,
                                  integrate_weighted)
@@ -25,12 +26,68 @@ def _rng(seed=0, chunk=0):
 
 
 def test_rotations_are_special_orthogonal():
-    for n in (1, 2, 3, 5):
+    for n in range(1, 8):
         q = MC.sample_rotations(n, 512, _rng(1))
         assert np.max(np.abs(np.einsum("bij,bik->bjk", q, q)
                              - np.eye(n))) < 1e-12
         assert np.max(np.abs(np.linalg.det(q) - 1.0)) < 1e-10
     assert np.array_equal(MC.sample_rotation(1, _rng(2)), np.eye(1))
+
+
+def _det_haar_factor(g):
+    """The Haar factor with its sign repair read from an LU determinant."""
+    if g.shape[-1] == 1:
+        return g
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d = np.where(d == 0, 1.0, d)
+    q = q * d[:, None, :]
+    q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
+def test_householder_parity_is_the_sign_of_the_determinant():
+    # the Q of a Gaussian matrix's QR is m - 1 Householder reflections and
+    # the identity, so det Q = (-1)^(m-1); 200,000 draws for each m
+    for m in range(2, 8):
+        for chunk in range(4):
+            q = np.linalg.qr(MC._haar_gaussian(m, 50000, _rng(21, chunk)))[0]
+            assert np.all(np.sign(np.linalg.det(q)) == (-1.0) ** (m - 1)), m
+
+
+def test_haar_factor_keeps_the_bytes_of_the_determinant_repair():
+    for m in range(1, 8):
+        for size in (1, 256, 8192):
+            for seed in (0, 1):
+                old = _det_haar_factor(MC._haar_gaussian(m, size, _rng(seed)))
+                new = MC.sample_rotations(m, size, _rng(seed))
+                assert new.tobytes() == old.tobytes(), (m, size, seed)
+
+
+def _drifting_terms(steady_chunks):
+    """Terms of standard deviation 1 for the first chunks, then 2 (the
+    chunks must run in order, on one thread)."""
+    calls = []
+
+    def terms(rng, count):
+        scale = 1.0 if len(calls) < steady_chunks else 2.0
+        calls.append(count)
+        return scale * rng.standard_normal(count)
+    return terms
+
+
+def test_estimate_warns_when_the_standard_error_stops_shrinking(monkeypatch):
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+    spec = MC.McSpec(seed=5, n_samples=8 * MC.CHUNK)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", McConvergenceWarning)
+        steady = MC._estimate(lambda rng, count: rng.standard_normal(count),
+                              spec)
+    assert 0.0 < steady.std_error < 0.01
+    # steady terms end at about 0.5 of the first quarter's standard error,
+    # these at about 0.9, above the 0.8 at which the estimate warns
+    with pytest.warns(McConvergenceWarning, match="not shrinking"):
+        MC._estimate(_drifting_terms(2), spec)
 
 
 def test_haar_first_moments_vanish():

@@ -1,4 +1,5 @@
-"""Micro-benchmark of ``mc.dual_sine_mc`` with its plain, sine and log kernels.
+"""Micro-benchmark of ``mc.dual_sine_mc`` with its plain, sine and log
+kernels, and of the Haar draw under every Monte Carlo estimator.
 
 Each kernel runs on the chain's data, the tabulated (n, 0, k) transform of
 the bump of radius 1.2, over ``RHO_GRID`` with 50,000 samples (seed 14):
@@ -12,6 +13,11 @@ JSON object: per kernel and thread count, the best of 5 wall times of one
 call in seconds, and per kernel the SHA-256 of the lines
 "value.hex() std_error.hex()" of its estimates (equal across two trees
 exactly when they agree byte for byte; the thread count must not move it).
+
+The ``haar`` row times ``mc.sample_rotations(m, 8192, rng)`` for m = 2..6,
+which runs on the calling thread (no worker pool): per m, the best of 5
+wall times in seconds and the SHA-256 of the bytes of the draw, from a
+generator seeded afresh (seed 14, chunk 0) for every call.
 
     python tools/kernel_bench.py
 """
@@ -69,6 +75,19 @@ def main() -> int:
         row["sha256"] = digests.pop() if len(digests) == 1 \
             else "thread-dependent"
         out[kernel] = row
+
+    out["haar"] = {}
+    for m in range(2, 7):
+        times, digests = [], set()
+        for _ in range(5):
+            rng = MC._rng(MC.McSpec(seed=14, n_samples=8192), 0)
+            t0 = time.perf_counter()
+            rot = MC.sample_rotations(m, 8192, rng)
+            times.append(time.perf_counter() - t0)
+            digests.add(hashlib.sha256(rot.tobytes()).hexdigest())
+        out["haar"][f"m={m}"] = {"s": round(min(times), 5),
+                                 "sha256": digests.pop()
+                                 if len(digests) == 1 else "not repeatable"}
     print(json.dumps(out))
     return 0
 
