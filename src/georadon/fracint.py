@@ -33,9 +33,9 @@ import numpy as np
 from .errors import (DifferentiationInstabilityError, DivergenceError,
                      DomainError)
 from .profiles import Profile1D
-from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
+from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec,
                          _integrate_splits, _integrate_tails, _row_dots,
-                         _times_power, integrate_weighted, weighted_nodes)
+                         _times_power, weighted_nodes)
 from .spectral import ChebInterpolant, cheb_nodes
 
 __all__ = ["QuadratureSpec", "check_decay", "ek_left", "ek_right",
@@ -45,32 +45,22 @@ __all__ = ["QuadratureSpec", "check_decay", "ek_left", "ek_right",
 DERIV_NOISE_REL = 1e-6
 
 
-def check_decay(f: Profile1D, alpha: float, a: float,
-                spec: QuadratureSpec = DEFAULT_QUADRATURE) -> bool:
-    """True iff int_a^inf |f(r)| r^(2*alpha-1) dr can be certified finite.
+def check_decay(f: Profile1D, alpha: float) -> bool:
+    """True iff int^inf |f(r)| r^(2*alpha-1) dr is finite by the decay
+    ``f`` declares.
 
-    With a decay hint rho (|f| <= C(1+r)^-rho) the sufficient criterion is
-    rho > 2*alpha.  Without a hint the truncated integral is measured at
-    doubling cutoffs and the predicate fails when the per-doubling increment
-    does not fall below ``spec.abs_tol``.
+    A finite support or domain end leaves no tail.  Otherwise the decay
+    hint rho (|f| <= C(1+r)^-rho) certifies the tail when rho > 2*alpha;
+    a profile on an infinite domain without a hint raises
+    ``DomainError``, since a decay is declared, never measured.
     """
     if f.support is not None and math.isfinite(f.support):
         return True
     if math.isfinite(f.hi):
         return True
-    if f.decay_hint is not None:
-        return f.decay_hint > 2.0 * alpha
-    lo = max(a, f.lo, 1e-6)
-    width = max(lo, 1.0)
-    incs = []
-    for _ in range(7):
-        seg = integrate_weighted(
-            lambda r: np.abs(f(r)) * r ** (2.0 * alpha - 1.0),
-            lo, lo + width, 0.0, 0.0, spec, _Budget(40))
-        incs.append(seg)
-        lo += width
-        width *= 2.0
-    return incs[-1] <= spec.abs_tol and incs[-2] <= spec.abs_tol
+    if f.decay_hint is None:
+        raise DomainError("a profile on an infinite domain needs a decay_hint")
+    return f.decay_hint > 2.0 * alpha
 
 
 # -- integrals ---------------------------------------------------------------
@@ -87,7 +77,7 @@ def _batch(name: str, point, rows_core, alpha: float, f: Profile1D, t,
            spec: QuadratureSpec):
     """The integral at every t_i (scalar or array t), in blocks of points.
 
-    ``point(alpha, f, fac, t_i, spec)`` makes a point's own setup (domain
+    ``point(alpha, f, fac, t_i)`` makes a point's own setup (domain
     checks, exponents, pieces, prefactor) and returns its value, or
     ``(pre, split, tail)``: the value is pre * total / Gamma(alpha), total
     the split integral (lo, hi, p_lo, p_hi, interior, param) plus the tail
@@ -104,7 +94,7 @@ def _batch(name: str, point, rows_core, alpha: float, f: Profile1D, t,
     out, block, size = [], [], 0
     for ti in np.atleast_1d(np.asarray(t, dtype=float)).tolist():
         try:
-            pt = point(alpha, f, fac, ti, spec)
+            pt = point(alpha, f, fac, ti)
         except Exception:
             _evaluate(block, rows_core, alpha, fac, spec)
             raise
@@ -133,8 +123,8 @@ def _evaluate(points, rows_core, alpha: float, fac, spec: QuadratureSpec):
     if splits:
         totals.update(zip(splits, _integrate_splits(
             rows_core(fac, [points[i][1][5] for i in splits]),
-            [points[i][1][:5] + (_Budget(spec.max_subdivisions),)
-             for i in splits], spec)))
+            [points[i][1][:5] for i in splits], spec,
+            np.full(len(splits), spec.max_subdivisions))))
     tails = [i for i in live if points[i][2] is not None
              and not isinstance(totals.get(i), Exception)]
     if tails:
@@ -161,8 +151,7 @@ def ek_left(alpha: float, f: Profile1D, t, spec: QuadratureSpec = DEFAULT_QUADRA
     return _batch("ek_left", _left_point, _left_rows, alpha, f, t, spec)
 
 
-def _left_point(alpha: float, f: Profile1D, fac, t: float,
-                spec: QuadratureSpec):
+def _left_point(alpha: float, f: Profile1D, fac, t: float):
     if t < f.lo - 1e-12 or (math.isfinite(f.hi) and t > f.hi * (1 + 1e-9)):
         raise DomainError(f"ek_left: t={t} outside profile domain [{f.lo}, {f.hi})")
     if t <= 0.0:
@@ -238,8 +227,7 @@ def ek_right(alpha: float, f: Profile1D, t, spec: QuadratureSpec = DEFAULT_QUADR
     return _batch("ek_right", _right_point, _right_rows, alpha, f, t, spec)
 
 
-def _right_point(alpha: float, f: Profile1D, fac, t: float,
-                 spec: QuadratureSpec):
+def _right_point(alpha: float, f: Profile1D, fac, t: float):
     if t < f.lo - 1e-12:
         raise DomainError(f"ek_right: t={t} below profile domain start {f.lo}")
     o, e, s, _ = fac
@@ -247,14 +235,10 @@ def _right_point(alpha: float, f: Profile1D, fac, t: float,
     finite_top = math.isfinite(top)
     if finite_top and t >= top * (1.0 - 1e-15):
         return 0.0
-    if not finite_top:
-        if f.decay_hint is None:
-            raise DomainError(
-                "ek_right: profile on an infinite domain needs a decay_hint")
-        if not check_decay(f, alpha, max(t, f.lo, 1e-6), spec):
-            raise DivergenceError(
-                f"ek_right: decay hint {f.decay_hint} fails the criterion "
-                f"rho > 2*alpha = {2 * alpha}")
+    if not finite_top and not check_decay(f, alpha):
+        raise DivergenceError(
+            f"ek_right: decay hint {f.decay_hint} fails the criterion "
+            f"rho > 2*alpha = {2 * alpha}")
 
     # substitution u = r^2 - t^2:
     #   value = (1/Gamma(a)) int_0^(top^2 - t^2) u^(a-1) f(sqrt(t^2+u)) du

@@ -245,7 +245,9 @@ def _complete_rotation_batch(frames: np.ndarray, extra: Optional[np.ndarray]
 
     The complement block comes from a QR of the orthogonal projector, which
     is well defined for generic subspaces (the only kind Monte Carlo ever
-    produces).
+    draws).  A subspace that holds e_0 zeroes the projector's first column,
+    and that QR then returns e_0 again: each such singular g is completed
+    alone (``complete_rotation``).
     """
     b, n, d = frames.shape
     cols = frames if extra is None else np.concatenate(
@@ -258,6 +260,8 @@ def _complete_rotation_batch(frames: np.ndarray, extra: Optional[np.ndarray]
     comp = (q * sign[:, None, :])[:, :, :n - k1]
     g = np.concatenate([comp, cols], axis=2)
     det = np.linalg.det(g)
+    for i in np.nonzero(np.abs(det) < 0.5)[0]:
+        g[i], det[i] = complete_rotation(cols[i]), 1.0
     flip = det < 0
     if n - k1 > 0:
         g[flip, :, 0] *= -1.0

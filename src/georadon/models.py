@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .profiles import (SAME_VALUE_KINDS, ArgKind, Profile1D, base_of, convert,
                        domain, hub_end)
-from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
+from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec,
                          integrate_to_infinity, integrate_weighted)
 from .special import sphere_area
 
@@ -352,6 +352,8 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
     extra factor in the canonical coordinate (used by the identity suite);
     if it carries an algebraic singularity c*x^p at the origin, pass p as
     ``weight_origin_power`` so it folds into the Gauss-Jacobi exponent.
+    On an infinite range the tail is certified by ``f.decay_hint``, which
+    must then be declared (``DomainError`` otherwise).
     """
     kind = CANONICAL_KIND[model]
     lo, hi = CANONICAL_RANGE[model]
@@ -372,7 +374,6 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
     o = float(n - d - 1) + weight_origin_power
     if o <= -1.0:
         raise DomainError("integrand is not integrable at the origin")
-    budget = _Budget(spec.max_subdivisions)
     edge = 0.0
     if f.support is not None and math.isfinite(f.support) \
             and f.edge_exponent != 0.0 and math.isfinite(top) and top < hi:
@@ -393,10 +394,12 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
         return vals
 
     if math.isfinite(top):
-        return integrate_weighted(core, lo, top, o, edge, spec, budget)
+        return integrate_weighted(core, lo, top, o, edge, spec)
     # infinite canonical range: euclidean or hyperboloid
-    decay = 2.0 if f.decay_hint is None else f.decay_hint
-    return integrate_to_infinity(core, 0.0, o, decay, spec)
+    if f.decay_hint is None:
+        raise DomainError("integrate_radial: a profile on an infinite "
+                          "range needs a decay_hint")
+    return integrate_to_infinity(core, 0.0, o, f.decay_hint, spec)
 
 
 # -- hyperboloid geometry ------------------------------------------------------

@@ -46,9 +46,10 @@ class Profile1D:
     one call and rely on each value being the one a call on that point
     alone would give.  ``decay_hint`` is an
     exponent rho with |f(x)| <= C (1+x)^(-rho) (``math.inf`` for
-    super-polynomial decay); it is required on infinite domains before any
-    right-sided operator is applied.  ``origin_power`` o and
-    ``edge_exponent`` e expose the factorization
+    super-polynomial decay).  A tail is certified from it alone, never
+    measured: on an infinite domain every tail integral (a right-sided
+    operator, ``integrate_radial``) raises ``DomainError`` without it.
+    ``origin_power`` o and ``edge_exponent`` e expose the factorization
     ``f(x) = x^o * (S^2 - x^2)_+^e * core(x)`` (S = ``support``) that lets
     the quadratures fold algebraic endpoint singularities into Gauss-Jacobi
     weights; ``core`` must then be smooth and evaluable at the endpoints.
@@ -402,11 +403,9 @@ def _hermite_chain(sigma: float):
             u = x * inv
             h_prev = np.ones_like(u)
             h = 2.0 * u
-            if q == 0:
-                return np.exp(-u * u)
             for _ in range(q - 1):
                 h, h_prev = 2.0 * u * h - 2.0 * (_ + 1) * h_prev, h
-            return (-inv) ** q * h * np.exp(-u * u) if q >= 1 else np.exp(-u * u)
+            return (-inv) ** q * h * np.exp(-u * u)
         return d
 
     return tuple(deriv(q) for q in range(1, 9))

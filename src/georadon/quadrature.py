@@ -7,13 +7,17 @@ Infinite upper limits are handled by geometric segments with a certified
 tail bound driven by the integrand's decay exponent.
 
 Every integral is a row of one node ladder, ``_integrate_rows``; a single
-integral is a batch of one.  The rows of an integrand family (the segments
-of all target points of a fractional integral, the halves of bisected
-rows) climb the ladder together, one core call per rung, and each keeps
-the bits of the rule applied to it alone.  A batch holds its rows as
-columns (key, ends, exponents, a block of smooth factors), so the work of
-a round outside its core calls is array operations on the live rows; only
-bisected rows take a Python loop, to sum their halves.
+integral is a batch of one.  It is the one place that refuses an integral,
+and returns one error or None per integral (an exponent no rule carries,
+or a spent budget), as QUADPACK's integrators return their flag ``ier``.
+A budget is the integer array of units it spends, one per integral.  The
+rows of an integrand family (the segments of all target points of a
+fractional integral, the halves of bisected rows) climb the ladder
+together, one core call per rung, and each keeps the bits of the rule
+applied to it alone.  A batch holds its rows as columns (key, ends,
+exponents, a block of smooth factors), so the work of a round outside its
+core calls is array operations on the live rows; only bisected rows take
+a Python loop, to sum their halves.
 """
 from __future__ import annotations
 
@@ -66,21 +70,6 @@ def _rule(n: int, p_lo: float, p_hi: float):
     return _jacobi_rule(n, round(float(p_hi), 12), round(float(p_lo), 12))
 
 
-_EXHAUSTED = "quadrature subdivision budget exhausted"
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, n: int):
-        self.left = n
-
-    def spend(self):
-        self.left -= 1
-        if self.left < 0:
-            raise QuadratureError(_EXHAUSTED)
-
-
 def weighted_nodes(a: float, b: float, p_lo: float, p_hi: float, n: int):
     """Nodes u and weights W with int (u-a)^p_lo (b-u)^p_hi h(u) du = sum W h(u).
 
@@ -93,27 +82,20 @@ def weighted_nodes(a: float, b: float, p_lo: float, p_hi: float, n: int):
 
 
 def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
-                       spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                       budget: _Budget | None = None) -> float:
+                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Integral of (u-a)^p_lo (b-u)^p_hi core(u) over [a, b], adaptive.
 
     ``core`` must be smooth on (a, b) and finite at the endpoints; the
     algebraic endpoint behavior lives entirely in the exponents.  One row
     of ``_integrate_rows`` with scale hint 0: 0 for b <= a, at no cost.
     """
-    if budget is None:
-        budget = _Budget(spec.max_subdivisions)
-    left = np.array([budget.left])
-    try:
-        (value,), (failed,) = _integrate_rows(
-            lambda u, keys: core(u.ravel()).reshape(u.shape),
-            (np.zeros(1, np.intp), *(np.array([v], dtype=float)
-                                     for v in (a, b, p_lo, p_hi)),
-             np.empty((1, 0, 3))), spec, left, False)
-    finally:
-        budget.left = int(left[0])
-    if failed:
-        raise QuadratureError(_EXHAUSTED)
+    (value,), (error,) = _integrate_rows(
+        lambda u, keys: core(u.ravel()).reshape(u.shape),
+        (np.zeros(1, np.intp), *(np.array([v], dtype=float)
+                                 for v in (a, b, p_lo, p_hi)),
+         np.empty((1, 0, 3))), spec, np.array([spec.max_subdivisions]), False)
+    if error is not None:
+        raise error
     return value
 
 
@@ -199,17 +181,40 @@ def _kinds(p, q):
     return tuple(zip(pq[new].real.tolist(), pq[new].imag.tolist())), kind
 
 
-def _rung_values(core, key, a, b, p, q, factors):
+def _refused(kinds, kind, key, errors):
+    """The rows of the keys that hold an exponent pair no rule carries, or
+    None when every pair of ``kinds`` has its 16- and 32-node rules.  Each
+    such key gets the error of its first such row in ``errors``."""
+    try:
+        _rung_rules(kinds, _NODE_LADDER[:2])
+        return None
+    except (DivergenceError, ValueError):
+        pass
+    refused = {}
+    for i, pair in enumerate(kinds):
+        try:
+            _rung_rules((pair,), _NODE_LADDER[:2])
+        except (DivergenceError, ValueError) as exc:
+            # an exponent <= -1 (``_rule``), or one that is NaN or
+            # infinite (``roots_jacobi``)
+            refused[i] = exc
+    for k, i in zip(key.tolist(), kind.tolist()):
+        if errors[k] is None and i in refused:
+            errors[k] = refused[i]
+    return np.array([e is not None for e in errors])[key]
+
+
+def _rung_values(core, key, a, b, p, q, factors, kinds, kind):
     """``rungs(pos, ns)``: the ``ns``-node rules of the rows that ``pos`` (a
     slice or an index array) selects, one array per rule, from one ``core``
     call.  A row's nodes are ``a + h*(x + 1.0)`` and its value
     ``h^(1+p+q) * dot(w, vals)`` (``_row_dots``), its smooth factors applied
-    in order: the bits of its rule alone."""
+    in order: the bits of its rule alone.  ``kinds, kind`` are
+    ``_kinds(p, q)``."""
     h = 0.5 * (b - a)
     # a libm power per row: NumPy's array power differs in the last bit on
     # some elements
     c = np.array(list(map(pow, h.tolist(), (1.0 + p + q).tolist())))
-    kinds, kind = _kinds(p, q)
 
     def rungs(pos, ns):
         x, ws = _rung_rules(kinds, ns)
@@ -230,7 +235,7 @@ def _rung_values(core, key, a, b, p, q, factors):
 
 
 def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
-    """Every row's integral, and per key whether its budget ran out.
+    """Every row's integral, and per key its error or None.
 
     ``rows`` are the columns (key, a, b, p, q, factors), sorted by key: row
     i integrates (u-a)^p (b-u)^q core(u, key) over [a, b] times its smooth
@@ -239,30 +244,39 @@ def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
     their order.  ``core(u, keys)`` gives the integrand on a block u, a row
     per key.
 
-    Rows go in rounds.  A row with b <= a is 0 at no cost; every other row
-    spends one unit of its key's budget ``left[key]`` (an array, updated in
-    place), in row order, and a row that finds it spent goes no further.
-    The 16- and 32-node rungs of a round are one core call, and each of 64,
-    128 and 256 nodes one more on the rows whose last two rungs disagree
-    (``_rungs_agree``, relative to the row's scale hint).  A row that still
-    disagrees is bisected: its halves are rows of the next round with its
-    key, each with the endpoint weight it does not own as its last factor,
-    and its value is their sum.  With ``hinted`` the hint of a key's rows
-    is the sum of the magnitudes of their 32-node values, added in row
-    order; it is 0 otherwise.  A key fails when one of its rows finds its
-    budget spent.
+    A row with b <= a is 0 at no cost.  Before any other row spends, a key
+    whose rows hold an exponent pair that no rule carries gets the error
+    of the first such row (``_refused``), and none of its rows is
+    integrated.  The rest go in rounds.  Each row spends one unit of its
+    key's budget ``left[key]`` (an integer array, updated in place), in row
+    order, and a row that finds it spent goes no further: its key's error
+    is ``QuadratureError``.  The 16- and 32-node rungs of a round are one
+    core call, and each of 64, 128 and 256 nodes one more on the rows whose
+    last two rungs disagree (``_rungs_agree``, relative to the row's scale
+    hint).  A row that still disagrees is bisected: its halves are rows of
+    the next round with its key, each with the endpoint weight it does not
+    own as its last factor, and its value is their sum.  With ``hinted``
+    the hint of a key's rows is the sum of the magnitudes of their 32-node
+    values, added in row order; it is 0 otherwise.
     """
     key, a, b, p, q, factors = rows
-    n_rows, failed = len(key), np.zeros(len(left), bool)
+    n_rows, errors = len(key), [None] * len(left)
     val, at, hint, kids = np.zeros(n_rows), np.arange(n_rows), None, []
+    live = a < b
     while True:
-        live = a < b
         if np.count_nonzero(live) < len(live):
             key, a, b, p, q, factors, at = (
                 col[live] for col in (key, a, b, p, q, factors, at))
         if not len(key):
             break
-        rungs = _rung_values(core, key, a, b, p, q, factors)
+        kinds, kind = _kinds(p, q)
+        if hint is None:
+            # the first round: refuse before any row spends
+            refused = _refused(kinds, kind, key, errors)
+            if refused is not None:
+                live = ~refused
+                continue
+        rungs = _rung_values(core, key, a, b, p, q, factors, kinds, kind)
         coarse, last = rungs(slice(None), _NODE_LADDER[:2])
         if hint is None:
             hint = np.zeros(len(left))
@@ -274,7 +288,10 @@ def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
         agree = _rungs_agree(coarse, last, spec, row_hint)
         # a row's place among the rows of its key
         spent = np.arange(len(key)) - np.searchsorted(key, key) >= left[key]
-        failed[key[spent]] = True
+        if spent.any():
+            for k in np.unique(key[spent]).tolist():
+                errors[k] = errors[k] or QuadratureError(
+                    "quadrature subdivision budget exhausted")
         left -= np.bincount(key, minlength=len(left))
         done = agree & ~spent
         val[at[done]] = last[done]
@@ -302,37 +319,27 @@ def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
         kids += zip(at[0::2].tolist(), range(len(val), len(val) + len(key), 2))
         at = np.arange(len(val), len(val) + len(key))
         val = np.concatenate([val, np.zeros(len(key))])
+        live = a < b
     val = val.tolist()
     for parent, half in reversed(kids):
         val[parent] = val[half] + val[half + 1]
-    return val[:n_rows], failed
+    return val[:n_rows], errors
 
 
-def _integrate_splits(core, splits, spec: QuadratureSpec) -> list:
+def _integrate_splits(core, splits, spec: QuadratureSpec, left) -> list:
     """Integral i of (u-lo)^p_lo (hi-u)^p_hi core(u, i) over [lo, hi], split
     at the increasing breakpoints ``interior``, for every
-    ``splits[i] = (lo, hi, p_lo, p_hi, interior, budget)``, each with its
-    own budget.
+    ``splits[i] = (lo, hi, p_lo, p_hi, interior)``, spending the budget
+    ``left[i]`` (an integer array, updated in place).
 
     Every (integral, segment) pair is one row of ``_integrate_rows``, and
     the rows of an integral share its scale hint: inner segments see the
     endpoint weights of [lo, hi] as smooth.  Each integral sums its
-    segments in order.  The result is one value per integral, or its error
-    (an exponent no rule can carry first).
+    segments in order.  The result is one value per integral, or its error.
     """
-    out, a, b, n_seg = [], [], [], []
-    for lo, hi, p_lo, p_hi, interior, _ in splits:
+    a, b, n_seg = [], [], []
+    for lo, hi, _, _, interior in splits:
         cuts = [x for x in interior if lo < x < hi]
-        out.append(None)
-        if not (p_lo > -1.0 and p_hi > -1.0):
-            try:
-                _rung_rules(tuple(dict.fromkeys(
-                    (p_lo if j == 0 else 0.0, p_hi if j == len(cuts) else 0.0)
-                    for j in range(len(cuts) + 1))), _NODE_LADDER[:2])
-            except Exception as exc:
-                # an integral with an error is one empty segment: 0 at no
-                # cost
-                out[-1], cuts, hi = exc, [], lo
         a += [lo, *cuts]
         b += [*cuts, hi]
         n_seg.append(len(cuts) + 1)
@@ -349,19 +356,11 @@ def _integrate_splits(core, splits, spec: QuadratureSpec) -> list:
     factors = np.zeros((len(key), 2, 3))
     factors[:, 0, 0], factors[:, 0, 1] = lo, p_lo
     factors[:, 1, 0], factors[:, 1, 2] = hi, p_hi
-    left = np.array([split[5].left for split in splits])
-    try:
-        parts, failed = _integrate_rows(
-            core, (key, *np.array([a, b], dtype=float), p, q, factors), spec,
-            left, True)
-    finally:
-        for split, n in zip(splits, left.tolist()):
-            split[5].left = n
-    for i, (s, e) in enumerate(zip(first.tolist(), last.tolist())):
-        if out[i] is None:
-            out[i] = QuadratureError(_EXHAUSTED) if failed[i] \
-                else sum(parts[s:e + 1])
-    return out
+    parts, errors = _integrate_rows(
+        core, (key, *np.array([a, b], dtype=float), p, q, factors), spec,
+        left, True)
+    return [sum(parts[s:e + 1]) if error is None else error
+            for s, e, error in zip(first.tolist(), last.tolist(), errors)]
 
 
 def _octaves(a: float, p_lo: float, decay_exponent: float,
@@ -415,19 +414,12 @@ def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
     Each integral runs its own ``_octaves`` loop with its own budget.  The
     segments the loops ask for next are the rows of one ``_integrate_rows``
     call: all first segments, then octave m of every integral still
-    running.  The result is one value per integral, or the error it
-    raised.
+    running.  The result is one value per integral, or its error: the
+    ladder's, or the one its loop raised.
     """
     out = [None] * len(tails)
-    loops, asks = {}, {}
-    for i, tail in enumerate(tails):
-        try:
-            _rung_rules(((tail[1], 0.0),), _NODE_LADDER[:2])
-        except Exception as exc:
-            out[i] = exc
-            continue
-        loops[i] = _octaves(*tail, spec)
-        asks[i] = next(loops[i])
+    loops = {i: _octaves(*tail, spec) for i, tail in enumerate(tails)}
+    asks = {i: next(loop) for i, loop in loops.items()}
     start = np.array([tail[0] for tail in tails], dtype=float)
     left = np.full(len(tails), spec.max_subdivisions)
     while asks:
@@ -436,19 +428,19 @@ def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
                           for col in zip(*asks.values()))
         factors = np.zeros((len(key), 1, 3))
         factors[:, 0, 0], factors[:, 0, 1] = start[key], wl
-        segs, failed = _integrate_rows(
+        segs, errors = _integrate_rows(
             core, (key, lo, hi, jl, np.zeros(len(key)), factors), spec, left,
             False)
         nxt = {}
         for i, seg in zip(asks, segs):
-            if failed[i]:
-                out[i] = QuadratureError(_EXHAUSTED)
+            if errors[i] is not None:
+                out[i] = errors[i]
                 continue
             try:
                 nxt[i] = loops[i].send(seg)
             except StopIteration as done:
                 out[i] = done.value
-            except Exception as exc:
+            except (DivergenceError, QuadratureError) as exc:
                 out[i] = exc
         asks = nxt
     return out

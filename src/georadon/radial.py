@@ -177,7 +177,7 @@ def _kernel(t: Transform, p: TransformParams, f: Profile1D, xv,
     if not t.left:
         capped = math.isfinite(t.span[1])
         g = (_cap_support(f, t.span[1]) if capped else f).with_power(pre(p))
-        if not capped and not check_decay(g, a, 1.0, spec):
+        if not capped and not check_decay(g, a):
             raise DivergenceError(
                 f"{t.name} diverges: the input fails the tail criterion")
         return c(p) * xv ** post(p) * np.asarray(ek_right(a, g, xv, spec))
@@ -327,8 +327,9 @@ def transform_profile(model: Model, dual: bool, p: TransformParams,
 
     A right-sided kernel (not a projective route) keeps ``f``'s support,
     cut at a finite end of the span, and raises its edge exponent by
-    (k-j)/2.  A dual decays at least like r^-(n-k); a forward transform
-    keeps ``f``'s decay hint.
+    (k-j)/2; where the span's end cuts the support, ``f`` is smooth there
+    and the edge exponent is (k-j)/2 alone.  A dual decays at least like
+    r^-(n-k); a forward transform keeps ``f``'s decay hint.
     """
     t = TRANSFORMS[model, dual]
     lo, hi = t.span
@@ -339,8 +340,9 @@ def transform_profile(model: Model, dual: bool, p: TransformParams,
     if not t.left and t.route is None:
         top = min(math.inf if f.support is None else f.support, hi)
         if math.isfinite(top):
+            # ``_cap_support`` folds a cut edge factor into the core
             support = top
-            edge = p.half_gap + (0.0 if f.support is None else f.edge_exponent)
+            edge = p.half_gap + (f.edge_exponent if top == f.support else 0.0)
 
     def fn(x):
         fwd = transform_function(model, dual)
@@ -644,13 +646,13 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
     96-interval Chebyshev grid over the window, and restores the weights.
     When ``check_residual`` is set, the forward map is re-applied to the
     reconstruction on the same window and a relative residual above
-    ``RESIDUAL_TOL`` raises ``ReconstructionError``.  The reconstruction
-    is constant (its value at ``lo``) below ``lo`` and zero past ``hi``, so
-    a forward (right-sided) map, projective rows included, fails that check
-    when the window ends before the data is negligible, and a left-sided
-    map when the window starts where the input is not yet flat.  The
-    direct (non-projective) reconstruction declares ``lo`` as a breakpoint,
-    so the left-sided re-application splits at that kink.  A window with
+    ``RESIDUAL_TOL`` raises ``ReconstructionError``.  Every row, projective
+    routes included, returns one window profile (``_window_profile``): on
+    the row's span, constant (its value at ``lo``) below ``lo``, zero past
+    ``hi``, with ``lo`` declared as a breakpoint where that extension
+    kinks.  So a forward (right-sided) map fails the residual check when
+    the window ends before the data is negligible, and a left-sided map
+    when the window starts where the input is not yet flat.  A window with
     lo >= hi or outside the row's span raises ``DomainError``.
     """
     t = TRANSFORMS[model, dual]
@@ -661,8 +663,9 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
         raise DomainError(f"inversion window needs lo < hi, got ({lo}, {hi})")
     _check_span(t, np.array([lo, hi]))
     if t.route is not None:
-        rec = _invert_routed(t, p, transformed, (lo, hi), spec,
-                             deriv_noise_rel)
+        rec = _window_profile(t, _invert_routed(t, p, transformed, (lo, hi),
+                                                spec, deriv_noise_rel),
+                              lo, hi, transformed)
     else:
         c, pre, post = t.weights
         stripped = transformed.with_power(-post(p)).scaled(1.0 / c(p))
@@ -670,7 +673,9 @@ def invert_radial(model: Model, p: TransformParams, transformed: Profile1D,
         deriv = ek_deriv_left if t.left else ek_deriv_right
         vals = grid ** (-pre(p)) * deriv(p.half_gap, stripped, grid, spec,
                                          noise_rel=deriv_noise_rel)
-        rec = _grid_profile(grid, vals, t.kind, transformed)
+        a, b = float(grid[0]), float(grid[-1])
+        rec = _window_profile(t, ChebInterpolant(a, b, vals), a, b,
+                              transformed)
     if check_residual:
         fwd = transform_function(model, dual)
         _residual_check(lambda x: np.asarray(fwd(p, rec, x, spec)),
@@ -696,20 +701,20 @@ def _invert_routed(t: Transform, p: TransformParams, transformed: Profile1D,
                         reparametrize(rec_h, ArgKind.GeodesicDistance))
 
 
-def _grid_profile(grid, vals, kind: ArgKind, transformed: Profile1D) -> Profile1D:
-    interp = ChebInterpolant(float(grid[0]), float(grid[-1]),
-                             np.asarray(vals, dtype=float))
-    lo, hi = float(grid[0]), float(grid[-1])
-
+def _window_profile(t: Transform, inner: Callable, lo: float, hi: float,
+                    transformed: Profile1D) -> Profile1D:
+    """The reconstruction ``inner`` on the window [lo, hi] as a profile on
+    the row's span up to hi: ``fn`` clips to the window, so the profile is
+    constant below lo, and 0 past its domain end hi.  The constant
+    extension kinks at lo, declared as a breakpoint so that left-sided
+    integrals split there."""
     def fn(x):
-        return interp(np.clip(np.asarray(x, dtype=float), lo, hi))
+        return inner(np.clip(np.asarray(x, dtype=float), lo, hi))
 
-    sup = transformed.support
-    # the constant extension below lo kinks there: left-sided integrals
-    # split at lo instead of bisecting across it
-    return Profile1D(lo=lo, hi=hi * (1 + 1e-12), fn=fn, arg_kind=kind,
-                     decay_hint=transformed.decay_hint, support=sup,
-                     breakpoints=(lo,), label=f"inverted[{transformed.label}]")
+    return Profile1D(lo=t.span[0], hi=hi * (1 + 1e-12), fn=fn, arg_kind=t.kind,
+                     decay_hint=transformed.decay_hint,
+                     support=transformed.support, breakpoints=(lo,),
+                     label=f"inverted[{transformed.label}]")
 
 
 def _residual_check(fwd, transformed: Profile1D, lo: float, hi: float):

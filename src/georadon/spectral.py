@@ -63,10 +63,6 @@ class ChebInterpolant:
     def fit(cls, fn, a: float, b: float, n: int) -> "ChebInterpolant":
         return cls(a, b, np.asarray(fn(cheb_nodes(n, a, b)), dtype=float))
 
-    @property
-    def n(self) -> int:
-        return len(self.coeffs) - 1
-
     def _map(self, x):
         return (2.0 * np.asarray(x, dtype=float) - (self.a + self.b)) / (self.b - self.a)
 

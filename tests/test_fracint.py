@@ -73,16 +73,19 @@ def test_right_needs_decay_hint_on_infinite_domain():
 
 
 def test_check_decay():
-    assert check_decay(P.gaussian(), 3.0, 1.0)
-    assert check_decay(P.power(-3.0, lo=1e-6), 1.0, 1.0)
-    assert not check_decay(P.power(0.0), 1.0, 1.0)
-    # no hint: measured doubling increments must fall below abs_tol
+    assert check_decay(P.gaussian(), 3.0)
+    assert check_decay(P.power(-3.0, lo=1e-6), 1.0)
+    assert not check_decay(P.power(0.0), 1.0)
+    # no hint: a decay is declared, never measured, whether the profile
+    # decays fast or slowly
     no_hint = P.Profile1D(lo=0.0, hi=math.inf, fn=lambda r: np.exp(-r * r),
                           arg_kind=P.ArgKind.EuclideanRadius)
-    assert check_decay(no_hint, 1.0, 1.0)
+    with pytest.raises(DomainError, match="needs a decay_hint"):
+        check_decay(no_hint, 1.0)
     slow = P.Profile1D(lo=0.0, hi=math.inf, fn=lambda r: 1.0 / (1.0 + r),
                        arg_kind=P.ArgKind.EuclideanRadius)
-    assert not check_decay(slow, 1.0, 1.0)
+    with pytest.raises(DomainError, match="needs a decay_hint"):
+        check_decay(slow, 1.0)
 
 
 def test_deriv_left_inverts_square():
@@ -310,12 +313,12 @@ def test_split_integral_with_bisecting_segment():
     # rungs disagree, so it alone climbs the ladder, and its halves and
     # theirs bisect inside it; the others are accepted at 32 nodes
     shapes = []
-    budget = Q._Budget(50)
+    left = np.array([50])
     got, = Q._integrate_splits(
         _single(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.7)), shapes),
-        [(0.0, 3.0, -0.5, 0.25, [0.5, 1.0, 2.0], budget)], QuadratureSpec())
+        [(0.0, 3.0, -0.5, 0.25, [0.5, 1.0, 2.0])], QuadratureSpec(), left)
     assert got.hex() == '0x1.ab0b04bdb37bcp+1'
-    assert budget.left == 36
+    assert left.tolist() == [36]
     (first, _, _), climb = shapes[0], shapes[1:4]
     assert first == (4, 48)
     assert [s[0] for s in climb] == [(1, 64), (1, 128), (1, 256)]
@@ -335,10 +338,11 @@ def _ladder_one_by_one(core, a, b, p_lo, p_hi, spec, budget, hint):
     """One integral up the node ladder, one rule at a time, and down its
     bisections depth first, each half folding the endpoint weight it does
     not own into its integrand: the recursion whose bits and budget the
-    row ladder keeps."""
+    row ladder keeps.  ``budget`` is a one-element list of units left,
+    one spent per ladder entry."""
     if b <= a:
         return 0.0
-    budget.spend()
+    budget[0] -= 1
     prev = None
     for n in (16, 32, 64, 128, 256):
         cur = _rule_alone(core, a, b, p_lo, p_hi, n)
@@ -414,14 +418,13 @@ def test_split_batch_keeps_the_bits_of_the_segment_loop(cases):
     def core(u, keys):
         return np.array([fns[k](row) for k, row in zip(keys.tolist(), u)])
 
-    budgets = [Q._Budget(200) for _ in args]
-    got = Q._integrate_splits(core, [a[1:] + (b,) for a, b in zip(args, budgets)],
-                              spec)
-    for (u_core, *rest), value, budget in zip(args, got, budgets):
-        one = Q._Budget(200)
+    left = np.full(len(args), 200)
+    got = Q._integrate_splits(core, [a[1:] for a in args], spec, left)
+    for (u_core, *rest), value, units in zip(args, got, left.tolist()):
+        one = [200]
         want = _split_one_by_one(u_core, *rest, spec, one)
         assert value.hex() == want.hex()
-        assert budget.left == one.left
+        assert units == one[0]
 
 
 def test_climbing_rows_share_each_rung_call():
@@ -436,12 +439,11 @@ def test_climbing_rows_share_each_rung_call():
         shapes.append(u.shape)
         return np.array([fns[k](row) for k, row in zip(keys.tolist(), u)])
 
-    budgets = [Q._Budget(200) for _ in cases]
-    Q._integrate_splits(core, [_SPLIT_CASES[c][1:] + (b,)
-                               for c, b in zip(cases, budgets)],
-                        QuadratureSpec())
+    left = np.full(len(cases), 200)
+    Q._integrate_splits(core, [_SPLIT_CASES[c][1:] for c in cases],
+                        QuadratureSpec(), left)
     assert shapes == [(4, 48), (3, 64), (2, 128), (1, 256)]
-    assert [b.left for b in budgets] == [199] * 4
+    assert left.tolist() == [199] * 4
 
 
 def test_split_batch_keeps_each_integrals_error():
@@ -459,20 +461,19 @@ def test_split_batch_keeps_each_integrals_error():
     def core(u, keys):
         return np.array([fns[k](row) for k, row in zip(keys.tolist(), u)])
 
-    budgets = [Q._Budget(n) for n in (200, 200, 5, 200)]
-    got = Q._integrate_splits(core, [a[1:] + (b,) for a, b in zip(args, budgets)],
-                              spec)
+    left = np.array([200, 200, 5, 200])
+    got = Q._integrate_splits(core, [a[1:] for a in args], spec, left)
     assert isinstance(got[1], DivergenceError)
     assert str(got[1]) == ("endpoint exponent <= -1 is not integrable "
                            "(p_lo=0.0, p_hi=-1.0)")
     assert isinstance(got[2], QuadratureError)
     assert str(got[2]) == "quadrature subdivision budget exhausted"
-    assert [b.left for b in budgets[1:3]] == [200, -3]
+    assert left[1:3].tolist() == [200, -3]
     for i in (0, 3):
-        one = Q._Budget(200)
+        one = [200]
         want = _split_one_by_one(*args[i], spec, one)
         assert got[i].hex() == want.hex()
-        assert budgets[i].left == one.left
+        assert left[i] == one[0]
 
 
 def _count_rows(monkeypatch, module):
@@ -499,10 +500,10 @@ def test_projective_point_work(monkeypatch):
     batches = []
     splits = Q._integrate_splits
 
-    def counted_splits(core, items, spec):
+    def counted_splits(core, items, spec, left):
         batches.append([1 + sum(lo < p < hi for p in interior)
-                        for lo, hi, _, _, interior, _ in items])
-        return splits(core, items, spec)
+                        for lo, hi, _, _, interior in items])
+        return splits(core, items, spec, left)
 
     monkeypatch.setattr(F, "_integrate_splits", counted_splits)
     calls = _count_rows(monkeypatch, Q)

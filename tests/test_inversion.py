@@ -223,3 +223,13 @@ def test_dm_log_kernel_branch_converges():
     rho = np.linspace(0.0, 2.0, 21)
     err = float(np.max(np.abs(rec(rho) - h(rho)))) / float(np.max(np.abs(h(rho))))
     assert err < 0.2
+
+
+def test_zonal_bump_second_derivative_is_the_derivative_of_the_first():
+    b = IV.zonal_bump(1.5)
+    d1, d2 = b.derivatives
+    x = np.array([-1.2, -0.4, 0.0, 0.3, 0.9, 1.3, 1.6])
+    h = 1e-5
+    fd = (d1(x + h) - d1(x - h)) / (2.0 * h)
+    assert np.max(np.abs(d2(x) - fd)) < 1e-8 * np.max(np.abs(d2(x)))
+    assert d2(np.array([1.6]))[0] == 0.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from georadon import quadrature as Q
 from georadon.errors import DivergenceError, QuadratureError
-from georadon.quadrature import (DEFAULT_QUADRATURE, QuadratureSpec, _Budget,
+from georadon.quadrature import (DEFAULT_QUADRATURE, QuadratureSpec,
                                  integrate_to_infinity, integrate_weighted)
 
 
@@ -22,6 +23,21 @@ def test_weighted_beta_closed_form(p_lo, p_hi):
     assert abs(got - want) <= DEFAULT_QUADRATURE.rel_tol * abs(want)
 
 
+def _weighted_spending(core, a, b, p_lo, p_hi):
+    """``integrate_weighted`` with its budget in view: the row it is, run
+    by the ladder with 200 units, and the units that row spends.  The value
+    is checked to be ``integrate_weighted``'s own, bit for bit."""
+    left = np.array([200])
+    (value,), (error,) = Q._integrate_rows(
+        lambda u, keys: core(u.ravel()).reshape(u.shape),
+        (np.zeros(1, np.intp), *(np.array([v], dtype=float)
+                                 for v in (a, b, p_lo, p_hi)),
+         np.empty((1, 0, 3))), QuadratureSpec(), left, False)
+    assert error is None
+    assert value.hex() == integrate_weighted(core, a, b, p_lo, p_hi).hex()
+    return value, 200 - int(left[0])
+
+
 def _peak(u):
     return 1.0 / (1e-4 + (u - 0.3) ** 2)
 
@@ -31,9 +47,8 @@ _PEAK_INTEGRAL = (math.atan(70.0) + math.atan(30.0)) / 0.01
 
 
 def test_narrow_peak_forces_bisection():
-    budget = _Budget(200)
-    got = integrate_weighted(_peak, 0.0, 1.0, 0.0, 0.0, budget=budget)
-    assert budget.left < 199          # more than the one top-level ladder
+    got, spent = _weighted_spending(_peak, 0.0, 1.0, 0.0, 0.0)
+    assert spent > 1          # more than the one top-level ladder
     assert abs(got - _PEAK_INTEGRAL) <= 1e-10 * _PEAK_INTEGRAL
 
 
@@ -42,11 +57,10 @@ def test_bisecting_integral_keeps_its_bits_and_budget():
     # 12 times, and every half folds the weight it does not own into its
     # integrand in the order of the recursion (recorded before the halves
     # were batched as rows)
-    budget = _Budget(200)
-    got = integrate_weighted(lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.3)),
-                             0.0, 1.0, -0.5, 0.3, budget=budget)
+    got, spent = _weighted_spending(
+        lambda u: np.exp(-u) * (1.0 + np.abs(u - 0.3)), 0.0, 1.0, -0.5, 0.3)
     assert got.hex() == '0x1.a10c9e7b2a3d5p+0'
-    assert budget.left == 175
+    assert spent == 25
 
 
 @pytest.mark.parametrize("centre, width, want, spent", [
@@ -59,12 +73,11 @@ def test_bisection_applies_the_endpoint_weights_in_recursion_order(
     # endpoint weights as smooth factors, and most of the value, so
     # multiplying them in another order moves the last bits (recorded
     # before the halves were batched as rows)
-    budget = _Budget(200)
-    got = integrate_weighted(
+    got, units = _weighted_spending(
         lambda u: np.exp(-((u - centre) / width) ** 2) * (
-            1.0 + np.abs(u - centre)), 0.0, 1.0, -0.5, 0.3, budget=budget)
+            1.0 + np.abs(u - centre)), 0.0, 1.0, -0.5, 0.3)
     assert got.hex() == want
-    assert 200 - budget.left == spent
+    assert units == spent
 
 
 def test_exhausted_budget_raises():
@@ -96,3 +109,18 @@ def test_infinite_interval_rejects_harmonic_tail():
         integrate_to_infinity(lambda u: 1.0 / (1.0 + u), 0.0, 0.0, 1.0)
     with pytest.raises(DivergenceError):
         integrate_to_infinity(lambda u: 1.0 / (1.0 + u), 0.0, 0.0, math.inf)
+
+
+def test_tail_batch_refuses_each_exponent_alone():
+    # tails whose first segment carries a weight no rule can hold sit
+    # beside a good tail: each gets its own error before any row spends,
+    # and the good one the bits of its own call
+    got = Q._integrate_tails(lambda u, keys: (1.0 + u) ** -3.0,
+                             [(0.0, -1.2, 3.0, 1.0), (0.0, -0.5, 3.5, 1.0),
+                              (0.0, math.nan, 3.0, 1.0)], QuadratureSpec())
+    assert isinstance(got[0], DivergenceError)
+    assert str(got[0]) == ("endpoint exponent <= -1 is not integrable "
+                           "(p_lo=-1.2, p_hi=0.0)")
+    assert type(got[2]) is ValueError
+    want = integrate_to_infinity(lambda u: (1.0 + u) ** -3.0, 0.0, -0.5, 3.5)
+    assert got[1].hex() == want.hex()

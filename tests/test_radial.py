@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -398,6 +399,85 @@ def test_invert_support_locality():
                                               np.array([0.7, 0.9]))))) == 0.0
 
 
+def _cut_support_profile(origin_power):
+    """r^o (1.69 - r^2)^0.5 on the ball, its support 1.3 past the ball's
+    edge, declared with edge exponent 0.5."""
+    return P.Profile1D(lo=0.0, hi=1.0, arg_kind=P.ArgKind.BallRadius,
+                       fn=lambda r: r ** origin_power * np.sqrt(1.69 - r * r),
+                       origin_power=origin_power, support=1.3,
+                       edge_exponent=0.5)
+
+
+def test_transform_profile_edge_where_the_span_cuts_the_support():
+    # the chord row stops at 1, inside the input's support: the input is
+    # smooth there, so the image's edge exponent is (k-j)/2 alone, as
+    # measured from its values
+    p = R.TransformParams(4, 0, 1)
+    g = R.transform_profile(Model.BeltramiKlein, False, p,
+                            _cut_support_profile(0.0))
+    assert (g.support, g.edge_exponent) == (1.0, p.half_gap)
+    s = np.array([1.0 - 1e-3, 1.0 - 1e-6])
+    vals = g(s)
+    measured = math.log(vals[1] / vals[0]) / math.log(
+        (1.0 - s[1] ** 2) / (1.0 - s[0] ** 2))
+    assert abs(measured - g.edge_exponent) < 1e-2
+    core = vals / (1.0 - s * s) ** g.edge_exponent
+    assert abs(core[1] / core[0] - 1.0) < 0.05
+
+
+@pytest.mark.parametrize("triple", [(4, 0, 1), (5, 1, 3)])
+def test_chord_forward_folds_a_support_past_the_ball(triple):
+    # a support past the ball's edge with an origin power: the cap at 1
+    # folds the edge factor (S^2 - r^2)^e into the quadrature core
+    p = R.TransformParams(*triple)
+    f = _cut_support_profile(0.5)
+    s = np.array([0.1, 0.5, 0.9])
+    got = R.radon_chord_radial(p, f, s)
+    want = [brute_forward_affine(p, f, si, upper=1.0) for si in s]
+    assert sup_rel_err(got, want) < 1e-8
+
+
+@functools.lru_cache(maxsize=None)
+def _projective_dual_data():
+    """The (4,1,2) projective dual image of P1 exp(-sinh^2 rho), tabulated
+    on [0, 0.76], and the input."""
+    from georadon.models import WeightOp, apply_weight
+    p = R.TransformParams(4, 1, 2)
+    geo = P.Profile1D(lo=0.0, hi=math.inf,
+                      fn=lambda rho: np.exp(-np.sinh(rho) ** 2),
+                      arg_kind=P.ArgKind.GeodesicDistance, decay_hint=math.inf)
+    phi = apply_weight(WeightOp.P1, p, geo)
+    trans_d = P.tabulate(
+        lambda x: np.asarray(R.dual_projective_zonal(p, phi, np.atleast_1d(x),
+                                                     TIGHT)),
+        0.0, 0.76, P.ArgKind.Angle, n=160)
+    return p, phi, trans_d
+
+
+@pytest.mark.parametrize("window", [(0.02, 0.7), (0.05, 0.7), (0.05, 0.5),
+                                    (0.02, 0.76)])
+def test_invert_projective_dual_extends_the_window(window):
+    # the routed reconstruction is the same window profile as every other
+    # row's, constant below lo: the re-applied dual sees the input's flat
+    # start and the residual check passes (each window failed it, at
+    # 8.6e-3 to 7.4e-2, while the routed profile was 0 below lo)
+    p, phi, trans_d = _projective_dual_data()
+    rec = R.invert_radial(Model.Projective, p, trans_d, dual=True,
+                          out_range=window)
+    assert rec.lo == 0.0 and rec.breakpoints == (window[0],)
+    assert np.all(rec(np.linspace(0.0, window[0], 7)) == rec(window[0]))
+    th = np.linspace(*window, 24)
+    assert rel_err(rec(th), phi(th)) < 1e-5
+
+
+def test_invert_projective_dual_rejects_a_window_past_the_flat_start():
+    # a left-sided map needs the input below lo: at 0.2 it is not flat yet
+    p, _, trans_d = _projective_dual_data()
+    with pytest.raises(R.ReconstructionError, match="forward residual"):
+        R.invert_radial(Model.Projective, p, trans_d, dual=True,
+                        out_range=(0.2, 0.7))
+
+
 def test_invert_projective_both_directions():
     from georadon.models import WeightOp, apply_weight
     p = R.TransformParams(4, 1, 2)
@@ -413,11 +493,7 @@ def test_invert_projective_both_directions():
     rec = R.invert_radial(Model.Projective, p, trans, out_range=(0.02, 0.7),
                           check_residual=False)
     assert rel_err(rec(th), F(th)) < 1e-4
-    phi = apply_weight(WeightOp.P1, p, geo)
-    trans_d = P.tabulate(
-        lambda x: np.asarray(R.dual_projective_zonal(p, phi, np.atleast_1d(x),
-                                                     TIGHT)),
-        0.0, 0.76, P.ArgKind.Angle, n=160)
+    _, phi, trans_d = _projective_dual_data()
     rec_d = R.invert_radial(Model.Projective, p, trans_d, dual=True,
                             out_range=(0.02, 0.7), check_residual=False)
     assert rel_err(rec_d(th), phi(th)) < 1e-4
@@ -550,10 +626,10 @@ def test_invert_residual_check_work(monkeypatch):
     segments, calls = [], []
     splits, rows = quadrature._integrate_splits, quadrature._integrate_rows
 
-    def counted_splits(core, items, spec):
+    def counted_splits(core, items, spec, left):
         segments.extend(1 + sum(lo < p < hi for p in interior)
-                        for lo, hi, _, _, interior, _ in items)
-        return splits(core, items, spec)
+                        for lo, hi, _, _, interior in items)
+        return splits(core, items, spec, left)
 
     def counted_rows(core, *args):
         calls.append([])
@@ -571,8 +647,9 @@ def test_invert_residual_check_work(monkeypatch):
         calls.clear()
         rec = R.invert_radial(model, R.TransformParams(*triple), data(),
                               out_range=full, dual=dual)
-        assert rec.lo == pytest.approx(full[0])
-        assert rec.breakpoints == (rec.lo,)
+        lo, = rec.breakpoints
+        assert lo == pytest.approx(full[0])
+        assert np.all(rec(np.linspace(rec.lo, lo, 7)) == rec(lo))
         assert sum(segments) == 16
         assert sum(rows for call in calls for rows, n in call
                    if n == 64) == n_climbing

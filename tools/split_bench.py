@@ -81,21 +81,21 @@ def _grids(calls: list) -> dict:
 def _captured() -> dict:
     """Segment count -> replay of the first one-integral split batch with
     that many segments, with a fresh budget of the same size."""
+    import numpy as np
+
     from georadon import fracint as F
     from georadon import profiles as P
-    from georadon import quadrature as Q
     from georadon import radial as R
 
     calls = {}
     inner = F._integrate_splits
 
-    def capture(core, splits, spec):
-        (lo, hi, p_lo, p_hi, interior, budget), = splits
+    def capture(core, splits, spec, left):
+        (lo, hi, _, _, interior), = splits
         n_seg = 1 + sum(lo < p < hi for p in interior)
-        calls.setdefault(n_seg, lambda: inner(
-            core, [(lo, hi, p_lo, p_hi, interior, Q._Budget(budget.left))],
-            spec))
-        return inner(core, splits, spec)
+        units = left.copy()
+        calls.setdefault(n_seg, lambda: inner(core, splits, spec, units.copy()))
+        return inner(core, splits, spec, left)
 
     F._integrate_splits = capture
     try:
