@@ -3,10 +3,15 @@ functions: Haar sampling over rotation groups, plane/geodesic samplers,
 and stochastic duality checks.
 
 Determinism contract: every estimator value depends only on
-(seed, stream_id, n_samples).  Samples are generated in fixed-size chunks,
-each chunk's generator derived independently from the seed and the chunk
-index, and the reduction is a fixed-order pairwise sum — so results are
-bit-identical regardless of how many worker threads execute the chunks.
+(seed, stream_id, n_samples).  A budget is cut into fixed-size chunks, and
+each chunk draws from its own counter-based generator, keyed by the seed,
+the stream and the chunk index.  The chunks of one or many estimates are
+packed into blocks that run on the worker pool; a block of planes
+factors its Haar draws in one batch and evaluates the integrand once,
+which keeps the bits of each sample.  Each chunk is summed alone, and the
+chunk sums of an estimate are added pairwise in chunk order, so results
+are bit-identical however the chunks are grouped and however many threads
+run them.
 """
 from __future__ import annotations
 
@@ -68,7 +73,10 @@ class McSpec:
             raise DomainError("seed and stream_id must be nonnegative")
 
     def substream(self, offset: int, n_samples: Optional[int] = None) -> "McSpec":
-        return McSpec(self.seed, n_samples or self.n_samples,
+        """The budget ``n_samples`` (else this one's) on stream
+        ``stream_id + offset``."""
+        return McSpec(self.seed,
+                      self.n_samples if n_samples is None else n_samples,
                       self.stream_id + offset)
 
 
@@ -89,25 +97,63 @@ def _rng(spec: McSpec, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _chunk_sums(terms: Callable, spec: McSpec, chunk: int = CHUNK) -> list:
-    """(count, sum, sum of squares) of each chunk of the sample budget.
+def _unit_sums(specs: list, terms: Callable, chunk: int = CHUNK) -> list:
+    """(count, sum, sum of squares) of each chunk of each budget
+    ``specs[t]``: one list per target, in chunk order.
 
-    ``terms(rng, count, start)`` returns the terms of the samples
-    start..start+count-1: a vector, or one row per estimate.  Each chunk
-    draws from its own generator and the chunks run on the worker pool.
+    A unit is one chunk of one target.  The units, in order, are packed
+    into blocks of at most CHUNK samples, and no unit spans two blocks.
+    ``terms(units)`` gets a block's units as (target, start, count, rng),
+    each with the generator of its own chunk, and returns the terms of
+    their samples in unit order: a vector, or one row per estimate.  Each
+    unit's slice is summed as a chunk of its own would be, and the blocks
+    run on the worker pool.
     """
-    starts = range(0, spec.n_samples, chunk)
-    counts = [min(chunk, spec.n_samples - s) for s in starts]
+    blocks, room = [], 0
+    for t, spec in enumerate(specs):
+        for start in range(0, spec.n_samples, chunk):
+            count = min(chunk, spec.n_samples - start)
+            if count > room:
+                blocks.append([])
+                room = CHUNK
+            blocks[-1].append((t, start, count))
+            room -= count
 
-    def run(i):
-        t = np.asarray(terms(_rng(spec, i), counts[i], starts[i]), dtype=float)
-        return counts[i], np.sum(t, axis=-1), np.sum(t * t, axis=-1)
+    def run(block):
+        units = [(t, start, count, _rng(specs[t], start // chunk))
+                 for t, start, count in block]
+        vals = np.asarray(terms(units), dtype=float)
+        sums, lo = [], 0
+        for _, _, count in block:
+            v = vals[..., lo:lo + count]
+            sums.append((count, np.sum(v, axis=-1), np.sum(v * v, axis=-1)))
+            lo += count
+        return sums
 
-    threads = min(worker_threads(), len(counts))
+    threads = min(worker_threads(), len(blocks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(counts))))
-    return [run(i) for i in range(len(counts))]
+            done = list(pool.map(run, blocks))
+    else:
+        done = [run(block) for block in blocks]
+    parts = [[] for _ in specs]
+    for block, sums in zip(blocks, done):
+        for (t, _, _), part in zip(block, sums):
+            parts[t].append(part)
+    return parts
+
+
+def _unit_rows(units):
+    """(target, slice of the block's samples) of each unit of a block."""
+    lo = 0
+    for t, _, count, _ in units:
+        yield t, slice(lo, lo + count)
+        lo += count
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays joined along the first axis; a lone one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _mean_stderr(parts: list):
@@ -120,17 +166,20 @@ def _mean_stderr(parts: list):
     return mean, np.sqrt(var / n)
 
 
-def _estimate(term_fn: Callable, spec: McSpec) -> McEstimate:
-    """Mean/stderr of term_fn(rng, count) over the seeded sample budget."""
-    parts = _chunk_sums(lambda rng, count, _: term_fn(rng, count), spec)
-    mean, stderr = _mean_stderr(parts)
-    if len(parts) >= 4:
-        _, se_q = _mean_stderr(parts[:max(1, len(parts) // 4)])
-        if se_q > 0 and stderr / se_q > 0.8:
-            warnings.warn(
-                "running standard error is not shrinking at the n^-1/2 rate",
-                McConvergenceWarning, stacklevel=3)
-    return McEstimate(float(mean), float(stderr), spec.n_samples)
+def _estimates(terms: Callable, specs: list) -> list:
+    """One McEstimate per budget of ``_unit_sums(specs, terms)``.  A budget
+    of four chunks or more warns when its standard error stops shrinking."""
+    out = []
+    for spec, parts in zip(specs, _unit_sums(specs, terms)):
+        mean, stderr = _mean_stderr(parts)
+        if len(parts) >= 4:
+            _, se_q = _mean_stderr(parts[:max(1, len(parts) // 4)])
+            if se_q > 0 and stderr / se_q > 0.8:
+                warnings.warn(
+                    "running standard error is not shrinking at the n^-1/2 "
+                    "rate", McConvergenceWarning, stacklevel=4)
+        out.append(McEstimate(float(mean), float(stderr), spec.n_samples))
+    return out
 
 
 def _pairwise(vals):
@@ -225,16 +274,14 @@ class PlaneBatch:
 
 def complete_rotation(columns: np.ndarray) -> np.ndarray:
     """Deterministic g in SO(n) whose last columns are the given orthonormal
-    ones."""
-    n, d = columns.shape
-    basis = np.linalg.qr(np.concatenate([columns, np.eye(n)], axis=1))[0]
-    comp = basis[:, d:n]
-    g = np.concatenate([comp, columns], axis=1)
-    if np.linalg.det(g) < 0:
-        if comp.shape[1]:
-            g[:, 0] *= -1.0
-        else:
-            g[:, -1] *= -1.0     # flipping a frame column keeps its span
+    ones.  A stack (..., n, d) of column blocks gives a stack, from one
+    batched QR and one batched det: each g has the bits it has alone."""
+    n, d = columns.shape[-2:]
+    eye = np.broadcast_to(np.eye(n), columns.shape[:-1] + (n,))
+    basis = np.linalg.qr(np.concatenate([columns, eye], axis=-1))[0]
+    g = np.concatenate([basis[..., d:n], columns], axis=-1)
+    # flipping a frame column keeps its span
+    g[np.linalg.det(g) < 0, :, 0 if d < n else -1] *= -1.0
     return g
 
 
@@ -460,64 +507,99 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane,
     correction.  ``f`` receives a PlaneBatch and must return one value per
     plane.
     """
+    return _radon_affine(p, f, [zeta], [mc])[0]
+
+
+def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
+    """``radon_affine_mc`` at each plane ``zetas[t]`` on budget
+    ``specs[t]``: one ``f`` call per block of samples."""
     n, j, k = p.n, p.j, p.k
-    eta = zeta.frame.columns
-    if eta.shape != (n, k):
-        raise DomainError(f"expected an (n, k) = ({n}, {k}) frame")
-    v = np.asarray(zeta.offset, dtype=float)
-    vnorm = float(np.linalg.norm(v))
-    u = v / vnorm if vnorm > 0 else None
-    g = complete_rotation(
-        eta if u is None else np.concatenate([u[:, None], eta], axis=1))
+    cols, vnorm = [], []
+    for zeta in zetas:
+        eta = zeta.frame.columns
+        if eta.shape != (n, k):
+            raise DomainError(f"expected an (n, k) = ({n}, {k}) frame")
+        v = np.asarray(zeta.offset, dtype=float)
+        vnorm.append(float(np.linalg.norm(v)))
+        cols.append(np.concatenate([(v / vnorm[-1])[:, None], eta], axis=1)
+                    if vnorm[-1] > 0 else eta)
+    g = _completions(cols)
     log_norm = 0.5 * (k - j) * math.log(2 * math.pi)
 
-    def terms(rng, count):
-        gam = sample_rotations(k, count, rng)
-        z = rng.standard_normal((count, k - j))
+    def terms(units):
+        draws = [(_haar_gaussian(k, count, rng),
+                  rng.standard_normal((count, k - j)))
+                 for _, _, count, rng in units]
+        gam = _haar_factor(_joined([gauss for gauss, _ in draws]))
+        z = _joined([z for _, z in draws])
         w = np.exp(log_norm + np.sum(z * z, axis=1) / 2)
-        # local coordinates inside the k-block: offset = |v| e_{n-k} + z
-        local = np.zeros((count, n))
-        local[:, n - k - 1] = vnorm
-        # rotate z by gamma within the k-block, then push through g
+        # local coordinates inside the k-block: offset = |v| e_{n-k} + z,
+        # z rotated by gamma within the k-block
+        local = np.zeros((len(z), n))
         local[:, n - k:] = np.einsum("bij,bj->bi", gam[:, :, :k - j], z)
-        offs = local @ g.T
-        dirs = np.einsum("ij,bjl->bil", g[:, n - k:], gam[:, :, k - j:]) \
-            if j > 0 else np.zeros((count, n, 0))
+        offs, dirs = np.empty((len(z), n)), np.empty((len(z), n, j))
+        for t, rows in _unit_rows(units):
+            # each plane's samples go through its own g
+            local[rows, n - k - 1] = vnorm[t]
+            offs[rows] = local[rows] @ g[t].T
+            dirs[rows] = np.einsum("ij,bjl->bil", g[t][:, n - k:],
+                                   gam[rows, :, k - j:])
         vals = np.asarray(f(PlaneBatch(dirs, offs)), dtype=float)
         return vals * w
 
-    return _estimate(terms, mc)
+    return _estimates(terms, specs)
+
+
+def _completions(cols: list) -> list:
+    """``complete_rotation`` of each column block: one stacked call per
+    block shape (a plane through the origin has one column fewer)."""
+    done = {}
+    for shape in {c.shape for c in cols}:
+        idx = [i for i, c in enumerate(cols) if c.shape == shape]
+        done.update(zip(idx, complete_rotation(np.stack([cols[i]
+                                                         for i in idx]))))
+    return [done[i] for i in range(len(cols))]
 
 
 def dual_affine_mc(p, phi: Callable, tau: AffinePlane,
                    mc: McSpec) -> McEstimate:
     """Unbiased estimate of the dual transform of phi at the plane tau:
     the average of phi over Haar-rotated k-planes containing tau."""
-    n, j, k = p.n, p.j, p.k
-    xi = tau.frame.columns
-    if xi.shape != (n, j):
-        raise DomainError(f"expected an (n, j) = ({n}, {j}) frame")
-    u = np.asarray(tau.offset, dtype=float)
-    g = complete_rotation(xi)       # last j columns span xi
+    return _dual_affine(p, phi, [tau], [mc])[0]
 
-    def terms(rng, count):
-        rho = sample_rotations(n - j, count, rng)
+
+def _dual_affine(p, phi: Callable, taus: list, specs: list) -> list:
+    """``dual_affine_mc`` at each plane ``taus[t]`` on budget ``specs[t]``:
+    one ``phi`` call per block of samples."""
+    n, j, k = p.n, p.j, p.k
+    for tau in taus:
+        if tau.frame.columns.shape != (n, j):
+            raise DomainError(f"expected an (n, j) = ({n}, {j}) frame")
+    u = [np.asarray(tau.offset, dtype=float) for tau in taus]
+    # the last j columns of g[t] span the frame of taus[t]
+    g = _completions([tau.frame.columns for tau in taus])
+
+    def terms(units):
+        rho = _haar_factor(_joined([_haar_gaussian(n - j, count, rng)
+                                    for _, _, count, rng in units]))
         # the k-plane directions: rho acts on the first n-j coordinates;
         # the span of the last k base vectors becomes rho(R^{k-j}) + R^j,
         # which g takes to its first n-j columns applied to rho's last k-j
         # columns, beside its own last j columns.  Rho's columns are staged
         # in ``dirs``, so the einsum reads them with a row stride of k and
         # takes the same summation path as on a zero-padded (n, k) block
-        dirs = np.empty((count, n, k))
+        dirs, offs = np.empty((len(rho), n, k)), np.empty((len(rho), n))
         dirs[:, :n - j, :k - j] = rho[:, :, n - k:]
-        dirs[:, :, :k - j] = np.einsum("ij,bjl->bil", g[:, :n - j],
-                                        dirs[:, :n - j, :k - j])
-        dirs[:, :, k - j:] = g[:, n - j:]
-        proj = np.einsum("bnl,n->bl", dirs, u)
-        offs = u[None, :] - np.einsum("bnl,bl->bn", dirs, proj)
-        return np.asarray(phi(PlaneBatch(dirs, offs)), dtype=float)
+        for t, rows in _unit_rows(units):
+            d = dirs[rows]
+            d[:, :, :k - j] = np.einsum("ij,bjl->bil", g[t][:, :n - j],
+                                        d[:, :n - j, :k - j])
+            d[:, :, k - j:] = g[t][:, n - j:]
+            proj = np.einsum("bnl,n->bl", d, u[t])
+            offs[rows] = u[t][None, :] - np.einsum("bnl,bl->bn", d, proj)
+        return phi(PlaneBatch(dirs, offs))
 
-    return _estimate(terms, mc)
+    return _estimates(terms, specs)
 
 
 def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate:
@@ -528,19 +610,31 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
     radial coordinate drawn uniformly in tanh-distance with the matching
     density weight; ``f`` receives a GeodesicBatch.
     """
+    return _radon_hyper(p, f, [z], [mc])[0]
+
+
+def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
+    """``radon_hyper_mc`` at each k-geodesic ``zs[t]`` on budget
+    ``specs[t]``: one ``f`` call per unit, as the geodesics of a batch
+    share one left factor."""
     n, j, k = p.n, p.j, p.k
-    if z.n != n or z.dim != k:
-        raise DomainError("z must be a k-geodesic in the same dimension")
-    left = _embed_block(z.rotation, n, range(n)) \
-        @ hyperbolic_rotation(n, k, z.distance)
+    for z in zs:
+        if z.n != n or z.dim != k:
+            raise DomainError("z must be a k-geodesic in the same dimension")
+    left = [_embed_block(z.rotation, n, range(n))
+            @ hyperbolic_rotation(n, k, z.distance) for z in zs]
 
-    def terms(rng, count):
-        # the j-geodesics of the base k-geodesic: S on coordinates n-k..n-1
-        inner, w = sample_hyper_elements(k, j, rng, count)
-        vals = np.asarray(f(replace(inner, left=left)), dtype=float)
-        return vals * w
+    def terms(units):
+        vals = []
+        for t, _, count, rng in units:
+            # the j-geodesics of the base k-geodesic: S on coordinates
+            # n-k..n-1
+            inner, w = sample_hyper_elements(k, j, rng, count)
+            vals.append(np.asarray(f(replace(inner, left=left[t])),
+                                   dtype=float) * w)
+        return _joined(vals)
 
-    return _estimate(terms, mc)
+    return _estimates(terms, specs)
 
 
 def sample_hyper_elements(n: int, d: int, rng, count: int):
@@ -619,7 +713,12 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
                 _boosted_distances(sh[blk], ch[blk], last, boost))
         return out
 
-    parts = _chunk_sums(lambda rng, count, _: chunk_terms(rng, count), mc)
+    def terms(units):
+        # the chunks of a single budget run one to a block
+        (_, _, count, rng), = units
+        return chunk_terms(rng, count)
+
+    parts, = _unit_sums([mc], terms)
     if clamped:
         warnings.warn("sampled distances approach the singular kernel; "
                       "clamped", KernelSingularityWarning, stacklevel=2)
@@ -653,16 +752,24 @@ def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimat
     """Estimate of the hyperbolic dual transform at a j-geodesic: average of
     phi over Haar-rotated k-geodesics containing it, computed through the
     chord model (the k-plane is sampled around the chord of ``t``)."""
+    return _dual_hyper(p, phi, [t], [mc])[0]
+
+
+def _dual_hyper(p, phi: Callable, ts: list, specs: list) -> list:
+    """``dual_hyper_mc`` at each j-geodesic ``ts[t]`` on budget
+    ``specs[t]``, through ``_dual_affine`` on their chords."""
     n, j, k = p.n, p.j, p.k
-    if t.n != n or t.dim != j:
-        raise DomainError("t must be a j-geodesic in the same dimension")
-    # chord of t: direction = last j columns of the rotation, offset along
-    # the (n-j)-th column with tanh length
-    rot = t.rotation
-    xi = rot[:, n - j:] if j > 0 else np.zeros((n, 0))
-    u = math.tanh(t.distance) * rot[:, n - j - 1]
-    plane = AffinePlane(Frame(xi), u)
-    ch_w = math.cosh(t.distance) ** (k - n)
+    chords, scale = [], []
+    for t in ts:
+        if t.n != n or t.dim != j:
+            raise DomainError("t must be a j-geodesic in the same dimension")
+        # chord of t: direction = last j columns of the rotation, offset
+        # along the (n-j)-th column with tanh length
+        rot = t.rotation
+        xi = rot[:, n - j:] if j > 0 else np.zeros((n, 0))
+        u = math.tanh(t.distance) * rot[:, n - j - 1]
+        chords.append(AffinePlane(Frame(xi), u))
+        scale.append(math.cosh(t.distance) ** (k - n))
 
     def phi_on_planes(batch: PlaneBatch) -> np.ndarray:
         dist = batch.distances
@@ -670,8 +777,9 @@ def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimat
         weight = (1.0 - dist * dist) ** ((j - n) / 2.0)
         return weight * phi(_planes_to_geodesics(batch, k))
 
-    est = dual_affine_mc(p, phi_on_planes, plane, mc)
-    return McEstimate(ch_w * est.value, ch_w * est.std_error, est.n_samples)
+    return [McEstimate(c * est.value, c * est.std_error, est.n_samples)
+            for c, est in zip(scale, _dual_affine(p, phi_on_planes, chords,
+                                                  specs))]
 
 
 def _planes_to_geodesics(batch: PlaneBatch, k: int) -> GeodesicBatch:
@@ -699,33 +807,39 @@ def duality_check_mc(which: str, f: Callable, phi: Callable, p,
     (lhs, rhs) McEstimates computed by nested sampling: the lhs weights the
     forward estimate of f at an outer k-element by phi there, the rhs the
     dual estimate of phi at an outer j-element by f.  The outer elements
-    come from the invariant measure, the inner estimates from the
-    estimators above.  Relative to ``mc.stream_id``, side s (0 for the lhs)
-    draws its outer elements on stream s and runs the inner estimate of
-    outer sample i on stream 2 + s n_out + i, so no generator is used
-    twice and the result does not depend on the chunking.
+    come from the invariant measure in chunks of 64, the inner estimates
+    from the estimators above: one call per side for all its outer
+    elements, whose blocks run on one worker pool.  Relative to
+    ``mc.stream_id``, side s (0 for the lhs) draws its outer elements on
+    stream s and runs the inner estimate of outer sample i on stream
+    2 + s n_out + i, so no generator is used twice and the result does not
+    depend on the chunking.
     """
     if which in ("affine", "chord"):
         draw = partial(_plane_draw, ball=which == "chord")
-        forward, dual = radon_affine_mc, dual_affine_mc
+        forward, dual = _radon_affine, _dual_affine
     elif which == "hyper":
         draw = _hyper_draw
-        forward, dual = radon_hyper_mc, dual_hyper_mc
+        forward, dual = _radon_hyper, _dual_hyper
     else:
         raise DomainError(f"unknown duality geometry {which!r}")
     n_out, n_in = _outer_split(mc.n_samples)
 
     def side(s, d, inner, inner_arg, outer):
-        def terms(rng, count, start):
-            batch, w, element = draw(p.n, d, rng, count)
-            first = 2 + s * n_out + start
-            vals = np.array([
-                inner(p, inner_arg, element(i),
-                      mc.substream(first + i, n_in)).value
-                for i in range(count)])
-            return vals * np.asarray(outer(batch), dtype=float) * w
+        def terms(units):
+            draws = [draw(p.n, d, rng, count) for _, _, count, rng in units]
+            elements = [element(i) for (_, _, count, _), (_, _, element)
+                        in zip(units, draws) for i in range(count)]
+            # the units of a block are consecutive outer samples
+            first = 2 + s * n_out + units[0][1]
+            vals = np.array([est.value for est in inner(
+                p, inner_arg, elements,
+                [mc.substream(first + i, n_in) for i in range(len(elements))])])
+            weights = _joined([np.asarray(outer(batch), dtype=float)
+                               for batch, _, _ in draws])
+            return vals * weights * _joined([w for _, w, _ in draws])
 
-        parts = _chunk_sums(terms, mc.substream(s, n_out), chunk=64)
+        parts, = _unit_sums([mc.substream(s, n_out)], terms, chunk=64)
         mean, stderr = _mean_stderr(parts)
         return McEstimate(float(mean), float(stderr), n_out)
 

@@ -8,8 +8,9 @@ tail bound driven by the integrand's decay exponent.
 
 Every integral is a row of one node ladder, ``_integrate_rows``; a single
 integral is a batch of one.  It is the one place that refuses an integral,
-and returns one error or None per integral (an exponent no rule carries,
-or a spent budget), as QUADPACK's integrators return their flag ``ier``.
+and returns one error or None per integral (an end that is NaN or
+infinite, an exponent no rule carries, or a spent budget), as QUADPACK's
+integrators return their flag ``ier``.
 A budget is the integer array of units it spends, one per integral.  The
 rows of an integrand family (the segments of all target points of a
 fractional integral, the halves of bisected rows) climb the ladder
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, QuadratureError
+from .errors import DivergenceError, DomainError, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def integrate_weighted(core, a: float, b: float, p_lo: float, p_hi: float,
 
     ``core`` must be smooth on (a, b) and finite at the endpoints; the
     algebraic endpoint behavior lives entirely in the exponents.  One row
-    of ``_integrate_rows`` with scale hint 0: 0 for b <= a, at no cost.
+    of ``_integrate_rows`` with scale hint 0: 0 for b <= a, at no cost,
+    and ``DomainError`` at no cost for an end that is NaN or infinite.
     """
     (value,), (error,) = _integrate_rows(
         lambda u, keys: core(u.ravel()).reshape(u.shape),
@@ -181,10 +183,19 @@ def _kinds(p, q):
     return tuple(zip(pq[new].real.tolist(), pq[new].imag.tolist())), kind
 
 
-def _refused(kinds, kind, key, errors):
-    """The rows of the keys that hold an exponent pair no rule carries, or
-    None when every pair of ``kinds`` has its 16- and 32-node rules.  Each
-    such key gets the error of its first such row in ``errors``."""
+def _refused(kinds, kind, key, a, b, errors):
+    """The rows of the keys that are refused, or None when no key is.  A
+    key whose rows have an end a, b that is NaN or infinite gets
+    ``DomainError`` in ``errors``; with none, a key whose rows hold an
+    exponent pair no rule carries (every pair of ``kinds`` must have its
+    16- and 32-node rules) gets the error of its first such row."""
+    ends = ~(np.isfinite(a) & np.isfinite(b))
+    if ends.any():
+        for k, lo, hi in zip(key[ends].tolist(), a[ends].tolist(),
+                             b[ends].tolist()):
+            errors[k] = errors[k] or DomainError(
+                f"integration ends must be finite, got [{lo}, {hi}]")
+        return np.array([e is not None for e in errors])[key]
     try:
         _rung_rules(kinds, _NODE_LADDER[:2])
         return None
@@ -245,9 +256,9 @@ def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
     per key.
 
     A row with b <= a is 0 at no cost.  Before any other row spends, a key
-    whose rows hold an exponent pair that no rule carries gets the error
-    of the first such row (``_refused``), and none of its rows is
-    integrated.  The rest go in rounds.  Each row spends one unit of its
+    whose rows have a NaN or infinite end, or hold an exponent pair that
+    no rule carries, gets its error (``_refused``), and none of its rows
+    is integrated.  The rest go in rounds.  Each row spends one unit of its
     key's budget ``left[key]`` (an integer array, updated in place), in row
     order, and a row that finds it spent goes no further: its key's error
     is ``QuadratureError``.  The 16- and 32-node rungs of a round are one
@@ -262,7 +273,7 @@ def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
     key, a, b, p, q, factors = rows
     n_rows, errors = len(key), [None] * len(left)
     val, at, hint, kids = np.zeros(n_rows), np.arange(n_rows), None, []
-    live = a < b
+    live = ~(b <= a)
     while True:
         if np.count_nonzero(live) < len(live):
             key, a, b, p, q, factors, at = (
@@ -272,7 +283,7 @@ def _integrate_rows(core, rows, spec: QuadratureSpec, left, hinted: bool):
         kinds, kind = _kinds(p, q)
         if hint is None:
             # the first round: refuse before any row spends
-            refused = _refused(kinds, kind, key, errors)
+            refused = _refused(kinds, kind, key, a, b, errors)
             if refused is not None:
                 live = ~refused
                 continue

@@ -228,7 +228,8 @@ def test_mc_non_convergence_exits_4(tmp_path, monkeypatch, capsys):
             calls.append(count)
             scale = 1e-3 if len(calls) <= 2 else 1.0
             return scale * rng.standard_normal(count)
-        est = MC._estimate(terms, spec)
+        est, = MC._estimates(lambda units: np.concatenate(
+            [terms(rng, count) for _, _, count, rng in units]), [spec])
         return est, est
 
     monkeypatch.setattr(MC, "duality_check_mc", drifting_check)

@@ -63,6 +63,13 @@ def test_haar_factor_keeps_the_bytes_of_the_determinant_repair():
                 assert new.tobytes() == old.tobytes(), (m, size, seed)
 
 
+def _estimate(term_fn, spec):
+    """The estimate of one budget whose chunks have the terms
+    ``term_fn(rng, count)``."""
+    return MC._estimates(lambda units: np.concatenate(
+        [term_fn(rng, count) for _, _, count, rng in units]), [spec])[0]
+
+
 def _drifting_terms(steady_chunks):
     """Terms of standard deviation 1 for the first chunks, then 2 (the
     chunks must run in order, on one thread)."""
@@ -80,13 +87,13 @@ def test_estimate_warns_when_the_standard_error_stops_shrinking(monkeypatch):
     spec = MC.McSpec(seed=5, n_samples=8 * MC.CHUNK)
     with warnings.catch_warnings():
         warnings.simplefilter("error", McConvergenceWarning)
-        steady = MC._estimate(lambda rng, count: rng.standard_normal(count),
+        steady = _estimate(lambda rng, count: rng.standard_normal(count),
                               spec)
     assert 0.0 < steady.std_error < 0.01
     # steady terms end at about 0.5 of the first quarter's standard error,
     # these at about 0.9, above the 0.8 at which the estimate warns
     with pytest.warns(McConvergenceWarning, match="not shrinking"):
-        MC._estimate(_drifting_terms(2), spec)
+        _estimate(_drifting_terms(2), spec)
 
 
 def test_haar_first_moments_vanish():
@@ -134,7 +141,7 @@ def test_bad_thread_count_is_a_domain_error(monkeypatch):
     # an estimator fails before it starts a pool
     monkeypatch.setattr(MC, "ThreadPoolExecutor", None)
     with pytest.raises(DomainError, match="GEORADON_THREADS"):
-        MC._estimate(lambda rng, count: rng.standard_normal(count),
+        _estimate(lambda rng, count: rng.standard_normal(count),
                      MC.McSpec(seed=1, n_samples=3 * MC.CHUNK))
 
 
@@ -168,10 +175,10 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
     monkeypatch.setattr(MC.os, "cpu_count", lambda: 64)
     monkeypatch.setenv("GEORADON_THREADS", "64")
     spec = MC.McSpec(seed=1, n_samples=2 * MC.CHUNK + 5)
-    est = MC._estimate(lambda rng, count: rng.standard_normal(count), spec)
+    est = _estimate(lambda rng, count: rng.standard_normal(count), spec)
     assert sizes == [3]
     monkeypatch.setenv("GEORADON_THREADS", "1")
-    assert MC._estimate(lambda rng, count: rng.standard_normal(count),
+    assert _estimate(lambda rng, count: rng.standard_normal(count),
                         spec) == est
     assert type(est.value) is float and type(est.std_error) is float
 
@@ -706,6 +713,15 @@ _DUALITY_GOLDEN = {
               "0x1.1a9b26528d18ep-2", "0x1.66a0ba1664b2ap-4"),
     "hyper": ("0x1.cc348405355f6p-1", "0x1.77b134bc6eaefp-4",
               "0x1.a56c14d7e2b6dp-1", "0x1.a6eb0aef92ebep-4"),
+    # at 10,000 samples: two outer chunks and four blocks of inner
+    # estimates a side, recorded when each inner estimate was a call of
+    # its own
+    ("affine", 10_000): ("0x1.aa7c0a28c28f6p+1", "0x1.3d83ed2ab47b9p-2",
+                         "0x1.9f025dc239573p+1", "0x1.5f4179e9be825p-2"),
+    ("chord", 10_000): ("0x1.90c67a1bcadfbp-2", "0x1.0e7fcd40c754fp-4",
+                        "0x1.3919ddd772192p-2", "0x1.3865cc6d3924bp-4"),
+    ("hyper", 10_000): ("0x1.bf31a8ac46871p-1", "0x1.21bad0e2c6b45p-4",
+                        "0x1.d1c01cb2dfa33p-1", "0x1.67a4d23598e35p-4"),
 }
 
 
@@ -719,6 +735,114 @@ def test_duality_check_keeps_its_bytes(monkeypatch, which, threads):
     got = (lhs.value.hex(), lhs.std_error.hex(), rhs.value.hex(),
            rhs.std_error.hex())
     assert got == _DUALITY_GOLDEN[which]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("which", ["affine", "chord", "hyper"])
+def test_duality_check_keeps_its_bytes_over_blocks(monkeypatch, which,
+                                                   threads):
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    p, f, phi = _duality_inputs(which)
+    lhs, rhs = MC.duality_check_mc(which, f, phi, p,
+                                   MC.McSpec(seed=81, n_samples=10_000))
+    got = (lhs.value.hex(), lhs.std_error.hex(), rhs.value.hex(),
+           rhs.std_error.hex())
+    assert got == _DUALITY_GOLDEN[which, 10_000]
+
+
+def test_units_pack_into_blocks_in_order():
+    # a unit is one chunk of one budget; a block holds whole units, at most
+    # CHUNK samples, and each unit draws from its own (stream, chunk) key
+    blocks = []
+
+    def terms(units):
+        blocks.append([(t, start, count) for t, start, count, _ in units])
+        return np.concatenate([rng.standard_normal(count)
+                               for _, _, count, rng in units])
+
+    specs = [MC.McSpec(3, n, stream_id=s)
+             for s, n in enumerate((9000, 300, 20000, 8192))]
+    parts = MC._unit_sums(specs, terms)
+    c = MC.CHUNK
+    assert blocks == [[(0, 0, c)], [(0, c, 808), (1, 0, 300)], [(2, 0, c)],
+                      [(2, c, c)], [(2, 2 * c, 3616)], [(3, 0, c)]]
+    # each unit's sums are those of its chunk drawn alone
+    for spec, chunks in zip(specs, parts):
+        for i, (count, total, squares) in enumerate(chunks):
+            alone = MC._rng(spec, i).standard_normal(count)
+            assert (count, total, squares) \
+                == (len(alone), np.sum(alone), np.sum(alone * alone))
+
+
+def _bounded_lorentz(batch):
+    """A function of geodesics that reads a Lorentz-matrix entry, so each
+    batch forms its rotations; bounded at any boost."""
+    d = batch.distance_to_origin()
+    return np.exp(-d * d) * (1.5 + np.tanh(batch.matrices[:, 0, 1]))
+
+
+def _core_cases():
+    """(public estimator, core, params, function, targets) of each
+    estimator, with four targets."""
+    gen = np.random.default_rng(7)
+
+    def rotation(n):
+        return MC.sample_rotation(n, gen)
+
+    affine = R.TransformParams(4, 1, 2)
+    zetas = []
+    for dist in (0.6, 0.0, 1.1, 0.3):
+        rot = rotation(4)
+        zetas.append(MC.AffinePlane(MC.Frame(rot[:, 2:]), dist * rot[:, 0]))
+    dual = R.TransformParams(5, 1, 3)
+    taus = []
+    for dist in (0.4, 0.9, 0.0, 1.3):
+        rot = rotation(5)
+        taus.append(MC.AffinePlane(MC.Frame(rot[:, 4:]), dist * rot[:, 0]))
+
+    def offsets(batch):
+        return np.exp(-batch.distances ** 2) \
+            * (1.0 + batch.frames[:, 0, 0] ** 2 + batch.offsets[:, 1] ** 2)
+
+    hyper = R.TransformParams(4, 1, 2)
+    zs = [MC.GeodesicElement(4, 2, rotation(4), d) for d in (0.3, 0.0, 0.8,
+                                                             1.2)]
+    ts = [MC.GeodesicElement(4, 1, rotation(4), d) for d in (0.5, 0.0, 0.9,
+                                                             0.2)]
+    return {"radon_affine": (MC.radon_affine_mc, MC._radon_affine, affine,
+                             offsets, zetas),
+            "dual_affine": (MC.dual_affine_mc, MC._dual_affine, dual, offsets,
+                            taus),
+            "radon_hyper": (MC.radon_hyper_mc, MC._radon_hyper, hyper,
+                            _bounded_lorentz, zs),
+            "dual_hyper": (MC.dual_hyper_mc, MC._dual_hyper, hyper,
+                           _bounded_lorentz, ts)}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", ["radon_affine", "dual_affine",
+                                  "radon_hyper", "dual_hyper"])
+def test_many_target_cores_keep_each_targets_bytes(monkeypatch, threads,
+                                                   name):
+    # budgets of 9,000, 300, 20,000 and 8,192 samples: units that straddle
+    # chunk edges, and a block that holds the ends of two budgets
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    public, core, p, fn, targets = _core_cases()[name]
+    specs = [MC.McSpec(seed=40 + i, n_samples=n, stream_id=i)
+             for i, n in enumerate((9000, 300, 20000, 8192))]
+    many = core(p, fn, targets, specs)
+    for target, spec, est in zip(targets, specs, many):
+        alone = public(p, fn, target, spec)
+        assert (est.value.hex(), est.std_error.hex(), est.n_samples) \
+            == (alone.value.hex(), alone.std_error.hex(), spec.n_samples)
+
+
+def test_substream_refuses_an_empty_budget():
+    spec = MC.McSpec(1, 500)
+    assert spec.substream(3) == MC.McSpec(1, 500, 3)
+    assert spec.substream(3, 40) == MC.McSpec(1, 40, 3)
+    with pytest.raises(DomainError, match="positive"):
+        spec.substream(3, 0)
 
 
 def _sinh_gaussian(sigma):

@@ -1,10 +1,12 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from georadon import quadrature as Q
-from georadon.errors import DivergenceError, QuadratureError
+from georadon.errors import (DivergenceError, DomainError,
+                             QuadratureError)
 from georadon.quadrature import (DEFAULT_QUADRATURE, QuadratureSpec,
                                  integrate_to_infinity, integrate_weighted)
 
@@ -89,6 +91,18 @@ def test_exhausted_budget_raises():
 def test_endpoint_exponent_at_minus_one_diverges():
     with pytest.raises(DivergenceError):
         integrate_weighted(np.ones_like, 0.0, 1.0, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("a, b, p_lo", [(math.nan, 1.0, 0.0),
+                                        (0.0, math.nan, -1.5),
+                                        (0.0, math.inf, 0.0)])
+def test_non_finite_end_is_refused_before_spending(a, b, p_lo):
+    # a NaN end made the row look empty (0.0), an infinite one spent the
+    # whole budget before it raised
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="ends must be finite"):
+        integrate_weighted(np.exp, a, b, p_lo, 0.0)
+    assert time.perf_counter() - start < 0.01
 
 
 def test_empty_interval_is_zero():

@@ -12,7 +12,10 @@ Prints three things:
   ``identity_suite()``, and a ``kernels`` line the ``float.hex`` of
   ``dual_sine_mc`` with the plain, sine and log kernels on the chain's
   tabulated data at 20,000 samples (no benchmark job reaches the sine or
-  log kernel).
+  log kernel).  A ``duality`` line hashes the ``float.hex`` of
+  ``duality_check_mc`` in the affine, chord and hyperbolic geometries at
+  2,000 and 10,000 samples, on inputs that read frames, offsets and
+  Lorentz matrices (the benchmark checks only the affine one).
 
 Two trees give the same hashes exactly when their outputs agree byte for
 byte, so running this on a change and on its parent is a byte-identity
@@ -20,8 +23,9 @@ check.  The job definitions are imported read-only; job files and outputs
 go into a temporary directory that is removed afterwards.
 
 ``--dump DIR`` also writes the exact text behind each hash:
-``DIR/<workload>-<seed>/<job label>.txt``, ``DIR/verify.txt`` and
-``DIR/kernels.txt``.  ``diff -r`` of two dumps lists every moved row.
+``DIR/<workload>-<seed>/<job label>.txt``, ``DIR/verify.txt``,
+``DIR/kernels.txt`` and ``DIR/duality.txt``.  ``diff -r`` of two dumps
+lists every moved row.
 
     python tools/footprint.py [--seeds 0 1] [--workloads radial mc chain]
                               [--no-outputs] [--dump DIR]
@@ -145,6 +149,48 @@ def kernels_hash(dump) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def duality_hash(dump) -> str:
+    """SHA-256 over the float.hex of (lhs, rhs) of ``duality_check_mc`` in
+    each geometry at 2,000 and 10,000 samples: two and four blocks of
+    inner estimates a side."""
+    import numpy as np
+
+    from georadon import mc as MC
+    from georadon import radial as R
+    from georadon.profiles import ArgKind, bump, gaussian
+
+    def framed(batch):
+        # a Gaussian in the offset, times a squared frame entry
+        fr = batch.frames
+        extra = np.sum(fr[:, 0, :] ** 2, axis=-1) if fr.shape[2] else 0.0
+        return np.exp(-batch.distances ** 2) * (1.0 + extra)
+
+    def offset(batch):
+        return np.exp(-batch.distances ** 2) * (1.0 + batch.offsets[:, 0] ** 2)
+
+    def lorentz(batch):
+        # a Gaussian in the distance, times a bounded Lorentz-matrix entry,
+        # which forms each batch's rotations
+        d = batch.distance_to_origin()
+        return np.exp(-d * d) * (1.5 + np.tanh(batch.matrices[:, 0, 1]))
+
+    cases = (("affine", R.TransformParams(4, 1, 2), framed, offset),
+             ("chord", R.TransformParams(4, 0, 2),
+              MC.radial_plane_function(bump(0.8, arg_kind=ArgKind.BallRadius)),
+              offset),
+             ("hyper", R.TransformParams(4, 1, 2), lorentz,
+              MC.zonal_function(gaussian(arg_kind=ArgKind.SinhDistance))))
+    lines = []
+    for which, p, f, phi in cases:
+        for n_samples in (2000, 10000):
+            sides = MC.duality_check_mc(which, f, phi, p,
+                                        MC.McSpec(seed=17, n_samples=n_samples))
+            lines.append(f"{which} {n_samples} {_hex_text(sides)}")
+    text = "\n".join(lines)
+    _dump(dump, "duality.txt", text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
@@ -168,6 +214,7 @@ def main(argv=None) -> int:
                       flush=True)
     print(f"verify {identity_hash(args.dump)}")
     print(f"kernels {kernels_hash(args.dump)}")
+    print(f"duality {duality_hash(args.dump)}")
     return 0
 
 
