@@ -7,7 +7,8 @@ Determinism contract: every estimator value depends only on
 each chunk draws from its own counter-based generator, keyed by the seed,
 the stream and the chunk index.  The chunks of one or many estimates are
 packed into blocks that run on the worker pool; a block of planes
-factors its Haar draws in one batch and evaluates the integrand once,
+factors its Haar draws in one batch and evaluates the integrand once, and
+a block of geodesics evaluates it once per run of one target's chunks,
 which keeps the bits of each sample.  Each chunk is summed alone, and the
 chunk sums of an estimate are added pairwise in chunk order, so results
 are bit-identical however the chunks are grouped and however many threads
@@ -21,6 +22,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +34,13 @@ from .profiles import ArgKind, Profile1D, convert
 from .special import dual_transform_limit_constant, gamma_nk
 
 CHUNK = 8192
-#: grid points per kernel-factor call in ``dual_sine_mc``.
+#: the evaluation width, in chunks: a profile is evaluated on this many
+#: chunks' worth of values per call, as grid points of one chunk in
+#: ``dual_sine_mc`` (its kernel factor) and as chunks of one block in
+#: ``radon_hyper_mc`` (its ``f``).  A profile such as the chain's
+#: 201-coefficient table runs ~600 ufuncs per call, each releasing the GIL
+#: for microseconds; on one chunk the two workers hand the GIL over at
+#: every ufunc and run slower than one (a convoy).
 #: Median seconds of 5 plain-kernel runs on the chain's reconstruct data
 #: (33 points, 50,000 samples) at 1 / 2 worker threads, 2 vCPUs of a
 #: shared Xeon:
@@ -45,9 +53,11 @@ KERNEL_FLOOR = 1e-3
 
 
 def worker_threads() -> int:
-    """Monte Carlo worker threads: GEORADON_THREADS capped at the CPU count,
-    else the CPU count."""
-    cpus = max(1, os.cpu_count() or 1)
+    """Monte Carlo worker threads: GEORADON_THREADS capped at the CPUs this
+    process may run on, else that CPU count.  The CPUs are the affinity
+    mask where the platform has one, else all of them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1
     env = os.environ.get("GEORADON_THREADS", "").strip()
     if not env:
         return cpus
@@ -97,27 +107,45 @@ def _rng(spec: McSpec, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def _unit_sums(specs: list, terms: Callable, chunk: int = CHUNK) -> list:
+def _unit_sums(specs: list, terms: Callable, width: int,
+               chunk: int = CHUNK) -> list:
     """(count, sum, sum of squares) of each chunk of each budget
     ``specs[t]``: one list per target, in chunk order.
 
     A unit is one chunk of one target.  The units, in order, are packed
-    into blocks of at most CHUNK samples, and no unit spans two blocks.
-    ``terms(units)`` gets a block's units as (target, start, count, rng),
-    each with the generator of its own chunk, and returns the terms of
-    their samples in unit order: a vector, or one row per estimate.  Each
-    unit's slice is summed as a chunk of its own would be, and the blocks
-    run on the worker pool.
+    into cells of at most CHUNK samples, and no unit spans two cells.  A
+    block is a run of at most ``width`` consecutive cells: the blocks are
+    as few as that allows, rounded up to a multiple of the worker count
+    so that each worker gets an equal share, and their sizes differ by at
+    most one cell (13 cells at width 4 on two workers are blocks of 4, 3,
+    3 and 3).  ``terms(units)`` gets a block's units as (target, start,
+    count, rng), each with the generator of its own chunk, and returns the
+    terms of their samples in unit order: a vector, or one row per
+    estimate.  Each unit's slice is summed as a chunk of its own would be,
+    and the blocks run on the worker pool.
+
+    The width is the caller's: ``radon_hyper_mc`` takes ``_PHI_BLOCK``
+    cells, so its profile runs on wide arrays, and the estimators whose
+    time is in Haar QRs take one, as wider blocks hold more arrays for
+    no gain.
     """
-    blocks, room = [], 0
+    cells, room = [], 0
     for t, spec in enumerate(specs):
         for start in range(0, spec.n_samples, chunk):
             count = min(chunk, spec.n_samples - start)
             if count > room:
-                blocks.append([])
+                cells.append([])
                 room = CHUNK
-            blocks[-1].append((t, start, count))
+            cells[-1].append((t, start, count))
             room -= count
+    workers = worker_threads()
+    n_blocks = min(len(cells), -(-len(cells) // width // workers) * workers)
+    size, extra = divmod(len(cells), n_blocks)
+    blocks, lo = [], 0
+    for b in range(n_blocks):
+        hi = lo + size + (b < extra)
+        blocks.append([unit for cell in cells[lo:hi] for unit in cell])
+        lo = hi
 
     def run(block):
         units = [(t, start, count, _rng(specs[t], start // chunk))
@@ -130,7 +158,7 @@ def _unit_sums(specs: list, terms: Callable, chunk: int = CHUNK) -> list:
             lo += count
         return sums
 
-    threads = min(worker_threads(), len(blocks))
+    threads = min(workers, len(blocks))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             done = list(pool.map(run, blocks))
@@ -166,11 +194,12 @@ def _mean_stderr(parts: list):
     return mean, np.sqrt(var / n)
 
 
-def _estimates(terms: Callable, specs: list) -> list:
-    """One McEstimate per budget of ``_unit_sums(specs, terms)``.  A budget
-    of four chunks or more warns when its standard error stops shrinking."""
+def _estimates(terms: Callable, specs: list, width: int) -> list:
+    """One McEstimate per budget of ``_unit_sums(specs, terms, width)``.  A
+    budget of four chunks or more warns when its standard error stops
+    shrinking."""
     out = []
-    for spec, parts in zip(specs, _unit_sums(specs, terms)):
+    for spec, parts in zip(specs, _unit_sums(specs, terms, width)):
         mean, stderr = _mean_stderr(parts)
         if len(parts) >= 4:
             _, se_q = _mean_stderr(parts[:max(1, len(parts) // 4)])
@@ -507,19 +536,19 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane,
     correction.  ``f`` receives a PlaneBatch and must return one value per
     plane.
     """
-    return _radon_affine(p, f, [zeta], [mc])[0]
+    return _radon_affine(p, f, [(zeta.frame.columns, zeta.offset)], [mc])[0]
 
 
 def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
-    """``radon_affine_mc`` at each plane ``zetas[t]`` on budget
-    ``specs[t]``: one ``f`` call per block of samples."""
+    """``radon_affine_mc`` at each plane ``zetas[t]`` = (frame columns,
+    offset), taken as orthonormal and orthogonal, on budget ``specs[t]``:
+    one ``f`` call per block of samples."""
     n, j, k = p.n, p.j, p.k
     cols, vnorm = [], []
-    for zeta in zetas:
-        eta = zeta.frame.columns
+    for eta, v in zetas:
         if eta.shape != (n, k):
             raise DomainError(f"expected an (n, k) = ({n}, {k}) frame")
-        v = np.asarray(zeta.offset, dtype=float)
+        v = np.asarray(v, dtype=float)
         vnorm.append(float(np.linalg.norm(v)))
         cols.append(np.concatenate([(v / vnorm[-1])[:, None], eta], axis=1)
                     if vnorm[-1] > 0 else eta)
@@ -547,7 +576,7 @@ def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
         vals = np.asarray(f(PlaneBatch(dirs, offs)), dtype=float)
         return vals * w
 
-    return _estimates(terms, specs)
+    return _estimates(terms, specs, 1)
 
 
 def _completions(cols: list) -> list:
@@ -565,19 +594,20 @@ def dual_affine_mc(p, phi: Callable, tau: AffinePlane,
                    mc: McSpec) -> McEstimate:
     """Unbiased estimate of the dual transform of phi at the plane tau:
     the average of phi over Haar-rotated k-planes containing tau."""
-    return _dual_affine(p, phi, [tau], [mc])[0]
+    return _dual_affine(p, phi, [(tau.frame.columns, tau.offset)], [mc])[0]
 
 
 def _dual_affine(p, phi: Callable, taus: list, specs: list) -> list:
-    """``dual_affine_mc`` at each plane ``taus[t]`` on budget ``specs[t]``:
+    """``dual_affine_mc`` at each plane ``taus[t]`` = (frame columns,
+    offset), taken as orthonormal and orthogonal, on budget ``specs[t]``:
     one ``phi`` call per block of samples."""
     n, j, k = p.n, p.j, p.k
-    for tau in taus:
-        if tau.frame.columns.shape != (n, j):
+    for xi, _ in taus:
+        if xi.shape != (n, j):
             raise DomainError(f"expected an (n, j) = ({n}, {j}) frame")
-    u = [np.asarray(tau.offset, dtype=float) for tau in taus]
+    u = [np.asarray(off, dtype=float) for _, off in taus]
     # the last j columns of g[t] span the frame of taus[t]
-    g = _completions([tau.frame.columns for tau in taus])
+    g = _completions([xi for xi, _ in taus])
 
     def terms(units):
         rho = _haar_factor(_joined([_haar_gaussian(n - j, count, rng)
@@ -599,7 +629,7 @@ def _dual_affine(p, phi: Callable, taus: list, specs: list) -> list:
             offs[rows] = u[t][None, :] - np.einsum("bnl,bl->bn", d, proj)
         return phi(PlaneBatch(dirs, offs))
 
-    return _estimates(terms, specs)
+    return _estimates(terms, specs, 1)
 
 
 def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate:
@@ -609,14 +639,20 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
     The inner geodesics are sampled by a Haar rotation of the plane and a
     radial coordinate drawn uniformly in tanh-distance with the matching
     density weight; ``f`` receives a GeodesicBatch.
+
+    ``f`` is called once per block of up to ``_PHI_BLOCK`` chunks (32,768
+    samples), not once per chunk: a profile evaluated in one-chunk pieces
+    on two workers queues them on the GIL (see ``_PHI_BLOCK``).  ``f``
+    must act on each geodesic alone, as every profile does, so the
+    estimate keeps its bytes however the chunks are grouped.
     """
     return _radon_hyper(p, f, [z], [mc])[0]
 
 
 def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
     """``radon_hyper_mc`` at each k-geodesic ``zs[t]`` on budget
-    ``specs[t]``: one ``f`` call per unit, as the geodesics of a batch
-    share one left factor."""
+    ``specs[t]``: one ``f`` call per run of one target's consecutive units
+    in a block, as the geodesics of a batch share one left factor."""
     n, j, k = p.n, p.j, p.k
     for z in zs:
         if z.n != n or z.dim != k:
@@ -626,24 +662,37 @@ def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
 
     def terms(units):
         vals = []
-        for t, _, count, rng in units:
+        for t, run in groupby(units, key=lambda unit: unit[0]):
             # the j-geodesics of the base k-geodesic: S on coordinates
             # n-k..n-1
-            inner, w = sample_hyper_elements(k, j, rng, count)
+            inner, w = sample_hyper_elements(
+                k, j, [(rng, count) for _, _, count, rng in run])
             vals.append(np.asarray(f(replace(inner, left=left[t])),
                                    dtype=float) * w)
         return _joined(vals)
 
-    return _estimates(terms, specs)
+    return _estimates(terms, specs, _PHI_BLOCK)
 
 
-def sample_hyper_elements(n: int, d: int, rng, count: int):
+def sample_hyper_elements(n: int, d: int, draws: list):
     """Haar rotation + tanh-uniform radius samples of d-geodesics, with the
-    invariant-measure weights: (batch, weights).  The Haar Gaussians are
-    drawn before the radius and factored when the batch's rotations are
-    first read."""
-    gauss = _haar_gaussian(n, count, rng)
-    s = np.minimum(rng.uniform(0.0, 1.0, count), 1.0 - 1e-12)
+    invariant-measure weights: (batch, weights).  ``draws`` lists the
+    (generator, count) of each chunk in order; each chunk draws its Haar
+    Gaussians and then its radii into its own rows of one batch, and the
+    Gaussians are factored when the batch's rotations are first read."""
+    total = sum(count for _, count in draws)
+    # SO(1) is {1}: nothing is drawn (``_haar_gaussian``)
+    gauss = np.ones((total, 1, 1)) if n == 1 else np.empty((total, n, n))
+    s = np.empty(total)
+    lo = 0
+    for rng, count in draws:
+        rows = slice(lo, lo + count)
+        if n > 1:
+            rng.standard_normal(out=gauss[rows])
+        # the bits and the stream of ``uniform(0, 1, count)``
+        rng.random(out=s[rows])
+        lo += count
+    s = np.minimum(s, 1.0 - 1e-12)
     w = measure_density(Model.Hyperboloid, n, d, s, ArgKind.TanhDistance)
     return GeodesicBatch(d, np.arctanh(s), gauss), w
 
@@ -699,7 +748,7 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
             last = sample_rotations(n, count, rng)[:, n - 1, n - k:].copy()
             boost, weight = None, cst
         else:
-            batch, w = sample_hyper_elements(n, k, rng, count)
+            batch, w = sample_hyper_elements(n, k, [(rng, count)])
             row, rho = batch.rotations[:, n - 1], batch.rho
             last = row[:, n - k:]
             boost = (np.cosh(rho), row[:, n - k - 1] * np.sinh(rho))
@@ -718,7 +767,7 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
         (_, _, count, rng), = units
         return chunk_terms(rng, count)
 
-    parts, = _unit_sums([mc], terms)
+    parts, = _unit_sums([mc], terms, 1)
     if clamped:
         warnings.warn("sampled distances approach the singular kernel; "
                       "clamped", KernelSingularityWarning, stacklevel=2)
@@ -768,7 +817,7 @@ def _dual_hyper(p, phi: Callable, ts: list, specs: list) -> list:
         rot = t.rotation
         xi = rot[:, n - j:] if j > 0 else np.zeros((n, 0))
         u = math.tanh(t.distance) * rot[:, n - j - 1]
-        chords.append(AffinePlane(Frame(xi), u))
+        chords.append((xi, u))
         scale.append(math.cosh(t.distance) ** (k - n))
 
     def phi_on_planes(batch: PlaneBatch) -> np.ndarray:
@@ -839,7 +888,7 @@ def duality_check_mc(which: str, f: Callable, phi: Callable, p,
                                for batch, _, _ in draws])
             return vals * weights * _joined([w for _, w, _ in draws])
 
-        parts, = _unit_sums([mc.substream(s, n_out)], terms, chunk=64)
+        parts, = _unit_sums([mc.substream(s, n_out)], terms, 1, chunk=64)
         mean, stderr = _mean_stderr(parts)
         return McEstimate(float(mean), float(stderr), n_out)
 
@@ -848,7 +897,9 @@ def duality_check_mc(which: str, f: Callable, phi: Callable, p,
 
 def _plane_draw(n, d, rng, count, ball: bool):
     """Haar d-planes with offsets uniform in the unit ball (``ball``) or
-    Gaussian: (batch, importance weights, i -> plane i)."""
+    Gaussian: (batch, importance weights, i -> (frame, offset) of plane
+    i).  The frames are columns of a Haar rotation and the offsets lie in
+    their complement, so they are handed on unchecked."""
     rot = sample_rotations(n, count, rng)
     frames = rot[:, :, n - d:] if d > 0 else np.zeros((count, n, 0))
     dim = n - d
@@ -861,12 +912,11 @@ def _plane_draw(n, d, rng, count, ball: bool):
     else:
         w = (2 * math.pi) ** (dim / 2.0) * np.exp(np.sum(z * z, axis=1) / 2)
     offs = np.einsum("bnl,bl->bn", rot[:, :, :dim], z)
-    return (PlaneBatch(frames, offs), w,
-            lambda i: AffinePlane(Frame(frames[i]), offs[i]))
+    return PlaneBatch(frames, offs), w, lambda i: (frames[i], offs[i])
 
 
 def _hyper_draw(n, d, rng, count):
     """Invariant-measure d-geodesics: (batch, weights, i -> geodesic i)."""
-    batch, w = sample_hyper_elements(n, d, rng, count)
+    batch, w = sample_hyper_elements(n, d, [(rng, count)])
     return batch, w, lambda i: GeodesicElement(n, d, batch.rotations[i],
                                                float(batch.rho[i]))

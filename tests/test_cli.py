@@ -229,7 +229,7 @@ def test_mc_non_convergence_exits_4(tmp_path, monkeypatch, capsys):
             scale = 1e-3 if len(calls) <= 2 else 1.0
             return scale * rng.standard_normal(count)
         est, = MC._estimates(lambda units: np.concatenate(
-            [terms(rng, count) for _, _, count, rng in units]), [spec])
+            [terms(rng, count) for _, _, count, rng in units]), [spec], 1)
         return est, est
 
     monkeypatch.setattr(MC, "duality_check_mc", drifting_check)

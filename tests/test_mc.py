@@ -67,7 +67,7 @@ def _estimate(term_fn, spec):
     """The estimate of one budget whose chunks have the terms
     ``term_fn(rng, count)``."""
     return MC._estimates(lambda units: np.concatenate(
-        [term_fn(rng, count) for _, _, count, rng in units]), [spec])[0]
+        [term_fn(rng, count) for _, _, count, rng in units]), [spec], 1)[0]
 
 
 def _drifting_terms(steady_chunks):
@@ -145,12 +145,40 @@ def test_bad_thread_count_is_a_domain_error(monkeypatch):
                      MC.McSpec(seed=1, n_samples=3 * MC.CHUNK))
 
 
+def _cpus(monkeypatch, count):
+    """A process that may run on ``count`` CPUs, through the affinity mask
+    where the platform has one and the CPU count elsewhere."""
+    monkeypatch.setattr(MC.os, "sched_getaffinity",
+                        lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(MC.os, "cpu_count", lambda: count)
+
+
 def test_thread_count_is_capped_at_the_cpu_count(monkeypatch):
-    monkeypatch.setattr(MC.os, "cpu_count", lambda: 3)
+    _cpus(monkeypatch, 3)
     monkeypatch.setenv("GEORADON_THREADS", "100000")
     assert MC.worker_threads() == 3
     monkeypatch.setenv("GEORADON_THREADS", "2")
     assert MC.worker_threads() == 2
+    # without an affinity mask, the CPU count caps the pool
+    monkeypatch.delattr(MC.os, "sched_getaffinity", raising=False)
+    monkeypatch.setenv("GEORADON_THREADS", "100000")
+    assert MC.worker_threads() == 3
+
+
+def test_thread_count_is_capped_at_the_affinity_mask(monkeypatch):
+    # a process pinned to one of the machine's CPUs runs one worker and
+    # starts no pool
+    monkeypatch.setattr(MC.os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(MC.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("GEORADON_THREADS", raising=False)
+    assert MC.worker_threads() == 1
+    monkeypatch.setenv("GEORADON_THREADS", "2")
+    assert MC.worker_threads() == 1
+    monkeypatch.setattr(MC, "ThreadPoolExecutor", None)
+    spec = MC.McSpec(seed=1, n_samples=3 * MC.CHUNK)
+    est = _estimate(lambda rng, count: rng.standard_normal(count), spec)
+    assert est.n_samples == spec.n_samples
 
 
 def test_pool_is_capped_at_the_chunk_count(monkeypatch):
@@ -172,7 +200,7 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(MC, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(MC.os, "cpu_count", lambda: 64)
+    _cpus(monkeypatch, 64)
     monkeypatch.setenv("GEORADON_THREADS", "64")
     spec = MC.McSpec(seed=1, n_samples=2 * MC.CHUNK + 5)
     est = _estimate(lambda rng, count: rng.standard_normal(count), spec)
@@ -385,7 +413,7 @@ def test_factored_batch_matches_full_products_bitwise():
         for d in range(n):
             for size in (1, 257):
                 lazy, eager = _rng(31, 100 * n + d), _rng(31, 100 * n + d)
-                batch, _ = MC.sample_hyper_elements(n, d, lazy, size)
+                batch, _ = MC.sample_hyper_elements(n, d, [(lazy, size)])
                 rot, rho, full = _eager_hyper_elements(n, d, eager, size)
                 assert batch.n == n and batch.dim == d
                 assert lazy.standard_normal() == eager.standard_normal()
@@ -408,7 +436,8 @@ def test_factored_batch_matches_full_products_bitwise():
                                        range(n)) \
                     @ MC.hyperbolic_rotation(n, k, rng.uniform(0.0, 2.5))
                 key = 100 * n + 10 * k + j
-                inner, _ = MC.sample_hyper_elements(k, j, _rng(34, key), 257)
+                inner, _ = MC.sample_hyper_elements(
+                    k, j, [(_rng(34, key), 257)])
                 small = _eager_hyper_elements(k, j, _rng(34, key), 257)[2]
                 right = MC._embed_block(small, n, range(n - k, n + 1))
                 batch = dataclasses.replace(inner, left=left)
@@ -423,7 +452,7 @@ def test_factored_batch_matches_full_products_bitwise():
             # a left factor whose row n reaches S's coordinates: the read
             # forms the right factors
             left = MC.hyperbolic_rotation(n, 0, rng.uniform(0.1, 2.0))
-            inner, _ = MC.sample_hyper_elements(n, d, rng, 65)
+            inner, _ = MC.sample_hyper_elements(n, d, [(rng, 65)])
             batch = dataclasses.replace(inner, left=left)
             got = batch.distance_to_origin()
             assert "right" in batch.__dict__
@@ -512,6 +541,74 @@ def test_plain_kernel_keeps_its_bytes_on_the_chain_table(monkeypatch, threads,
         == _PLAIN_CHAIN_GOLDEN[triple]
 
 
+#: float.hex of radon_hyper_mc's (value, std_error) at budgets that
+#: straddle block edges (four chunks and one sample, three chunks, 100,000
+#: samples), recorded when ``f`` was called once per chunk
+_ZONAL_BLOCK_GOLDEN = {
+    ("chain", 4 * MC.CHUNK + 1): ("0x1.948468c3ec1afp-1",
+                                  "0x1.dac93f0f90291p-9"),
+    ("chain", 3 * MC.CHUNK): ("0x1.94d8a4bf7b423p-1", "0x1.11d752e1adbf4p-8"),
+    ("chain", 100_000): ("0x1.960e716d1bfc6p-1", "0x1.10a7423fbc1dbp-9"),
+    ("gauss", 4 * MC.CHUNK + 1): ("0x1.8bfd3b9058e5cp-2",
+                                  "0x1.212ef241e100dp-10"),
+    ("gauss", 3 * MC.CHUNK): ("0x1.8d1fca3bc6db7p-2", "0x1.4cf6ef49fce36p-10"),
+    ("gauss", 100_000): ("0x1.8d2a5195c318ep-2", "0x1.4a31d501ba738p-11"),
+}
+
+
+def _zonal_block_case(name):
+    """(params, f, z): the chain's lhs at (4, 1, 2) on its table, or a
+    Gaussian at (3, 0, 1), whose inner geodesics are points (SO(1))."""
+    c, s = math.cos(0.4), math.sin(0.4)
+    if name == "chain":
+        rot = np.eye(4)
+        rot[0, 0] = rot[2, 2] = c
+        rot[0, 2], rot[2, 0] = -s, s
+        return (R.TransformParams(4, 1, 2),
+                MC.zonal_function(_chain_phi(4, 1)),
+                MC.GeodesicElement(4, 2, rot, 0.6))
+    rot = np.eye(3)
+    rot[0, 0] = rot[1, 1] = c
+    rot[0, 1], rot[1, 0] = -s, s
+    return (R.TransformParams(3, 0, 1),
+            MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance, lo=1.0)),
+            MC.GeodesicElement(3, 1, rot, 0.5))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", ["chain", "gauss"])
+def test_radon_hyper_keeps_its_bytes_over_multi_chunk_blocks(monkeypatch,
+                                                             threads, name):
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    p, f, z = _zonal_block_case(name)
+    for budget in (4 * MC.CHUNK + 1, 3 * MC.CHUNK, 100_000):
+        est = MC.radon_hyper_mc(p, f, z, MC.McSpec(seed=151,
+                                                   n_samples=budget))
+        assert (est.value.hex(), est.std_error.hex()) \
+            == _ZONAL_BLOCK_GOLDEN[name, budget]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_radon_hyper_calls_f_once_per_block(monkeypatch, threads):
+    # 100,000 samples are 13 chunks: 4 blocks of 4, 3, 3 and 3 chunks, a
+    # multiple of the two workers, where a call per chunk made 13
+    _cpus(monkeypatch, 2)
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    p, f, z = _zonal_block_case("gauss")
+    sizes = []
+
+    def counted(batch):
+        sizes.append(len(batch.rho))
+        return f(batch)
+
+    est = MC.radon_hyper_mc(p, counted, z, MC.McSpec(seed=151,
+                                                     n_samples=100_000))
+    c = MC.CHUNK
+    assert sorted(sizes) == [2 * c + 1696, 3 * c, 3 * c, 4 * c]
+    assert (est.value.hex(), est.std_error.hex()) \
+        == _ZONAL_BLOCK_GOLDEN["gauss", 100_000]
+
+
 def test_boosted_distances_match_the_lorentz_row_bitwise():
     # the references are the products the kernels used to read, at every
     # point of the chain's grid: for the plain kernel, row n of the boost to
@@ -522,7 +619,7 @@ def test_boosted_distances_match_the_lorentz_row_bitwise():
     ch = np.array([math.cosh(r) for r in IV.RHO_GRID])
     for n in range(2, 10):
         for k in range(1, n):
-            batch, _ = MC.sample_hyper_elements(n, k, _rng(32, n), 257)
+            batch, _ = MC.sample_hyper_elements(n, k, [(_rng(32, n), 257)])
             rot = batch.rotations
             plain = MC._boosted_distances(sh, ch, rot[:, n - 1, n - k:], None)
             boosted = MC._boosted_distances(
@@ -762,7 +859,7 @@ def test_units_pack_into_blocks_in_order():
 
     specs = [MC.McSpec(3, n, stream_id=s)
              for s, n in enumerate((9000, 300, 20000, 8192))]
-    parts = MC._unit_sums(specs, terms)
+    parts = MC._unit_sums(specs, terms, 1)
     c = MC.CHUNK
     assert blocks == [[(0, 0, c)], [(0, c, 808), (1, 0, 300)], [(2, 0, c)],
                       [(2, c, c)], [(2, 2 * c, 3616)], [(3, 0, c)]]
@@ -825,16 +922,23 @@ def _core_cases():
 def test_many_target_cores_keep_each_targets_bytes(monkeypatch, threads,
                                                    name):
     # budgets of 9,000, 300, 20,000 and 8,192 samples: units that straddle
-    # chunk edges, and a block that holds the ends of two budgets
+    # chunk edges, and a cell that holds the ends of two budgets; then
+    # budgets that make radon_hyper_mc's blocks of several cells hold runs
+    # of more than one target
     monkeypatch.setenv("GEORADON_THREADS", threads)
     public, core, p, fn, targets = _core_cases()[name]
-    specs = [MC.McSpec(seed=40 + i, n_samples=n, stream_id=i)
-             for i, n in enumerate((9000, 300, 20000, 8192))]
-    many = core(p, fn, targets, specs)
-    for target, spec, est in zip(targets, specs, many):
-        alone = public(p, fn, target, spec)
-        assert (est.value.hex(), est.std_error.hex(), est.n_samples) \
-            == (alone.value.hex(), alone.std_error.hex(), spec.n_samples)
+    # a core takes a plane as its (frame columns, offset)
+    cored = [(t.frame.columns, t.offset) if isinstance(t, MC.AffinePlane)
+             else t for t in targets]
+    c = MC.CHUNK
+    for budgets in ((9000, 300, 20000, 8192), (4 * c + 1, 300, 3 * c, 9000)):
+        specs = [MC.McSpec(seed=40 + i, n_samples=n, stream_id=i)
+                 for i, n in enumerate(budgets)]
+        many = core(p, fn, cored, specs)
+        for target, spec, est in zip(targets, specs, many):
+            alone = public(p, fn, target, spec)
+            assert (est.value.hex(), est.std_error.hex(), est.n_samples) \
+                == (alone.value.hex(), alone.std_error.hex(), spec.n_samples)
 
 
 def test_substream_refuses_an_empty_budget():
