@@ -208,7 +208,8 @@ def parse_grid(job, default_kind: ArgKind) -> tuple[np.ndarray, ArgKind]:
     _require(kind is not None, f"unknown grid kind {g.get('kind')!r}")
     lo, hi = _field(g, "lo"), _field(g, "hi")
     count = _field(g, "count", _integer)
-    _require(hi > lo and count >= 2, "grid needs hi > lo and count >= 2")
+    _require(hi > lo and 2 <= count <= 10 ** 6,
+             "grid needs hi > lo and 2 <= count <= 1e6")
     return np.linspace(lo, hi, count), kind
 
 
@@ -390,6 +391,7 @@ def _cmd_chain(job) -> int:
              "chain h family must be 'bump' or 'gaussian'")
     h = parse_profile(h_spec, ArgKind.GeodesicDistance)
     rho = _field(ch, "rho", default=0.6)
+    _require(abs(rho) < 710.0, "chain rho must have a finite cosh (|rho| < 710)")
     rng = MC._rng(MC.McSpec(mcspec.seed, 1, mcspec.stream_id + 999), 0)
     rot = MC.sample_rotation(p.n, rng)
     z = MC.GeodesicElement(p.n, p.k, rot, rho)

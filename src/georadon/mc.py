@@ -77,8 +77,8 @@ class McSpec:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.n_samples <= 0:
-            raise DomainError("n_samples must be positive")
+        if not 0 < self.n_samples <= 10 ** 9:
+            raise DomainError("n_samples must be positive and at most 1e9")
         if self.seed < 0 or self.stream_id < 0:
             raise DomainError("seed and stream_id must be nonnegative")
 
@@ -314,38 +314,6 @@ def complete_rotation(columns: np.ndarray) -> np.ndarray:
     return g
 
 
-def _complete_rotation_batch(frames: np.ndarray, extra: Optional[np.ndarray]
-                             ) -> np.ndarray:
-    """Batch of rotations mapping the last coordinates onto ``frames`` and,
-    when ``extra`` is given, the next coordinate onto it.
-
-    The complement block comes from a QR of the orthogonal projector, which
-    is well defined for generic subspaces (the only kind Monte Carlo ever
-    draws).  A subspace that holds e_0 zeroes the projector's first column,
-    and that QR then returns e_0 again: each such singular g is completed
-    alone (``complete_rotation``).
-    """
-    b, n, d = frames.shape
-    cols = frames if extra is None else np.concatenate(
-        [extra[:, :, None], frames], axis=2)
-    k1 = cols.shape[2]
-    proj = np.eye(n)[None] - cols @ np.transpose(cols, (0, 2, 1))
-    q, r = np.linalg.qr(proj)
-    sign = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    sign = np.where(sign == 0, 1.0, sign)
-    comp = (q * sign[:, None, :])[:, :, :n - k1]
-    g = np.concatenate([comp, cols], axis=2)
-    det = np.linalg.det(g)
-    for i in np.nonzero(np.abs(det) < 0.5)[0]:
-        g[i], det[i] = complete_rotation(cols[i]), 1.0
-    flip = det < 0
-    if n - k1 > 0:
-        g[flip, :, 0] *= -1.0
-    else:
-        g[flip, :, -1] *= -1.0
-    return g
-
-
 # -- hyperbolic elements ----------------------------------------------------------
 
 def _embed_block(block: np.ndarray, n: int, coords) -> np.ndarray:
@@ -368,10 +336,6 @@ def _boost(n: int, d: int, ch, sh) -> np.ndarray:
 def hyperbolic_rotation(n: int, d: int, r: float) -> np.ndarray:
     """Hyperbolic rotation in the (x_{n-d}, x_{n+1}) plane of E^{n,1}."""
     return _boost(n, d, math.cosh(r), math.sinh(r))
-
-
-def _hyperbolic_rotations(n: int, d: int, r: np.ndarray) -> np.ndarray:
-    return _boost(n, d, np.cosh(r), np.sinh(r))
 
 
 @dataclass(frozen=True)
@@ -436,7 +400,7 @@ class GeodesicBatch:
         n, rot = self.n, self.rotations
         m = rot.shape[-1]
         block = _embed_block(rot, m, range(m)) \
-            @ _hyperbolic_rotations(m, self.dim, self.rho)
+            @ _boost(m, self.dim, np.cosh(self.rho), np.sinh(self.rho))
         return block if m == n else \
             _embed_block(block, n, range(n - m, n + 1))
 
@@ -476,26 +440,14 @@ class _ChordGeodesics(GeodesicBatch):
 
     @_formed_once
     def rotations(self) -> np.ndarray:
-        """S, shape (B, n, n)."""
-        chords, n = self.source, self.n
-        dist = np.minimum(chords.distances, 1.0 - 1e-12)
-        safe = dist > 1e-14
-        u = np.where(safe[:, None], chords.offsets /
-                     np.maximum(dist[:, None], 1e-300), 0.0)
-        if not np.all(safe):
-            # degenerate offsets: any unit vector orthogonal to the frame
-            # works
-            for i in np.nonzero(~safe)[0]:
-                fr = chords.frames[i]
-                cand = np.eye(n)[:, 0]
-                cand = cand - fr @ (fr.T @ cand)
-                nrm = np.linalg.norm(cand)
-                if nrm < 1e-8:
-                    cand = np.eye(n)[:, 1]
-                    cand = cand - fr @ (fr.T @ cand)
-                    nrm = np.linalg.norm(cand)
-                u[i] = cand / nrm
-        return _complete_rotation_batch(chords.frames, u)
+        """S, shape (B, n, n).  A chord through the centre (offset below
+        1e-14) has a boost below 1e-14, so any direction off its frame
+        serves: S completes its frame alone."""
+        chords = self.source
+        dist = chords.distances
+        u = chords.offsets / np.maximum(dist, 1e-300)[:, None]
+        return _completions(chords.frames,
+                            np.where((dist > 1e-14)[:, None], u, 0.0))
 
 
 #: the coordinates of a zonal profile: hyperbolic distance, its cosh, sinh
@@ -544,15 +496,14 @@ def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
     offset), taken as orthonormal and orthogonal, on budget ``specs[t]``:
     one ``f`` call per block of samples."""
     n, j, k = p.n, p.j, p.k
-    cols, vnorm = [], []
+    leads, vnorm = [], []
     for eta, v in zetas:
         if eta.shape != (n, k):
             raise DomainError(f"expected an (n, k) = ({n}, {k}) frame")
         v = np.asarray(v, dtype=float)
         vnorm.append(float(np.linalg.norm(v)))
-        cols.append(np.concatenate([(v / vnorm[-1])[:, None], eta], axis=1)
-                    if vnorm[-1] > 0 else eta)
-    g = _completions(cols)
+        leads.append(v / vnorm[-1] if vnorm[-1] > 0 else np.zeros(n))
+    g = _completions(np.stack([eta for eta, _ in zetas]), np.stack(leads))
     log_norm = 0.5 * (k - j) * math.log(2 * math.pi)
 
     def terms(units):
@@ -579,15 +530,18 @@ def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
     return _estimates(terms, specs, 1)
 
 
-def _completions(cols: list) -> list:
-    """``complete_rotation`` of each column block: one stacked call per
-    block shape (a plane through the origin has one column fewer)."""
-    done = {}
-    for shape in {c.shape for c in cols}:
-        idx = [i for i, c in enumerate(cols) if c.shape == shape]
-        done.update(zip(idx, complete_rotation(np.stack([cols[i]
-                                                         for i in idx]))))
-    return [done[i] for i in range(len(cols))]
+def _completions(frames: np.ndarray, leads: np.ndarray) -> np.ndarray:
+    """``complete_rotation`` of each frame of a stack (B, n, d), led by the
+    unit column ``leads[b]`` unless that row is zero: a plane through the
+    origin, or a chord through the centre, has one column fewer.  One
+    stacked call per column count, scattered back by mask."""
+    led = np.any(leads != 0.0, axis=1)
+    cols = np.concatenate([leads[:, :, None], frames], axis=2)
+    g = np.empty(frames.shape[:2] + frames.shape[1:2])
+    for mask, block in ((led, cols), (~led, frames)):
+        if np.any(mask):
+            g[mask] = complete_rotation(block[mask])
+    return g
 
 
 def dual_affine_mc(p, phi: Callable, tau: AffinePlane,
@@ -607,7 +561,7 @@ def _dual_affine(p, phi: Callable, taus: list, specs: list) -> list:
             raise DomainError(f"expected an (n, j) = ({n}, {j}) frame")
     u = [np.asarray(off, dtype=float) for _, off in taus]
     # the last j columns of g[t] span the frame of taus[t]
-    g = _completions([xi for xi, _ in taus])
+    g = complete_rotation(np.stack([xi for xi, _ in taus]))
 
     def terms(units):
         rho = _haar_factor(_joined([_haar_gaussian(n - j, count, rng)
@@ -821,22 +775,15 @@ def _dual_hyper(p, phi: Callable, ts: list, specs: list) -> list:
         scale.append(math.cosh(t.distance) ** (k - n))
 
     def phi_on_planes(batch: PlaneBatch) -> np.ndarray:
-        dist = batch.distances
-        dist = np.minimum(dist, 1.0 - 1e-12)
+        # each chord lifted to a geodesic: its aligning rotation, formed
+        # when read, then the shift by artanh of its distance
+        dist = np.minimum(batch.distances, 1.0 - 1e-12)
         weight = (1.0 - dist * dist) ** ((j - n) / 2.0)
-        return weight * phi(_planes_to_geodesics(batch, k))
+        return weight * phi(_ChordGeodesics(k, np.arctanh(dist), batch))
 
     return [McEstimate(c * est.value, c * est.std_error, est.n_samples)
             for c, est in zip(scale, _dual_affine(p, phi_on_planes, chords,
                                                   specs))]
-
-
-def _planes_to_geodesics(batch: PlaneBatch, k: int) -> GeodesicBatch:
-    """Lift ball chords to geodesics: the rotation aligning each chord,
-    formed when read, then the hyperbolic shift by artanh of the chord
-    distance."""
-    dist = np.minimum(batch.distances, 1.0 - 1e-12)
-    return _ChordGeodesics(k, np.arctanh(dist), batch)
 
 
 # -- duality checks ----------------------------------------------------------------

@@ -300,7 +300,10 @@ def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
     lo, hi = ends if m.increasing else ends[::-1]
     support = None
     if m.increasing and f.support is not None and f.support < m.top:
-        support = m.push(f.support)
+        try:
+            support = m.push(f.support)
+        except OverflowError:
+            raise DomainError(f"support {f.support!r} overflows as {kind}")
 
     def fn(x):
         return f(m.pull(np.asarray(x, dtype=float)))

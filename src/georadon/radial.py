@@ -33,6 +33,11 @@ class ReconstructionError(GeoradonError, ArithmeticError):
     """Re-applying the forward map to a reconstruction missed the data."""
 
 
+#: the largest n whose unit sphere has an area that is a normal double
+#: (|S^438| = 3.8e-309); every transform constant holds such areas
+MAX_DIMENSION = 437
+
+
 @dataclass(frozen=True)
 class TransformParams:
     """The index triple (n, j, k): j-geodesics integrated over k-geodesics."""
@@ -42,8 +47,9 @@ class TransformParams:
     k: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise DomainError(f"need n >= 2, got n={self.n}")
+        if not 2 <= self.n <= MAX_DIMENSION:
+            raise DomainError(
+                f"need 2 <= n <= {MAX_DIMENSION}, got n={self.n}")
         if not (0 <= self.j < self.k <= self.n - 1):
             raise DomainError(
                 f"need 0 <= j < k <= n-1, got (n,j,k)=({self.n},{self.j},{self.k})")

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from georadon import cli
 from georadon import inversion as IV
@@ -152,6 +157,16 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
     ("transform", dict(_GOOD_JOB, profile={
         "family": "grid", "x": _X, "y": np.exp(-np.square(_X)).tolist(),
         "order": True})),
+    ("chain", dict(_CHAIN_JOB, chain={"rho": 1000.0})),
+    ("chain", dict(_CHAIN_JOB, chain={"h": {"family": "bump", "a": 1e6}})),
+    ("transform", dict(_GOOD_JOB, grid={"lo": 0.5, "hi": 2.0,
+                                        "count": 1e308})),
+    ("dual", {"command": "dual", "model": "hyperboloid",
+              "params": {"n": 1e308, "j": 0, "k": 1},
+              "profile": {"family": "bump", "a": 1.5},
+              "grid": {"kind": "sinh", "lo": 0.5, "hi": 1.0, "count": 3}}),
+    ("chain", dict(_CHAIN_JOB, params={"n": 1e308, "j": 1, "k": 2})),
+    ("chain", dict(_CHAIN_JOB, mc={"seed": 9, "n_samples": 1e308})),
 ], ids=["bad-params", "power-without-p", "non-numeric-grid-bound",
         "nan-in-grid-profile", "chain-h-without-family",
         "chain-h-non-numeric-a", "chain-non-numeric-rho",
@@ -161,7 +176,10 @@ _X = np.linspace(0.0, 2.0, 12).tolist()
         "nan-closed-form-a", "nan-decay-hint", "dual-negative-radius",
         "convert-cosh-below-one", "convert-sin-above-one",
         "zero-gaussian-sigma", "negative-grid-order", "grid-order-at-node-count",
-        "fractional-grid-count", "boolean-grid-order"])
+        "fractional-grid-count", "boolean-grid-order",
+        "chain-rho-with-infinite-cosh", "chain-h-support-with-infinite-cosh",
+        "huge-grid-count", "huge-dimension", "huge-dimension-monte-carlo",
+        "huge-sample-count"])
 def test_invalid_params_exit_2(tmp_path, command, doc):
     doc = dict(doc, output={"path": str(tmp_path / "x.csv")})
     job = _write_job(tmp_path, "bad.json", doc)
@@ -407,3 +425,84 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
                           text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False False"
+
+
+#: one small valid job document per command
+_VALID_JOBS = {
+    "transform": dict(_GOOD_JOB, quadrature={
+        "rel_tol": 1e-10, "abs_tol": 1e-12, "max_subdivisions": 200,
+        "truncation_tail_tol": 1e-12}),
+    "dual": {"command": "dual", "model": "hyperboloid",
+             "params": {"n": 3, "j": 0, "k": 1},
+             "profile": {"family": "bump", "a": 1.5},
+             "grid": {"kind": "sinh", "lo": 0.5, "hi": 1.0, "count": 3}},
+    "invert": {"command": "invert", "model": "euclidean",
+               "params": {"n": 4, "j": 0, "k": 2},
+               "profile": {"family": "gaussian", "sigma": 0.7},
+               "grid": {"lo": 0.3, "hi": 0.9, "count": 3},
+               "check_residual": False, "dual": False},
+    "convert": _CONVERT_JOB,
+    "verify": {"command": "verify", "quadrature": {"rel_tol": 1e-10}},
+    "mc-duality": dict(_DUALITY_JOB,
+                       mc={"seed": 5, "n_samples": 500, "stream_id": 1}),
+    "chain": dict(_CHAIN_JOB, mc={"seed": 9, "n_samples": 500, "stream_id": 1}),
+    "table": {"command": "table", "model": "euclidean",
+              "profile": {"family": "gaussian", "sigma": 1.0},
+              "grid": {"lo": 0.0, "hi": 2.0, "count": 3}},
+}
+
+
+def _field_paths(doc, prefix=()):
+    """The key path of every field of a job document, nested ones too."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+#: the values a mutation puts in place of a field's value
+_BAD_VALUES = {"string": "x", "nan": math.nan, "inf": math.inf,
+               "-inf": -math.inf, "huge": 1e308, "bool": True}
+
+
+def _mutated(doc, path, mutation):
+    """A deep copy of ``doc`` with the field at ``path`` dropped, negated
+    (-1 where it is not a nonzero number) or given a ``_BAD_VALUES`` value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = path
+    sec = doc
+    for k in parents:
+        sec = sec[k]
+    value = sec.pop(key)
+    if mutation == "negative":
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        sec[key] = -abs(value) if number and value else -1.0
+    elif mutation != "drop":
+        sec[key] = _BAD_VALUES[mutation]
+    return doc
+
+
+@st.composite
+def _mutated_jobs(draw):
+    command = draw(st.sampled_from(sorted(_VALID_JOBS)))
+    doc = _VALID_JOBS[command]
+    for _ in range(draw(st.integers(1, 2))):
+        doc = _mutated(doc, draw(st.sampled_from(list(_field_paths(doc)))),
+                       draw(st.sampled_from(["drop", "negative",
+                                             *_BAD_VALUES])))
+    return command, doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_jobs())
+def test_mutated_job_documents_never_exit_1(job):
+    # a job document with a field dropped or given a wrong value is run or
+    # refused with an exit code, never a traceback (exit 1)
+    command, doc = job
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        doc = dict(doc, output={"path": str(Path(tmp) / "out.csv")})
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--job", str(path)]) in (0, 2, 3, 4)

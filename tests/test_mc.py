@@ -396,7 +396,8 @@ def _eager_hyper_elements(n, d, rng, count):
     s = np.minimum(rng.uniform(0.0, 1.0, count), 1.0 - 1e-12)
     rho = np.arctanh(s)
     return rot, rho, \
-        MC._embed_block(rot, n, range(n)) @ MC._hyperbolic_rotations(n, d, rho)
+        MC._embed_block(rot, n, range(n)) \
+        @ MC._boost(n, d, np.cosh(rho), np.sinh(rho))
 
 
 def _row_distance(left, right, n, d):
@@ -969,20 +970,61 @@ def test_dual_hyper_mc_matches_zonal_oracle(seed, triple, dist):
     assert abs(est.value - exact) <= 4 * est.std_error
 
 
+def _distance_to_geodesic(x, matrices, n, d):
+    """Distance from the point x of the hyperboloid to the d-geodesics
+    A (base), through A^{-1} x = G A^T G x with G = diag(-I_n, 1)."""
+    gx = np.concatenate([-x[:n], x[n:]])
+    inv = np.einsum("bji,j->bi", matrices, gx)
+    inv[:, :-1] *= -1.0
+    return MC._distance_to_base(inv, n, d)
+
+
+@pytest.mark.parametrize("seed,triple", [(141, (4, 1, 2)), (142, (5, 2, 4)),
+                                         (143, (6, 2, 4)), (144, (5, 0, 3))])
+@pytest.mark.parametrize("dist", [0.0, 0.5])
+def test_non_zonal_dual_hyper_mc_matches_a_moved_zonal_oracle(seed, triple,
+                                                              dist):
+    # phi is zonal about a point x at distance 0.6 from the base point, so
+    # it reads every sampled k-geodesic through its Lorentz matrix, and
+    # with it the rotation that lifts each chord (through the centre when
+    # t passes through the base point).  An isometry taking x to the base
+    # point makes phi zonal: its dual at t is the zonal dual at d(x, t)
+    p = R.TransformParams(*triple)
+    n = p.n
+    prof = _sinh_gaussian(0.8)
+    x = np.zeros(n + 1)
+    x[:n] = math.sinh(0.6) * np.linspace(1.0, 2.0, n) \
+        / np.linalg.norm(np.linspace(1.0, 2.0, n))
+    x[n] = math.cosh(0.6)
+    t = MC.GeodesicElement(n, p.j, MC.sample_rotation(n, _rng(seed)), dist)
+    est = MC.dual_hyper_mc(
+        p, lambda batch: prof(np.sinh(_distance_to_geodesic(
+            x, batch.matrices, n, p.k))),
+        t, MC.McSpec(seed=seed, n_samples=20000))
+    at_t = MC._embed_block(t.rotation, n, range(n)) \
+        @ MC.hyperbolic_rotation(n, p.j, dist)
+    d_xt = _distance_to_geodesic(x, at_t[None], n, p.j)[0]
+    exact = R.dual_hyper_zonal(p, prof, math.sinh(d_xt))
+    assert est.std_error > 0
+    assert abs(est.value - exact) <= 4 * est.std_error
+
+
 def _non_zonal(batch):
     """A phi that reads every entry of the lifted Lorentz matrices, so it
-    sees the chord lift's choice of a unit offset."""
+    sees the columns the chord lift chooses to complete each frame."""
     n = batch.n
     w = np.linspace(-1.0, 1.0, (n + 1) * (n + 1)).reshape(n + 1, n + 1)
     return np.exp(np.sum(batch.matrices * w, axis=(1, 2)))
 
 
-#: float.hex of (value, std_error) through the base point, where the chord
-#: lift repairs every sampled offset as degenerate (re-recorded when those
-#: lifts became rotations: the projector's QR had made every one singular)
+#: float.hex of (value, std_error) through the base point, where every
+#: sampled chord runs through the centre and its lift completes its frame
+#: alone.  ``_non_zonal`` reads the completing columns, which any rotation
+#: keeping the frame may supply, so these pin that choice (re-recorded when
+#: it became ``complete_rotation``'s)
 _ORIGIN_GOLDEN = {
-    (4, 1, 2): ("0x1.fa1a6ee3790c5p-1", "0x1.2b85ca80052d4p-9"),
-    (6, 2, 4): ("0x1.24b5d5e07de3ap+1", "0x1.80576fc20c600p-6"),
+    (4, 1, 2): ("0x1.61961b80cbdc6p+0", "0x1.337786d30b034p-8"),
+    (6, 2, 4): ("0x1.5bfcd820a53b6p+2", "0x1.71622898577cbp-5"),
 }
 
 
@@ -990,7 +1032,7 @@ _ORIGIN_GOLDEN = {
 @pytest.mark.parametrize("seed,triple", [(111, (4, 1, 2)), (112, (6, 2, 4))])
 def test_dual_hyper_mc_keeps_its_bytes_through_the_origin(monkeypatch, threads,
                                                           seed, triple):
-    # through the base point every sampled chord offset is degenerate
+    # through the base point every sampled chord runs through the centre
     monkeypatch.setenv("GEORADON_THREADS", threads)
     p = R.TransformParams(*triple)
     t = MC.GeodesicElement(p.n, p.j, MC.sample_rotation(p.n, _rng(seed)), 0.0)
@@ -1046,7 +1088,7 @@ def test_zonal_reads_form_no_rotation(monkeypatch):
         raise AssertionError("a zonal read formed a rotation")
 
     monkeypatch.setattr(MC.np.linalg, "qr", counted)
-    monkeypatch.setattr(MC, "_complete_rotation_batch", forbidden)
+    monkeypatch.setattr(MC._ChordGeodesics, "rotations", property(forbidden))
     # dual_hyper_mc: of the batched QRs, one per chunk for the Haar planes
     # around the chord of t (the chord offsets are functions of their
     # columns) and none for the lift
@@ -1084,21 +1126,19 @@ def test_dual_hyper_mc_is_exact_through_the_origin():
 
 
 def test_chord_lift_through_the_centre_is_a_rotation():
-    # a chord through the centre has no offset direction: its lift takes
-    # e_0 projected off the frame, or e_1 when the frame holds e_0, and
-    # completes a rotation around it and the frame.  The projector's QR
-    # alone returned e_0 again, a singular S and no Lorentz matrix
+    # a chord through the centre has no offset direction and no boost: its
+    # lift completes a rotation from its frame alone, whichever direction
+    # that puts off the frame, even for a frame that holds e_0
     eye = np.eye(4)
     generic = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 2)))[0]
     frames = np.stack([generic, eye[:, [0, 3]], eye[:, [2, 3]]])
-    lift = MC._planes_to_geodesics(MC.PlaneBatch(frames, np.zeros((3, 4))), 2)
+    lift = MC._ChordGeodesics(2, np.zeros(3),
+                              MC.PlaneBatch(frames, np.zeros((3, 4))))
     s = lift.rotations
     assert np.allclose(s @ np.transpose(s, (0, 2, 1)), eye, atol=1e-12)
     assert np.allclose(np.linalg.det(s), 1.0)
     assert np.allclose(s[:, :, 2:], frames, atol=1e-12)
-    u = eye[0] - generic @ generic[0]
-    assert np.allclose(s[:, :, 1], [u / np.linalg.norm(u), eye[1], eye[0]],
-                       atol=1e-12)
+    assert np.array_equal(s, MC.complete_rotation(frames))
     form = np.diag([-1.0] * 4 + [1.0])
     m = lift.matrices
     assert np.allclose(np.transpose(m, (0, 2, 1)) @ form @ m, form, atol=1e-12)

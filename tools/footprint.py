@@ -15,7 +15,10 @@ Prints three things:
   log kernel).  A ``duality`` line hashes the ``float.hex`` of
   ``duality_check_mc`` in the affine, chord and hyperbolic geometries at
   2,000 and 10,000 samples, on inputs that read frames, offsets and
-  Lorentz matrices (the benchmark checks only the affine one).
+  Lorentz matrices (the benchmark checks only the affine one).  A
+  ``lift`` line hashes the ``float.hex`` of non-zonal ``dual_hyper_mc``
+  through the origin and off it, the only reads of the rotations that
+  lift chords to geodesics.
 
 Two trees give the same hashes exactly when their outputs agree byte for
 byte, so running this on a change and on its parent is a byte-identity
@@ -24,8 +27,8 @@ go into a temporary directory that is removed afterwards.
 
 ``--dump DIR`` also writes the exact text behind each hash:
 ``DIR/<workload>-<seed>/<job label>.txt``, ``DIR/verify.txt``,
-``DIR/kernels.txt`` and ``DIR/duality.txt``.  ``diff -r`` of two dumps
-lists every moved row.
+``DIR/kernels.txt``, ``DIR/duality.txt`` and ``DIR/lift.txt``.
+``diff -r`` of two dumps lists every moved row.
 
     python tools/footprint.py [--seeds 0 1] [--workloads radial mc chain]
                               [--no-outputs] [--dump DIR]
@@ -149,6 +152,23 @@ def kernels_hash(dump) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _lorentz(batch):
+    """A Gaussian in the distance, times a bounded Lorentz-matrix entry,
+    which forms each batch's rotations."""
+    import numpy as np
+    d = batch.distance_to_origin()
+    return np.exp(-d * d) * (1.5 + np.tanh(batch.matrices[:, 0, 1]))
+
+
+def _every_entry(batch):
+    """A phi of every entry of the Lorentz matrices, so it sees every
+    column of each rotation."""
+    import numpy as np
+    n = batch.n
+    w = np.linspace(-1.0, 1.0, (n + 1) * (n + 1)).reshape(n + 1, n + 1)
+    return np.exp(np.sum(batch.matrices * w, axis=(1, 2)))
+
+
 def duality_hash(dump) -> str:
     """SHA-256 over the float.hex of (lhs, rhs) of ``duality_check_mc`` in
     each geometry at 2,000 and 10,000 samples: two and four blocks of
@@ -168,17 +188,11 @@ def duality_hash(dump) -> str:
     def offset(batch):
         return np.exp(-batch.distances ** 2) * (1.0 + batch.offsets[:, 0] ** 2)
 
-    def lorentz(batch):
-        # a Gaussian in the distance, times a bounded Lorentz-matrix entry,
-        # which forms each batch's rotations
-        d = batch.distance_to_origin()
-        return np.exp(-d * d) * (1.5 + np.tanh(batch.matrices[:, 0, 1]))
-
     cases = (("affine", R.TransformParams(4, 1, 2), framed, offset),
              ("chord", R.TransformParams(4, 0, 2),
               MC.radial_plane_function(bump(0.8, arg_kind=ArgKind.BallRadius)),
               offset),
-             ("hyper", R.TransformParams(4, 1, 2), lorentz,
+             ("hyper", R.TransformParams(4, 1, 2), _lorentz,
               MC.zonal_function(gaussian(arg_kind=ArgKind.SinhDistance))))
     lines = []
     for which, p, f, phi in cases:
@@ -188,6 +202,32 @@ def duality_hash(dump) -> str:
             lines.append(f"{which} {n_samples} {_hex_text(sides)}")
     text = "\n".join(lines)
     _dump(dump, "duality.txt", text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def lift_hash(dump) -> str:
+    """SHA-256 over the float.hex of non-zonal ``dual_hyper_mc`` at 20,000
+    samples, at (4, 1, 2), (5, 2, 4) and (6, 2, 4), at a j-geodesic
+    through the origin and one at distance 0.5, with ``_lorentz`` and
+    ``_every_entry``: the reads of the rotations that lift chords to
+    geodesics (every other line reads zonal hyperbolic functions only)."""
+    import numpy as np
+
+    from georadon import mc as MC
+    from georadon import radial as R
+
+    lines = []
+    for triple in ((4, 1, 2), (5, 2, 4), (6, 2, 4)):
+        p = R.TransformParams(*triple)
+        rot = MC.sample_rotation(p.n, np.random.default_rng(19))
+        for dist in (0.0, 0.5):
+            t = MC.GeodesicElement(p.n, p.j, rot, dist)
+            for name, phi in (("lorentz", _lorentz), ("entries", _every_entry)):
+                est = MC.dual_hyper_mc(p, phi, t,
+                                       MC.McSpec(seed=19, n_samples=20000))
+                lines.append(f"{triple} {dist} {name} {_hex_text(est)}")
+    text = "\n".join(lines)
+    _dump(dump, "lift.txt", text)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -215,6 +255,7 @@ def main(argv=None) -> int:
     print(f"verify {identity_hash(args.dump)}")
     print(f"kernels {kernels_hash(args.dump)}")
     print(f"duality {duality_hash(args.dump)}")
+    print(f"lift {lift_hash(args.dump)}")
     return 0
 
 

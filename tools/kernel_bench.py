@@ -10,22 +10,23 @@ the bump of radius 1.2, over ``RHO_GRID`` with 50,000 samples (seed 14):
 - log at (4, 1, 2).
 
 ``GEORADON_THREADS`` is set to 1 and then 2 for the timed calls.  Prints one
-JSON object: per kernel and thread count, the best of 5 wall times of one
-call in seconds, and per kernel the SHA-256 of the lines
+JSON object: per kernel and thread count, the best and the median of 5
+wall times of one call in seconds, and per kernel the SHA-256 of the lines
 "value.hex() std_error.hex()" of its estimates (equal across two trees
 exactly when they agree byte for byte; the thread count must not move it).
 
 The ``zonal`` row times the chain's lhs the same way: ``radon_hyper_mc``
 at (4, 1, 2) on the zonal lift of the tabulated (4, 0, 1) transform of
 that bump, at a 2-geodesic at distance 0.6, with 100,000 samples (seed
-14).  Its two times put the thread scaling of a profile of many small
-ufuncs on record; a best of 5 understates contention between the two
-workers, as it keeps the runs in which one of them was idle.
+14).  Its times put the thread scaling of a profile of many small ufuncs
+on record; a best of 5 understates contention between the two workers,
+as it keeps the runs in which one of them was idle, so the 2-thread /
+1-thread ratio is read off the medians.
 
 The ``haar`` row times ``mc.sample_rotations(m, 8192, rng)`` for m = 2..6,
-which runs on the calling thread (no worker pool): per m, the best of 5
-wall times in seconds and the SHA-256 of the bytes of the draw, from a
-generator seeded afresh (seed 14, chunk 0) for every call.
+which runs on the calling thread (no worker pool): per m, the best and
+the median of 5 wall times in seconds and the SHA-256 of the bytes of the
+draw, from a generator seeded afresh (seed 14, chunk 0) for every call.
 
     python tools/kernel_bench.py
 """
@@ -35,6 +36,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import sys
 import time
 import warnings
@@ -95,6 +97,8 @@ def main() -> int:
             times.append(time.perf_counter() - t0)
             digests.add(hashlib.sha256(rot.tobytes()).hexdigest())
         out["haar"][f"m={m}"] = {"s": round(min(times), 5),
+                                 "median_s": round(statistics.median(times),
+                                                   5),
                                  "sha256": digests.pop()
                                  if len(digests) == 1 else "not repeatable"}
     print(json.dumps(out))
@@ -102,8 +106,9 @@ def main() -> int:
 
 
 def _timed_by_threads(once) -> dict:
-    """Best of 5 wall times of ``once()`` at 1 and 2 worker threads, and
-    the SHA-256 of the estimates it returns (one digest for both)."""
+    """Best and median of 5 wall times of ``once()`` at 1 and 2 worker
+    threads, and the SHA-256 of the estimates it returns (one digest for
+    both)."""
     row, digests = {}, set()
     for threads in ("1", "2"):
         os.environ["GEORADON_THREADS"] = threads
@@ -116,6 +121,7 @@ def _timed_by_threads(once) -> dict:
                              for e in ests)
             digests.add(hashlib.sha256(text.encode()).hexdigest())
         row[f"s_threads_{threads}"] = round(min(times), 4)
+        row[f"median_s_threads_{threads}"] = round(statistics.median(times), 4)
     row["sha256"] = digests.pop() if len(digests) == 1 \
         else "thread-dependent"
     return row
