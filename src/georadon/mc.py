@@ -9,10 +9,12 @@ the stream and the chunk index.  The chunks of one or many estimates are
 packed into blocks that run on the worker pool; a block of planes
 factors its Haar draws in one batch and evaluates the integrand once, and
 a block of geodesics evaluates it once per run of one target's chunks,
-which keeps the bits of each sample.  Each chunk is summed alone, and the
-chunk sums of an estimate are added pairwise in chunk order, so results
-are bit-identical however the chunks are grouped and however many threads
-run them.
+which keeps the bits of each sample.  A zonal read of geodesics
+(``zonal_function``) evaluates its profile once per block, on distances
+read from each sample's radius alone, and keeps none of its Haar draw.
+Each chunk is summed alone, and the chunk sums of an estimate are added
+pairwise in chunk order, so results are bit-identical however the chunks
+are grouped and however many threads run them.
 """
 from __future__ import annotations
 
@@ -34,13 +36,11 @@ from .profiles import ArgKind, Profile1D, convert
 from .special import dual_transform_limit_constant, gamma_nk
 
 CHUNK = 8192
-#: the evaluation width, in chunks: a profile is evaluated on this many
-#: chunks' worth of values per call, as grid points of one chunk in
-#: ``dual_sine_mc`` (its kernel factor) and as chunks of one block in
-#: ``radon_hyper_mc`` (its ``f``).  A profile such as the chain's
-#: 201-coefficient table runs ~600 ufuncs per call, each releasing the GIL
-#: for microseconds; on one chunk the two workers hand the GIL over at
-#: every ufunc and run slower than one (a convoy).
+#: the grid points of one chunk whose kernel factor ``dual_sine_mc``
+#: evaluates in one call.  A profile such as the chain's 201-coefficient
+#: table runs ~600 ufuncs per call, each releasing the GIL for
+#: microseconds; on one point's values the two workers hand the GIL over
+#: at every ufunc and run slower than one (a convoy).
 #: Median seconds of 5 plain-kernel runs on the chain's reconstruct data
 #: (33 points, 50,000 samples) at 1 / 2 worker threads, 2 vCPUs of a
 #: shared Xeon:
@@ -48,6 +48,17 @@ CHUNK = 8192
 #: 8 points 0.60 / 0.35, all 33 0.82 / 0.44 (memory-bound on 2 MB arrays).
 #: 8 points hold twice the arrays of 4 for no clear gain.
 _PHI_BLOCK = 4
+#: the block widths of ``radon_hyper_mc``, in chunks: ``f`` runs on a
+#: block's samples at once, which ends the convoy above.  A general ``f``
+#: gets batches that can form Q, R, ``right`` and ``matrices`` for every
+#: sample, so its blocks are four chunks.  A zonal read holds a few values
+#: a sample, so its blocks are eight: 13 chunks on two workers are then
+#: one block per worker, and each worker evaluates the profile once.
+#: Median seconds of the chain's lhs (``tools/kernel_bench.py``, zonal
+#: row) at 1 / 2 worker threads: width 4 with the Gaussians kept 0.026-
+#: 0.029 / 0.022-0.025, width 8 without them 0.024-0.025 / 0.015.
+_HYPER_BLOCK = 4
+_ZONAL_BLOCK = 8
 #: distances below this are clamped in the singular sine kernel
 KERNEL_FLOOR = 1e-3
 
@@ -124,10 +135,10 @@ def _unit_sums(specs: list, terms: Callable, width: int,
     estimate.  Each unit's slice is summed as a chunk of its own would be,
     and the blocks run on the worker pool.
 
-    The width is the caller's: ``radon_hyper_mc`` takes ``_PHI_BLOCK``
-    cells, so its profile runs on wide arrays, and the estimators whose
-    time is in Haar QRs take one, as wider blocks hold more arrays for
-    no gain.
+    The width is the caller's: ``radon_hyper_mc`` takes ``_ZONAL_BLOCK``
+    cells for a zonal read and ``_HYPER_BLOCK`` for any other ``f``, so
+    its profile runs on wide arrays, and the estimators whose time is in
+    Haar QRs take one, as wider blocks hold more arrays for no gain.
     """
     cells, room = [], 0
     for t, spec in enumerate(specs):
@@ -373,10 +384,12 @@ class GeodesicBatch:
     S is the Haar factor of the Gaussian draw ``source``, (B, m, m); the
     draw is made eagerly, so the generator advances as for a formed batch,
     but the factorization runs only when ``rotations``, ``right`` or
-    ``matrices`` is first read.  A zonal read (``distance_to_origin``)
+    ``matrices`` is first read.  A distance read (``distance_to_origin``)
     forms none of them when row n of ``left`` vanishes on S's coordinates,
     as it does for every batch the package builds: row n of ``left @
     E(S)`` is then row n of ``left``, so S drops out of the distance.
+    ``radon_hyper_mc`` reads a zonal ``f`` without a batch at all, through
+    the same distance (``_zonal_distance``).
     """
 
     dim: int
@@ -415,18 +428,21 @@ class GeodesicBatch:
         """Geodesic distance of each element to the base point."""
         n, left = self.n, self.left
         if left is not None and np.any(left[n, n - self.source.shape[-1]:n]):
-            row = np.einsum("j,bjl->bl", left[n], self.right)
-        else:
-            # row n of top @ boost(rho): the boost changes entries n-d-1
-            # and n, each to a sum of two products as in the product with
-            # ``right``, so the row keeps that product's bits
-            top = np.eye(n + 1)[n] if left is None else left[n]
-            i = n - self.dim - 1
-            ch, sh = np.cosh(self.rho), np.sinh(self.rho)
-            row = np.broadcast_to(top, (len(self.rho), n + 1)).copy()
-            row[:, i] = top[i] * ch + top[n] * sh
-            row[:, n] = top[i] * sh + top[n] * ch
-        return _distance_to_base(row, n, self.dim)
+            return _distance_to_base(
+                np.einsum("j,bjl->bl", left[n], self.right), n, self.dim)
+        return _zonal_distance(1.0 if left is None else left[n, n], self.rho)
+
+
+def _zonal_distance(corner, rho: np.ndarray) -> np.ndarray:
+    """Distance to the base point of the d-geodesics ``left @ E(S) @
+    boost(n, d, rho)`` when row n of ``left`` vanishes on S's m > d
+    coordinates, with ``corner`` (a scalar, or one per geodesic) its entry
+    n.  Row n of each product is then row n of ``left @ boost(rho)``: its
+    entries n-d..n-1 are zeros of ``left``, and its entry n is 0 sinh rho
+    + ``corner`` cosh rho, since the boost's other coordinate n-d-1 is one
+    of S's.  The distance reads entries n-d..n, so it reads ``corner``
+    cosh rho alone, with the bits of the full row."""
+    return _distance_to_base((corner * np.cosh(rho))[:, None], 0, 0)
 
 
 class _ChordGeodesics(GeodesicBatch):
@@ -465,9 +481,15 @@ def _at_distance(profile: Profile1D) -> Callable:
 
 
 def zonal_function(profile: Profile1D) -> Callable:
-    """Lift a zonal profile to a function on geodesic batches."""
-    at = _at_distance(profile)
-    return lambda batch: at(batch.distance_to_origin())
+    """Lift a zonal profile to a function on geodesic batches: the profile
+    at each geodesic's distance to the base point.  The lift declares
+    itself (a ``partial`` of ``_zonal_read``), so that ``radon_hyper_mc``
+    reads the profile on distances alone, without a batch."""
+    return partial(_zonal_read, _at_distance(profile))
+
+
+def _zonal_read(at: Callable, batch: GeodesicBatch) -> np.ndarray:
+    return at(batch.distance_to_origin())
 
 
 def radial_plane_function(profile: Profile1D) -> Callable:
@@ -594,11 +616,15 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
     radial coordinate drawn uniformly in tanh-distance with the matching
     density weight; ``f`` receives a GeodesicBatch.
 
-    ``f`` is called once per block of up to ``_PHI_BLOCK`` chunks (32,768
-    samples), not once per chunk: a profile evaluated in one-chunk pieces
-    on two workers queues them on the GIL (see ``_PHI_BLOCK``).  ``f``
-    must act on each geodesic alone, as every profile does, so the
-    estimate keeps its bytes however the chunks are grouped.
+    ``f`` is called once per block of up to ``_HYPER_BLOCK`` chunks
+    (32,768 samples), not once per chunk: a profile evaluated in one-chunk
+    pieces on two workers queues them on the GIL (see ``_PHI_BLOCK``).
+    ``f`` must act on each geodesic alone, as every profile does, so the
+    estimate keeps its bytes however the chunks are grouped.  A zonal
+    ``f`` (``zonal_function``) is read on distances alone, in blocks of
+    up to ``_ZONAL_BLOCK`` chunks (65,536 samples): each chunk still
+    draws its Haar Gaussians, which fix where its radii sit in its
+    stream, but into one chunk-sized buffer that nothing keeps.
     """
     return _radon_hyper(p, f, [z], [mc])[0]
 
@@ -606,7 +632,8 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
 def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
     """``radon_hyper_mc`` at each k-geodesic ``zs[t]`` on budget
     ``specs[t]``: one ``f`` call per run of one target's consecutive units
-    in a block, as the geodesics of a batch share one left factor."""
+    in a block, as the geodesics of a batch share one left factor, or, for
+    a zonal ``f``, one profile call per block."""
     n, j, k = p.n, p.j, p.k
     for z in zs:
         if z.n != n or z.dim != k:
@@ -625,30 +652,66 @@ def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
                                    dtype=float) * w)
         return _joined(vals)
 
-    return _estimates(terms, specs, _PHI_BLOCK)
+    if not (isinstance(f, partial) and f.func is _zonal_read):
+        return _estimates(terms, specs, _HYPER_BLOCK)
+    # a zonal read: the distance of a sample needs its radius and the
+    # entry (n, n) of its target's left factor, since row n of every left
+    # factor (E(rotation) @ boost on coordinates n-k-1 and n) vanishes on
+    # S's coordinates n-k..n-1 (``_zonal_distance``)
+    at, = f.args
+    assert not any(np.any(g[n, n - k:n]) for g in left)
+
+    def zonal_terms(units):
+        _, rho, w = _hyper_radii(
+            k, j, [(rng, count) for _, _, count, rng in units], False)
+        corner = np.empty(len(rho))
+        for t, rows in _unit_rows(units):
+            corner[rows] = left[t][n, n]
+        # the profile's arrays are the block's widest: hold only the
+        # distances and the weights beside them
+        dist = _zonal_distance(corner, rho)
+        del corner, rho
+        return at(dist) * w
+
+    return _estimates(zonal_terms, specs, _ZONAL_BLOCK)
 
 
 def sample_hyper_elements(n: int, d: int, draws: list):
     """Haar rotation + tanh-uniform radius samples of d-geodesics, with the
     invariant-measure weights: (batch, weights).  ``draws`` lists the
     (generator, count) of each chunk in order; each chunk draws its Haar
-    Gaussians and then its radii into its own rows of one batch, and the
-    Gaussians are factored when the batch's rotations are first read."""
-    total = sum(count for _, count in draws)
+    Gaussians and then its radii (``_hyper_radii``), the Gaussians into
+    its own rows of the batch, and they are factored when the batch's
+    rotations are first read."""
+    gauss, rho, w = _hyper_radii(n, d, draws, True)
+    return GeodesicBatch(d, rho, gauss), w
+
+
+def _hyper_radii(n: int, d: int, draws: list, keep: bool):
+    """(Gaussians, radii, weights) of the d-geodesics of the chunks
+    ``draws`` in order.  Each chunk draws its (count, n, n) Haar Gaussians
+    and then its tanh-uniform radii.  With ``keep`` the Gaussians get one
+    row per sample; without it, every chunk draws them into one reused
+    chunk-sized buffer and none is returned: they fix where the chunk's
+    radii sit in its stream, and that is all a zonal read needs of them."""
+    counts = [count for _, count in draws]
+    s = np.empty(sum(counts))
     # SO(1) is {1}: nothing is drawn (``_haar_gaussian``)
-    gauss = np.ones((total, 1, 1)) if n == 1 else np.empty((total, n, n))
-    s = np.empty(total)
+    if n == 1:
+        gauss = np.ones((len(s), 1, 1)) if keep else None
+    else:
+        gauss = np.empty((len(s) if keep else max(counts), n, n))
     lo = 0
     for rng, count in draws:
         rows = slice(lo, lo + count)
         if n > 1:
-            rng.standard_normal(out=gauss[rows])
+            rng.standard_normal(out=gauss[rows] if keep else gauss[:count])
         # the bits and the stream of ``uniform(0, 1, count)``
         rng.random(out=s[rows])
         lo += count
     s = np.minimum(s, 1.0 - 1e-12)
     w = measure_density(Model.Hyperboloid, n, d, s, ArgKind.TanhDistance)
-    return GeodesicBatch(d, np.arctanh(s), gauss), w
+    return (gauss if keep else None), np.arctanh(s), w
 
 
 def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,

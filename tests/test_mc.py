@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -558,21 +559,20 @@ _ZONAL_BLOCK_GOLDEN = {
 
 
 def _zonal_block_case(name):
-    """(params, f, z): the chain's lhs at (4, 1, 2) on its table, or a
+    """(params, profile, z): the chain's lhs at (4, 1, 2) on its table, or a
     Gaussian at (3, 0, 1), whose inner geodesics are points (SO(1))."""
     c, s = math.cos(0.4), math.sin(0.4)
     if name == "chain":
         rot = np.eye(4)
         rot[0, 0] = rot[2, 2] = c
         rot[0, 2], rot[2, 0] = -s, s
-        return (R.TransformParams(4, 1, 2),
-                MC.zonal_function(_chain_phi(4, 1)),
+        return (R.TransformParams(4, 1, 2), _chain_phi(4, 1),
                 MC.GeodesicElement(4, 2, rot, 0.6))
     rot = np.eye(3)
     rot[0, 0] = rot[1, 1] = c
     rot[0, 1], rot[1, 0] = -s, s
     return (R.TransformParams(3, 0, 1),
-            MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance, lo=1.0)),
+            P.gaussian(1.0, P.ArgKind.CoshDistance, lo=1.0),
             MC.GeodesicElement(3, 1, rot, 0.5))
 
 
@@ -581,33 +581,103 @@ def _zonal_block_case(name):
 def test_radon_hyper_keeps_its_bytes_over_multi_chunk_blocks(monkeypatch,
                                                              threads, name):
     monkeypatch.setenv("GEORADON_THREADS", threads)
-    p, f, z = _zonal_block_case(name)
-    for budget in (4 * MC.CHUNK + 1, 3 * MC.CHUNK, 100_000):
-        est = MC.radon_hyper_mc(p, f, z, MC.McSpec(seed=151,
-                                                   n_samples=budget))
-        assert (est.value.hex(), est.std_error.hex()) \
-            == _ZONAL_BLOCK_GOLDEN[name, budget]
+    p, profile, z = _zonal_block_case(name)
+    zonal = MC.zonal_function(profile)
+    for f in (zonal, lambda batch: zonal(batch)):
+        # the zonal read, and the same function undeclared
+        for budget in (4 * MC.CHUNK + 1, 3 * MC.CHUNK, 100_000):
+            est = MC.radon_hyper_mc(p, f, z, MC.McSpec(seed=151,
+                                                       n_samples=budget))
+            assert (est.value.hex(), est.std_error.hex()) \
+                == _ZONAL_BLOCK_GOLDEN[name, budget]
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_radon_hyper_calls_f_once_per_block(monkeypatch, threads):
-    # 100,000 samples are 13 chunks: 4 blocks of 4, 3, 3 and 3 chunks, a
-    # multiple of the two workers, where a call per chunk made 13
+    # 100,000 samples are 13 chunks.  A zonal read evaluates its profile
+    # once per block of up to eight chunks: 2 blocks of 7 and 6 chunks, one
+    # per worker.  Any other f is called once per block of up to four: 4,
+    # 3, 3 and 3 chunks, a multiple of the two workers.  A call per chunk
+    # made 13
     _cpus(monkeypatch, 2)
     monkeypatch.setenv("GEORADON_THREADS", threads)
-    p, f, z = _zonal_block_case("gauss")
+    p, profile, z = _zonal_block_case("gauss")
+    spec = MC.McSpec(seed=151, n_samples=100_000)
     sizes = []
 
-    def counted(batch):
-        sizes.append(len(batch.rho))
-        return f(batch)
+    def counted(x):
+        sizes.append(np.size(x))
+        return profile.fn(x)
 
-    est = MC.radon_hyper_mc(p, counted, z, MC.McSpec(seed=151,
-                                                     n_samples=100_000))
+    est = MC.radon_hyper_mc(
+        p, MC.zonal_function(dataclasses.replace(profile, fn=counted)), z,
+        spec)
     c = MC.CHUNK
+    assert sorted(sizes) == [5 * c + 1696, 7 * c]
+    assert (est.value.hex(), est.std_error.hex()) \
+        == _ZONAL_BLOCK_GOLDEN["gauss", 100_000]
+
+    sizes.clear()
+    zonal = MC.zonal_function(profile)
+
+    def general(batch):
+        sizes.append(len(batch.rho))
+        return zonal(batch)
+
+    est = MC.radon_hyper_mc(p, general, z, spec)
     assert sorted(sizes) == [2 * c + 1696, 3 * c, 3 * c, 4 * c]
     assert (est.value.hex(), est.std_error.hex()) \
         == _ZONAL_BLOCK_GOLDEN["gauss", 100_000]
+
+
+class _WatchedGenerator:
+    """A generator that keeps a weak reference to each array its Gaussian
+    draws fill (the base of an ``out`` view)."""
+
+    def __init__(self, rng, filled: list):
+        self._rng, self._filled = rng, filled
+
+    def standard_normal(self, *args, **kwargs):
+        got = self._rng.standard_normal(*args, **kwargs)
+        self._filled.append(weakref.ref(got if got.base is None
+                                        else got.base))
+        return got
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_zonal_radon_hyper_keeps_no_haar_draw(monkeypatch, threads):
+    # a zonal read factors no Haar draw, and while its profile runs no
+    # block of Gaussians is alive: each chunk draws its own, in order, into
+    # a buffer of one chunk's rows, and the bytes are those of the golden
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a zonal read factored a Haar draw")
+
+    monkeypatch.setattr(MC, "_haar_factor", forbidden)
+    filled, rng = [], MC._rng
+    monkeypatch.setattr(MC, "_rng", lambda spec, chunk_index:
+                        _WatchedGenerator(rng(spec, chunk_index), filled))
+    p, profile, z = _zonal_block_case("chain")
+    held = []
+
+    def watched(x):
+        held.extend(len(g) for g in (ref() for ref in filled)
+                    if g is not None)
+        return profile.fn(x)
+
+    f = MC.zonal_function(dataclasses.replace(profile, fn=watched))
+    for budget in (4 * MC.CHUNK + 1, 3 * MC.CHUNK, 100_000):
+        est = MC.radon_hyper_mc(p, f, z, MC.McSpec(seed=151,
+                                                   n_samples=budget))
+        assert (est.value.hex(), est.std_error.hex()) \
+            == _ZONAL_BLOCK_GOLDEN["chain", budget]
+    # 5 + 3 + 13 chunks, each with its (count, 2, 2) draw
+    assert len(filled) == 21
+    assert all(rows <= MC.CHUNK for rows in held)
 
 
 def test_boosted_distances_match_the_lorentz_row_bitwise():
@@ -913,19 +983,25 @@ def _core_cases():
                             taus),
             "radon_hyper": (MC.radon_hyper_mc, MC._radon_hyper, hyper,
                             _bounded_lorentz, zs),
+            "radon_hyper_zonal": (
+                MC.radon_hyper_mc, MC._radon_hyper, hyper,
+                MC.zonal_function(P.gaussian(1.0, P.ArgKind.CoshDistance,
+                                             lo=1.0)), zs),
             "dual_hyper": (MC.dual_hyper_mc, MC._dual_hyper, hyper,
                            _bounded_lorentz, ts)}
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", ["radon_affine", "dual_affine",
-                                  "radon_hyper", "dual_hyper"])
+                                  "radon_hyper", "radon_hyper_zonal",
+                                  "dual_hyper"])
 def test_many_target_cores_keep_each_targets_bytes(monkeypatch, threads,
                                                    name):
     # budgets of 9,000, 300, 20,000 and 8,192 samples: units that straddle
     # chunk edges, and a cell that holds the ends of two budgets; then
     # budgets that make radon_hyper_mc's blocks of several cells hold runs
-    # of more than one target
+    # of more than one target (a zonal read's blocks hold several targets
+    # at both)
     monkeypatch.setenv("GEORADON_THREADS", threads)
     public, core, p, fn, targets = _core_cases()[name]
     # a core takes a plane as its (frame columns, offset)

@@ -24,6 +24,9 @@ Two trees give the same hashes exactly when their outputs agree byte for
 byte, so running this on a change and on its parent is a byte-identity
 check.  The job definitions are imported read-only; job files and outputs
 go into a temporary directory that is removed afterwards.
+``tests/test_footprint.py`` computes the seed-0 hashes in process and
+compares them with ``tests/data/footprint_seed0.json``, recorded with the
+``environment()`` they hold for.
 
 ``--dump DIR`` also writes the exact text behind each hash:
 ``DIR/<workload>-<seed>/<job label>.txt``, ``DIR/verify.txt``,
@@ -231,6 +234,33 @@ def lift_hash(dump) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def hashes(seeds, workloads, workdir: str, dump):
+    """(label, SHA-256) of each output line, in the order printed: one per
+    (workload, seed), then ``verify``, ``kernels``, ``duality`` and
+    ``lift``.  ``perfbench`` must be on ``sys.path``."""
+    for workload in workloads:
+        for seed in seeds:
+            yield (f"{workload} seed={seed}",
+                   output_hash(workload, seed, workdir, dump))
+    yield "verify", identity_hash(dump)
+    yield "kernels", kernels_hash(dump)
+    yield "duality", duality_hash(dump)
+    yield "lift", lift_hash(dump)
+
+
+def environment() -> dict:
+    """What the hashes hold for besides the source: the NumPy and SciPy
+    versions, the BLAS NumPy was built with, and the SIMD extensions it
+    found on this CPU."""
+    import numpy as np
+    import scipy
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "simd": config["SIMD Extensions"]["found"]}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
@@ -247,15 +277,9 @@ def main(argv=None) -> int:
         return 0
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     with tempfile.TemporaryDirectory(prefix="footprint-") as tmp:
-        for workload in args.workloads:
-            for seed in args.seeds:
-                print(f"{workload} seed={seed} "
-                      f"{output_hash(workload, seed, tmp, args.dump)}",
-                      flush=True)
-    print(f"verify {identity_hash(args.dump)}")
-    print(f"kernels {kernels_hash(args.dump)}")
-    print(f"duality {duality_hash(args.dump)}")
-    print(f"lift {lift_hash(args.dump)}")
+        for label, digest in hashes(args.seeds, args.workloads, tmp,
+                                    args.dump):
+            print(f"{label} {digest}", flush=True)
     return 0
 
 
