@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (DifferentiationInstabilityError, DivergenceError,
                      DomainError)
-from .profiles import Profile1D
+from .profiles import Profile1D, integrable, tail
 from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec,
                          _integrate_splits, _integrate_tails, _row_dots,
                          _times_power, weighted_nodes)
@@ -47,20 +47,13 @@ DERIV_NOISE_REL = 1e-6
 
 def check_decay(f: Profile1D, alpha: float) -> bool:
     """True iff int^inf |f(r)| r^(2*alpha-1) dr is finite by the decay
-    ``f`` declares.
-
-    A finite support or domain end leaves no tail.  Otherwise the decay
-    hint rho (|f| <= C(1+r)^-rho) certifies the tail when rho > 2*alpha;
-    a profile on an infinite domain without a hint raises
-    ``DomainError``, since a decay is declared, never measured.
+    ``f`` declares: a finite support or domain end leaves no tail, and
+    otherwise ek_right's must certify (``DomainError`` when f declares no
+    decay).
     """
     if f.support is not None and math.isfinite(f.support):
         return True
-    if math.isfinite(f.hi):
-        return True
-    if f.decay_hint is None:
-        raise DomainError("a profile on an infinite domain needs a decay_hint")
-    return f.decay_hint > 2.0 * alpha
+    return math.isfinite(f.hi) or integrable(tail(f, 2.0, 1.0 - alpha))
 
 
 # -- integrals ---------------------------------------------------------------
@@ -81,7 +74,8 @@ def _batch(name: str, point, rows_core, alpha: float, f: Profile1D, t,
     checks, exponents, pieces, prefactor) and returns its value, or
     ``(pre, split, tail)``: the value is pre * total / Gamma(alpha), total
     the split integral (lo, hi, p_lo, p_hi, interior, param) plus the tail
-    integral (a, p_lo, decay, first_width, param) where they are not None.
+    integral (a, p_lo, decay, first_width, flat, param) where they are not
+    None.
     ``rows_core(fac, params)`` is their integrand on rows of nodes,
     one ``param`` per row.  Consecutive points form a block of about
     ``_BLOCK_ROWS`` rows, evaluated by ``_evaluate``.  A
@@ -129,8 +123,8 @@ def _evaluate(points, rows_core, alpha: float, fac, spec: QuadratureSpec):
              and not isinstance(totals.get(i), Exception)]
     if tails:
         for i, v in zip(tails, _integrate_tails(
-                rows_core(fac, [points[i][2][4] for i in tails]),
-                [points[i][2][:4] for i in tails], spec)):
+                rows_core(fac, [points[i][2][5] for i in tails]),
+                [points[i][2][:5] for i in tails], spec)):
             totals[i] = v if i not in totals or isinstance(v, Exception) \
                 else totals[i] + v
     gamma = math.gamma(alpha)
@@ -235,10 +229,12 @@ def _right_point(alpha: float, f: Profile1D, fac, t: float):
     finite_top = math.isfinite(top)
     if finite_top and t >= top * (1.0 - 1e-15):
         return 0.0
-    if not finite_top and not check_decay(f, alpha):
+    # the integrand u^(alpha-1) f(sqrt(t^2 + u)) in u = r^2 - t^2 ~ r^2
+    decay = None if finite_top else tail(f, 2.0, 1.0 - alpha)
+    if not finite_top and not integrable(decay):
         raise DivergenceError(
-            f"ek_right: decay hint {f.decay_hint} fails the criterion "
-            f"rho > 2*alpha = {2 * alpha}")
+            f"ek_right: decay hint {f.decay_hint} gives the integrand the "
+            f"decay {decay} in u = r^2 - t^2, which certifies no tail")
 
     # substitution u = r^2 - t^2:
     #   value = (1/Gamma(a)) int_0^(top^2 - t^2) u^(a-1) f(sqrt(t^2+u)) du
@@ -262,16 +258,16 @@ def _right_point(alpha: float, f: Profile1D, fac, t: float):
             q *= 2.0
         return 1.0, (0.0, upper, p_lo, e, sorted(pieces), param), None
 
-    decay = math.inf if math.isinf(f.decay_hint) \
-        else f.decay_hint / 2.0 + 1.0 - alpha
+    # the integrand is flat in u up to about t^2, where r leaves t behind:
+    # the octaves below it are not checked for divergence
     pieces = sorted(pieces)
     if not pieces:
-        return 1.0, None, (0.0, p_lo, decay, max(1.0, 2.0 * t), param)
+        return 1.0, None, (0.0, p_lo, decay, max(1.0, 2.0 * t), ts, param)
     # every finite segment carries the weight u^(a-1) of [0, last piece];
     # past it the weight is the smooth factor u^p_lo of the tail's rows
     lo_u = pieces[-1]
     return (1.0, (0.0, lo_u, p_lo, 0.0, pieces[:-1], param),
-            (lo_u, 0.0, decay, max(1.0, lo_u), (ts, origin, p_lo)))
+            (lo_u, 0.0, decay, max(1.0, lo_u), ts, (ts, origin, p_lo)))
 
 
 def _right_rows(fac, params):
@@ -571,7 +567,7 @@ def _psi_fixed_sampler(beta: float, g: Profile1D, y_probe: float):
         # concentrated near the evaluation scale; values vanish past the cap
         r_cut = top
     else:
-        if g.decay_hint is None or not math.isinf(g.decay_hint):
+        if g.decay_hint != math.inf:
             return None
         # probe for the radius beyond which the integrand is negligible; the
         # octave count must cover the tail for the SMALLEST evaluation point

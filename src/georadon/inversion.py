@@ -45,8 +45,8 @@ def _zonal(fn: Callable, derivatives: Sequence[Callable],
            label: str) -> Profile1D:
     """A zonal function of geodesic distance on [0, inf) with the given
     derivative chain; its even extension at 0 is assumed smooth.  The decay
-    is declared super-polynomial: the chain only integrates these functions
-    inside a support."""
+    is declared faster than any exponential: the chain only integrates these
+    functions inside a support."""
     return Profile1D(lo=0.0, hi=math.inf, fn=fn,
                      arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf,
                      derivatives=tuple(derivatives), label=label)

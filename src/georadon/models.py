@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .profiles import (SAME_VALUE_KINDS, ArgKind, Profile1D, base_of, convert,
-                       domain, hub_end)
+from .profiles import (SAME_VALUE_KINDS, ArgKind, Exponential, Profile1D,
+                       _beyond, _end_image, base_of, carry_across, convert,
+                       domain, inverted, reparametrize, tail)
 from .quadrature import (DEFAULT_QUADRATURE, QuadratureSpec,
                          integrate_to_infinity, integrate_weighted)
 from .special import sphere_area
@@ -66,24 +67,6 @@ def _kind_of(which) -> ArgKind:
     if isinstance(which, Model):
         return CANONICAL_KIND[which]
     raise DomainError(f"expected ArgKind or Model, got {which!r}")
-
-
-def _beyond(v, frm: ArgKind, to: ArgKind) -> bool:
-    """Whether a value of kind ``frm`` lies past the hub range of ``to``;
-    never inside one family."""
-    return base_of(frm) is not base_of(to) and bool(
-        np.any(convert(v, frm, ArgKind.EuclideanRadius) >= hub_end(to)))
-
-
-def _end_image(v: float, frm: ArgKind, to: ArgKind) -> Optional[float]:
-    """A domain end or support radius ``v`` of kind ``frm`` as kind ``to``
-    (NumPy on 0-d arrays), or None where it has no image short of the end
-    of ``to``'s range.  An infinite ``v`` is the end of ``frm``'s range."""
-    if math.isinf(v):
-        v, frm = hub_end(frm), ArgKind.EuclideanRadius
-    if _beyond(v, frm, to):
-        return None
-    return float(convert(v, frm, to))
 
 
 def convert_distance(value, frm, to):
@@ -213,23 +196,9 @@ def _inversion_weight_profile(op: WeightOp, params, f: Profile1D) -> Profile1D:
     """U: c*|x|^(k-n) (f o inv);  V: |x|^(j-n) (f o inv) on punctured planes."""
     n, j, k = params.n, params.j, params.k
     if op is WeightOp.U:
-        c = sphere_area(n - k - 1) / sphere_area(n - j - 1)
-        p = k - n
-    else:
-        c = 1.0
-        p = j - n
-
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return c * x ** p * f(1.0 / x)
-
-    dec = None
-    if f.decay_hint is not None:
-        dec = -p          # f(1/x) -> f(0) bounded; the power rules the tail
-    return Profile1D(lo=1e-300, hi=math.inf, fn=fn,
-                     arg_kind=ArgKind.EuclideanRadius, decay_hint=dec,
-                     origin_power=0.0,
-                     label=f"{op.value}[{f.label}]")
+        return inverted(f, sphere_area(n - k - 1) / sphere_area(n - j - 1),
+                        k - n, f"{op.value}[{f.label}]")
+    return inverted(f, 1.0, j - n, f"{op.value}[{f.label}]")
 
 
 def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
@@ -238,11 +207,14 @@ def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
 
     The result is lazily composed (weight times re-parametrized eval), so an
     operator followed by its inverse reproduces the original values exactly
-    up to the round trip of the coordinate map itself.
+    up to the round trip of the coordinate map itself.  The record moves by
+    ``profiles.carry_across``: the weight Omega^e is 1 at the origin, and at
+    the end of a finite side's range, where that side's base has a simple
+    zero, it is the power eps^(power * e) of the distance eps to it.
     """
     if op in (WeightOp.U, WeightOp.V):
         return _inversion_weight_profile(op, params, f)
-    (source, _, _), (tgt, base, power), inverse, ratio = _sides(op)
+    (source, _, src_power), (tgt, base, power), inverse, ratio = _sides(op)
     n, j, k = params.n, params.j, params.k
     src_kind = CANONICAL_KIND[source]
     # kinds sharing the hub coordinate are interchangeable; this lets the
@@ -270,23 +242,11 @@ def apply_weight(op: WeightOp, params, f: Profile1D) -> Profile1D:
             else sphere_area(k) / sphere_area(j)
     q = power * e
 
-    def fn(x):
-        x = np.asarray(x, dtype=float)
-        return c * base(x) ** q * f(convert(x, tgt_kind, src_kind))
+    def weight(x):
+        return c * base(np.asarray(x, dtype=float)) ** q
 
-    support = None
-    if f.support is not None and math.isfinite(f.support):
-        support = _end_image(f.support, src_kind, tgt_kind)
-    if f.decay_hint is not None and math.isinf(f.decay_hint):
-        decay = math.inf
-    elif tgt is Model.Hyperboloid and math.isfinite(src_top):
-        # bounded source domain: the weight's cosh power rules the tail
-        decay = -float(e)
-    else:
-        decay = None
-    return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=tgt_kind, decay_hint=decay,
-                     support=support,
-                     label=f"{op.value}[{f.label}]")
+    return carry_across(f, tgt_kind, lo, hi, weight, src_power * e,
+                        f"{op.value}[{f.label}]")
 
 
 # -- radial measures ----------------------------------------------------------
@@ -343,25 +303,35 @@ def measure_density(model: Model, n: int, d: int, x,
 
 def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
                      spec: QuadratureSpec = DEFAULT_QUADRATURE,
-                     weight: Optional[Callable] = None,
-                     weight_origin_power: float = 0.0) -> float:
+                     weight=None) -> float:
     """Integral of a radial/zonal profile over the model's geodesic space.
 
-    ``f`` may be expressed in any coordinate kind compatible with the model;
-    it is pulled back to the canonical coordinate.  ``weight`` is an optional
-    extra factor in the canonical coordinate (used by the identity suite);
-    if it carries an algebraic singularity c*x^p at the origin, pass p as
-    ``weight_origin_power`` so it folds into the Gauss-Jacobi exponent.
-    On an infinite range the tail is certified by ``f.decay_hint``, which
-    must then be declared (``DomainError`` otherwise).
+    ``f`` may be expressed in any coordinate kind compatible with the
+    model; it is pulled back to the canonical coordinate, and so is its
+    record (``reparametrize``, or ``carry_across`` from another family).
+    ``weight`` is an optional extra factor, a profile in the canonical
+    coordinate with its own record (used by the identity suite); a bare
+    callable is taken as bounded with no power at the origin.  The origin
+    powers of the measure, the weight and f fold into the Gauss-Jacobi
+    exponent, and f's edge exponent where its support ends inside the
+    range.  On an infinite range the tail is certified by the decay of
+    measure x weight x f in the canonical coordinate (``profiles.tail``),
+    so f must declare one (``DomainError`` otherwise).
     """
     kind = CANONICAL_KIND[model]
     lo, hi = CANONICAL_RANGE[model]
+    g = reparametrize(f, kind) if base_of(f.arg_kind) is base_of(kind) \
+        or {f.arg_kind, kind} <= SAME_VALUE_KINDS \
+        else carry_across(f, kind, lo, hi, None, 0.0, f.label)
+    if weight is not None and not isinstance(weight, Profile1D):
+        weight = Profile1D(lo=lo, hi=hi, fn=weight, arg_kind=kind,
+                           decay_hint=0.0)
+    weights = () if weight is None else (weight,)
 
     def integrand(x):
         vals = measure_density(model, n, d, x, kind)
-        if weight is not None:
-            vals = vals * weight(x)
+        for w in weights:
+            vals = vals * w(x)
         return vals * f(convert(x, kind, f.arg_kind))
 
     # support cap expressed in the canonical coordinate
@@ -371,22 +341,19 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
         if cap is not None:
             top = min(top, cap)
 
-    o = float(n - d - 1) + weight_origin_power
+    o = float(n - d - 1) + sum(w.origin_power for w in weights) \
+        + g.origin_power
     if o <= -1.0:
         raise DomainError("integrand is not integrable at the origin")
-    edge = 0.0
-    if f.support is not None and math.isfinite(f.support) \
-            and f.edge_exponent != 0.0 and math.isfinite(top) and top < hi:
-        edge = f.edge_exponent
+    edge = g.edge_exponent if top < hi else 0.0
 
     def core(x):
         x = np.asarray(x, dtype=float)
         vals = integrand(x) / x ** o
         if edge != 0.0:
-            # vals contains (S^2 - src^2)^e; re-express it as the Jacobi
-            # weight (top - x)^e times a smooth ratio^e factor
-            src_x = convert(x, kind, f.arg_kind)
-            num = np.maximum(f.support ** 2 - src_x ** 2, 0.0)
+            # the record's edge factor (top^2 - x^2)^e as the Jacobi weight
+            # (top - x)^e times a smooth ratio^e factor
+            num = np.maximum(top ** 2 - x ** 2, 0.0)
             ratio = num / np.maximum(top - x, 1e-300)
             vals = np.where(num > 0,
                             vals / np.maximum(num, 1e-300) ** edge * ratio ** edge,
@@ -395,11 +362,12 @@ def integrate_radial(model: Model, n: int, d: int, f: Profile1D,
 
     if math.isfinite(top):
         return integrate_weighted(core, lo, top, o, edge, spec)
-    # infinite canonical range: euclidean or hyperboloid
-    if f.decay_hint is None:
-        raise DomainError("integrate_radial: a profile on an infinite "
-                          "range needs a decay_hint")
-    return integrate_to_infinity(core, 0.0, o, f.decay_hint, spec)
+    # infinite canonical range: euclidean or hyperboloid, whose measure
+    # sinh^(n-d-1) cosh^d grows like e^((n-1) rho)
+    measure = Exponential(1.0 - n) if model is Model.Hyperboloid \
+        else float(d + 1 - n)
+    decay = tail(g, 1.0, *(w.decay_hint for w in weights), measure)
+    return integrate_to_infinity(core, 0.0, o, decay, spec)
 
 
 # -- hyperboloid geometry ------------------------------------------------------

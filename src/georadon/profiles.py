@@ -2,9 +2,19 @@
 
 A profile is a function of one nonnegative coordinate together with the
 metadata the quadrature and differentiation engines need: what the
-coordinate means (``ArgKind``), how fast the function decays, how many
-analytic derivatives are available, and any algebraic endpoint structure
-``f(x) = x^o (S^2-x^2)_+^e * core(x)`` with a smooth core.
+coordinate means (``ArgKind``), how many analytic derivatives are
+available, and its endpoint record: the algebraic structure
+``f(x) = x^o (S^2-x^2)_+^e * core(x)`` with a smooth core, the decay at
+infinity, and the breakpoints.
+
+This module is the one place that knows how the record moves under a
+map (a power, a constant, a support ``cut``, a change of coordinate in a
+family, ``reparametrize``, or across families, ``carry_across``, the
+inversion x -> 1/x, ``inverted``, a transform row, ``transformed``) and
+what decay an integrand has in its integration coordinate (``tail``).
+Each rule moves an exponent by the map's local power at the end it acts
+on; an end that lands where the factorization has no slot goes into the
+core, which ``Profile1D.factored`` then divides out of the values.
 """
 from __future__ import annotations
 
@@ -21,6 +31,62 @@ from .spectral import ChebInterpolant
 #: Arguments larger than this are treated as "at infinity" by re-parametrized
 #: profiles; every profile evaluates to 0 there.
 HUGE_ARG = 1e12
+
+
+# -- decay at infinity ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Exponential:
+    """A decay like e^(-rate x): |f| <= C e^(-(rate - eps) x) for every
+    eps > 0, so a power of x beside it changes nothing (rate < 0: growth).
+    A ``decay_hint`` is None (unknown), an exponent d with
+    |f| <= C x^(-(d - eps)), an ``Exponential``, or ``math.inf``: faster
+    than any exponential of the family's base coordinate (the geodesic
+    distance for cosh and sinh, so faster than any of their powers)."""
+
+    rate: float
+
+
+def integrable(decay) -> bool:
+    """Whether a decay certifies an integral to infinity."""
+    if isinstance(decay, Exponential):
+        return decay.rate > 0.0
+    return decay is not None and decay > 1.0
+
+
+def decay_times(*decays):
+    """The decay of a product: unknown if a factor's is, ``math.inf`` if a
+    factor's is, else the sum of the rates, or of the exponents when no
+    factor is exponential (a power does not change a rate)."""
+    if None in decays or math.inf in decays:
+        return None if None in decays else math.inf
+    rates = [d.rate for d in decays if isinstance(d, Exponential)]
+    return Exponential(sum(rates)) if rates else sum(decays)
+
+
+def _along(decay, law):
+    """The decay of f(x) in y, for y growing like x^law (law a number),
+    e^x (``"exp"``) or log x (``"log"``)."""
+    if decay is None or decay == math.inf or law == 1.0:
+        return decay
+    rate = decay.rate if isinstance(decay, Exponential) else None
+    if law == "exp":
+        # x^-d is (log y)^-d for y = e^x: slower than any power of y
+        return 0.0 if rate is None else rate
+    if rate is None:
+        return Exponential(decay) if law == "log" else decay / law
+    # e^-(rate log y) and e^-(rate y^(1/law)) outrun every power of y
+    return math.inf if rate > 0.0 else None
+
+
+def tail(f: Profile1D, law: float, *factors):
+    """The decay of the integrand f(x) * factors in its integration
+    coordinate y ~ x^law: f's decay carried along y times the factors'
+    decays in y.  ``quadrature._octaves`` certifies it.  ``DomainError``
+    when f declares none: a decay is declared, never measured."""
+    if f.decay_hint is None:
+        raise DomainError("a profile on an infinite domain needs a decay_hint")
+    return decay_times(_along(f.decay_hint, law), *factors)
 
 
 class ArgKind(enum.Enum):
@@ -44,9 +110,11 @@ class Profile1D:
     ``fn`` must accept and return numpy arrays, and it and ``core`` must
     be elementwise: the quadratures evaluate the nodes of many rules in
     one call and rely on each value being the one a call on that point
-    alone would give.  ``decay_hint`` is an
-    exponent rho with |f(x)| <= C (1+x)^(-rho) (``math.inf`` for
-    super-polynomial decay).  A tail is certified from it alone, never
+    alone would give.  ``decay_hint`` is the decay at infinity in the
+    profile's own coordinate: an exponent rho with
+    |f(x)| <= C (1+x)^(-rho), an ``Exponential`` rate, or ``math.inf``
+    (see ``Exponential``).  Every map carries it into its image's
+    coordinate, and a tail is certified from it alone (``tail``), never
     measured: on an infinite domain every tail integral (a right-sided
     operator, ``integrate_radial``) raises ``DomainError`` without it.
     ``origin_power`` o and ``edge_exponent`` e expose the factorization
@@ -141,10 +209,10 @@ class Profile1D:
         def fn(x):
             return x ** shift * base_fn(x)
 
-        dec = None if self.decay_hint is None else self.decay_hint - shift
         return Profile1D(
             lo=self.lo, hi=self.hi, fn=fn, arg_kind=self.arg_kind,
-            decay_hint=dec, derivatives=None, origin_power=o + shift, support=s,
+            decay_hint=decay_times(self.decay_hint, -shift), derivatives=None,
+            origin_power=o + shift, support=s,
             edge_exponent=e, core=core, breakpoints=self.breakpoints,
             label=f"x^{shift}*{self.label}" if self.label else "")
 
@@ -210,6 +278,19 @@ _REPARAM = {
     (ArgKind.SinAngle, ArgKind.Angle):
         _Reparam(np.sin, lambda t: math.asin(min(t, 1.0)), top=1.0),
 }
+
+#: the power of the distance to the origin of the new coordinate in the
+#: distance to the support at the end of the old range: cos is linear at
+#: pi/2, quadratic at 0 (1 - t^2 = sin^2)
+_TO_ORIGIN = {(ArgKind.Angle, ArgKind.CosAngle): 1.0,
+              (ArgKind.CosAngle, ArgKind.Angle): 2.0}
+
+#: how the new coordinate grows with the old one at infinity (``_along``):
+#: cosh and sinh like e^rho; the other kinds end at a finite point
+_LAWS = {(ArgKind.GeodesicDistance, ArgKind.CoshDistance): "exp",
+         (ArgKind.GeodesicDistance, ArgKind.SinhDistance): "exp",
+         (ArgKind.CoshDistance, ArgKind.GeodesicDistance): "log",
+         (ArgKind.SinhDistance, ArgKind.GeodesicDistance): "log"}
 
 # The chart: every kind reaches its family base through a direct map of
 # ``_REPARAM``, and every base reaches the hub, the plane distance.
@@ -279,15 +360,53 @@ def convert(v, frm: ArgKind, to: ArgKind) -> np.ndarray:
     return v
 
 
+def _beyond(v, frm: ArgKind, to: ArgKind) -> bool:
+    """Whether a value of kind ``frm`` lies past the hub range of ``to``;
+    never inside one family."""
+    return base_of(frm) is not base_of(to) and bool(
+        np.any(convert(v, frm, ArgKind.EuclideanRadius) >= hub_end(to)))
+
+
+def _end_image(v: float, frm: ArgKind, to: ArgKind) -> Optional[float]:
+    """A domain end or support radius ``v`` of kind ``frm`` as kind ``to``
+    (NumPy on 0-d arrays), or None where it has no image short of the end
+    of ``to``'s range.  An infinite ``v`` is the end of ``frm``'s range."""
+    if math.isinf(v):
+        v, frm = hub_end(frm), ArgKind.EuclideanRadius
+    if _beyond(v, frm, to):
+        return None
+    return float(convert(v, frm, to))
+
+
+def _image(f: Profile1D, kind: ArgKind, lo: float, hi: float, pull, factor,
+           origin: float, support, decay, points, label: str) -> Profile1D:
+    """factor(x) * f(pull(x)) (or f(pull(x))) on [lo, hi) of ``kind``,
+    with f's edge exponent at a carried support and the points inside as
+    breakpoints."""
+    def fn(x):
+        v = f(pull(np.asarray(x, dtype=float)))
+        return v if factor is None else factor(x) * v
+
+    return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=kind, decay_hint=decay,
+                     origin_power=origin, support=support,
+                     edge_exponent=0.0 if support is None else f.edge_exponent,
+                     breakpoints=tuple(sorted(b for b in points
+                                              if lo < b < hi)),
+                     label=label)
+
+
 def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
     """The profile f as a function of another coordinate kind.
 
     Kinds that share values (plane distance, ball radius, tanh of distance)
     are re-tagged with all metadata kept.  Otherwise the new profile lives
-    on the image of [least coordinate, f.hi), maps f's support where the
-    map is increasing, keeps the decay hint and the label, and evaluates f
-    (with its own domain and support) at the pulled-back coordinate; origin
-    and edge exponents and breakpoints are not carried.
+    on the image of [least coordinate, f.hi) and evaluates f (with its own
+    domain and support) at the pulled-back coordinate.  The origin keeps
+    its exponent where the map fixes it (sinh, sin and their inverses),
+    and cosh and cos move it to 1, into the core; the support keeps its
+    edge exponent where the map increases below ``top``, and where it
+    decreases is a lower cut, a breakpoint, or at the end of the range the
+    new origin (``_TO_ORIGIN``); the decay moves along ``_LAWS``.
     """
     if f.arg_kind is kind:
         return f
@@ -296,7 +415,8 @@ def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
     m = _REPARAM.get((f.arg_kind, kind))
     if m is None:
         raise DomainError(f"cannot reparametrize {f.arg_kind} as {kind}")
-    ends = (m.push(domain(f.arg_kind)[0]), m.push(f.hi))
+    start = domain(f.arg_kind)[0]
+    ends = (m.push(start), m.push(f.hi))
     lo, hi = ends if m.increasing else ends[::-1]
     support = None
     if m.increasing and f.support is not None and f.support < m.top:
@@ -304,12 +424,110 @@ def reparametrize(f: Profile1D, kind: ArgKind) -> Profile1D:
             support = m.push(f.support)
         except OverflowError:
             raise DomainError(f"support {f.support!r} overflows as {kind}")
+    origin = f.origin_power if start == m.push(0.0) == 0.0 else 0.0
+    cuts = f.breakpoints
+    if not m.increasing and f.support is not None:
+        if abs(float(m.pull(0.0)) - f.support) <= 1e-12 * f.support:
+            # a support at the end of the range lands on the new origin
+            origin = f.edge_exponent * _TO_ORIGIN[f.arg_kind, kind]
+        else:
+            cuts += (f.support,)
+    return _image(f, kind, lo, hi + m.pad, m.pull, None, origin, support,
+                  _along(f.decay_hint, _LAWS.get((f.arg_kind, kind), 1.0)),
+                  [m.push(b) for b in cuts], f.label)
 
+
+def carry_across(f: Profile1D, kind: ArgKind, lo: float, hi: float, factor,
+                 far_power: float, label: str) -> Profile1D:
+    """factor(x) * f(x as f's kind) on [lo, hi) of ``kind``, another
+    family's coordinate, where ``factor`` is 1 at the origin and
+    eps^far_power at distance eps from the end of f's range.  The hub maps
+    fix the origin with slope 1, so it and a support short of hi keep their
+    exponents.  An infinite hi faces f's range end (b = 1), where f's
+    exponent (its edge exponent if its support ends there) plus
+    ``far_power`` is a power of 1 - tanh(rho) ~ 2 e^(-2 rho): a rate."""
+    src = f.arg_kind
+    support = None
+    if f.support is not None and math.isfinite(f.support):
+        support = _end_image(f.support, src, kind)
+    decay = None
+    if math.isinf(hi) and kind is ArgKind.GeodesicDistance:
+        end = support is None and f.support is not None and float(
+            convert(f.support, src, ArgKind.EuclideanRadius)) == 1.0
+        decay = math.inf if support is not None else Exponential(
+            2.0 * ((f.edge_exponent if end else 0.0) + far_power))
+    points = [_end_image(b, src, kind) for b in f.breakpoints]
+    return _image(f, kind, lo, hi, lambda x: convert(x, kind, src), factor,
+                  f.origin_power, support, decay,
+                  [b for b in points if b is not None], label)
+
+
+def inverted(f: Profile1D, c: float, p: float, label: str) -> Profile1D:
+    """c x^p f(1/x) of the plane distance on (0, inf), which swaps the
+    origin and infinity: f's origin power o is the decay o - p, an exponent
+    d of its decay the origin power d + p (a faster decay goes into the
+    core), and the breakpoints and support move to their reciprocals."""
     def fn(x):
-        return f(m.pull(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        return c * x ** p * f(1.0 / x)
 
-    return Profile1D(lo=lo, hi=hi + m.pad, fn=fn, arg_kind=kind,
-                     decay_hint=f.decay_hint, support=support, label=f.label)
+    d = f.decay_hint
+    cuts = f.breakpoints + ((f.support,) if f.support is not None else ())
+    return Profile1D(
+        lo=1e-300, hi=math.inf, fn=fn, arg_kind=ArgKind.EuclideanRadius,
+        decay_hint=f.origin_power - p,
+        origin_power=d + p if isinstance(d, (int, float)) and d < math.inf
+        else 0.0,
+        breakpoints=tuple(sorted(1.0 / b for b in cuts if 0.0 < b < math.inf)),
+        label=label)
+
+
+def cut(f: Profile1D, cap: float) -> Profile1D:
+    """``f`` cut at ``cap``.  A declared support past the cap is smooth
+    there, so its edge factor (S^2 - x^2)^e joins the core and the cut
+    edge carries exponent 0."""
+    if f.support is not None and f.support <= cap:
+        return f
+    o, e, s, core = f.factored()
+    if s is not None and e != 0.0:
+        inner = core
+
+        def core(x):
+            return (s * s - x * x) ** e * inner(x)
+    return Profile1D(lo=f.lo, hi=max(f.hi, cap * (1 + 1e-12)), fn=f.fn,
+                     arg_kind=f.arg_kind, decay_hint=f.decay_hint,
+                     origin_power=o, support=cap, edge_exponent=0.0,
+                     core=core if o != 0.0 else None,
+                     breakpoints=f.breakpoints, label=f.label)
+
+
+def transformed(f: Profile1D, fn, kind: ArgKind, lo: float, hi: float,
+                a: float, pre: float, post: float, left: bool,
+                label: str) -> Profile1D:
+    """``fn``, the transform c x^post EK[y^pre f](x) of order a, on [lo, hi)
+    with f's record carried through the row.  A right-sided row (f cut at
+    a finite span end first) keeps f's support, raises its edge exponent by
+    a, is finite at 0, and turns an exponent d into d - pre - 2a - post.  A
+    left-sided row is the Beta integral near 0 (origin power o + pre + 2a +
+    post), and x^(post+2a-2) int_0^x r^(pre+1) f dr at infinity: decay
+    d - pre - 2a - post until r^(pre+1) f is integrable, 2 - 2a - post
+    then."""
+    d, shift = f.decay_hint, pre + 2.0 * a + post
+    exponent = d is not None and not isinstance(d, Exponential) and d < math.inf
+    support = f.support if not left and f.support is not None \
+        and math.isfinite(f.support) else None
+    if not left:
+        decay = d - shift if exponent else d
+    elif exponent or integrable(d) or d == math.inf:
+        decay = min(d - shift if exponent else math.inf, 2.0 - 2.0 * a - post)
+    else:
+        decay = None
+    return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=kind, decay_hint=decay,
+                     origin_power=f.origin_power + shift if left else 0.0,
+                     support=support, edge_exponent=0.0 if support is None
+                     else f.edge_exponent + a,
+                     breakpoints=tuple(b for b in f.breakpoints if lo < b < hi),
+                     label=label)
 
 
 def from_grid(x: np.ndarray, y: np.ndarray, arg_kind: ArgKind,

@@ -29,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DivergenceError, DomainError, QuadratureError
+from .profiles import Exponential, integrable
 
 
 @dataclass(frozen=True)
@@ -111,17 +112,18 @@ def _rungs_agree(prev, cur, spec: QuadratureSpec, scale_hint):
         spec.abs_tol, spec.rel_tol * np.fmax(np.abs(cur), scale_hint))
 
 
-def integrate_to_infinity(core, a: float, p_lo: float,
-                          decay_exponent: float,
+def integrate_to_infinity(core, a: float, p_lo: float, decay_exponent,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
     """Integral of (u-a)^p_lo core(u) over [a, inf).
 
-    ``decay_exponent`` d asserts |(u-a)^p_lo core(u)| <= C u^(-d) for large u
-    with d > 1 (``math.inf`` allowed); it certifies the truncation tail.
-    Raises ``DivergenceError`` when segment contributions keep growing.
+    ``decay_exponent`` is the decay of (u-a)^p_lo core(u) at infinity (a
+    ``profiles`` decay: an exponent d, with |..| <= C u^(-d) for large u
+    and d > 1, ``math.inf``, or an ``Exponential`` rate above 0); it
+    certifies the truncation tail.  Raises ``DivergenceError`` when segment
+    contributions keep growing.
     """
     total, = _integrate_tails(lambda u, keys: core(u.ravel()).reshape(u.shape),
-                              [(a, p_lo, decay_exponent, 1.0)], spec)
+                              [(a, p_lo, decay_exponent, 1.0, 0.0)], spec)
     if isinstance(total, Exception):
         raise total
     return total
@@ -374,15 +376,19 @@ def _integrate_splits(core, splits, spec: QuadratureSpec, left) -> list:
             for s, e, error in zip(first.tolist(), last.tolist(), errors)]
 
 
-def _octaves(a: float, p_lo: float, decay_exponent: float,
-             first_width: float, spec: QuadratureSpec):
+def _octaves(a: float, p_lo: float, decay, first_width: float, flat: float,
+             spec: QuadratureSpec):
     """The segment loop of one integral over [a, inf).
 
     Yields each segment it needs as (lo, hi, Jacobi exponent at lo, smooth
     exponent of u - a), receives the segment's value and returns the
     total: a first segment that carries the weight (u-a)^p_lo, then
-    doubling octaves, each checked for divergence and stopped by the tail
-    tolerance once the decay exponent certifies the rest.
+    doubling octaves, each checked for divergence once it starts past
+    ``flat`` (below it the integrand has not reached its decay), and
+    stopped by the tail tolerance once the decay (``profiles.tail``)
+    certifies the rest: at once for ``math.inf``, by a bound for an
+    exponent d > 1 or a rate above 0.  Any other decay raises
+    ``DivergenceError``.
     """
     u1 = a + max(first_width, abs(a) * 1.0, 1e-6)
     total = yield a, u1, p_lo, 0.0
@@ -393,7 +399,8 @@ def _octaves(a: float, p_lo: float, decay_exponent: float,
         hi = lo + width
         seg = yield lo, hi, 0.0, p_lo
         total += seg
-        recent.append(abs(seg))
+        if lo >= flat:
+            recent.append(abs(seg))
         if len(recent) >= 8 and all(s > spec.abs_tol for s in recent[-8:]) \
                 and all(recent[i] <= recent[i + 1] * (1 + 1e-9)
                         for i in range(len(recent) - 8, len(recent) - 1)):
@@ -402,17 +409,21 @@ def _octaves(a: float, p_lo: float, decay_exponent: float,
 
         stop = max(spec.abs_tol, spec.truncation_tail_tol * abs(total))
         if abs(seg) <= stop:
-            # Certify the remaining tail from the decay exponent.
-            if math.isinf(decay_exponent):
+            # Certify the remaining tail from the decay.
+            if decay == math.inf:
                 return total
-            if decay_exponent > 1.0:
-                c_meas = abs(seg) / max(width * lo ** (-decay_exponent), 1e-300)
-                tail = c_meas * hi ** (1.0 - decay_exponent) / (decay_exponent - 1.0)
-                if tail <= stop:
-                    return total
-            else:
+            if not integrable(decay):
                 raise DivergenceError(
-                    f"tail decay exponent {decay_exponent} cannot certify convergence")
+                    f"tail decay exponent {decay} cannot certify convergence")
+            if isinstance(decay, Exponential):
+                # |g| <= C e^(-rate u), C read off this segment
+                rate = decay.rate * width
+                tail = abs(seg) * math.exp(-rate) / rate
+            else:
+                tail = abs(seg) / max(width * lo ** (-decay), 1e-300) \
+                    * hi ** (1.0 - decay) / (decay - 1.0)
+            if tail <= stop:
+                return total
         lo = hi
         width *= 2.0
     raise QuadratureError("tail truncation did not converge within 64 octaves")
@@ -420,7 +431,7 @@ def _octaves(a: float, p_lo: float, decay_exponent: float,
 
 def _integrate_tails(core, tails, spec: QuadratureSpec) -> list:
     """Integral i of (u-a)^p_lo core(u, i) over [a, inf) for every
-    ``tails[i] = (a, p_lo, decay_exponent, first_width)``.
+    ``tails[i] = (a, p_lo, decay, first_width, flat)`` (``_octaves``).
 
     Each integral runs its own ``_octaves`` loop with its own budget.  The
     segments the loops ask for next are the rows of one ``_integrate_rows``

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, GeoradonError
-from .fracint import (check_decay, ek_deriv_left, ek_deriv_right, ek_left,
-                      ek_right)
+from .fracint import ek_deriv_left, ek_deriv_right, ek_left, ek_right
 from .models import Model, WeightOp, apply_weight
-from .profiles import ArgKind, Profile1D, reparametrize
+from .profiles import (ArgKind, Exponential, Profile1D, cut, reparametrize,
+                       transformed)
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import beta as beta_fn
 from .special import lambda1, lambda2, sphere_area
@@ -173,7 +173,7 @@ def _kernel(t: Transform, p: TransformParams, f: Profile1D, xv,
     """c x^post EK[y^pre f](x) of a row that is not routed.
 
     A right-sided integral stops at a finite end of the span, and over an
-    unbounded range it needs the tail criterion.  On a left-sided row
+    unbounded range ``ek_right`` certifies its tail.  On a left-sided row
     post = -(2a + pre), so below x = 1e-7 the powers cancel: for an input
     f = x^q h with h regular at 0 the value is the Beta integral
     c B(a, (pre + q)/2 + 1) x^q h(0) / Gamma(a), finite for q > -2 - pre.
@@ -181,11 +181,8 @@ def _kernel(t: Transform, p: TransformParams, f: Profile1D, xv,
     c, pre, post = t.weights
     a = p.half_gap
     if not t.left:
-        capped = math.isfinite(t.span[1])
-        g = (_cap_support(f, t.span[1]) if capped else f).with_power(pre(p))
-        if not capped and not check_decay(g, a):
-            raise DivergenceError(
-                f"{t.name} diverges: the input fails the tail criterion")
+        g = (cut(f, t.span[1]) if math.isfinite(t.span[1]) else f) \
+            .with_power(pre(p))
         return c(p) * xv ** post(p) * np.asarray(ek_right(a, g, xv, spec))
     g = f.with_power(pre(p))
     if g.origin_power <= -2.0:
@@ -306,57 +303,30 @@ def dual_projective_zonal(p: TransformParams, phi: Profile1D, theta,
 
 # -- profile wrappers (lazy transform results) ----------------------------------
 
-def _cap_support(f: Profile1D, cap: float) -> Profile1D:
-    """``f`` cut at ``cap``.  A declared support past the cap is smooth
-    there, so its edge factor (S^2 - x^2)^e joins the core and the cut
-    edge carries exponent 0."""
-    if f.support is not None and f.support <= cap:
-        return f
-    o, e, s, core = f.factored()
-    if s is not None and e != 0.0:
-        inner = core
-
-        def core(x):
-            return (s * s - x * x) ** e * inner(x)
-    return Profile1D(lo=f.lo, hi=max(f.hi, cap * (1 + 1e-12)), fn=f.fn,
-                     arg_kind=f.arg_kind, decay_hint=f.decay_hint,
-                     origin_power=o, support=cap, edge_exponent=0.0,
-                     core=core if o != 0.0 else None,
-                     breakpoints=f.breakpoints, label=f.label)
-
-
 def transform_profile(model: Model, dual: bool, p: TransformParams,
                       f: Profile1D,
                       spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Profile1D:
     """The forward (or dual) transform of ``f`` as a lazy profile on the
-    row's span.
-
-    A right-sided kernel (not a projective route) keeps ``f``'s support,
-    cut at a finite end of the span, and raises its edge exponent by
-    (k-j)/2; where the span's end cuts the support, ``f`` is smooth there
-    and the edge exponent is (k-j)/2 alone.  A dual decays at least like
-    r^-(n-k); a forward transform keeps ``f``'s decay hint.
+    row's span, with ``f``'s record carried through the row
+    (``profiles.transformed``; a right-sided row cuts ``f`` at a finite end
+    of the span first).  A projective row takes the record of its route.
     """
     t = TRANSFORMS[model, dual]
     lo, hi = t.span
-    decay = f.decay_hint
-    if dual and decay is not None:
-        decay = min(decay, p.n - p.k)
-    support, edge = None, 0.0
-    if not t.left and t.route is None:
-        top = min(math.inf if f.support is None else f.support, hi)
-        if math.isfinite(top):
-            # ``_cap_support`` folds a cut edge factor into the core
-            support = top
-            edge = p.half_gap + (f.edge_exponent if top == f.support else 0.0)
 
     def fn(x):
         fwd = transform_function(model, dual)
         return np.asarray(fwd(p, f, np.atleast_1d(x), spec))
 
-    return Profile1D(lo=lo, hi=hi, fn=fn, arg_kind=t.kind, decay_hint=decay,
-                     support=support, edge_exponent=edge,
-                     label=f"{t.name}[{f.label}]")
+    label = f"{t.name}[{f.label}]"
+    if t.route is not None:
+        return replace(_routed(t, p, f, spec), lo=lo, hi=hi, fn=fn,
+                       label=label)
+    c, pre, post = t.weights
+    if not t.left and math.isfinite(hi):
+        f = cut(f, hi)
+    return transformed(f, fn, t.kind, lo, hi, p.half_gap, pre(p), post(p),
+                       t.left, label)
 
 
 # -- closed-form catalog ---------------------------------------------------------
@@ -546,6 +516,9 @@ def existence_predicate(kind: ExistenceKind, p: TransformParams,
                 return ExistenceResult(Verdict.SUFFICIENT, thr,
                                        note="compact support")
             expo = subject.decay_hint
+            if isinstance(expo, Exponential):
+                # a rate above 0 outruns every power
+                expo = math.inf if expo.rate > 0.0 else None
         elif kind in (ExistenceKind.AFFINE_DUAL_POWER,
                       ExistenceKind.HYPER_DUAL_POWER):
             expo = -subject.origin_power if subject.origin_power != 0.0 else 0.0
@@ -609,28 +582,30 @@ def truncated_forward_values(p: TransformParams, f: Profile1D, s: float,
     model = Model.Hyperboloid if f.arg_kind is ArgKind.CoshDistance \
         else Model.EuclideanAffine
     t = TRANSFORMS[model, False]
-    return np.asarray([_kernel(t, p, _cap_support(f, float(cut)), s, spec)
-                       for cut in cutoffs])
+    return np.asarray([_kernel(t, p, cut(f, float(c)), s, spec)
+                       for c in cutoffs])
 
 
 def truncated_dual_values(p: TransformParams, phi: Profile1D, r: float,
                           lower_cutoffs,
                           spec: QuadratureSpec = DEFAULT_QUADRATURE):
     """Dual-transform integrals truncated below at shrinking cutoffs."""
-    out = []
     rv, scalar = _as_array(r)
-    for eps in lower_cutoffs:
-        def fn(s, eps=float(eps)):
-            s = np.asarray(s, dtype=float)
-            return np.where(s >= eps, phi.fn(s), 0.0)
+    return np.asarray([_maybe_scalar(_kernel(
+        TRANSFORMS[Model.EuclideanAffine, True], p, _masked(phi, float(eps)),
+        rv, spec), scalar) for eps in lower_cutoffs])
 
-        masked = Profile1D(lo=0.0, hi=phi.hi, fn=fn, arg_kind=phi.arg_kind,
-                           decay_hint=phi.decay_hint, breakpoints=(float(eps),),
-                           label="masked")
-        vals = _kernel(TRANSFORMS[Model.EuclideanAffine, True], p, masked,
-                       rv, spec)
-        out.append(_maybe_scalar(vals, scalar))
-    return np.asarray(out)
+
+def _masked(phi: Profile1D, eps: float) -> Profile1D:
+    """``phi`` set to 0 below ``eps``: a lower cut, a breakpoint, and no
+    power at the origin."""
+    def fn(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s >= eps, phi.fn(s), 0.0)
+
+    return Profile1D(lo=0.0, hi=phi.hi, fn=fn, arg_kind=phi.arg_kind,
+                     decay_hint=phi.decay_hint, breakpoints=(eps,),
+                     label="masked")
 
 
 # -- inversion --------------------------------------------------------------------
@@ -711,14 +686,13 @@ def _window_profile(t: Transform, inner: Callable, lo: float, hi: float,
                     transformed: Profile1D) -> Profile1D:
     """The reconstruction ``inner`` on the window [lo, hi] as a profile on
     the row's span up to hi: ``fn`` clips to the window, so the profile is
-    constant below lo, and 0 past its domain end hi.  The constant
-    extension kinks at lo, declared as a breakpoint so that left-sided
-    integrals split there."""
+    constant below lo, and 0 past its domain end hi (no tail to declare).
+    The constant extension kinks at lo, declared as a breakpoint so that
+    left-sided integrals split there."""
     def fn(x):
         return inner(np.clip(np.asarray(x, dtype=float), lo, hi))
 
     return Profile1D(lo=t.span[0], hi=hi * (1 + 1e-12), fn=fn, arg_kind=t.kind,
-                     decay_hint=transformed.decay_hint,
                      support=transformed.support, breakpoints=(lo,),
                      label=f"inverted[{transformed.label}]")
 

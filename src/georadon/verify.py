@@ -19,15 +19,16 @@ pairings ``(c, model, d, route, weight)``: the number
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import radial as R
 from .fracint import ek_right
-from .models import Model, WeightOp, apply_weight, convert_distance, \
-    integrate_radial
-from .profiles import ArgKind, Profile1D, bump, gaussian, reparametrize
+from .models import (CANONICAL_KIND, CANONICAL_RANGE, Model, WeightOp,
+                     apply_weight, convert_distance, integrate_radial)
+from .profiles import (ArgKind, Exponential, Profile1D, bump, cut, gaussian,
+                       reparametrize)
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec
 from .special import gamma as gamma_fn
 from .special import lambda1, lambda2, sphere_area
@@ -62,7 +63,7 @@ def _route(route, p: R.TransformParams, spec: QuadratureSpec) -> Profile1D:
         elif isinstance(step, ArgKind):
             f = reparametrize(f, step)
         elif isinstance(step, float):
-            f = replace(f, support=step)
+            f = cut(f, step)
         else:
             model, dual, swapped = step
             q = R.TransformParams(p.n, p.n - p.k - 1, p.n - p.j - 1) \
@@ -71,11 +72,14 @@ def _route(route, p: R.TransformParams, spec: QuadratureSpec) -> Profile1D:
     return f
 
 
-#: each model's (hub, conformal factor) in its canonical coordinate: a
-#: pairing weight (a, b) is hub(x)^a conf(x)^b, with origin power a
-_MONOMIAL = {Model.BeltramiKlein: (lambda x: x, lambda x: 1 - x * x),
-             Model.Hyperboloid: (np.tanh, np.cosh),
-             Model.EuclideanAffine: (lambda x: x, lambda x: 1 + x * x)}
+#: each model's (hub, conformal factor, decay) in its canonical coordinate:
+#: a pairing weight (a, b) is hub(x)^a conf(x)^b, with origin power a and
+#: the decay at infinity decay(a, b) (None on the ball, which ends at 1)
+_MONOMIAL = {
+    Model.BeltramiKlein: (lambda x: x, lambda x: 1 - x * x, lambda a, b: None),
+    Model.Hyperboloid: (np.tanh, np.cosh, lambda a, b: Exponential(-b)),
+    Model.EuclideanAffine: (lambda x: x, lambda x: 1 + x * x,
+                            lambda a, b: -(a + 2.0 * b))}
 
 
 def _pairing(side, p: R.TransformParams, spec: QuadratureSpec) -> float:
@@ -83,10 +87,12 @@ def _pairing(side, p: R.TransformParams, spec: QuadratureSpec) -> float:
     f = _route(route, p, spec)
     if weight is None:
         return c * integrate_radial(model, p.n, d, f, spec)
-    (a, b), (hub, conf) = weight, _MONOMIAL[model]
-    return c * integrate_radial(model, p.n, d, f, spec,
-                                weight=lambda x: hub(x) ** a * conf(x) ** b,
-                                weight_origin_power=a)
+    (a, b), (hub, conf, decay) = weight, _MONOMIAL[model]
+    w = Profile1D(lo=0.0, hi=CANONICAL_RANGE[model][1],
+                  fn=lambda x: hub(x) ** a * conf(x) ** b,
+                  arg_kind=CANONICAL_KIND[model], decay_hint=decay(a, b),
+                  origin_power=a)
+    return c * integrate_radial(model, p.n, d, f, spec, weight=w)
 
 
 def run_identity(row, p, spec: QuadratureSpec) -> IdentityResult:
@@ -176,7 +182,7 @@ def _lift_geodesic(n: int) -> Profile1D:
     return Profile1D(
         lo=0.0, hi=math.inf,
         fn=lambda rho: np.exp(-np.tanh(rho) ** 2) / np.cosh(rho) ** (n + 1),
-        arg_kind=ArgKind.GeodesicDistance, decay_hint=math.inf)
+        arg_kind=ArgKind.GeodesicDistance, decay_hint=Exponential(n + 1.0))
 
 
 def _lift_projective(n: int) -> Profile1D:

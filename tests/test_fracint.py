@@ -639,3 +639,24 @@ def test_left_integral_where_its_value_underflows():
         got = ek_left(0.5, f, np.array([5e-324, 1e-300, 1e-100]))
     assert [v.hex() for v in got.tolist()] == \
         ['0x0.0p+0', '0x0.0p+0', '0x1.295bc52bb4f52p-831']
+
+
+_RATIONAL = P.Profile1D(lo=0.0, hi=math.inf, fn=lambda r: (1 + r * r) ** -2.5,
+                        decay_hint=5.0)
+
+
+@pytest.mark.parametrize("t", [10.0, 100.0, 1e3, 1e4])
+def test_right_integral_of_algebraic_tails_at_large_t(t):
+    # the integrand in u = r^2 - t^2 is flat up to u ~ t^2, past the first
+    # octaves, and that growth is no divergence.  2 int_t^inf r^-3 dr = t^-2
+    # and
+    # 2 int_t^inf (1+r^2)^(-5/2) r dr = (2/3)(1+t^2)^(-3/2)
+    cases = [(P.power(-4.0, lo=1.0), t ** -2.0),
+             (_RATIONAL, (2.0 / 3.0) * (1.0 + t * t) ** -1.5)]
+    for f, want in cases:
+        # relative to the value at a relative-only tolerance, and within
+        # the default absolute tolerance at the default one
+        tight = ek_right(1.0, f, t, QuadratureSpec(rel_tol=1e-12,
+                                                   abs_tol=1e-300))
+        assert abs(tight - want) <= 1e-11 * want
+        assert abs(ek_right(1.0, f, t) - want) <= 1e-12

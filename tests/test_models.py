@@ -221,20 +221,22 @@ _WEIGHT_GRID = {M.Model.BeltramiKlein: (0.05, 0.3, 0.6, 0.9, 0.99),
 #: first 16 hex digits of the SHA-256 of the float.hex of (lo, hi, values)
 #: and the decay hint of apply_weight(op, p, power(0.0)) in the source
 #: model's coordinate, over three triples, recorded from one hand-written
-#: weight function per operator
+#: weight function per operator.  The decay of an operator into the
+#: hyperboloid is its carried record: a rate for the plain pair, and none
+#: for the projective pair, whose image ends at a finite geodesic radius
 _WEIGHT_GOLDEN = {
-    "M": "b1b0b92ec70c3a66", "N": "748753f467e23ff9",
-    "P": "4c0df7cf11da5742", "Q": "f164b5d4b3aefff6",
-    "Minv": "97e46cf2f0202477", "Ninv": "22588654d00714db",
-    "Pinv": "8ab35bb12a5a34ef", "Qinv": "95a7c520f8e6bb7d",
+    "M": "b1b0b92ec70c3a66", "N": "4f1fa2a92b0104d6",
+    "P": "4c0df7cf11da5742", "Q": "8de4d8ab2c96f9e8",
+    "Minv": "52eac4ee7401bca0", "Ninv": "22588654d00714db",
+    "Pinv": "877a441f89b23ab9", "Qinv": "95a7c520f8e6bb7d",
     "M0": "658af5b4725ab2e2", "N0": "2d70e21524230f9c",
     "P0": "264d386aaae18ec8", "Q0": "537e2266dd921baa",
     "M0inv": "ba965b99de41b3f7", "N0inv": "3f8232cce1647e39",
     "P0inv": "95540c466127416c", "Q0inv": "40f12ac9a4b0a107",
-    "M1": "77537485e7513e5a", "N1": "cf8dcfc2447d2f15",
-    "P1": "ae50dafdfa40e879", "Q1": "e243cf2d5be1ea2b",
-    "M1inv": "caa53bd139a088c3", "N1inv": "35fb8da9611b0698",
-    "P1inv": "82a8fd6178737b47", "Q1inv": "b8005454f54fdeb3",
+    "M1": "77537485e7513e5a", "N1": "78b06971fcb7ecce",
+    "P1": "ae50dafdfa40e879", "Q1": "fab998385ce2dc94",
+    "M1inv": "0dbe8e4d84538a6e", "N1inv": "35fb8da9611b0698",
+    "P1inv": "aa77cfa1a975d059", "Q1inv": "b8005454f54fdeb3",
 }
 
 

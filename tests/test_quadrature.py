@@ -130,8 +130,9 @@ def test_tail_batch_refuses_each_exponent_alone():
     # beside a good tail: each gets its own error before any row spends,
     # and the good one the bits of its own call
     got = Q._integrate_tails(lambda u, keys: (1.0 + u) ** -3.0,
-                             [(0.0, -1.2, 3.0, 1.0), (0.0, -0.5, 3.5, 1.0),
-                              (0.0, math.nan, 3.0, 1.0)], QuadratureSpec())
+                             [(0.0, -1.2, 3.0, 1.0, 0.0),
+                              (0.0, -0.5, 3.5, 1.0, 0.0),
+                              (0.0, math.nan, 3.0, 1.0, 0.0)], QuadratureSpec())
     assert isinstance(got[0], DivergenceError)
     assert str(got[0]) == ("endpoint exponent <= -1 is not integrable "
                            "(p_lo=-1.2, p_hi=0.0)")

@@ -813,3 +813,25 @@ def test_invert_projective_residual_on_the_given_window(triple, sigma):
         * (2 * c2 / sigma ** 2 - (k - 1)) * np.exp(-c2 / sigma ** 2) \
         / (2 * math.pi)
     assert sup_rel_err(rec(x), want) < 1e-4
+
+
+@pytest.mark.parametrize("triple", [(4, 0, 2), (5, 1, 3), (6, 1, 4)])
+def test_transform_profile_declares_no_faster_decay_than_it_has(triple):
+    # the forward affine image of (1+r^2)^(-5/2) at (4,0,2) decays like
+    # s^-3, not like its input's s^-5.  On every row with an infinite span
+    # the declared exponent stays at or below the log-log slope measured
+    # between 40 and 80
+    p = R.TransformParams(*triple)
+    for key, t in R.TRANSFORMS.items():
+        if math.isfinite(t.span[1]):
+            continue
+        lo = t.span[0]
+        f = P.Profile1D(lo=lo, hi=math.inf, arg_kind=t.kind, decay_hint=5.0,
+                        fn=lambda x: (1.0 + x * x) ** -2.5)
+        g = R.transform_profile(*key, p, f)
+        v40, v80 = g(np.array([40.0, 80.0]))
+        assert g.decay_hint <= -math.log(v80 / v40) / math.log(2.0) + 0.02
+    fwd = R.transform_profile(Model.EuclideanAffine, False, p,
+                              P.Profile1D(lo=0.0, hi=math.inf, decay_hint=5.0,
+                                          fn=lambda x: (1.0 + x * x) ** -2.5))
+    assert fwd.decay_hint == 5.0 - (p.k - p.j)
