@@ -4,7 +4,8 @@ verification suite, Monte Carlo duality checks, and tabular output.
 Jobs are single JSON documents (see README for the schema); command-line
 flags override the seed, sample count, tolerance, output path, and format.
 Exit codes: 0 success, 2 validation error, 3 divergence detected,
-4 Monte Carlo non-convergence.
+4 Monte Carlo non-convergence, 5 out of memory (a ``MemoryError`` that
+escapes the job, reported in one ``error:`` line).
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DIVERGENCE = 3
 EXIT_MC = 4
+EXIT_MEMORY = 5
 
 _COMMANDS = ("transform", "dual", "invert", "convert", "verify",
              "mc-duality", "chain", "table")
@@ -467,6 +469,11 @@ def main(argv=None) -> int:
         except GeoradonError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+        except MemoryError as exc:
+            detail = " ".join(str(exc).split())
+            print("error: out of memory" + (f": {detail}" if detail else ""),
+                  file=sys.stderr)
+            return EXIT_MEMORY
     if any(issubclass(w.category, McConvergenceWarning) for w in caught):
         print("error: Monte Carlo estimator failed to converge at the "
               "n^-1/2 rate", file=sys.stderr)

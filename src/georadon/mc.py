@@ -7,14 +7,32 @@ Determinism contract: every estimator value depends only on
 each chunk draws from its own counter-based generator, keyed by the seed,
 the stream and the chunk index.  The chunks of one or many estimates are
 packed into blocks that run on the worker pool; a block of planes
-factors its Haar draws in one batch and evaluates the integrand once, and
-a block of geodesics evaluates it once per run of one target's chunks,
-which keeps the bits of each sample.  A zonal read of geodesics
+evaluates the integrand once per slice of its Haar draw (below), and a
+block of geodesics once per run of one target's chunks, which keeps the
+bits of each sample.  A zonal read of geodesics
 (``zonal_function``) evaluates its profile once per block, on distances
 read from each sample's radius alone, and keeps none of its Haar draw.
 Each chunk is summed alone, and the chunk sums of an estimate are added
 pairwise in chunk order, so results are bit-identical however the chunks
 are grouped and however many threads run them.
+
+Memory contract: a block draws, factors and uses its per-sample Haar
+arrays in sequential slices of rows (``_slice_rows``: as many (m, m)
+matrices as ``_SLICE_BYTES`` holds, and at least ``_SLICE_MIN``), so no
+block holds more than one slice of a Haar draw, of NumPy's QR copy of it
+or of its R, whatever n is.  A unit draws its rows from its own generator
+in order, so the slices of a unit are its one draw, and a stacked QR gives
+each matrix the bits it has alone: the slicing moves no byte.  What a
+block keeps is what its estimator reads.  ``dual_affine_mc`` (and through
+it ``dual_hyper_mc``) keeps nothing: each slice's Haar factor goes into
+that slice's plane directions, and the integrand runs once per slice.
+``radon_affine_mc`` keeps the block's Haar factors, since a unit draws its
+offsets after its whole Haar draw, and runs the integrand once per slice.
+The plain kernel of ``dual_sine_mc`` keeps the k entries of row n-1 of
+each factor, the sine and log kernels row n-1 and the radius.  A zonal
+``radon_hyper_mc`` read keeps no Haar array, and a general ``f`` is handed
+whole blocks of geodesics, which is refused (``DomainError``) where one
+(B, n+1, n+1) array of the block would pass ``_BATCH_BYTES``.
 """
 from __future__ import annotations
 
@@ -59,6 +77,18 @@ _PHI_BLOCK = 4
 #: 0.029 / 0.022-0.025, width 8 without them 0.024-0.025 / 0.015.
 _HYPER_BLOCK = 4
 _ZONAL_BLOCK = 8
+#: the byte budget of one slice of a block's Haar draw, and the fewest
+#: matrices a slice holds, since a stacked QR pays per call as well as per
+#: matrix.  On 2 vCPUs of a shared Xeon at 2 threads, 256 KiB slices put
+#: the peak RSS of the ``mc`` benchmark at 48.6 MB against 53.0 MB with
+#: whole chunks (1 MiB slices, whole chunks at its m <= 4: 56.2 MB), and
+#: at 64 a slice the affine (80, 0, 1) duality check at 20,000 samples ran
+#: in 8.5-10.8 s against 9.2-12.0 s with whole chunks.
+_SLICE_BYTES = 1 << 18
+_SLICE_MIN = 64
+#: the largest (B, n+1, n+1) array of one block that a general
+#: ``radon_hyper_mc`` ``f`` may be handed
+_BATCH_BYTES = 1 << 29
 #: distances below this are clamped in the singular sine kernel
 KERNEL_FLOOR = 1e-3
 
@@ -182,12 +212,42 @@ def _unit_sums(specs: list, terms: Callable, width: int,
     return parts
 
 
-def _unit_rows(units):
-    """(target, slice of the block's samples) of each unit of a block."""
-    lo = 0
-    for t, _, count, _ in units:
-        yield t, slice(lo, lo + count)
-        lo += count
+def _slice_rows(m: int) -> int:
+    """Rows of one slice of a block's (m, m) Haar matrices."""
+    return max(_SLICE_MIN, _SLICE_BYTES // (8 * m * m))
+
+
+def _gaussian_slices(m: int, units: list):
+    """The standard Gaussian (m, m) draws of a block's units, one slice of
+    ``_slice_rows(m)`` rows at a time: yields (rows of the block, pieces,
+    draws), where pieces lists the (target, rows of the slice) of each unit
+    in the slice, in order.  Each unit fills its rows in order from its own
+    generator, so its pieces are the bits and the stream of its one
+    (count, m, m) draw.  The draws are one buffer, refilled for the next
+    slice; SO(1) is {1}, so for m = 1 nothing is drawn and they are ones."""
+    total = sum(count for _, _, count, _ in units)
+    step = _slice_rows(m)
+    buf = (np.ones if m == 1 else np.empty)((min(step, total), m, m))
+    queue, left = iter(units), 0
+    for lo in range(0, total, step):
+        g, pieces, at = buf[:min(step, total - lo)], [], 0
+        while at < len(g):
+            if not left:
+                t, _, left, rng = next(queue)
+            take = min(left, len(g) - at)
+            if m > 1:
+                rng.standard_normal(out=g[at:at + take])
+            pieces.append((t, slice(at, at + take)))
+            at += take
+            left -= take
+        yield slice(lo, lo + len(g)), pieces, g
+
+
+def _haar_slices(m: int, units: list):
+    """``_gaussian_slices`` with each slice's draws replaced by their Haar
+    factors, from one QR a slice across the units in it."""
+    for rows, pieces, g in _gaussian_slices(m, units):
+        yield rows, pieces, g if m == 1 else _haar_q(g)
 
 
 def _joined(arrays: list) -> np.ndarray:
@@ -251,17 +311,27 @@ def _haar_gaussian(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _haar_factor(g: np.ndarray) -> np.ndarray:
+    """The Haar factor (``_haar_q``) of each Gaussian matrix of a stack,
+    one slice of ``_slice_rows`` matrices at a time, so that NumPy's QR
+    copy and R are never formed for more than one slice."""
+    m = g.shape[-1]
+    if m == 1:
+        return g
+    q, step = np.empty_like(g), _slice_rows(m)
+    for lo in range(0, len(g), step):
+        q[lo:lo + step] = _haar_q(g[lo:lo + step])
+    return q
+
+
+def _haar_q(g: np.ndarray) -> np.ndarray:
     """Q diag(d) from the QR of each Gaussian matrix, d the signs of R's
     diagonal, the last negated where det = -1 (Haar is kept).  NumPy's QR
     is Householder, Q = H_1...H_m with H_m = I, so det(Q diag d) =
     (-1)^(m-1) prod(d) if no H_i (i < m) is I: true for Gaussian g, where
     that needs a column exactly zero below the diagonal (~2^-52 a step)."""
-    m = g.shape[-1]
-    if m == 1:
-        return g
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    d[:, -1] *= (-1.0) ** (m - 1) * np.prod(d, axis=-1)
+    d[:, -1] *= (-1.0) ** (g.shape[-1] - 1) * np.prod(d, axis=-1)
     q *= d[:, None, :]
     return q
 
@@ -516,7 +586,7 @@ def radon_affine_mc(p, f: Callable, zeta: AffinePlane,
 def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
     """``radon_affine_mc`` at each plane ``zetas[t]`` = (frame columns,
     offset), taken as orthonormal and orthogonal, on budget ``specs[t]``:
-    one ``f`` call per block of samples."""
+    one ``f`` call per slice of a block's Haar draw."""
     n, j, k = p.n, p.j, p.k
     leads, vnorm = [], []
     for eta, v in zetas:
@@ -529,25 +599,29 @@ def _radon_affine(p, f: Callable, zetas: list, specs: list) -> list:
     log_norm = 0.5 * (k - j) * math.log(2 * math.pi)
 
     def terms(units):
-        draws = [(_haar_gaussian(k, count, rng),
-                  rng.standard_normal((count, k - j)))
-                 for _, _, count, rng in units]
-        gam = _haar_factor(_joined([gauss for gauss, _ in draws]))
-        z = _joined([z for _, z in draws])
-        w = np.exp(log_norm + np.sum(z * z, axis=1) / 2)
-        # local coordinates inside the k-block: offset = |v| e_{n-k} + z,
-        # z rotated by gamma within the k-block
-        local = np.zeros((len(z), n))
-        local[:, n - k:] = np.einsum("bij,bj->bi", gam[:, :, :k - j], z)
-        offs, dirs = np.empty((len(z), n)), np.empty((len(z), n, j))
-        for t, rows in _unit_rows(units):
-            # each plane's samples go through its own g
-            local[rows, n - k - 1] = vnorm[t]
-            offs[rows] = local[rows] @ g[t].T
-            dirs[rows] = np.einsum("ij,bjl->bil", g[t][:, n - k:],
-                                   gam[rows, :, k - j:])
-        vals = np.asarray(f(PlaneBatch(dirs, offs)), dtype=float)
-        return vals * w
+        # a unit draws its offsets after its whole Haar draw, so the
+        # block's factors gamma are kept, one slice each
+        gams = list(_haar_slices(k, units))
+        z = _joined([rng.standard_normal((count, k - j))
+                     for _, _, count, rng in units])
+        out = np.empty(len(z))
+        for rows, pieces, gam in gams:
+            zs = z[rows]
+            w = np.exp(log_norm + np.sum(zs * zs, axis=1) / 2)
+            # local coordinates inside the k-block: offset = |v| e_{n-k} +
+            # z, z rotated by gamma within the k-block
+            local = np.zeros((len(zs), n))
+            local[:, n - k:] = np.einsum("bij,bj->bi", gam[:, :, :k - j], zs)
+            offs, dirs = np.empty((len(zs), n)), np.empty((len(zs), n, j))
+            for t, part in pieces:
+                # each plane's samples go through its own g
+                local[part, n - k - 1] = vnorm[t]
+                offs[part] = local[part] @ g[t].T
+                dirs[part] = np.einsum("ij,bjl->bil", g[t][:, n - k:],
+                                       gam[part, :, k - j:])
+            out[rows] = np.asarray(f(PlaneBatch(dirs, offs)),
+                                   dtype=float) * w
+        return out
 
     return _estimates(terms, specs, 1)
 
@@ -576,7 +650,7 @@ def dual_affine_mc(p, phi: Callable, tau: AffinePlane,
 def _dual_affine(p, phi: Callable, taus: list, specs: list) -> list:
     """``dual_affine_mc`` at each plane ``taus[t]`` = (frame columns,
     offset), taken as orthonormal and orthogonal, on budget ``specs[t]``:
-    one ``phi`` call per block of samples."""
+    one ``phi`` call per slice of a block's Haar draw."""
     n, j, k = p.n, p.j, p.k
     for xi, _ in taus:
         if xi.shape != (n, j):
@@ -586,24 +660,27 @@ def _dual_affine(p, phi: Callable, taus: list, specs: list) -> list:
     g = complete_rotation(np.stack([xi for xi, _ in taus]))
 
     def terms(units):
-        rho = _haar_factor(_joined([_haar_gaussian(n - j, count, rng)
-                                    for _, _, count, rng in units]))
-        # the k-plane directions: rho acts on the first n-j coordinates;
-        # the span of the last k base vectors becomes rho(R^{k-j}) + R^j,
-        # which g takes to its first n-j columns applied to rho's last k-j
-        # columns, beside its own last j columns.  Rho's columns are staged
-        # in ``dirs``, so the einsum reads them with a row stride of k and
-        # takes the same summation path as on a zero-padded (n, k) block
-        dirs, offs = np.empty((len(rho), n, k)), np.empty((len(rho), n))
-        dirs[:, :n - j, :k - j] = rho[:, :, n - k:]
-        for t, rows in _unit_rows(units):
-            d = dirs[rows]
-            d[:, :, :k - j] = np.einsum("ij,bjl->bil", g[t][:, :n - j],
-                                        d[:, :n - j, :k - j])
-            d[:, :, k - j:] = g[t][:, n - j:]
-            proj = np.einsum("bnl,n->bl", d, u[t])
-            offs[rows] = u[t][None, :] - np.einsum("bnl,bl->bn", d, proj)
-        return phi(PlaneBatch(dirs, offs))
+        out = np.empty(sum(count for _, _, count, _ in units))
+        for rows, pieces, rho in _haar_slices(n - j, units):
+            # the k-plane directions: rho acts on the first n-j
+            # coordinates; the span of the last k base vectors becomes
+            # rho(R^{k-j}) + R^j, which g takes to its first n-j columns
+            # applied to rho's last k-j columns, beside its own last j
+            # columns.  Rho's columns are staged in ``dirs``, so the einsum
+            # reads them with a row stride of k and takes the same
+            # summation path as on a zero-padded (n, k) block
+            dirs, offs = np.empty((len(rho), n, k)), np.empty((len(rho), n))
+            dirs[:, :n - j, :k - j] = rho[:, :, n - k:]
+            del rho
+            for t, part in pieces:
+                d = dirs[part]
+                d[:, :, :k - j] = np.einsum("ij,bjl->bil", g[t][:, :n - j],
+                                            d[:, :n - j, :k - j])
+                d[:, :, k - j:] = g[t][:, n - j:]
+                proj = np.einsum("bnl,n->bl", d, u[t])
+                offs[part] = u[t][None, :] - np.einsum("bnl,bl->bn", d, proj)
+            out[rows] = phi(PlaneBatch(dirs, offs))
+        return out
 
     return _estimates(terms, specs, 1)
 
@@ -624,7 +701,14 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
     ``f`` (``zonal_function``) is read on distances alone, in blocks of
     up to ``_ZONAL_BLOCK`` chunks (65,536 samples): each chunk still
     draws its Haar Gaussians, which fix where its radii sit in its
-    stream, but into one chunk-sized buffer that nothing keeps.
+    stream, but a slice at a time into one buffer that nothing keeps.
+
+    A general ``f`` gets a block's geodesics in one batch, whose
+    ``matrices`` are (B, n+1, n+1) arrays.  Where one of them would take
+    more than ``_BATCH_BYTES`` (512 MiB), B being the smaller of the
+    budget and a block's 32,768 samples (n >= 45 at full blocks), the
+    estimate is refused up front with a ``DomainError`` that names the
+    bytes; a zonal read has no such batch and no such limit.
     """
     return _radon_hyper(p, f, [z], [mc])[0]
 
@@ -653,6 +737,14 @@ def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
         return _joined(vals)
 
     if not (isinstance(f, partial) and f.func is _zonal_read):
+        block = min(sum(spec.n_samples for spec in specs),
+                    _HYPER_BLOCK * CHUNK)
+        if 8 * block * (n + 1) ** 2 > _BATCH_BYTES:
+            raise DomainError(
+                f"a general f would be handed {block} geodesics at once, "
+                f"{8 * block * (n + 1) ** 2} bytes per ({block}, {n + 1}, "
+                f"{n + 1}) array, above {_BATCH_BYTES}: lift a zonal "
+                "profile with zonal_function, or lower n_samples")
         return _estimates(terms, specs, _HYPER_BLOCK)
     # a zonal read: the distance of a sample needs its radius and the
     # entry (n, n) of its target's left factor, since row n of every left
@@ -662,15 +754,23 @@ def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
     assert not any(np.any(g[n, n - k:n]) for g in left)
 
     def zonal_terms(units):
-        _, rho, w = _hyper_radii(
-            k, j, [(rng, count) for _, _, count, rng in units], False)
-        corner = np.empty(len(rho))
-        for t, rows in _unit_rows(units):
-            corner[rows] = left[t][n, n]
+        # each unit's Haar Gaussians only fix where its radii sit in its
+        # stream: they are drawn a slice at a time and dropped
+        for _ in _gaussian_slices(k, units):
+            pass
+        s = np.empty(sum(count for _, _, count, _ in units))
+        corner = np.empty(len(s))
+        lo = 0
+        for t, _, count, rng in units:
+            # the bits and the stream of ``uniform(0, 1, count)``
+            rng.random(out=s[lo:lo + count])
+            corner[lo:lo + count] = left[t][n, n]
+            lo += count
+        rho, w = _tanh_radii(k, j, s)
         # the profile's arrays are the block's widest: hold only the
         # distances and the weights beside them
         dist = _zonal_distance(corner, rho)
-        del corner, rho
+        del s, corner, rho
         return at(dist) * w
 
     return _estimates(zonal_terms, specs, _ZONAL_BLOCK)
@@ -679,39 +779,32 @@ def _radon_hyper(p, f: Callable, zs: list, specs: list) -> list:
 def sample_hyper_elements(n: int, d: int, draws: list):
     """Haar rotation + tanh-uniform radius samples of d-geodesics, with the
     invariant-measure weights: (batch, weights).  ``draws`` lists the
-    (generator, count) of each chunk in order; each chunk draws its Haar
-    Gaussians and then its radii (``_hyper_radii``), the Gaussians into
-    its own rows of the batch, and they are factored when the batch's
-    rotations are first read."""
-    gauss, rho, w = _hyper_radii(n, d, draws, True)
-    return GeodesicBatch(d, rho, gauss), w
-
-
-def _hyper_radii(n: int, d: int, draws: list, keep: bool):
-    """(Gaussians, radii, weights) of the d-geodesics of the chunks
-    ``draws`` in order.  Each chunk draws its (count, n, n) Haar Gaussians
-    and then its tanh-uniform radii.  With ``keep`` the Gaussians get one
-    row per sample; without it, every chunk draws them into one reused
-    chunk-sized buffer and none is returned: they fix where the chunk's
-    radii sit in its stream, and that is all a zonal read needs of them."""
+    (generator, count) of each chunk in order; each chunk draws its
+    (count, n, n) Haar Gaussians, into its own rows of the batch, and then
+    its radii, and the Gaussians are factored when the batch's rotations
+    are first read."""
     counts = [count for _, count in draws]
-    s = np.empty(sum(counts))
     # SO(1) is {1}: nothing is drawn (``_haar_gaussian``)
-    if n == 1:
-        gauss = np.ones((len(s), 1, 1)) if keep else None
-    else:
-        gauss = np.empty((len(s) if keep else max(counts), n, n))
+    gauss = (np.ones if n == 1 else np.empty)((sum(counts), n, n))
+    s = np.empty(len(gauss))
     lo = 0
     for rng, count in draws:
         rows = slice(lo, lo + count)
         if n > 1:
-            rng.standard_normal(out=gauss[rows] if keep else gauss[:count])
+            rng.standard_normal(out=gauss[rows])
         # the bits and the stream of ``uniform(0, 1, count)``
         rng.random(out=s[rows])
         lo += count
+    rho, w = _tanh_radii(n, d, s)
+    return GeodesicBatch(d, rho, gauss), w
+
+
+def _tanh_radii(n: int, d: int, s: np.ndarray):
+    """(radii, invariant-measure weights) of d-geodesics of the
+    n-hyperboloid from the uniform draws ``s`` in tanh-distance."""
     s = np.minimum(s, 1.0 - 1e-12)
     w = measure_density(Model.Hyperboloid, n, d, s, ArgKind.TanhDistance)
-    return (gauss if keep else None), np.arctanh(s), w
+    return np.arctanh(s), w
 
 
 def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
@@ -758,15 +851,20 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
     else:
         raise DomainError(f"unknown kernel {kernel}")
 
-    def chunk_terms(rng, count):
+    def chunk_terms(units):
         """(n_pts, count) matrix of estimator terms for one chunk."""
+        (_, _, count, rng), = units
+        # row n-1 of each Haar factor, one slice of the draw at a time:
+        # the plain kernel keeps its last k entries
+        keep = k if plain else n
+        row = np.empty((count, keep))
+        for rows, _, q in _haar_slices(n, units):
+            row[rows] = q[:, n - 1, n - keep:]
         if plain:
-            # a copy, so that the (count, n, n) draw is freed at once
-            last = sample_rotations(n, count, rng)[:, n - 1, n - k:].copy()
-            boost, weight = None, cst
+            last, boost, weight = row, None, cst
         else:
-            batch, w = sample_hyper_elements(n, k, [(rng, count)])
-            row, rho = batch.rotations[:, n - 1], batch.rho
+            # a chunk draws its radii after its Haar Gaussians
+            rho, w = _tanh_radii(n, k, rng.random(count))
             last = row[:, n - k:]
             boost = (np.cosh(rho), row[:, n - k - 1] * np.sinh(rho))
             # the base point is the grid point at rho = 0
@@ -779,12 +877,8 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
                 _boosted_distances(sh[blk], ch[blk], last, boost))
         return out
 
-    def terms(units):
-        # the chunks of a single budget run one to a block
-        (_, _, count, rng), = units
-        return chunk_terms(rng, count)
-
-    parts, = _unit_sums([mc], terms, 1)
+    # the chunks of a single budget run one to a block
+    parts, = _unit_sums([mc], chunk_terms, 1)
     if clamped:
         warnings.warn("sampled distances approach the singular kernel; "
                       "clamped", KernelSingularityWarning, stacklevel=2)

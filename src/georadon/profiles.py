@@ -152,14 +152,21 @@ class Profile1D:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.zeros_like(x)
         eps = 1e-12 * max(1.0, self.lo)     # absorb float noise at the edge
         inside = (x >= self.lo - eps) & (x < self.hi)
         if self.support is not None:
             inside &= x < self.support
         inside &= x < HUGE_ARG
+        vals = None
         if np.any(inside):
-            out[inside] = self.fn(np.maximum(x[inside], self.lo))
+            # the inside points are the call's own copy; ``out`` is made
+            # after fn, so the two are never alive beside fn's arrays
+            xin = x[inside]
+            vals = self.fn(np.maximum(xin, self.lo, out=xin))
+            del xin
+        out = np.zeros_like(x)
+        if vals is not None:
+            out[inside] = vals
         return float(out[0]) if scalar else out
 
     def derivative(self, order: int, x):
@@ -577,7 +584,8 @@ def tabulate(fn, lo: float, hi: float, arg_kind: ArgKind, n: int = 128,
 
         def ev(x):
             x = np.asarray(x, dtype=float)
-            y = np.clip(x * x, ylo, yhi)
+            y = x * x
+            y = np.clip(y, ylo, yhi, out=y if y.ndim else None)
             out = interp(y)
             return out * scale_fn(x) if scale_fn is not None else out
 

@@ -64,7 +64,11 @@ class ChebInterpolant:
         return cls(a, b, np.asarray(fn(cheb_nodes(n, a, b)), dtype=float))
 
     def _map(self, x):
-        return (2.0 * np.asarray(x, dtype=float) - (self.a + self.b)) / (self.b - self.a)
+        # one new array, mapped in place (a 0-d x gives a scalar)
+        t = 2.0 * np.asarray(x, dtype=float)
+        t -= self.a + self.b
+        t /= self.b - self.a
+        return t
 
     def __call__(self, x):
         x = self._map(x)

@@ -284,6 +284,26 @@ def test_reused_parser_keeps_no_state_between_calls(tmp_path, capsys):
     assert (tmp_path / "c.out").read_text() == csv
 
 
+@pytest.mark.parametrize("message", [
+    "Unable to allocate 900. MiB for an array with shape (8192, 120, 120) "
+    "and data type float64", ""])
+def test_memory_error_exits_5_with_one_line(tmp_path, monkeypatch, capsys,
+                                            message):
+    # a MemoryError that escapes a job is reported, not a traceback
+    def exhausted(which, f, phi, p, spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(MC, "duality_check_mc", exhausted)
+    out = tmp_path / "d.csv"
+    job = _write_job(tmp_path, "dual.json",
+                     dict(_DUALITY_JOB, output={"path": str(out)}))
+    assert main(["mc-duality", "--job", job]) == cli.EXIT_MEMORY == 5
+    err = capsys.readouterr().err
+    assert err == "error: out of memory" + (f": {message}" if message
+                                             else "") + "\n"
+    assert not out.exists()
+
+
 def test_divergent_profile_exit_3(tmp_path):
     job = _write_job(tmp_path, "div.json", {
         "command": "transform", "model": "euclidean",

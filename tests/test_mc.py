@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import tracemalloc
 import warnings
 import weakref
 
@@ -680,6 +681,27 @@ def test_zonal_radon_hyper_keeps_no_haar_draw(monkeypatch, threads):
     assert all(rows <= MC.CHUNK for rows in held)
 
 
+def test_zonal_read_of_a_table_holds_few_input_sized_arrays():
+    # a zonal read of the chain's (3, 0, 1) table on 100,000 distances,
+    # 40% of them inside its support: beside the input it holds the cosh
+    # distances, the inside points, their squares, their Chebyshev
+    # variable and the recurrence's three buffers and doubled variable,
+    # and the output only after the profile has run (a traced peak of
+    # 3.92x the input's bytes; 4.92x when the output, the clipped copies
+    # and the mapped temporaries were alive at once)
+    at = MC._at_distance(_chain_phi(3, 1))
+    d = np.random.default_rng(0).uniform(0.0, 3.0, 100_000)
+    want = at(d)
+    tracemalloc.start()
+    try:
+        got = at(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 4.0 * d.nbytes
+
+
 def test_boosted_distances_match_the_lorentz_row_bitwise():
     # the references are the products the kernels used to read, at every
     # point of the chain's grid: for the plain kernel, row n of the boost to
@@ -782,7 +804,8 @@ def test_sine_and_log_kernels_keep_their_bytes_on_the_chain_table(
 def test_sine_and_log_kernels_read_one_row_of_the_haar_draw(monkeypatch,
                                                             kernel, alpha):
     # no Lorentz product is formed: the distances come from row n-1 of each
-    # sample's Haar factor, whose QR still runs once per chunk
+    # sample's Haar factor, whose QR runs once per slice of a chunk's draw
+    # (2,048 4 x 4 matrices in 256 KiB)
     monkeypatch.setenv("GEORADON_THREADS", "1")
     qr_calls = []
     qr = np.linalg.qr
@@ -803,7 +826,7 @@ def test_sine_and_log_kernels_read_one_row_of_the_haar_draw(monkeypatch,
                         IV.RHO_GRID,
                         MC.McSpec(seed=5, n_samples=2 * MC.CHUNK + 1),
                         kernel=kernel)
-    assert qr_calls == [(c, 4, 4) for c in (MC.CHUNK, MC.CHUNK, 1)]
+    assert qr_calls == [(2048, 4, 4)] * 8 + [(1, 4, 4)]
 
 
 @pytest.mark.parametrize("seed,triple", [(70, (3, 1, 2)), (71, (4, 1, 2)),
@@ -1165,12 +1188,12 @@ def test_zonal_reads_form_no_rotation(monkeypatch):
 
     monkeypatch.setattr(MC.np.linalg, "qr", counted)
     monkeypatch.setattr(MC._ChordGeodesics, "rotations", property(forbidden))
-    # dual_hyper_mc: of the batched QRs, one per chunk for the Haar planes
-    # around the chord of t (the chord offsets are functions of their
-    # columns) and none for the lift
+    # dual_hyper_mc: of the batched QRs, one per slice of 2,048 for the
+    # Haar planes around the chord of t (the chord offsets are functions of
+    # their columns; chunks of 8,192, 8,192 and 3,616) and none for the lift
     assert _zonal_dual(122, (6, 2, 4)) == _ZONAL_DUAL_GOLDEN[(6, 2, 4)]
     assert [a for a in qr_calls if len(a) == 3 and a[0] > 1] \
-        == [(c, 4, 4) for c in (8192, 8192, 3616)]
+        == [(c, 4, 4) for c in [2048] * 9 + [1568]]
 
     qr_calls.clear()
     monkeypatch.setattr(MC, "_haar_factor", forbidden)
@@ -1218,3 +1241,89 @@ def test_chord_lift_through_the_centre_is_a_rotation():
     form = np.diag([-1.0] * 4 + [1.0])
     m = lift.matrices
     assert np.allclose(np.transpose(m, (0, 2, 1)) @ form @ m, form, atol=1e-12)
+
+
+def _sliced_cases():
+    """name -> a call of each public estimator whose Haar draws are
+    sliced: one target of each ``_core_cases`` core at a chunk and five
+    samples, the three ``dual_sine_mc`` kernels on the chain's table, and
+    the three duality checks, whose inner blocks hold many units."""
+    cases = {}
+    for name, (public, _, p, fn, targets) in _core_cases().items():
+        cases[name] = _hex_call(public, p, fn, targets[0],
+                                MC.McSpec(seed=3, n_samples=MC.CHUNK + 5))
+    phi = _chain_phi(4, 2)
+    for kernel, alpha in (("plain", 0.0), ("sine", 1.5), ("log", 0.0)):
+        cases["dual_sine_" + kernel] = _hex_call(
+            MC.dual_sine_mc, alpha, R.TransformParams(4, 1, 2), phi,
+            IV.RHO_GRID[:5], MC.McSpec(seed=5, n_samples=MC.CHUNK + 5),
+            kernel=kernel)
+    for which in ("affine", "chord", "hyper"):
+        p, f, phi = _duality_inputs(which)
+        cases["duality_" + which] = _hex_call(
+            MC.duality_check_mc, which, f, phi, p,
+            MC.McSpec(seed=81, n_samples=2000))
+    return cases
+
+
+def _hex_call(fn, *args, **kwargs):
+    """The float.hex of every (value, std_error) that fn(*args) returns."""
+    def call():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", KernelSingularityWarning)
+            got = fn(*args, **kwargs)
+        ests = got if isinstance(got, (list, tuple)) else [got]
+        return [(e.value.hex(), e.std_error.hex()) for e in ests]
+    return call
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", [
+    "radon_affine", "dual_affine", "radon_hyper", "radon_hyper_zonal",
+    "dual_hyper", "dual_sine_plain", "dual_sine_sine", "dual_sine_log",
+    "duality_affine", "duality_chord", "duality_hyper"])
+def test_slicing_the_haar_draw_keeps_every_byte(monkeypatch, threads, name):
+    # five matrices a slice: slices end inside units, and in the duality
+    # checks' inner blocks (units of 256 samples) they span two units, so
+    # pieces of 1 to 5 rows are drawn and one QR factors parts of two units
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    call = _sliced_cases()[name]
+    default = call()
+    monkeypatch.setattr(MC, "_SLICE_BYTES", 1)
+    monkeypatch.setattr(MC, "_SLICE_MIN", 5)
+    assert MC._slice_rows(4) == 5
+    assert call() == default
+
+
+def test_dual_affine_memory_does_not_grow_with_the_haar_draw(monkeypatch):
+    # at (40, 0, 1) a chunk's Haar draw is 8,192 40 x 40 matrices, 105 MB
+    # each for the draw, its QR copy, Q and R (a traced peak of 403 MiB
+    # when the block held them); a block holds one slice of 64 (0.8 MB
+    # each), that slice's plane directions and offsets, and the chunk's
+    # 64 KB of terms: 4.0 MiB
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+    p = R.TransformParams(40, 0, 1)
+    tau = MC.AffinePlane(MC.Frame(np.zeros((40, 0))), 0.5 * np.eye(40)[0])
+    tracemalloc.start()
+    try:
+        MC.dual_affine_mc(p, MC.radial_plane_function(P.gaussian()), tau,
+                          MC.McSpec(seed=7, n_samples=MC.CHUNK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert MC._slice_rows(40) == 64
+
+
+def test_general_f_refuses_a_batch_past_the_byte_cap():
+    # at n = 45 a block of four chunks would hand f (32768, 46, 46) arrays
+    # of 555 MB; one chunk's 139 MB are handed on
+    p = R.TransformParams(45, 0, 1)
+    z = MC.GeodesicElement(45, 1, np.eye(45), 0.3)
+    with pytest.raises(DomainError, match="554696704 bytes"):
+        MC.radon_hyper_mc(p, _bounded_lorentz, z,
+                          MC.McSpec(seed=1, n_samples=100_000))
+    est = MC.radon_hyper_mc(R.TransformParams(4, 0, 1), _bounded_lorentz,
+                            MC.GeodesicElement(4, 1, np.eye(4), 0.3),
+                            MC.McSpec(seed=1, n_samples=100_000))
+    assert est.n_samples == 100_000
