@@ -29,10 +29,14 @@ that slice's plane directions, and the integrand runs once per slice.
 ``radon_affine_mc`` keeps the block's Haar factors, since a unit draws its
 offsets after its whole Haar draw, and runs the integrand once per slice.
 The plain kernel of ``dual_sine_mc`` keeps the k entries of row n-1 of
-each factor, the sine and log kernels row n-1 and the radius.  A zonal
-``radon_hyper_mc`` read keeps no Haar array, and a general ``f`` is handed
-whole blocks of geodesics, which is refused (``DomainError``) where one
-(B, n+1, n+1) array of the block would pass ``_BATCH_BYTES``.
+each factor, the sine and log kernels row n-1 and the radius, and from
+them each chunk stages its distances in place in the rows of its terms,
+which its kernel factor and weight then overwrite in groups of rows of at
+most ``_FACTOR_BYTES``, so its widest arrays besides the terms are one
+group's.  A zonal ``radon_hyper_mc`` read keeps no Haar array, and a
+general ``f`` is handed whole blocks of geodesics, which is refused
+(``DomainError``) where one (B, n+1, n+1) array of the block would pass
+``_BATCH_BYTES``.
 """
 from __future__ import annotations
 
@@ -54,24 +58,26 @@ from .profiles import ArgKind, Profile1D, convert
 from .special import dual_transform_limit_constant, gamma_nk
 
 CHUNK = 8192
-#: the grid points of one chunk whose kernel factor ``dual_sine_mc``
-#: evaluates in one call.  A profile such as the chain's 201-coefficient
-#: table runs ~600 ufuncs per call, each releasing the GIL for
-#: microseconds; on one point's values the two workers hand the GIL over
-#: at every ufunc and run slower than one (a convoy).
-#: Median seconds of 5 plain-kernel runs on the chain's reconstruct data
-#: (33 points, 50,000 samples) at 1 / 2 worker threads, 2 vCPUs of a
-#: shared Xeon:
-#: 1 point 0.72 / 0.64, 2 points 0.64 / 0.50, 4 points 0.56 / 0.37,
-#: 8 points 0.60 / 0.35, all 33 0.82 / 0.44 (memory-bound on 2 MB arrays).
-#: 8 points hold twice the arrays of 4 for no clear gain.
-_PHI_BLOCK = 4
+#: the bytes of one group of a chunk's distance rows that ``dual_sine_mc``
+#: hands its kernel factor in one call: max(1, _FACTOR_BYTES // (8 count))
+#: rows, five of a full chunk (40,960 distances).  A profile such as the
+#: chain's 201-coefficient table runs ~600 ufuncs per call, each releasing
+#: the GIL, and narrow calls gain little from a second worker: Clenshaw's
+#: recurrence, 2-thread speedup by points per call (2 vCPUs of a shared
+#: Xeon), is 0.54 at 10k, 0.83 at 20k, 1.28 at 30k, 1.47 at 45k and 1.91
+#: at 60k, and past 80k its buffers spill L2.  The chain's two reconstruct
+#: jobs, median ms at 1 / 2 threads and the (4, 1, 2) job's traced peak in
+#: MiB at 1 / 2 threads, by rows a full chunk's group:
+#: 4 rows 300 / 264, 4.13 / 7.72; 5 rows 303 / 219, 4.30 / 8.61;
+#: 6 rows 314 / 232, 4.74 / 9.50; 8 rows 325 / 201, 5.19 / 10.39.
+#: Groups of 4 whose distances were formed apart peaked at 4.73 / 9.47.
+_FACTOR_BYTES = 5 * 8 * CHUNK
 #: the block widths of ``radon_hyper_mc``, in chunks: ``f`` runs on a
-#: block's samples at once, which ends the convoy above.  A general ``f``
-#: gets batches that can form Q, R, ``right`` and ``matrices`` for every
-#: sample, so its blocks are four chunks.  A zonal read holds a few values
-#: a sample, so its blocks are eight: 13 chunks on two workers are then
-#: one block per worker, and each worker evaluates the profile once.
+#: block's samples at once, so its ufuncs are wide, as above.  A general
+#: ``f`` gets batches that can form Q, R, ``right`` and ``matrices`` for
+#: every sample, so its blocks are four chunks.  A zonal read holds a few
+#: values a sample, so its blocks are eight: 13 chunks on two workers are
+#: then one block per worker, and each worker evaluates the profile once.
 #: Median seconds of the chain's lhs (``tools/kernel_bench.py``, zonal
 #: row) at 1 / 2 worker threads: width 4 with the Gaussians kept 0.026-
 #: 0.029 / 0.022-0.025, width 8 without them 0.024-0.025 / 0.015.
@@ -695,7 +701,7 @@ def radon_hyper_mc(p, f: Callable, z: GeodesicElement, mc: McSpec) -> McEstimate
 
     ``f`` is called once per block of up to ``_HYPER_BLOCK`` chunks
     (32,768 samples), not once per chunk: a profile evaluated in one-chunk
-    pieces on two workers queues them on the GIL (see ``_PHI_BLOCK``).
+    pieces on two workers queues them on the GIL (see ``_FACTOR_BYTES``).
     ``f`` must act on each geodesic alone, as every profile does, so the
     estimate keeps its bytes however the chunks are grouped.  A zonal
     ``f`` (``zonal_function``) is read on distances alone, in blocks of
@@ -820,10 +826,12 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
 
     Every kernel reads the distance from x to a sampled k-geodesic off one
     row of its Haar rotation (``_boosted_distances``): no Lorentz product
-    is formed.  The kernel factor is evaluated once per block of
-    ``_PHI_BLOCK`` grid points: a call per point hands the GIL between the
-    worker threads at every ufunc of the evaluation, so the threads queued
-    on it and a second one gained nothing.
+    is formed, and each chunk's distances are staged in the rows of its
+    terms.  The kernel factor and the weight are then applied to groups of
+    those rows of at most ``_FACTOR_BYTES`` each: a call per grid point
+    hands the GIL between the worker threads at every ufunc of the
+    evaluation, so the threads queued on it and a second one gained
+    little.
     """
     n, k = p.n, p.k
     rho_grid = np.atleast_1d(np.asarray(rho_grid, dtype=float))
@@ -854,27 +862,32 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
     def chunk_terms(units):
         """(n_pts, count) matrix of estimator terms for one chunk."""
         (_, _, count, rng), = units
-        # row n-1 of each Haar factor, one slice of the draw at a time:
-        # the plain kernel keeps its last k entries
+        # row n-1 of each Haar factor, one slice of the draw at a time, by
+        # column: the plain kernel keeps its last k entries
         keep = k if plain else n
-        row = np.empty((count, keep))
+        row = np.empty((keep, count))
         for rows, _, q in _haar_slices(n, units):
-            row[rows] = q[:, n - 1, n - keep:]
+            row[:, rows] = q[:, n - 1, n - keep:].T
+        del q
+        out = np.empty((n_pts, count))
         if plain:
             last, boost, weight = row, None, cst
         else:
             # a chunk draws its radii after its Haar Gaussians
             rho, w = _tanh_radii(n, k, rng.random(count))
-            last = row[:, n - k:]
-            boost = (np.cosh(rho), row[:, n - k - 1] * np.sinh(rho))
+            last = row[n - k:]
+            boost = (np.cosh(rho), row[n - k - 1] * np.sinh(rho))
             # the base point is the grid point at rho = 0
-            origin = _boosted_distances(np.zeros(1), np.ones(1), last, boost)
+            origin = _boosted_distances(np.zeros(1), np.ones(1), last, boost,
+                                        np.empty((1, count)))
             weight = cst * w * phi_at(origin[0])
-        out = np.empty((n_pts, count))
-        for lo in range(0, n_pts, _PHI_BLOCK):
-            blk = slice(lo, lo + _PHI_BLOCK)
-            out[blk] = weight * factor(
-                _boosted_distances(sh[blk], ch[blk], last, boost))
+        _boosted_distances(sh, ch, last, boost, out)
+        # the Haar rows and the boosts are dropped before the factor runs
+        del row, last, boost
+        most = max(1, _FACTOR_BYTES // (8 * count))
+        for lo in range(0, n_pts, most):
+            blk = slice(lo, lo + most)
+            np.multiply(factor(out[blk]), weight, out=out[blk])
         return out
 
     # the chunks of a single budget run one to a block
@@ -888,24 +901,48 @@ def dual_sine_mc(alpha: float, p, phi: Profile1D, rho_grid, mc: McSpec,
 
 
 def _boosted_distances(sh: np.ndarray, ch: np.ndarray, last: np.ndarray,
-                       boost: Optional[tuple]) -> np.ndarray:
+                       boost: Optional[tuple], out: np.ndarray) -> np.ndarray:
     """(points, count) distances from the grid points (sh, ch) to the
-    k-geodesics A = E(S) boost(rho_s), given ``last`` = S[:, n-1, n-k:]
-    and ``boost`` = (cosh rho_s, S[n-1, n-k-1] sinh rho_s), or None for
-    A = E(S).  The coordinates of A^{-1} x that the distance reads are
-    sh S[n-1, n-k:] and ch cosh rho_s - sh S[n-1, n-k-1] sinh rho_s: one
+    k-geodesics A = E(S) boost(rho_s), written into ``out`` and returned,
+    given the columns ``last`` = S[:, n-1, n-k:].T, (k, count), and
+    ``boost`` = (cosh rho_s, S[n-1, n-k-1] sinh rho_s), or None for A =
+    E(S).  The coordinates of A^{-1} x that the distance reads are sh
+    S[n-1, n-k:] and ch cosh rho_s - sh S[n-1, n-k-1] sinh rho_s: one
     product or a sum of two, with exact zeros elsewhere, so these are the
-    bits of ``_distance_to_base`` on A^{-1} x formed in full.
+    bits of ``_distance_to_base`` on A^{-1} x formed in full.  For k < 8
+    each row is staged in place, its pseudo-norm summed coordinate by
+    coordinate, the order ``np.sum`` takes over an axis shorter than 8;
+    from 8 on it sums pairwise, and each grid point's (count, k + 1) row of
+    A^{-1} x is formed for ``_distance_to_base``.  Forming the row at every
+    k gave the same bits, but a 2-thread reconstruct job of the chain ran
+    292 ms against 257 (median of 8) and the traced peak rose 9%.
     """
-    k = last.shape[1]
-    row = np.empty((len(ch), len(last), k + 1))
-    np.multiply(sh[:, None, None], last, out=row[..., :k])
-    if boost is None:
-        row[..., k] = ch[:, None]
-    else:
-        cosh_s, lead = boost
-        row[..., k] = ch[:, None] * cosh_s - sh[:, None] * lead
-    return _distance_to_base(row, k, k)
+    k = len(last)
+    if k >= 8:
+        row = np.empty((out.shape[1], k + 1))
+        for s, c, dist in zip(sh, ch, out):
+            np.multiply(s, last.T, out=row[:, :k])
+            row[:, k] = c if boost is None else c * boost[0] - s * boost[1]
+            dist[...] = _distance_to_base(row, k, k)
+        return out
+    z, term = np.empty((2, out.shape[1]))
+    for s, c, pn2 in zip(sh, ch, out):
+        if k:
+            np.square(np.multiply(s, last[0], out=pn2), out=pn2)
+        else:
+            pn2.fill(0.0)
+        for col in last[1:]:
+            pn2 += np.square(np.multiply(s, col, out=term), out=term)
+        if boost is None:
+            np.subtract(c * c, pn2, out=pn2)
+        else:
+            cosh_s, lead = boost
+            np.subtract(np.multiply(c, cosh_s, out=z),
+                        np.multiply(s, lead, out=term), out=z)
+            np.subtract(np.square(z, out=z), pn2, out=pn2)
+        np.maximum(pn2, 1.0, out=pn2)
+        np.arccosh(np.maximum(np.sqrt(pn2, out=pn2), 1.0, out=pn2), out=pn2)
+    return out
 
 
 def dual_hyper_mc(p, phi: Callable, t: GeodesicElement, mc: McSpec) -> McEstimate:

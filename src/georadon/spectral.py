@@ -28,22 +28,28 @@ def _values_to_coeffs(values: np.ndarray) -> np.ndarray:
 
 
 def _clenshaw(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``C.chebval(x, c)`` for an array x and at least 3 coefficients.
+    """``C.chebval(x, c)`` for an array x of the caller's own and at least
+    3 coefficients; x is overwritten.
 
     The same recurrence in the same order, so the result is bit-for-bit
-    that of ``chebval``, but in three buffers instead of three new arrays
-    per coefficient.
+    that of ``chebval``, but in x and three buffers instead of three new
+    arrays per coefficient.  The recurrence reads 2x, formed in x and
+    halved back for the last step c0 + c1 x.  Halving is exact unless 2x
+    overflowed, and there the first step already made c1 = c0 + c1 (2x)
+    infinite or NaN, which the last product keeps whether it reads x or
+    the same-signed infinity.
     """
-    x2 = 2.0 * x
+    x *= 2.0
     c0 = np.full(x.shape, c[-2])
     c1 = np.full(x.shape, c[-1])
-    spare = np.empty_like(x2)
+    spare = np.empty_like(x)
     for ci in c[-3::-1]:
-        # c0, c1 = ci - c1, c0 + c1*x2
+        # c0, c1 = ci - c1, c0 + c1*(2x)
         np.subtract(ci, c1, out=spare)
-        np.multiply(c1, x2, out=c1)
+        np.multiply(c1, x, out=c1)
         np.add(c0, c1, out=c1)
         c0, spare = spare, c0
+    x *= 0.5
     np.multiply(c1, x, out=c1)
     return np.add(c0, c1, out=c0)
 
@@ -64,7 +70,8 @@ class ChebInterpolant:
         return cls(a, b, np.asarray(fn(cheb_nodes(n, a, b)), dtype=float))
 
     def _map(self, x):
-        # one new array, mapped in place (a 0-d x gives a scalar)
+        # one new array, mapped in place (a 0-d x gives a scalar), which
+        # ``_clenshaw`` may take over
         t = 2.0 * np.asarray(x, dtype=float)
         t -= self.a + self.b
         t /= self.b - self.a

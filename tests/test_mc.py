@@ -8,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import TIGHT
 from georadon import inversion as IV
@@ -685,10 +686,11 @@ def test_zonal_read_of_a_table_holds_few_input_sized_arrays():
     # a zonal read of the chain's (3, 0, 1) table on 100,000 distances,
     # 40% of them inside its support: beside the input it holds the cosh
     # distances, the inside points, their squares, their Chebyshev
-    # variable and the recurrence's three buffers and doubled variable,
-    # and the output only after the profile has run (a traced peak of
-    # 3.92x the input's bytes; 4.92x when the output, the clipped copies
-    # and the mapped temporaries were alive at once)
+    # variable, doubled in place, and the recurrence's three buffers, and
+    # the output only after the profile has run (a traced peak of 3.52x
+    # the input's bytes; 3.92x with the doubled variable apart, 4.92x when
+    # the output, the clipped copies and the mapped temporaries were alive
+    # at once)
     at = MC._at_distance(_chain_phi(3, 1))
     d = np.random.default_rng(0).uniform(0.0, 3.0, 100_000)
     want = at(d)
@@ -699,41 +701,77 @@ def test_zonal_read_of_a_table_holds_few_input_sized_arrays():
     finally:
         tracemalloc.stop()
     assert got.tobytes() == want.tobytes()
-    assert peak < 4.0 * d.nbytes
+    assert peak < 3.6 * d.nbytes
 
 
-def test_boosted_distances_match_the_lorentz_row_bitwise():
-    # the references are the products the kernels used to read, at every
-    # point of the chain's grid: for the plain kernel, row n of the boost to
-    # x times the embedded Haar rotation; for the sine and log kernels,
-    # A^{-1} x = G A^T G x (G = diag(-I_n, 1)) through one einsum over the
-    # full products A = E(S) boost(rho_s)
+def test_plain_kernel_on_the_chain_table_holds_no_more_than_before(
+        monkeypatch):
+    # the traced peak of a plain-kernel call over RHO_GRID with three
+    # chunks was 4,956,137 bytes when each group of four grid points formed
+    # its (4, count, k + 1) Lorentz rows and their squares; staging the
+    # distances in place in the output rows pays for the wider factor
+    # calls (4,505,017 bytes with groups of five; 4,898,425 when each grid
+    # point's (count, k + 1) row was formed for _distance_to_base)
+    monkeypatch.setenv("GEORADON_THREADS", "1")
+    phi = _chain_phi(4, 2)
+
+    def once():
+        return MC.dual_sine_mc(0.0, R.TransformParams(4, 1, 2), phi,
+                               IV.RHO_GRID,
+                               MC.McSpec(seed=5, n_samples=2 * MC.CHUNK + 1),
+                               kernel="plain")
+
+    want = once()
+    tracemalloc.start()
+    try:
+        got = once()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 4_956_137
+
+
+@settings(deadline=None, max_examples=25)
+@given(extra=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1),
+       count=st.integers(1, 300))
+def test_boosted_distances_match_the_lorentz_row_bitwise(extra, seed, count):
+    # the distances staged in place, row by row, for every k = 0..7 at n =
+    # k + extra, and at k = 8..11, where np.sum adds pairwise and each row
+    # of A^{-1} x is formed, against the products the kernels used to
+    # read, at every point of the chain's grid: for the plain kernel, row
+    # n of the boost to x times the embedded Haar rotation; for the sine
+    # and log kernels, A^{-1} x = G A^T G x (G = diag(-I_n, 1)) through
+    # one einsum over the full products A = E(S) boost(rho_s), both read
+    # by _distance_to_base
     sh = np.array([math.sinh(r) for r in IV.RHO_GRID])
     ch = np.array([math.cosh(r) for r in IV.RHO_GRID])
-    for n in range(2, 10):
-        for k in range(1, n):
-            batch, _ = MC.sample_hyper_elements(n, k, [(_rng(32, n), 257)])
-            rot = batch.rotations
-            plain = MC._boosted_distances(sh, ch, rot[:, n - 1, n - k:], None)
-            boosted = MC._boosted_distances(
-                sh, ch, rot[:, n - 1, n - k:],
-                (np.cosh(batch.rho), rot[:, n - 1, n - k - 1]
-                 * np.sinh(batch.rho)))
-            right = MC._embed_block(rot, n, range(n))
-            for i, r in enumerate(IV.RHO_GRID):
-                assert np.array_equal(plain[i], _row_distance(
-                    MC.hyperbolic_rotation(n, 0, r), right, n, k))
-                gx = np.zeros(n + 1)
-                gx[n - 1], gx[n] = -sh[i], ch[i]
-                inv = np.einsum("bji,j->bi", batch.matrices, gx)
-                inv[:, :-1] *= -1.0
-                assert np.array_equal(boosted[i],
-                                      MC._distance_to_base(inv, n, k))
+    for k in range(12):
+        n = k + extra
+        batch, _ = MC.sample_hyper_elements(n, k, [(_rng(seed, n), count)])
+        rot = batch.rotations
+        last = rot[:, n - 1, n - k:].T
+        out = np.full((len(sh), count), np.nan)
+        assert MC._boosted_distances(sh, ch, last, None, out) is out
+        plain = out.copy()
+        boosted = MC._boosted_distances(
+            sh, ch, last, (np.cosh(batch.rho), rot[:, n - 1, n - k - 1]
+                           * np.sinh(batch.rho)), out)
+        right = MC._embed_block(rot, n, range(n))
+        for i, r in enumerate(IV.RHO_GRID):
+            assert np.array_equal(plain[i], _row_distance(
+                MC.hyperbolic_rotation(n, 0, r), right, n, k))
+            gx = np.zeros(n + 1)
+            gx[n - 1], gx[n] = -sh[i], ch[i]
+            inv = np.einsum("bji,j->bi", batch.matrices, gx)
+            inv[:, :-1] *= -1.0
+            assert np.array_equal(boosted[i], MC._distance_to_base(inv, n, k))
 
 
 def test_plain_kernel_calls_phi_once_per_block(monkeypatch):
-    # one phi call per block of grid points and chunk, and no Lorentz
-    # matrices: the distances come from one row of the Haar draw
+    # one phi call per group of grid points of at most _FACTOR_BYTES and
+    # chunk, and no Lorentz matrices: the distances come from
+    # one row of the Haar draw
     calls = []
     table = _chain_phi(4, 2)
 
@@ -749,13 +787,21 @@ def test_plain_kernel_calls_phi_once_per_block(monkeypatch):
 
     monkeypatch.setattr(MC, "_embed_block", forbidden)
     monkeypatch.setattr(MC.np, "einsum", forbidden)
-    chunks = 3
     MC.dual_sine_mc(0.0, R.TransformParams(4, 1, 2), phi, IV.RHO_GRID,
                     MC.McSpec(seed=5, n_samples=2 * MC.CHUNK + 1),
                     kernel="plain")
-    blocks = -(-len(IV.RHO_GRID) // MC._PHI_BLOCK)
-    assert 1 < MC._PHI_BLOCK < len(IV.RHO_GRID)
-    assert len(calls) <= chunks * blocks
+    # two full chunks in groups of 5, 5, 5, 5, 5, 5 and 3 points, and the
+    # last chunk's one sample in one call
+    assert MC._FACTOR_BYTES // (8 * MC.CHUNK) == 5
+    assert len(calls) == 15
+
+
+def test_dual_sine_mc_on_an_empty_grid_is_empty():
+    phi = IV.as_cosh_profile(IV.zonal_bump(1.2), support=1.2)
+    for kernel, alpha in (("plain", 0.0), ("sine", 1.0), ("log", 0.0)):
+        assert MC.dual_sine_mc(alpha, R.TransformParams(4, 1, 2), phi, [],
+                               MC.McSpec(seed=1, n_samples=100),
+                               kernel=kernel) == []
 
 
 #: SHA-256 of the lines "value.hex() std_error.hex()" of the sine and log
@@ -786,7 +832,13 @@ _SINE_LOG_CHAIN_GOLDEN = {
 def test_sine_and_log_kernels_keep_their_bytes_on_the_chain_table(
         monkeypatch, threads, case):
     monkeypatch.setenv("GEORADON_THREADS", threads)
-    kernel, alpha, triple, seed = case
+    assert _kernel_digest(*case) == _SINE_LOG_CHAIN_GOLDEN[case]
+
+
+def _kernel_digest(kernel, alpha, triple, seed):
+    """Whether ``dual_sine_mc`` clamped, and the SHA-256 of its lines
+    "value.hex() std_error.hex()", on the chain's table over RHO_GRID at
+    20000 samples."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         ests = MC.dual_sine_mc(alpha, R.TransformParams(*triple),
@@ -796,8 +848,23 @@ def test_sine_and_log_kernels_keep_their_bytes_on_the_chain_table(
     clamped = any(issubclass(w.category, KernelSingularityWarning)
                   for w in caught)
     text = "\n".join(f"{e.value.hex()} {e.std_error.hex()}" for e in ests)
-    assert (clamped, hashlib.sha256(text.encode()).hexdigest()) \
-        == _SINE_LOG_CHAIN_GOLDEN[case]
+    return clamped, hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("rows", ["one", "all"])
+def test_grouping_the_kernel_rows_keeps_every_byte(monkeypatch, threads,
+                                                   rows):
+    # the kernel factor on one grid point a call, or on all 33 at once,
+    # gives the bytes of the default groups, for every kernel
+    monkeypatch.setenv("GEORADON_THREADS", threads)
+    monkeypatch.setattr(MC, "_FACTOR_BYTES", 8 if rows == "one"
+                        else 8 * MC.CHUNK * len(IV.RHO_GRID))
+    assert _kernel_digest("plain", 0.0, (4, 1, 2), 102) \
+        == (False, _PLAIN_CHAIN_GOLDEN[4, 1, 2])
+    for case in (("sine", 2.0, (3, 1, 2), 111), ("sine", 1.0, (5, 1, 3), 112),
+                 ("log", 0.0, (4, 1, 2), 114)):
+        assert _kernel_digest(*case) == _SINE_LOG_CHAIN_GOLDEN[case]
 
 
 @pytest.mark.parametrize("kernel,alpha", [("sine", 1.5), ("log", 0.0)])

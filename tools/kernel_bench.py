@@ -11,7 +11,8 @@ the bump of radius 1.2, over ``RHO_GRID`` with 50,000 samples (seed 14):
 
 ``GEORADON_THREADS`` is set to 1 and then 2 for the timed calls.  Prints one
 JSON object: per kernel and thread count, the best and the median of 5
-wall times of one call in seconds, and per kernel the SHA-256 of the lines
+wall times of one call in seconds and the ``tracemalloc`` peak of one more
+call in MiB, and per kernel the SHA-256 of the lines
 "value.hex() std_error.hex()" of its estimates (equal across two trees
 exactly when they agree byte for byte; the thread count must not move it).
 
@@ -23,10 +24,12 @@ on record; a best of 5 understates contention between the two workers,
 as it keeps the runs in which one of them was idle, so the 2-thread /
 1-thread ratio is read off the medians.
 
-The ``haar`` row times ``mc.sample_rotations(m, 8192, rng)`` for m = 2..6,
-which runs on the calling thread (no worker pool): per m, the best and
-the median of 5 wall times in seconds and the SHA-256 of the bytes of the
-draw, from a generator seeded afresh (seed 14, chunk 0) for every call.
+The ``haar`` row times the Haar draw under every Monte Carlo estimator,
+``mc._haar_slices(m, units)`` over one chunk of 8192 samples, for m =
+2..6, on the calling thread (no worker pool): per m, the best and the
+median of 5 wall times in seconds, the ``tracemalloc`` peak of one more
+draw in MiB, and the SHA-256 of the bytes of its factors, from a generator
+seeded afresh (seed 14, chunk 0) for every call.
 
     python tools/kernel_bench.py
 """
@@ -39,6 +42,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -87,18 +91,24 @@ def main() -> int:
         R.TransformParams(4, 1, 2), zonal, z,
         MC.McSpec(seed=14, n_samples=100_000))])
 
+    def haar(m):
+        units = [(0, 0, 8192, MC._rng(MC.McSpec(seed=14, n_samples=8192),
+                                      0))]
+        return [q for _, _, q in MC._haar_slices(m, units)]
+
     out["haar"] = {}
     for m in range(2, 7):
         times, digests = [], set()
         for _ in range(5):
-            rng = MC._rng(MC.McSpec(seed=14, n_samples=8192), 0)
             t0 = time.perf_counter()
-            rot = MC.sample_rotations(m, 8192, rng)
+            factors = haar(m)
             times.append(time.perf_counter() - t0)
-            digests.add(hashlib.sha256(rot.tobytes()).hexdigest())
+            digests.add(hashlib.sha256(
+                b"".join(q.tobytes() for q in factors)).hexdigest())
         out["haar"][f"m={m}"] = {"s": round(min(times), 5),
                                  "median_s": round(statistics.median(times),
                                                    5),
+                                 "peak_mib": _traced_peak_mib(haar, m),
                                  "sha256": digests.pop()
                                  if len(digests) == 1 else "not repeatable"}
     print(json.dumps(out))
@@ -106,9 +116,9 @@ def main() -> int:
 
 
 def _timed_by_threads(once) -> dict:
-    """Best and median of 5 wall times of ``once()`` at 1 and 2 worker
-    threads, and the SHA-256 of the estimates it returns (one digest for
-    both)."""
+    """Best and median of 5 wall times and the traced peak of ``once()``
+    at 1 and 2 worker threads, and the SHA-256 of the estimates it returns
+    (one digest for both)."""
     row, digests = {}, set()
     for threads in ("1", "2"):
         os.environ["GEORADON_THREADS"] = threads
@@ -122,9 +132,20 @@ def _timed_by_threads(once) -> dict:
             digests.add(hashlib.sha256(text.encode()).hexdigest())
         row[f"s_threads_{threads}"] = round(min(times), 4)
         row[f"median_s_threads_{threads}"] = round(statistics.median(times), 4)
+        row[f"peak_mib_threads_{threads}"] = _traced_peak_mib(once)
     row["sha256"] = digests.pop() if len(digests) == 1 \
         else "thread-dependent"
     return row
+
+
+def _traced_peak_mib(fn, *args) -> float:
+    """The ``tracemalloc`` peak of one call ``fn(*args)``, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return round(tracemalloc.get_traced_memory()[1] / 2 ** 20, 3)
+    finally:
+        tracemalloc.stop()
 
 
 if __name__ == "__main__":
